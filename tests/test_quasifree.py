@@ -122,6 +122,25 @@ def test_missing_entry_raises():
     state = QuasifreeState(k)
     with pytest.raises(IncompleteKernelError):
         npoint(state, [1, 2])
+    with pytest.raises(IncompleteKernelError):
+        npoint(state, [1] * 9 + [2])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {(1, 1): math.nan, (2, 2): 1.0, (1, 2): 0.5j, (2, 1): -0.5j},
+        {(1, 1): 1.0, (2, 2): 1.0, (1, 2): math.inf, (2, 1): math.inf},
+        {(1, 1): 1.0, (2, 2): -math.inf, (1, 2): 0.5j, (2, 1): -0.5j},
+        {(1, 1): 1.0, (2, 2): 1.0, (1, 2): complex(0, math.nan), (2, 1): 0.0},
+    ],
+    ids=["nan-diagonal", "inf-offdiagonal", "neg-inf-diagonal", "nan-imag"],
+)
+def test_kernel_rejects_non_finite_entries(table):
+    with pytest.raises(ValidationError, match="not finite"):
+        TwoPointKernel(table)
+    with pytest.raises(ValidationError, match="not finite"):
+        TwoPointKernel(lambda i, j: table[(i, j)], generators=[1, 2])
 
 
 # -------------------------------------------------------------- moments
@@ -141,6 +160,67 @@ def test_four_point_closed_forms():
     got = npoint(state, [1, 2, 1, 2])
     expected = w(1, 2) * w(1, 2) + w(1, 1) * w(2, 2) + w(1, 2) * w(2, 1)
     assert got == pytest.approx(expected)
+
+
+def dense_state(n_gens, seed):
+    """Quasifree state with a dense complex kernel mu + (i/2) tau: mu a
+    random positive matrix plus the identity, which keeps the pair bound,
+    and tau a random antisymmetric one."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_gens, n_gens))
+    mu = a @ a.T / n_gens + np.eye(n_gens)
+    t = rng.normal(size=(n_gens, n_gens))
+    tau = 0.5 * (t - t.T)
+    k = mu + 0.5j * tau
+    gens = range(1, n_gens + 1)
+    table = {(i, j): k[i - 1, j - 1] for i in gens for j in gens}
+    return QuasifreeState(TwoPointKernel(table))
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_moments_match_oracle_on_dense_kernel(n):
+    state = dense_state(12, seed=n)
+    rng = np.random.default_rng(100 + n)
+    value = state.kernel.value
+    for indices in (rng.integers(1, 13, size=n), rng.permutation(12)[:n] + 1):
+        indices = [int(i) for i in indices]
+        expected = complex(wick_moment(indices, value))
+        scale = wick_moment(indices, lambda i, j: abs(value(i, j)))
+        assert abs(npoint(state, indices) - expected) <= 1e-13 * scale
+
+
+def test_sixteen_point_closed_form_at_default_guard():
+    omega = 1.3
+    state = QuasifreeState(vacuum_mode_kernel([omega]))
+    expected = double_factorial(15) * (1.0 / (2.0 * omega)) ** 8
+    assert npoint(state, [1] * 16) == pytest.approx(expected, rel=1e-13)
+
+
+def test_npoint_guard():
+    omega = 0.8
+    state = QuasifreeState(vacuum_mode_kernel([omega]))
+    with pytest.raises(ValidationError, match="pairing guard"):
+        npoint(state, [1] * 18)
+    with pytest.raises(ValidationError, match="pairing guard"):
+        npoint(state, [1, 2, 1, 2], max_n=2)
+    expected = double_factorial(17) * (1.0 / (2.0 * omega)) ** 9
+    assert npoint(state, [1] * 18, max_n=18) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "indices", [[1.7, 2.2], [1, 2.0], ["1", "2"], "12", 5, None]
+)
+def test_npoint_rejects_non_integer_labels(indices):
+    state = QuasifreeState(vacuum_mode_kernel([1.0]))
+    with pytest.raises(ValidationError, match="integer slot labels"):
+        npoint(state, indices)
+
+
+def test_npoint_accepts_numpy_integers():
+    state = QuasifreeState(vacuum_mode_kernel([1.0, 0.7]))
+    expected = npoint(state, [1, 2, 3, 1])
+    assert npoint(state, np.array([1, 2, 3, 1])) == expected
+    assert npoint(state, [np.int32(1), np.int64(2), 3, np.int8(1)]) == expected
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), max_size=6))
