@@ -23,6 +23,9 @@ themselves are hermitian, so no index decoration is needed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import operator
 import re as _re
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -70,20 +73,20 @@ class ExactComplex:
         raise AttributeError("ExactComplex is immutable")
 
     def __add__(self, other):
-        other = _as_exact(other)
+        other = coerce(other, EXACT)
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_exact(other)
+        other = coerce(other, EXACT)
         return ExactComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _as_exact(other) - self
+        return coerce(other, EXACT) - self
 
     def __mul__(self, other):
-        other = _as_exact(other)
+        other = coerce(other, EXACT)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -117,63 +120,96 @@ class ExactComplex:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 
 
-def _as_exact(x):
-    if isinstance(x, ExactComplex):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactComplex(x)
-    raise ScalarModeMismatchError(
-        f"cannot use {type(x).__name__} in exact-mode arithmetic"
-    )
+_EXACT_TYPES = (ExactComplex, int, Fraction)
 
 
-def _coerce_scalar(x, mode):
-    """Coerce x into the scalar type of the given mode, or raise."""
+def is_exact(x):
+    """True for the scalars exact mode accepts: ints, Fractions, ExactComplex."""
+    return isinstance(x, _EXACT_TYPES)
+
+
+def coerce(x, mode):
+    """x as a scalar of the given mode: ExactComplex in exact mode, complex
+    in float mode.
+
+    Exact mode takes only exact scalars (see is_exact) and raises
+    ScalarModeMismatchError for anything else, floats included; float mode
+    takes any number, exact ones too.  Anything that is not a number raises
+    ValidationError.
+    """
     if mode == EXACT:
-        return _as_exact(x)
-    if isinstance(x, ExactComplex):
-        raise ScalarModeMismatchError("exact scalar used in float mode")
-    return complex(x)
+        if isinstance(x, ExactComplex):
+            return x
+        if is_exact(x):
+            return ExactComplex(x)
+        raise ScalarModeMismatchError(
+            f"cannot use {type(x).__name__} in exact-mode arithmetic"
+        )
+    if not isinstance(x, str):
+        try:
+            return complex(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"scalar {x!r} is not a number")
 
 
-def _conj(c):
-    return c.conjugate()
+def _labels(seq):
+    """Generator labels as a tuple of ints; floats, strings and non-iterables
+    raise ValidationError rather than being truncated or leaking TypeError."""
+    try:
+        return tuple(map(operator.index, seq))
+    except TypeError:
+        raise ValidationError(f"generator labels must be integers, got {seq!r}") from None
 
 
-def _is_zero(c):
-    return not c if isinstance(c, ExactComplex) else c == 0
+def _word(word):
+    word = _labels(word)
+    if word and min(word) < 0:
+        raise ValidationError("generator indices must be non-negative")
+    return word
 
 
-class AlgebraElement:
-    """Finite linear combination of generator words plus the unit.
+class _WordCombination:
+    """Immutable finite linear combination of generator words.
 
-    terms maps words (tuples of generator indices) to nonzero scalars; the
-    empty word is the unit.  mode is "exact" or "float" and is fixed per
-    element; operations between elements require equal modes.
+    terms maps canonical words (tuples of generator indices) to nonzero
+    scalars; the empty word is the unit.  mode is "exact" or "float" and is
+    fixed per element; operations between elements require equal modes and
+    equal types.  Subclasses differ only in _canonical, which validates a
+    word and returns its canonical form.
     """
 
     __slots__ = ("terms", "mode")
+
+    _canonical = staticmethod(_word)
 
     def __init__(self, terms=None, mode=EXACT):
         if mode not in (EXACT, FLOAT):
             raise ValidationError(f"unknown scalar mode {mode!r}")
         clean = {}
         for word, coeff in (terms or {}).items():
-            word = tuple(int(g) for g in word)
-            if any(g < 0 for g in word):
-                raise ValidationError("generator indices must be non-negative")
-            coeff = _coerce_scalar(coeff, mode)
-            if not _is_zero(coeff):
-                clean[word] = clean.get(word, _zero_scalar(mode)) + coeff
-                if _is_zero(clean[word]):
+            word = self._canonical(word)
+            coeff = coerce(coeff, mode)
+            if coeff:
+                total = clean[word] + coeff if word in clean else coeff
+                if total:
+                    clean[word] = total
+                else:
                     del clean[word]
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+    @classmethod
+    def _new(cls, terms, mode):
+        # internal results: words already canonical, scalars already in
+        # mode, so only the zero coefficients are dropped
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {w: c for w, c in terms.items() if c})
+        object.__setattr__(out, "mode", mode)
+        return out
 
-    # constructors
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, mode=EXACT):
@@ -183,32 +219,16 @@ class AlgebraElement:
     def unit(cls, mode=EXACT):
         return cls({(): 1}, mode)
 
-    @classmethod
-    def generator(cls, index, mode=EXACT):
-        return cls({(int(index),): 1}, mode)
-
-    @classmethod
-    def from_vector(cls, vector, mode=EXACT):
-        """Degree-one element sum_g vector[g] * phi(g) from a dict."""
-        return cls({(int(g),): c for g, c in vector.items()}, mode)
-
-    # queries
-
     @property
     def degree(self):
         """Filtration degree: longest word length, 0 for scalars and zero."""
         return max((len(w) for w in self.terms), default=0)
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, word):
-        return self.terms.get(tuple(word), _zero_scalar(self.mode))
+        return self.terms.get(self._canonical(word), coerce(0, self.mode))
 
     def unit_coefficient(self):
         return self.coefficient(())
-
-    # arithmetic
 
     def _check_mode(self, other):
         if self.mode != other.mode:
@@ -217,16 +237,16 @@ class AlgebraElement:
             )
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         self._check_mode(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, _zero_scalar(self.mode)) + c
-        return AlgebraElement(out, self.mode)
+            out[w] = out[w] + c if w in out else c
+        return self._new(out, self.mode)
 
     def __sub__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self + other.scale(-1)
 
@@ -234,10 +254,43 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c):
-        c = _coerce_scalar(c, self.mode)
-        return AlgebraElement(
-            {w: coeff * c for w, coeff in self.terms.items()}, self.mode
-        )
+        c = coerce(c, self.mode)
+        return self._new({w: coeff * c for w, coeff in self.terms.items()}, self.mode)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.mode == other.mode and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.mode, frozenset(self.terms.items())))
+
+
+class AlgebraElement(_WordCombination):
+    """Finite linear combination of generator words plus the unit.
+
+    terms maps words (tuples of generator indices) to nonzero scalars, each
+    word kept in the order given; the empty word is the unit.  mode is
+    "exact" or "float" and is fixed per element; operations between
+    elements require equal modes.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def generator(cls, index, mode=EXACT):
+        return cls({(index,): 1}, mode)
+
+    @classmethod
+    def from_vector(cls, vector, mode=EXACT):
+        """Degree-one element sum_g vector[g] * phi(g) from a dict."""
+        return cls({(g,): c for g, c in vector.items()}, mode)
+
+    def is_zero(self):
+        return not self.terms
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -250,27 +303,8 @@ class AlgebraElement:
     def star(self):
         return star(self)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"<AlgebraElement {element_to_text(self)!r} ({self.mode})>"
-
-
-def _zero_scalar(mode):
-    return ExactComplex() if mode == EXACT else 0j
-
-
-def _imag_unit(mode):
-    return ExactComplex(0, 1) if mode == EXACT else 1j
 
 
 class PairingForm:
@@ -278,15 +312,20 @@ class PairingForm:
 
     Stored triangularly: entries[(i, j)] = E_ij for i < j.  Missing pairs are
     zero.  Entry values may be Fraction/int (usable in both scalar modes) or
-    float (float mode only).
+    finite real floats (float mode only); anything else raises
+    ValidationError.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
         clean = {}
-        for (i, j), v in (entries or {}).items():
-            i, j = int(i), int(j)
+        for key, v in (entries or {}).items():
+            i, j = _labels(key)
+            if not isinstance(v, numbers.Real) or not (is_exact(v) or math.isfinite(v)):
+                raise ValidationError(
+                    f"pairing entry ({i},{j}) = {v!r} is not a finite real number"
+                )
             if i == j:
                 if v:
                     raise ValidationError("diagonal pairing entries must vanish")
@@ -342,13 +381,13 @@ class PairingForm:
 
     @classmethod
     def from_json(cls, text, exact=True):
-        data = json.loads(text)
-        entries = {}
-        for i, j, v in data["pairing"]:
-            if exact:
-                entries[(i, j)] = Fraction(v) if isinstance(v, str) else Fraction(v)
-            else:
-                entries[(i, j)] = float(Fraction(v)) if isinstance(v, str) else float(v)
+        try:
+            entries = {}
+            for i, j, v in json.loads(text)["pairing"]:
+                v = Fraction(v)
+                entries[(i, j)] = v if exact else float(v)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed pairing json: {exc!r}") from None
         return cls(entries)
 
     def __eq__(self, other):
@@ -360,36 +399,23 @@ class PairingForm:
         return f"PairingForm({self.entries!r})"
 
 
-def _pairing_scalar(E, i, j, mode):
-    # -i * E_ij as a scalar of the right mode; exact mode rejects float entries
-    e = E.value(i, j)
-    if mode == EXACT:
-        if isinstance(e, float):
-            raise ScalarModeMismatchError(
-                "pairing form has float entries; exact elements need rational E"
-            )
-        return ExactComplex(0, -Fraction(e))
-    return complex(0.0, -float(e))
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Concatenation product, bilinear over the stored terms."""
     if not isinstance(a, AlgebraElement) or not isinstance(b, AlgebraElement):
         raise ValidationError("multiply expects AlgebraElement operands")
     a._check_mode(b)
     out = {}
-    zero = _zero_scalar(a.mode)
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             w = wa + wb
-            out[w] = out.get(w, zero) + ca * cb
-    return AlgebraElement(out, a.mode)
+            out[w] = out[w] + ca * cb if w in out else ca * cb
+    return AlgebraElement._new(out, a.mode)
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
     """Involution: reverse every word, conjugate every coefficient."""
-    return AlgebraElement(
-        {tuple(reversed(w)): _conj(c) for w, c in a.terms.items()}, a.mode
+    return AlgebraElement._new(
+        {w[::-1]: c.conjugate() for w, c in a.terms.items()}, a.mode
     )
 
 
@@ -407,27 +433,32 @@ def normal_form(a: AlgebraElement, E: PairingForm) -> AlgebraElement:
     leftmost inversion of each word.  Every swap strictly lowers the inversion
     count at fixed degree and emits a remainder two degrees down, so the
     rewriting terminates; merging coefficients by word keeps it from
-    re-deriving duplicates.
+    re-deriving duplicates.  Exact elements need rational E entries.
     """
+    mode = a.mode
+    minus_i = coerce(ExactComplex(0, -1), mode)
+    factors = {}  # (i, j) -> -i E_ij, each pair's scalar made once
     pending = dict(a.terms)
     done = {}
-    zero = _zero_scalar(a.mode)
     while pending:
         word, coeff = pending.popitem()
-        if _is_zero(coeff):
+        if not coeff:
             continue
         pos = _first_inversion(word)
         if pos is None:
-            done[word] = done.get(word, zero) + coeff
+            done[word] = done[word] + coeff if word in done else coeff
             continue
         i, j = word[pos + 1], word[pos]
         swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        pending[swapped] = pending.get(swapped, zero) + coeff
-        factor = _pairing_scalar(E, i, j, a.mode)
-        if not _is_zero(factor):
+        pending[swapped] = pending[swapped] + coeff if swapped in pending else coeff
+        factor = factors.get((i, j))
+        if factor is None:
+            factor = factors[(i, j)] = coerce(E.value(i, j), mode) * minus_i
+        if factor:
             shorter = word[:pos] + word[pos + 2 :]
-            pending[shorter] = pending.get(shorter, zero) + coeff * factor
-    return AlgebraElement(done, a.mode)
+            term = coeff * factor
+            pending[shorter] = pending[shorter] + term if shorter in pending else term
+    return AlgebraElement._new(done, mode)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement, E: PairingForm) -> AlgebraElement:
@@ -446,7 +477,7 @@ class InducedMap:
     def __init__(self, sigma, generators, E, parity, tol=1e-9):
         import numpy as np
 
-        gens = [int(g) for g in generators]
+        gens = list(_labels(generators))
         mat = np.asarray(
             [[float(Fraction(x) if not isinstance(x, float) else x) for x in row]
              for row in sigma]
@@ -478,31 +509,20 @@ class InducedMap:
     def _image_of_generator(self, g, mode):
         if g not in self._column:
             raise ValidationError(f"generator {g} outside the map's span")
-        terms = {}
-        for target, entry in self._column[g]:
-            terms[(target,)] = _convert_entry(entry, mode)
-        return AlgebraElement(terms, mode)
+        return AlgebraElement(
+            {(target,): coerce(entry, mode) for target, entry in self._column[g]}, mode
+        )
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         out = AlgebraElement.zero(a.mode)
         for word, coeff in a.terms.items():
             if self.parity == "reversing":
-                coeff = _conj(coeff)
+                coeff = coeff.conjugate()
             piece = AlgebraElement({(): coeff}, a.mode)
             for g in word:
                 piece = multiply(piece, self._image_of_generator(g, a.mode))
             out = out + piece
         return out
-
-
-def _convert_entry(entry, mode):
-    if mode == EXACT:
-        if isinstance(entry, float):
-            raise ScalarModeMismatchError(
-                "sigma has float entries; exact elements need rational sigma"
-            )
-        return ExactComplex(Fraction(entry))
-    return complex(float(entry))
 
 
 def induced_map(sigma, generators, E: PairingForm, parity: str, tol=1e-9) -> InducedMap:
@@ -542,7 +562,7 @@ def find_simplicity_witness(a: AlgebraElement, E: PairingForm, generators):
     for combo in _cartesian(gens, repeat=k):
         probes = [{g: 1} for g in combo]
         value = simplicity_probe(a, probes, E)
-        if not _is_zero(value):
+        if value:
             return probes, value
     return None
 
@@ -560,8 +580,8 @@ def _format_scalar(c):
 
 
 _EXACT_COEFF = _re.compile(r"^(-?\d+)/(\d+)\+(-?\d+)/(\d+)\*i$")
-_TERM = _re.compile(r"^(?P<coeff>.+?)(?P<word>(?:\*phi\(\d+\))(?:phi\(\d+\))*)?$")
 _GEN = _re.compile(r"phi\((\d+)\)")
+_WORD = _re.compile(r"(?:phi\(\d+\))+")
 
 
 def element_to_text(a: AlgebraElement) -> str:
@@ -586,17 +606,19 @@ def element_to_text(a: AlgebraElement) -> str:
 def _parse_scalar(text, mode):
     m = _EXACT_COEFF.match(text)
     if m:
-        re_ = Fraction(int(m.group(1)), int(m.group(2)))
-        im_ = Fraction(int(m.group(3)), int(m.group(4)))
-        if mode == EXACT:
-            return ExactComplex(re_, im_)
-        return complex(float(re_), float(im_))
+        p, q, r, s = map(int, m.groups())
+        if not (q and s):
+            raise ValidationError(f"coefficient {text!r} has a zero denominator")
+        return coerce(ExactComplex(Fraction(p, q), Fraction(r, s)), mode)
     if mode == EXACT:
         raise ValidationError(f"coefficient {text!r} is not in p/q+r/s*i form")
     pieces = _re.split(r"(?<![eE])\+", text)
     if len(pieces) != 2 or not pieces[1].endswith("*i"):
         raise ValidationError(f"cannot parse float coefficient {text!r}")
-    return complex(float(pieces[0]), float(pieces[1][:-2]))
+    try:
+        return complex(float(pieces[0]), float(pieces[1][:-2]))
+    except ValueError:
+        raise ValidationError(f"cannot parse float coefficient {text!r}") from None
 
 
 def element_from_text(text: str, mode=EXACT) -> AlgebraElement:
@@ -610,10 +632,11 @@ def element_from_text(text: str, mode=EXACT) -> AlgebraElement:
         if "*phi(" in chunk:
             coeff_text, _, word_text = chunk.partition("*phi(")
             word_text = "phi(" + word_text
+            if not _WORD.fullmatch(word_text):
+                raise ValidationError(f"malformed generator word {word_text!r}")
             word = tuple(int(g) for g in _GEN.findall(word_text))
         else:
             coeff_text, word = chunk, ()
         coeff = _parse_scalar(coeff_text, mode)
-        zero = _zero_scalar(mode)
-        terms[word] = terms.get(word, zero) + coeff
+        terms[word] = terms[word] + coeff if word in terms else coeff
     return AlgebraElement(terms, mode)

@@ -289,9 +289,8 @@ def omega2_fourier(p: SeparationPoint, params: KernelParams) -> complex:
     return full
 
 
-def cross_check_grid(m: float = 1.0):
+def cross_check_grid():
     """The standard off-cone grid: 50 spacelike and 50 timelike points."""
-    del m  # the grid is expressed in units of separation, not mass
     points = []
     for base in np.linspace(0.4, 3.1, 10):
         for frac in (0.0, 0.25, 0.5, 0.7, 0.85):

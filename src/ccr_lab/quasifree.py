@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, star
+from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, coerce, star
 from .errors import (
     DegreeGuardError,
     IncompleteKernelError,
@@ -92,6 +92,8 @@ class TwoPointKernel:
     generator list; the callable is tabulated once at construction.  The
     construction checks, with tolerance `tol` relative to the largest entry:
 
+    * generator labels are integers and entries are numbers (otherwise
+      ValidationError);
     * every entry is finite (otherwise ValidationError);
     * the real part is symmetric and the imaginary part antisymmetric
       (equivalently, the kernel differs from its transpose by i times a real
@@ -105,17 +107,17 @@ class TwoPointKernel:
         if callable(table):
             if generators is None:
                 raise ValidationError("a kernel callback needs a generator list")
-            gens = tuple(int(g) for g in generators)
+            gens = _labels(generators)
             entries = {
-                (i, j): complex(table(i, j)) for i in gens for j in gens
+                (i, j): coerce(table(i, j), FLOAT) for i in gens for j in gens
             }
         else:
             entries = {
-                (int(i), int(j)): complex(v) for (i, j), v in dict(table).items()
+                _labels(key): coerce(v, FLOAT) for key, v in dict(table).items()
             }
             gens = tuple(sorted({i for pair in entries for i in pair}))
             if generators is not None:
-                gens = tuple(int(g) for g in generators)
+                gens = _labels(generators)
         self.generators = gens
         self.entries = entries
         self.tol = float(tol)
@@ -319,7 +321,7 @@ def gram_positivity(state, elements, tol=1e-10, max_degree=4):
     taken first).  The matrix must be hermitian within a relative 1e-8; its
     minimal eigenvalue is compared against -tol times the trace.
     """
-    elems = [_as_float_element(a) for a in elements]
+    elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
     for a in elems:
         if a.degree > max_degree:
             raise DegreeGuardError(
@@ -345,12 +347,6 @@ def gram_positivity(state, elements, tol=1e-10, max_degree=4):
     threshold = -tol * trace
     min_eig = float(eigs[0])
     return GramReport(min_eig, threshold, min_eig >= threshold, G, float(herm))
-
-
-def _as_float_element(a: AlgebraElement) -> AlgebraElement:
-    if a.mode == FLOAT:
-        return a
-    return AlgebraElement({w: complex(c) for w, c in a.terms.items()}, FLOAT)
 
 
 def npoint_csv(state, families, max_n=PAIRING_GUARD):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +38,10 @@ from .ccr_core import (
     AlgebraElement,
     ExactComplex,
     PairingForm,
-    _coerce_scalar,
-    _conj,
-    _is_zero,
-    _zero_scalar,
+    _labels,
+    _WordCombination,
+    coerce,
+    is_exact,
     multiply,
     normal_form,
 )
@@ -88,17 +89,12 @@ _TENSOR_DEGREE_GUARD = 6
 _BASIS_GUARD = 8
 
 
-def _exact_capable(v):
-    return isinstance(v, (ExactComplex, Fraction, int))
+_I = ExactComplex(0, 1)
 
 
-def _kernel_scalar(v, mode):
-    # float table entries cannot enter exact arithmetic
-    if mode == EXACT and not _exact_capable(v):
-        raise ScalarModeMismatchError(
-            "ordering kernel has float entries; exact elements need rational ones"
-        )
-    return _coerce_scalar(v, mode)
+def _mode_of(*values):
+    # exact arithmetic when every value allows it, float otherwise
+    return EXACT if all(map(is_exact, values)) else FLOAT
 
 
 class OrderingKernel:
@@ -121,14 +117,7 @@ class OrderingKernel:
             )
         if not isinstance(pairing, PairingForm):
             raise ValidationError("pairing must be a PairingForm")
-        entries = {}
-        for (i, j), v in dict(table).items():
-            key = (int(i), int(j))
-            if isinstance(v, (complex, float)) and v == 0:
-                continue
-            if _exact_capable(v) and not v:
-                continue
-            entries[key] = v
+        entries = {_labels(key): v for key, v in dict(table).items() if v}
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "tag", tag)
@@ -146,20 +135,14 @@ class OrderingKernel:
         for (i, j) in sorted(seen):
             if i == j:
                 continue
-            a = self.value(i, j)
-            b = self.value(j, i)
-            e = self.pairing.value(i, j)
-            if _exact_capable(a) and _exact_capable(b) and not isinstance(e, float):
-                delta = (
-                    _coerce_scalar(a, EXACT)
-                    - _coerce_scalar(b, EXACT)
-                    - ExactComplex(0, Fraction(e))
-                )
+            a, b, e = self.value(i, j), self.value(j, i), self.pairing.value(i, j)
+            mode = _mode_of(a, b, e)
+            a, b, e = (coerce(v, mode) for v in (a, b, e))
+            delta = a - b - e * coerce(_I, mode)
+            if mode == EXACT:
                 bad = bool(delta)
             else:
-                delta = complex(a) - complex(b) - 1j * float(e)
-                scale = max(1.0, abs(complex(a)), abs(complex(b)), abs(float(e)))
-                bad = abs(delta) > 1e-12 * scale
+                bad = abs(delta) > 1e-12 * max(1.0, abs(a), abs(b), abs(e))
             if bad:
                 raise OrderingKernelInvalidError(
                     f"kappa({i},{j}) - kappa({j},{i}) != i E({i},{j}); "
@@ -171,8 +154,9 @@ class OrderingKernel:
         return self.entries.get((int(i), int(j)), 0)
 
     def scalar(self, i, j, mode):
-        """kappa(i, j) coerced to the requested scalar mode."""
-        return _kernel_scalar(self.value(i, j), mode)
+        """kappa(i, j) coerced to the requested scalar mode; float entries
+        raise ScalarModeMismatchError in exact mode."""
+        return coerce(self.value(i, j), mode)
 
     @classmethod
     def from_symmetric_part(cls, symmetric, pairing, tag="state-kernel"):
@@ -182,9 +166,9 @@ class OrderingKernel:
         filled in.  Rational S and E entries produce an exact kernel.
         """
         sym = {}
-        for (i, j), v in dict(symmetric).items():
-            key = (int(i), int(j))
-            rkey = (key[1], key[0])
+        for key, v in dict(symmetric).items():
+            key = _labels(key)
+            rkey = key[::-1]
             if rkey in sym and sym[rkey] != v:
                 raise ValidationError(
                     f"symmetric part disagrees with itself at {key}"
@@ -195,17 +179,14 @@ class OrderingKernel:
             {g for pair in sym for g in pair}
             | {g for pair in pairing.entries for g in pair}
         )
+        half_i = _I * Fraction(1, 2)
         entries = {}
         for i in gens:
             for j in gens:
                 s = sym.get((i, j), 0)
                 e = pairing.value(i, j)
-                if _exact_capable(s) and not isinstance(e, float):
-                    s = _coerce_scalar(s, EXACT)
-                    val = s + ExactComplex(0, Fraction(e) / 2)
-                else:
-                    val = complex(s) + 0.5j * float(e)
-                entries[(i, j)] = val
+                mode = _mode_of(s, e)
+                entries[(i, j)] = coerce(s, mode) + coerce(e, mode) * coerce(half_i, mode)
         return cls(entries, pairing, tag)
 
     @classmethod
@@ -222,96 +203,25 @@ class OrderingKernel:
         return f"OrderingKernel({len(self.entries)} entries, tag={self.tag!r})"
 
 
-class NormalOrderedElement:
+class NormalOrderedElement(_WordCombination):
     """Finite combination of ordered monomials.
 
     ``terms`` maps sorted generator words to scalars; the word (i1, ..., in)
     labels :phi(i1)...phi(in): with respect to whichever kernel produced the
     expansion.  The empty word is the unit.  Scalars follow the same
-    exact/float mode split as AlgebraElement.
+    exact/float mode split as AlgebraElement, and words are sorted on the
+    way in, since ordered monomials are symmetric in their arguments.
     """
 
-    __slots__ = ("terms", "mode")
+    __slots__ = ()
 
-    def __init__(self, terms, mode=EXACT):
-        if mode not in (EXACT, FLOAT):
-            raise ValidationError(f"unknown scalar mode {mode!r}")
-        clean = {}
-        for w, c in dict(terms).items():
-            word = tuple(sorted(int(g) for g in w))
-            c = _coerce_scalar(c, mode)
-            if word in clean:
-                c = clean[word] + c
-            clean[word] = c
-        clean = {w: c for w, c in clean.items() if not _is_zero(c)}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalOrderedElement is immutable")
-
-    @classmethod
-    def zero(cls, mode=EXACT):
-        return cls({}, mode)
-
-    @classmethod
-    def unit(cls, mode=EXACT):
-        return cls({(): 1}, mode)
+    @staticmethod
+    def _canonical(word):
+        return tuple(sorted(_WordCombination._canonical(word)))
 
     @classmethod
     def monomial(cls, word, mode=EXACT, coefficient=1):
         return cls({tuple(word): coefficient}, mode)
-
-    @property
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
-    def coefficient(self, word):
-        key = tuple(sorted(int(g) for g in word))
-        return self.terms.get(key, _zero_scalar(self.mode))
-
-    def unit_coefficient(self):
-        return self.terms.get((), _zero_scalar(self.mode))
-
-    def _check_mode(self, other):
-        if self.mode != other.mode:
-            raise ScalarModeMismatchError(
-                f"cannot combine {self.mode} and {other.mode} elements"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, NormalOrderedElement):
-            return NotImplemented
-        self._check_mode(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, _zero_scalar(self.mode)) + c
-        return NormalOrderedElement(out, self.mode)
-
-    def __sub__(self, other):
-        if not isinstance(other, NormalOrderedElement):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _coerce_scalar(c, self.mode)
-        return NormalOrderedElement(
-            {w: coeff * c for w, coeff in self.terms.items()}, self.mode
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalOrderedElement):
-            return NotImplemented
-        return self.mode == other.mode and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
 
     def __repr__(self):
         body = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items()))
@@ -321,10 +231,10 @@ class NormalOrderedElement:
 def _accumulate(table, word, value):
     if word in table:
         value = table[word] + value
-    if _is_zero(value):
-        table.pop(word, None)
-    else:
+    if value:
         table[word] = value
+    else:
+        table.pop(word, None)
 
 
 def _push_generator(table, g, kernel, mode):
@@ -335,7 +245,7 @@ def _push_generator(table, g, kernel, mode):
         _accumulate(out, grown, c)
         for l in range(len(w)):
             k = kernel.scalar(w[l], g, mode)
-            if _is_zero(k):
+            if not k:
                 continue
             _accumulate(out, w[:l] + w[l + 1 :], c * k)
     return out
@@ -356,7 +266,7 @@ def normal_order(a: AlgebraElement, kernel: OrderingKernel) -> NormalOrderedElem
             table = _push_generator(table, g, kernel, a.mode)
         for w, c in table.items():
             _accumulate(out, w, c)
-    return NormalOrderedElement(out, a.mode)
+    return NormalOrderedElement._new(out, a.mode)
 
 
 def unorder(a: NormalOrderedElement, kernel: OrderingKernel) -> AlgebraElement:
@@ -381,7 +291,7 @@ def unorder(a: NormalOrderedElement, kernel: OrderingKernel) -> AlgebraElement:
             res = multiply(plain(head), AlgebraElement.generator(g, mode))
             for l in range(len(head)):
                 k = kernel.scalar(head[l], g, mode)
-                if not _is_zero(k):
+                if k:
                     res = res - plain(head[:l] + head[l + 1 :]).scale(k)
         res = normal_form(res, kernel.pairing)
         memo[word] = res
@@ -414,50 +324,105 @@ def wick_product(
 # tensors over a finite basis
 
 
-def _is_object_exact(arr):
-    return arr.dtype == object
+def _zeros(shape, mode):
+    return np.full(shape, coerce(0, mode), dtype=object if mode == EXACT else complex)
 
 
-def _coerce_tensor(array, mode):
-    arr = np.asarray(array)
-    if mode is None:
-        mode = EXACT if arr.dtype == object else FLOAT
-    if mode == EXACT:
-        flat = np.empty(arr.size, dtype=object)
-        src = arr.reshape(-1)
-        for p in range(arr.size):
-            flat[p] = _coerce_scalar(src[p], EXACT)
-        return flat.reshape(arr.shape), EXACT
-    return arr.astype(complex), FLOAT
+class _BasisTable:
+    """Immutable symmetric array over a basis of 1 to 8 distinct labels.
 
+    Every axis runs over ``basis``, and the array is symmetric under
+    exchange of any two axes.  Exact tables hold ExactComplex entries in
+    object arrays; float tables are complex128.  A ``mode`` of None reads
+    the mode off the array: object dtype means exact.  Subclasses set the
+    allowed ranks, the name used in messages and the error raised for an
+    array that is not symmetric.
+    """
 
-def _tensor_scale(arr, mode):
-    if mode == FLOAT:
-        return float(np.abs(arr).max()) if arr.size else 0.0
-    return max((abs(complex(v)) for v in arr.reshape(-1)), default=0.0)
+    __slots__ = ("basis", "array", "mode")
 
+    _ranks = range(_TENSOR_DEGREE_GUARD + 1)
+    _what = "table"
+    _asymmetric = InvalidSymmetryError
 
-def _check_symmetry(arr, mode, what):
-    # adjacent transpositions generate the full symmetric group
-    n = arr.ndim
-    for axis in range(n - 1):
-        perm = list(range(n))
-        perm[axis], perm[axis + 1] = perm[axis + 1], perm[axis]
-        swapped = arr.transpose(perm)
+    def __init__(self, basis, array, mode=None):
+        basis = _labels(basis)
+        if not 0 < len(basis) <= _BASIS_GUARD:
+            raise ValidationError(
+                f"basis size must be between 1 and {_BASIS_GUARD}"
+            )
+        if len(set(basis)) != len(basis):
+            raise ValidationError("basis labels must be distinct")
+        arr = np.asarray(array)
+        if mode is None:
+            mode = EXACT if arr.dtype == object else FLOAT
         if mode == EXACT:
-            if not (arr == swapped).all():
-                raise InvalidSymmetryError(
-                    f"{what} is not symmetric under slot exchange"
-                )
+            arr = np.array([coerce(v, EXACT) for v in arr.flat], dtype=object).reshape(
+                arr.shape
+            )
+        elif mode == FLOAT:
+            try:
+                arr = arr.astype(complex)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{self._what} has non-numeric entries") from None
         else:
-            scale = max(1.0, _tensor_scale(arr, mode))
-            if arr.size and np.abs(arr - swapped).max() > 1e-12 * scale:
-                raise InvalidSymmetryError(
-                    f"{what} is not symmetric under slot exchange to 1e-12"
+            raise ValidationError(f"unknown scalar mode {mode!r}")
+        if arr.ndim not in self._ranks:
+            raise ValidationError(f"{self._what} of rank {arr.ndim} is not supported")
+        if any(d != len(basis) for d in arr.shape):
+            raise ValidationError(
+                f"{self._what} shape {arr.shape} does not match basis size {len(basis)}"
+            )
+        self._check_symmetric(arr, mode)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "mode", mode)
+
+    def _check_symmetric(self, arr, mode):
+        # adjacent transpositions generate the full symmetric group
+        if mode == FLOAT:
+            tol = 1e-12 * max(1.0, float(np.abs(arr).max()))
+        for axis in range(arr.ndim - 1):
+            swapped = np.swapaxes(arr, axis, axis + 1)
+            if mode == EXACT:
+                bad = not (arr == swapped).all()
+            else:
+                bad = np.abs(arr - swapped).max() > tol
+            if bad:
+                raise self._asymmetric(
+                    f"{self._what} is not symmetric under slot exchange"
                 )
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-class WickTensor:
+    def _check_compatible(self, other):
+        if self.basis != other.basis:
+            raise ValidationError(f"{self._what}s live over different bases")
+        if self.mode != other.mode:
+            raise ScalarModeMismatchError(
+                f"cannot combine {self.mode} and {other.mode} {self._what}s"
+            )
+        if self.array.ndim != other.array.ndim:
+            raise ValidationError(f"cannot add {self._what}s of different rank")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        return type(self)(self.basis, self.array + other.array, self.mode)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        return type(self)(self.basis, self.array - other.array, self.mode)
+
+    def scale(self, c):
+        return type(self)(self.basis, self.array * coerce(c, self.mode), self.mode)
+
+
+class WickTensor(_BasisTable):
     """Symmetric coefficient tensor of a smeared ordered monomial.
 
     The rank-n array over ``basis`` holds the coefficient of
@@ -465,32 +430,9 @@ class WickTensor:
     array holding a multiple of the unit.
     """
 
-    __slots__ = ("basis", "array", "mode")
+    __slots__ = ()
 
-    def __init__(self, basis, array, mode=None):
-        basis = tuple(int(b) for b in basis)
-        if not 0 < len(basis) <= _BASIS_GUARD:
-            raise ValidationError(
-                f"basis size must be between 1 and {_BASIS_GUARD}"
-            )
-        if len(set(basis)) != len(basis):
-            raise ValidationError("basis labels must be distinct")
-        arr, mode = _coerce_tensor(array, mode)
-        if arr.ndim > _TENSOR_DEGREE_GUARD:
-            raise ValidationError(
-                f"tensor degree {arr.ndim} exceeds guard {_TENSOR_DEGREE_GUARD}"
-            )
-        if any(d != len(basis) for d in arr.shape):
-            raise ValidationError(
-                f"tensor shape {arr.shape} does not match basis size {len(basis)}"
-            )
-        _check_symmetry(arr, mode, "coefficient tensor")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WickTensor is immutable")
+    _what = "coefficient tensor"
 
     @property
     def degree(self):
@@ -498,47 +440,10 @@ class WickTensor:
 
     def star(self):
         """Entrywise conjugate, the coefficient tensor of the adjoint."""
-        if self.mode == EXACT:
-            flat = np.empty(self.array.size, dtype=object)
-            src = self.array.reshape(-1)
-            for p in range(self.array.size):
-                flat[p] = _conj(src[p])
-            return WickTensor(self.basis, flat.reshape(self.array.shape), EXACT)
-        return WickTensor(self.basis, np.conj(self.array), FLOAT)
-
-    def _check_compatible(self, other):
-        if self.basis != other.basis:
-            raise ValidationError("tensors live over different bases")
-        if self.mode != other.mode:
-            raise ScalarModeMismatchError(
-                f"cannot combine {self.mode} and {other.mode} tensors"
-            )
-        if self.degree != other.degree:
-            raise ValidationError("cannot add tensors of different degree")
-
-    def __add__(self, other):
-        if not isinstance(other, WickTensor):
-            return NotImplemented
-        self._check_compatible(other)
-        return WickTensor(self.basis, self.array + other.array, self.mode)
-
-    def __sub__(self, other):
-        if not isinstance(other, WickTensor):
-            return NotImplemented
-        self._check_compatible(other)
-        return WickTensor(self.basis, self.array - other.array, self.mode)
-
-    def scale(self, c):
-        if self.mode == EXACT:
-            c = _coerce_scalar(c, EXACT)
-        else:
-            c = complex(c)
-        return WickTensor(self.basis, self.array * c, self.mode)
+        return WickTensor(self.basis, np.conj(self.array), self.mode)
 
     def is_zero(self):
-        if self.mode == EXACT:
-            return not any(bool(v) for v in self.array.reshape(-1))
-        return bool(self.array.size == 0 or np.abs(self.array).max() == 0.0)
+        return not self.array.any()
 
     def __eq__(self, other):
         if not isinstance(other, WickTensor):
@@ -557,7 +462,7 @@ class WickTensor:
         )
 
 
-class DifferenceKernel:
+class DifferenceKernel(_BasisTable):
     """Symmetric difference table between two ordering kernels.
 
     Only the symmetric part of a kernel difference acts on ordered
@@ -566,33 +471,21 @@ class DifferenceKernel:
     Float entries must be finite.
     """
 
-    __slots__ = ("basis", "matrix", "mode")
+    __slots__ = ()
+
+    _ranks = (2,)
+    _what = "difference table"
+    _asymmetric = InvalidDifferenceError
 
     def __init__(self, basis, matrix, mode=None):
-        basis = tuple(int(b) for b in basis)
-        if not 0 < len(basis) <= _BASIS_GUARD:
-            raise ValidationError(
-                f"basis size must be between 1 and {_BASIS_GUARD}"
-            )
-        if len(set(basis)) != len(basis):
-            raise ValidationError("basis labels must be distinct")
-        arr, mode = _coerce_tensor(matrix, mode)
-        if arr.shape != (len(basis), len(basis)):
-            raise ValidationError(
-                f"difference table shape {arr.shape} does not match basis"
-            )
-        try:
-            _check_symmetry(arr, mode, "difference table")
-        except InvalidSymmetryError as exc:
-            raise InvalidDifferenceError(str(exc)) from None
-        if mode == FLOAT and not np.isfinite(arr.view(float)).all():
+        super().__init__(basis, matrix, mode)
+        if self.mode == FLOAT and not np.isfinite(self.array).all():
             raise InvalidDifferenceError("difference table has non-finite entries")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", arr)
-        object.__setattr__(self, "mode", mode)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferenceKernel is immutable")
+    @property
+    def matrix(self):
+        """The difference table, indexed by basis positions."""
+        return self.array
 
     @classmethod
     def from_orderings(cls, kernel_new, kernel_old, basis):
@@ -601,47 +494,17 @@ class DifferenceKernel:
         This is the difference that alpha_map needs to re-expand
         kernel_old-ordered monomials in the kernel_new basis.
         """
-        basis = tuple(int(b) for b in basis)
-        size = len(basis)
-        exact = all(
-            _exact_capable(kernel_new.value(i, j)) and _exact_capable(kernel_old.value(i, j))
-            for i in basis
-            for j in basis
+        basis = _labels(basis)
+        mode = _mode_of(
+            *(k.value(i, j) for k in (kernel_new, kernel_old) for i in basis for j in basis)
         )
-        arr = np.empty((size, size), dtype=object if exact else complex)
-        for p, i in enumerate(basis):
-            for q, j in enumerate(basis):
-                if exact:
-                    dij = _coerce_scalar(kernel_new.value(i, j), EXACT) - _coerce_scalar(
-                        kernel_old.value(i, j), EXACT
-                    )
-                    dji = _coerce_scalar(kernel_new.value(j, i), EXACT) - _coerce_scalar(
-                        kernel_old.value(j, i), EXACT
-                    )
-                    arr[p, q] = (dij + dji) * Fraction(1, 2)
-                else:
-                    dij = complex(kernel_new.value(i, j)) - complex(kernel_old.value(i, j))
-                    dji = complex(kernel_new.value(j, i)) - complex(kernel_old.value(j, i))
-                    arr[p, q] = 0.5 * (dij + dji)
-        return cls(basis, arr)
+        half = coerce(Fraction(1, 2), mode)
 
-    def __add__(self, other):
-        if not isinstance(other, DifferenceKernel):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValidationError("difference tables live over different bases")
-        if self.mode != other.mode:
-            raise ScalarModeMismatchError(
-                f"cannot combine {self.mode} and {other.mode} tables"
-            )
-        return DifferenceKernel(self.basis, self.matrix + other.matrix, self.mode)
+        def diff(i, j):
+            return kernel_new.scalar(i, j, mode) - kernel_old.scalar(i, j, mode)
 
-    def scale(self, c):
-        if self.mode == EXACT:
-            c = _coerce_scalar(c, EXACT)
-        else:
-            c = complex(c)
-        return DifferenceKernel(self.basis, self.matrix * c, self.mode)
+        rows = [[(diff(i, j) + diff(j, i)) * half for j in basis] for i in basis]
+        return cls(basis, np.array(rows, dtype=object), mode)
 
     def __repr__(self):
         return f"DifferenceKernel(basis={self.basis}, mode={self.mode!r})"
@@ -677,11 +540,7 @@ def alpha_map(d: DifferenceKernel, w: WickTensor) -> dict:
     out = {}
     contracted = w.array
     for k in range(n // 2 + 1):
-        coeff = _hermite_coefficient(n, k)
-        if w.mode == EXACT:
-            scaled = contracted * _coerce_scalar(coeff, EXACT)
-        else:
-            scaled = contracted * float(coeff)
+        scaled = contracted * coerce(_hermite_coefficient(n, k), w.mode)
         piece = WickTensor(w.basis, scaled, w.mode)
         if k == 0 or not piece.is_zero():
             out[n - 2 * k] = piece
@@ -699,8 +558,8 @@ def word_tensor(word, basis, mode=EXACT):
     prod(mult!) / n!, so summing over all index tuples reproduces the
     monomial with coefficient one.
     """
-    basis = tuple(int(b) for b in basis)
-    word = tuple(int(g) for g in word)
+    basis = _labels(basis)
+    word = _labels(word)
     index_of = {b: p for p, b in enumerate(basis)}
     try:
         positions = tuple(index_of[g] for g in word)
@@ -715,14 +574,8 @@ def word_tensor(word, basis, mode=EXACT):
     weight = Fraction(
         math.prod(math.factorial(c) for c in counts.values()), math.factorial(n)
     )
-    size = len(basis)
-    if mode == EXACT:
-        arr = np.empty((size,) * n, dtype=object)
-        arr.fill(ExactComplex())
-        val = _coerce_scalar(weight, EXACT)
-    else:
-        arr = np.zeros((size,) * n, dtype=complex)
-        val = complex(weight)
+    arr = _zeros((len(basis),) * n, mode)
+    val = coerce(weight, mode)
     for perm in set(itertools.permutations(positions)):
         arr[perm] = val
     return WickTensor(basis, arr, mode)
@@ -730,7 +583,7 @@ def word_tensor(word, basis, mode=EXACT):
 
 def element_to_tensors(a: NormalOrderedElement, basis) -> dict:
     """Split an ordered element into homogeneous coefficient tensors."""
-    basis = tuple(int(b) for b in basis)
+    basis = _labels(basis)
     out = {}
     for w, c in a.terms.items():
         piece = word_tensor(w, basis, a.mode).scale(c)
@@ -761,8 +614,8 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
         n = w.degree
         size = len(w.basis)
         for combo in itertools.combinations_with_replacement(range(size), n):
-            entry = w.array[combo] if n else w.array[()]
-            if _is_zero(entry):
+            entry = w.array[combo]
+            if not entry:
                 continue
             counts = Counter(combo)
             mult = Fraction(
@@ -770,7 +623,7 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
                 math.prod(math.factorial(c) for c in counts.values()),
             )
             word = tuple(w.basis[p] for p in combo)
-            coeff = entry * (_coerce_scalar(mult, EXACT) if mode == EXACT else float(mult))
+            coeff = entry * coerce(mult, mode)
             if word in terms:
                 coeff = terms[word] + coeff
             terms[word] = coeff
@@ -780,17 +633,14 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
 def tensor_to_json(w: WickTensor) -> str:
     """JSON form of a tensor: nonzero entries only, rationals as strings."""
     rows = []
-    it = np.ndindex(*w.array.shape) if w.degree else [()]
-    for idx in it:
-        v = w.array[idx]
-        if _is_zero(_coerce_scalar(v, w.mode) if w.mode == EXACT else complex(v)):
+    for idx in np.ndindex(*w.array.shape):
+        v = coerce(w.array[idx], w.mode)
+        if not v:
             continue
         if w.mode == EXACT:
-            v = _coerce_scalar(v, EXACT)
             rows.append([list(idx), str(v.re), str(v.im)])
         else:
-            v = complex(v)
-            rows.append([list(idx), float(v.real), float(v.imag)])
+            rows.append([list(idx), v.real, v.imag])
     return json.dumps(
         {
             "schema": "ccr-lab/1",
@@ -805,34 +655,37 @@ def tensor_to_json(w: WickTensor) -> str:
 
 
 def tensor_from_json(text: str) -> WickTensor:
+    """Inverse of tensor_to_json; malformed input raises ValidationError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"tensor json does not parse: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError("tensor json must be an object")
     for key in ("kind", "degree", "basis", "mode", "entries"):
         if key not in data:
             raise ValidationError(f"tensor json is missing key {key!r}")
     if data["kind"] != "wick-tensor":
         raise ValidationError(f"unexpected kind {data['kind']!r}")
-    basis = tuple(int(b) for b in data["basis"])
-    n = int(data["degree"])
     mode = data["mode"]
     if mode not in (EXACT, FLOAT):
         raise ValidationError(f"unknown scalar mode {mode!r}")
-    size = len(basis)
-    if mode == EXACT:
-        arr = np.empty((size,) * n, dtype=object)
-        arr.fill(ExactComplex())
-    else:
-        arr = np.zeros((size,) * n, dtype=complex)
-    for idx, re, im in data["entries"]:
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != n or any(not 0 <= i < size for i in idx):
-            raise ValidationError(f"entry index {idx} is out of range")
-        if mode == EXACT:
-            arr[idx] = ExactComplex(Fraction(re), Fraction(im))
-        else:
-            arr[idx] = complex(float(re), float(im))
+    basis = _labels(data["basis"])
+    try:
+        n = operator.index(data["degree"])
+        size = len(basis)
+        if not 0 <= n <= _TENSOR_DEGREE_GUARD or not 0 < size <= _BASIS_GUARD:
+            raise ValidationError(
+                f"degree {n} over {size} labels is outside the tensor guards"
+            )
+        arr = _zeros((size,) * n, mode)
+        for idx, re, im in data["entries"]:
+            idx = _labels(idx)
+            if len(idx) != n or any(not 0 <= i < size for i in idx):
+                raise ValidationError(f"entry index {idx} is out of range")
+            arr[idx] = coerce(ExactComplex(re, im), mode)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed tensor json entry: {exc!r}") from None
     return WickTensor(basis, arr, mode)
 
 

@@ -112,7 +112,7 @@ def test_pipelines_agree_on_sample_points():
 
 
 def test_cross_check_grid_has_50_plus_50_off_cone_points():
-    pts = cross_check_grid(1.0)
+    pts = cross_check_grid()
     assert len(pts) == 100
     spacelike = [p for p in pts if p.sigma > 0]
     timelike = [p for p in pts if p.sigma < 0]

@@ -143,6 +143,22 @@ def test_kernel_rejects_non_finite_entries(table):
         TwoPointKernel(lambda i, j: table[(i, j)], generators=[1, 2])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoPointKernel({(1.5, 1.5): 1.0}),
+        lambda: TwoPointKernel({(1, 1): "x"}),
+        lambda: TwoPointKernel({(1, 1): None}),
+        lambda: TwoPointKernel(lambda i, j: 1.0, generators=[1.5]),
+        lambda: TwoPointKernel(lambda i, j: None, generators=[1]),
+    ],
+    ids=["float-key", "string-entry", "none-entry", "float-generator", "none-callback"],
+)
+def test_kernel_rejects_non_integer_labels_and_non_numbers(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 # -------------------------------------------------------------- moments
 
 def test_odd_moments_vanish_and_normalization():

@@ -4,6 +4,7 @@ point-split stress tensor."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from ccr_lab.ccr_core import (
     AlgebraElement,
     ExactComplex,
     PairingForm,
+    element_from_text,
     multiply,
     normal_form,
 )
@@ -218,6 +220,11 @@ def test_ordered_monomial_is_permutation_symmetric():
     )
     assert normal_form(a, E4) == normal_form(b, E4)
     assert unorder(NormalOrderedElement.monomial((1, 2)), k) == normal_form(a, E4)
+    # both kinds share one word check: integer labels, none negative
+    with pytest.raises(ValidationError):
+        AlgebraElement({(1.7,): ONE}, EXACT)
+    with pytest.raises(ValidationError):
+        NormalOrderedElement({(-1,): ONE}, EXACT)
 
 
 @given(words6, exact_kernels())
@@ -383,6 +390,80 @@ def test_wick_product_degree_guard():
     small = NormalOrderedElement.monomial((1,))
     with pytest.raises(DegreeGuardError):
         wick_product(big, small, KAPPA)
+
+
+# ------------------------------------------------- the two element kinds
+
+
+@pytest.mark.parametrize("kind", [AlgebraElement, NormalOrderedElement])
+def test_element_kinds_share_one_contract(kind):
+    a = kind({(1, 2): exact(1, 2), (3,): exact(-1)}, EXACT)
+    b = kind({(2,): exact(Fraction(1, 3)), (): ONE}, EXACT)
+    zero, one = kind.zero(EXACT), kind.unit(EXACT)
+    assert not zero and zero.degree == 0
+    assert one.terms == {(): ONE} and one.unit_coefficient() == ONE
+    assert a.degree == 2 and a.coefficient((3,)) == exact(-1)
+    assert a.coefficient((4,)) == exact(0)
+    # scale, add and subtract round trips
+    c = exact(2, -3)
+    assert a.scale(c).scale(exact(Fraction(2, 13), Fraction(3, 13))) == a
+    assert (a + b) - b == a and a + zero == a and a - a == zero and -(-a) == a
+    # equal elements hash equally, whatever the term order
+    same = kind({(3,): exact(-1), (1, 2): exact(1, 2)}, EXACT)
+    assert same == a and hash(same) == hash(a)
+    # modes never mix; float mode takes exact scalars, exact mode no floats
+    floaty = kind({(1, 2): ONE}, FLOAT)
+    assert floaty.terms == {(1, 2): 1 + 0j}
+    with pytest.raises(ScalarModeMismatchError):
+        a + floaty
+    with pytest.raises(ScalarModeMismatchError):
+        kind({(1,): 0.5}, EXACT)
+    with pytest.raises(AttributeError):
+        a.mode = FLOAT
+
+
+def test_element_kinds_are_not_interchangeable():
+    plain = AlgebraElement({(2, 1): ONE}, EXACT)
+    ordered = NormalOrderedElement({(2, 1): ONE}, EXACT)
+    assert plain.terms == {(2, 1): ONE} and ordered.terms == {(1, 2): ONE}
+    assert AlgebraElement({(1, 2): ONE}, EXACT) != ordered
+    assert ordered != AlgebraElement({(1, 2): ONE}, EXACT)
+    with pytest.raises(TypeError):
+        plain + ordered
+    with pytest.raises(TypeError):
+        ordered - plain
+    with pytest.raises(ValidationError):
+        normal_order(ordered, KAPPA)
+    with pytest.raises(ValidationError):
+        unorder(plain, KAPPA)
+
+
+_BAD_ENTRY_TENSOR = json.dumps(
+    {"kind": "wick-tensor", "degree": 1, "basis": [1, 2], "mode": "exact",
+     "entries": [[[0], "a", "0"]]}
+)
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: element_from_text("1/0+0/1*i"),
+        lambda: element_from_text("x+y*i", mode=FLOAT),
+        lambda: element_from_text("1/1+0/1*i*phi(1)junk"),
+        lambda: PairingForm.from_json('{"x": []}'),
+        lambda: PairingForm.from_json("[]"),
+        lambda: PairingForm({(1, 2): math.nan}),
+        lambda: tensor_from_json(_BAD_ENTRY_TENSOR),
+        lambda: tensor_from_json("5"),
+    ],
+    ids=[
+        "zero-denominator", "float-text", "junk-word", "pairing-json-key", "pairing-json-list",
+        "pairing-nan", "tensor-json-entry", "tensor-json-number",
+    ],
+)
+def test_symbolic_parsers_raise_validation_errors(parse):
+    with pytest.raises(ValidationError):
+        parse()
 
 
 # ------------------------------------------------ tensors over the basis
