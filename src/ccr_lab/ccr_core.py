@@ -341,7 +341,7 @@ class PairingForm:
 
     def value(self, i, j):
         """E(i, j), antisymmetric in the arguments."""
-        i, j = int(i), int(j)
+        i, j = _labels((i, j))
         if i == j:
             return 0
         if i < j:
@@ -478,13 +478,16 @@ class InducedMap:
         import numpy as np
 
         gens = list(_labels(generators))
-        mat = np.asarray(
-            [[float(Fraction(x) if not isinstance(x, float) else x) for x in row]
-             for row in sigma]
-        )
         n = len(gens)
-        if mat.shape != (n, n):
+        try:
+            rows = [[coerce(x, FLOAT) for x in row] for row in sigma]
+        except TypeError:
+            raise ValidationError("sigma must be a matrix of numbers") from None
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValidationError("sigma must be square over the generator list")
+        if not all(z.imag == 0 and math.isfinite(z.real) for row in rows for z in row):
+            raise ValidationError("sigma entries must be finite real numbers")
+        mat = np.array([[z.real for z in row] for row in rows])
         if parity not in ("preserving", "reversing"):
             raise ValidationError("parity must be 'preserving' or 'reversing'")
         Emat = E.matrix(gens)

@@ -1,9 +1,13 @@
-"""Exception taxonomy shared by all ccr_lab modules.
+"""Exception taxonomy shared by all ccr_lab modules, and the two readers of
+outside numbers that raise it.
 
 Two exit-relevant base classes: ValidationError means the inputs violate a
 documented precondition (CLI exit 2); NumericalCheckError means the inputs
 were admissible but a numerical consistency check failed (CLI exit 3).
 """
+
+import math
+import operator
 
 
 class CcrLabError(Exception):
@@ -16,6 +20,27 @@ class ValidationError(CcrLabError):
 
 class NumericalCheckError(CcrLabError):
     """A numerical consistency check failed on admissible input."""
+
+
+def as_index(x, what):
+    """x as an int through operator.index: floats such as 2.7 are refused,
+    not truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {x!r}") from None
+
+
+def as_finite(x, what):
+    """x as a finite float.  math.isfinite rather than numpy, as this runs
+    once per constructed separation point; strings, complex numbers and ints
+    too large for a float raise ValidationError."""
+    try:
+        if math.isfinite(x):
+            return float(x)
+    except (TypeError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be a finite real number, got {x!r}")
 
 
 # symbolic algebra

@@ -7,7 +7,8 @@ t = n*dt and x = j*spacing.  The discrete wave operator applies the centered
 second difference in time and the nearest-neighbor Laplacian in space; a
 solution satisfies it exactly on interior rows, which is what makes the
 pairing identities below hold to roundoff rather than to discretization
-order.
+order.  Every march, the Taylor start of a Cauchy solve and the wave
+operator itself are built on one leapfrog step, `_stencil`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import (
     InvalidSliceError,
     ValidationError,
     WindowTooThinError,
+    as_finite,
+    as_index,
 )
 
 __all__ = [
@@ -45,6 +48,17 @@ __all__ = [
 BOUNDARIES = ("periodic", "absorbing-pad")
 
 
+def _finite_array(values, what):
+    """A float copy of values, which must be finite real numbers."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged nesting
+        v = None
+    if v is None or v.dtype.kind not in "biuf" or not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be an array of finite real numbers")
+    return v.astype(float)
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     n_x: int
@@ -55,6 +69,9 @@ class LatticeConfig:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        for name, read in (("n_x", as_index), ("n_steps", as_index),
+                           ("spacing", as_finite), ("dt", as_finite), ("mass", as_finite)):
+            object.__setattr__(self, name, read(getattr(self, name), name))
         if self.n_x < 4 or self.n_steps < 4:
             raise ValidationError("grid needs at least 4 sites and 4 steps")
         if self.spacing <= 0 or self.dt <= 0:
@@ -85,13 +102,12 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _finite_array(self.values, "field values")
         if v.shape != (self.config.n_steps, self.config.n_x):
             raise ValidationError(
                 f"field shape {v.shape} does not match grid "
                 f"({self.config.n_steps}, {self.config.n_x})"
             )
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -109,6 +125,15 @@ class LatticeField:
         return float(np.abs(self.values).max())
 
 
+def _field(config, values):
+    """Wrap an array computed here from validated input, without a copy."""
+    values.flags.writeable = False
+    field = object.__new__(LatticeField)
+    object.__setattr__(field, "config", config)
+    object.__setattr__(field, "values", values)
+    return field
+
+
 @dataclass(frozen=True)
 class CauchyData:
     """Field value and time derivative on one constant-time slice."""
@@ -119,71 +144,87 @@ class CauchyData:
     dpsi: np.ndarray
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        dpsi = np.asarray(self.dpsi, dtype=float)
+        psi, dpsi = (_finite_array(a, "Cauchy data") for a in (self.psi, self.dpsi))
         if psi.shape != (self.config.n_x,) or dpsi.shape != (self.config.n_x,):
             raise ValidationError("Cauchy arrays must have one entry per site")
-        if not 0 <= self.slice_index < self.config.n_steps:
+        n = as_index(self.slice_index, "slice index")
+        if not 0 <= n < self.config.n_steps:
             raise ValidationError("slice index outside the grid")
-        object.__setattr__(self, "psi", psi.copy())
-        object.__setattr__(self, "dpsi", dpsi.copy())
+        object.__setattr__(self, "slice_index", n)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "dpsi", dpsi)
 
 
-def _laplacian(row, config):
-    a2 = config.spacing * config.spacing
-    if config.boundary == "periodic":
-        return (np.roll(row, 1) + np.roll(row, -1) - 2.0 * row) / a2
-    out = -2.0 * row.copy()
-    out[:-1] += row[1:]
-    out[1:] += row[:-1]
-    return out / a2
-
-
-def _march(values_f, config, forward=True):
-    """Leapfrog sweep.  Source rows enter with weight dt^2; the returned
-    array is zero at the two starting rows on the quiet side."""
-    T, N = values_f.shape
+def _stencil(config):
+    """The leapfrog step in either time direction, written into `out`:
+    out = A row + B (left + right) - back + dt^2 source, with
+    A = 2 - dt^2 m^2 - 2 dt^2/a^2 and B = dt^2/a^2.  `out` must not alias
+    `row` or `back`; `back` and `source` may be None for zero.  Neighbours
+    past the ends wrap (periodic) or read zero (absorbing pad).  Returns
+    the step and dt^2."""
     dt2 = config.dt * config.dt
-    m2 = config.mass * config.mass
-    psi = np.zeros((T, N))
-    steps = range(1, T - 1) if forward else range(T - 2, 0, -1)
-    for n in steps:
-        prev = psi[n - 1] if forward else psi[n + 1]
-        nxt = (
-            2.0 * psi[n]
-            - prev
-            + dt2 * (_laplacian(psi[n], config) - m2 * psi[n] + values_f[n])
-        )
-        if forward:
-            psi[n + 1] = nxt
-        else:
-            psi[n - 1] = nxt
+    B = dt2 / (config.spacing * config.spacing)
+    A = 2.0 - dt2 * config.mass * config.mass - 2.0 * B
+    wrap = config.boundary == "periodic"
+    scratch = np.empty(config.n_x)
+
+    def step(row, back, out, source=None):
+        np.add(row[:-2], row[2:], out=out[1:-1])
+        out[0] = row[1] + (row[-1] if wrap else 0.0)
+        out[-1] = row[-2] + (row[0] if wrap else 0.0)
+        out *= B
+        out += np.multiply(row, A, out=scratch)
+        if back is not None:
+            out -= back
+        if source is not None:
+            out += np.multiply(source, dt2, out=scratch)
+        return out
+
+    return step, dt2
+
+
+def _march(psi, step, start, forward, source=None):
+    """Leapfrog psi in place from row `start` to the grid edge ahead, adding
+    the source rows when a source is given."""
+    d = 1 if forward else -1
+    for n in range(start, psi.shape[0] - 1 if forward else 0, d):
+        step(psi[n], psi[n - d], psi[n + d], None if source is None else source[n])
     return psi
 
 
-def _require_interior_source(f: LatticeField):
+def _source_box(f: LatticeField, kinds):
+    """Support box of a source, checked to vanish on the first and last rows
+    and, on a padded grid, to keep the cones named in `kinds` off the pad."""
     box = f.support_box()
     if box is None:
         return None
     n0, n1, j0, j1 = box
-    T = f.config.n_steps
-    if n0 < 1 or n1 > T - 2:
+    cfg = f.config
+    if n0 < 1 or n1 > cfg.n_steps - 2:
         raise ValidationError(
             "source must vanish on the first and last time rows"
         )
+    for which in kinds if cfg.boundary != "periodic" else ():
+        run = (cfg.n_steps - 1 - n0) if which == "retarded" else n1
+        if j0 - run < 1 or j1 + run > cfg.n_x - 2:
+            raise CausalContaminationError(
+                "the causal cone of the source reaches the padded boundary; "
+                "enlarge the pad or shorten the evolution"
+            )
     return box
 
 
-def _check_contamination(box, config, which):
-    if box is None or config.boundary == "periodic":
-        return
-    n0, n1, j0, j1 = box
-    run = (config.n_steps - 1 - n0) if which == "retarded" else n1
-    if j0 - run < 1 or j1 + run > config.n_x - 2:
-        raise CausalContaminationError(
-            "the causal cone of the source reaches the padded boundary; "
-            "enlarge the pad or shorten the evolution"
-        )
+def _solution(f: LatticeField, box, which):
+    """Fundamental solution as an array, marched from the source's first row
+    (retarded) or last row (advanced); every row behind that one is zero."""
+    cfg = f.config
+    psi = np.zeros((cfg.n_steps, cfg.n_x))
+    if box is None:
+        return psi
+    step, _ = _stencil(cfg)
+    if which == "retarded":
+        return _march(psi, step, box[0], True, f.values)
+    return _march(psi, step, box[1], False, f.values)
 
 
 def fundamental(f: LatticeField, which="retarded"):
@@ -191,10 +232,8 @@ def fundamental(f: LatticeField, which="retarded"):
     (retarded) or far future (advanced)."""
     if which not in ("retarded", "advanced"):
         raise ValidationError("which must be 'retarded' or 'advanced'")
-    box = _require_interior_source(f)
-    _check_contamination(box, f.config, which)
-    psi = _march(f.values, f.config, forward=(which == "retarded"))
-    return LatticeField(f.config, psi)
+    box = _source_box(f, (which,))
+    return _field(f.config, _solution(f, box, which))
 
 
 def retarded(f: LatticeField):
@@ -207,23 +246,22 @@ def advanced(f: LatticeField):
 
 def causal_E(f: LatticeField):
     """Advanced minus retarded solution of the source."""
-    adv = fundamental(f, "advanced")
-    ret = fundamental(f, "retarded")
-    return LatticeField(f.config, adv.values - ret.values)
+    box = _source_box(f, ("advanced", "retarded"))
+    E = _solution(f, box, "advanced")
+    E -= _solution(f, box, "retarded")
+    return _field(f.config, E)
 
 
 def apply_kg(field: LatticeField):
-    """Discrete Klein-Gordon operator on interior rows; first and last rows
-    of the result are zero by convention."""
-    cfg = field.config
+    """Discrete Klein-Gordon operator on interior rows: the leapfrog step's
+    residual over dt^2.  The first and last rows are zero by convention."""
     v = field.values
+    step, dt2 = _stencil(field.config)
     out = np.zeros_like(v)
-    dt2 = cfg.dt * cfg.dt
-    m2 = cfg.mass * cfg.mass
-    for n in range(1, cfg.n_steps - 1):
-        lap = _laplacian(v[n], cfg)
-        out[n] = (v[n + 1] - 2.0 * v[n] + v[n - 1]) / dt2 - lap + m2 * v[n]
-    return LatticeField(cfg, out)
+    for n in range(1, v.shape[0] - 1):
+        np.subtract(v[n + 1], step(v[n], v[n - 1], out[n]), out=out[n])
+    out /= dt2
+    return _field(field.config, out)
 
 
 def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
@@ -267,7 +305,7 @@ def _pick_slice(f, g, slice_index):
             and not source_rows[n - 1 : n + 2].any()
         )
     if slice_index is not None:
-        n = int(slice_index)
+        n = as_index(slice_index, "slice index")
         if not ok(n):
             raise InvalidSliceError(
                 f"slice {n} touches a source row or the grid edge"
@@ -282,38 +320,27 @@ def _pick_slice(f, g, slice_index):
 
 
 def solve_cauchy(data: CauchyData):
-    """March initial data to the whole grid.
-
-    The first step away from the slice is the second-order Taylor start
-    psi +- dt dpsi + (dt^2/2)(Lap - m^2) psi; after that, plain leapfrog in
-    both directions.
-    """
+    """March initial data to the whole grid: the second-order Taylor start
+    (half a source-free step from the slice, +- dt dpsi), then leapfrog."""
     cfg = data.config
-    T, N = cfg.n_steps, cfg.n_x
-    dt, dt2 = cfg.dt, cfg.dt * cfg.dt
-    m2 = cfg.mass * cfg.mass
-    psi = np.zeros((T, N))
+    step, _ = _stencil(cfg)
+    psi = np.zeros((cfg.n_steps, cfg.n_x))
     n0 = data.slice_index
     psi[n0] = data.psi
-    accel = _laplacian(data.psi, cfg) - m2 * data.psi
-    if n0 + 1 < T:
-        psi[n0 + 1] = data.psi + dt * data.dpsi + 0.5 * dt2 * accel
-    if n0 - 1 >= 0:
-        psi[n0 - 1] = data.psi - dt * data.dpsi + 0.5 * dt2 * accel
-    for n in range(n0 + 1, T - 1):
-        psi[n + 1] = 2 * psi[n] - psi[n - 1] + dt2 * (
-            _laplacian(psi[n], cfg) - m2 * psi[n]
-        )
-    for n in range(n0 - 1, 0, -1):
-        psi[n - 1] = 2 * psi[n] - psi[n + 1] + dt2 * (
-            _laplacian(psi[n], cfg) - m2 * psi[n]
-        )
-    return LatticeField(cfg, psi)
+    half = 0.5 * step(data.psi, None, np.empty(cfg.n_x))
+    kick = cfg.dt * data.dpsi
+    if n0 + 1 < cfg.n_steps:
+        np.add(half, kick, out=psi[n0 + 1])
+    if n0 >= 1:
+        np.subtract(half, kick, out=psi[n0 - 1])
+    _march(psi, step, n0 + 1, True)
+    _march(psi, step, n0 - 1, False)
+    return _field(cfg, psi)
 
 
 def extract_cauchy(field: LatticeField, slice_index):
     """Read (psi, dpsi) off a solution with the centered time derivative."""
-    n = int(slice_index)
+    n = as_index(slice_index, "slice index")
     cfg = field.config
     if not 1 <= n <= cfg.n_steps - 2:
         raise ValidationError("need interior slice for the centered derivative")
@@ -338,7 +365,7 @@ def slice_compress(data: CauchyData, window):
     returning.
     """
     cfg = data.config
-    n_lo, n_hi = int(window[0]), int(window[1])
+    n_lo, n_hi = as_index(window[0], "window start"), as_index(window[1], "window end")
     if n_hi - n_lo < 4:
         raise WindowTooThinError(
             f"window [{n_lo}, {n_hi}] has fewer than 4 steps"
@@ -349,8 +376,8 @@ def slice_compress(data: CauchyData, window):
     steps = np.arange(cfg.n_steps)
     u = (steps - n_lo) / float(n_hi - n_lo)
     chi = 1.0 - _smoothstep(u)
-    windowed = LatticeField(cfg, chi[:, None] * psi.values)
-    f = apply_kg(windowed)
+    # the windowed grid is left unnamed so it is freed before causal_E runs
+    f = apply_kg(_field(cfg, chi[:, None] * psi.values))
     rec = causal_E(f)
     scale = max(psi.norm(), 1e-300)
     resid = float(np.abs(rec.values - psi.values).max()) / scale

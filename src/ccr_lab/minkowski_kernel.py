@@ -30,6 +30,7 @@ from .errors import (
     QuadratureFailureError,
     TailTruncationError,
     ValidationError,
+    as_finite,
 )
 
 __all__ = [
@@ -57,7 +58,9 @@ class SeparationPoint:
     r: float
 
     def __post_init__(self):
-        if not (self.r >= 0.0):
+        as_finite(self.dt, "dt")
+        as_finite(self.r, "r")
+        if self.r < 0.0:
             raise ValidationError("spatial separation modulus must be >= 0")
 
     @property
@@ -79,6 +82,8 @@ class KernelParams:
     order: int = 3
 
     def __post_init__(self):
+        for name in ("m", "eps", "order"):
+            as_finite(getattr(self, name), name)
         if self.m < 0.0:
             raise ValidationError("mass must be >= 0")
         if self.eps < 0.0:
@@ -93,6 +98,7 @@ class KernelParams:
         if lam is None:
             lam = 1.0 / self.m if self.m > 0 else 1.0
             object.__setattr__(self, "lam", lam)
+        as_finite(lam, "lam")
         if lam <= 0.0:
             raise ValidationError("length scale must be > 0")
         if self.eps > 0.1 * lam:

@@ -167,7 +167,7 @@ class TwoPointKernel:
 
     def value(self, i, j):
         """omega_2(i, j)."""
-        return self._get(int(i), int(j))
+        return self._get(*_labels((i, j)))
 
     def pairing_value(self, i, j):
         """The antisymmetric form recovered as twice the imaginary part."""
@@ -257,7 +257,7 @@ def npoint(state, indices, max_n=PAIRING_GUARD):
     if n % 2:
         return 0.0 + 0.0j
     _check_guard(n, max_n)
-    value = state.kernel.value
+    value = state.kernel._get  # idx is read already; no second label check
     if n == 2:
         # one pair needs no table; this is the commonest call, e.g. every
         # Gram entry of a degree-1 family

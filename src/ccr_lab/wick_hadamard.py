@@ -151,7 +151,7 @@ class OrderingKernel:
 
     def value(self, i, j):
         """kappa(i, j) as stored, zero when absent."""
-        return self.entries.get((int(i), int(j)), 0)
+        return self.entries.get(_labels((i, j)), 0)
 
     def scalar(self, i, j, mode):
         """kappa(i, j) coerced to the requested scalar mode; float entries

@@ -290,6 +290,33 @@ def test_non_symmetry_is_rejected():
 
 # ------------------------------------------------------ simplicity probes
 
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        [[1, "x"], [0, 1]],
+        [[1, 0], [0]],
+        [[1, 0], [0, 1], [0, 0]],
+        [[1, 0], [0, 1j]],
+        [[1, 0], [0, float("nan")]],
+        [[1, 0], 5],
+        7,
+    ],
+    ids=["string", "ragged", "not-square", "complex", "nan", "scalar-row", "scalar"],
+)
+def test_induced_map_rejects_malformed_sigma(sigma):
+    with pytest.raises(ValidationError):
+        induced_map(sigma, (1, 2), E12, "preserving")
+
+
+def test_induced_map_takes_exact_and_float_entries_alike():
+    exact_map = induced_map([[Fraction(1), 0], [0, ExactComplex(1)]], (1, 2), E12, "preserving")
+    a = word(2, 1).scale(exact(0, 1))
+    assert exact_map(a) == a
+    float_map = induced_map([[1.0, 0.0], [0.0, 1.0]], (1, 2), E12, "preserving")
+    b = AlgebraElement({(2, 1): 1j}, FLOAT)
+    assert float_map(b) == b
+
+
 def test_probe_on_a_generator():
     # [phi(1), phi(u)] = i E(1, u); u = e2 gives i
     val = simplicity_probe(gen(1), [{2: 1}], E12)

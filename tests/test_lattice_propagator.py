@@ -62,6 +62,57 @@ def test_config_guards():
                       boundary="reflecting")
 
 
+_SMALL = dict(n_x=8, spacing=0.5, dt=0.25, n_steps=6, mass=1.0)
+
+
+def _small(**kw):
+    return LatticeConfig(**{**_SMALL, **kw})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _small(spacing=math.nan),
+        lambda: _small(spacing=math.inf),
+        lambda: _small(spacing=10**400),
+        lambda: _small(mass=10**400),
+        lambda: _small(dt=math.nan),
+        lambda: _small(mass=math.nan),
+        lambda: _small(mass="1.0"),
+        lambda: _small(n_x=8.5),
+        lambda: _small(n_steps=6.0),
+        lambda: LatticeField(_small(), np.full((6, 8), math.nan)),
+        lambda: LatticeField(_small(), np.full((6, 8), -math.inf)),
+        lambda: LatticeField(_small(), [["a"] * 8] * 6),
+        lambda: LatticeField(_small(), [["1.0"] * 8] * 6),
+        lambda: LatticeField(_small(), np.ones((6, 8)) * 1j),
+        lambda: LatticeField(_small(), [[0.0] * 8] * 5 + [[0.0] * 7]),
+        lambda: CauchyData(_small(), 2.5, np.zeros(8), np.zeros(8)),
+        lambda: CauchyData(_small(), "2", np.zeros(8), np.zeros(8)),
+        lambda: CauchyData(_small(), 2, np.full(8, math.nan), np.zeros(8)),
+        lambda: CauchyData(_small(), 2, np.zeros(8), ["x"] * 8),
+        lambda: extract_cauchy(LatticeField(_small(), np.zeros((6, 8))), 2.7),
+    ],
+    ids=[
+        "spacing-nan", "spacing-inf", "spacing-huge-int", "mass-huge-int", "dt-nan",
+        "mass-nan", "mass-string", "n_x-float", "n_steps-float", "field-nan", "field-inf",
+        "field-string", "field-numeric-string", "field-complex", "field-ragged",
+        "slice-float", "slice-string", "psi-nan", "dpsi-string", "extract-float-slice",
+    ],
+)
+def test_lattice_inputs_raise_validation_errors(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_lattice_inputs_take_numpy_integers():
+    cfg = _small(n_x=np.int64(8), n_steps=np.int32(6), mass=np.float64(1.0))
+    assert (type(cfg.n_x), type(cfg.n_steps), type(cfg.mass)) == (int, int, float)
+    assert cfg == _small()
+    data = CauchyData(cfg, np.int64(2), np.zeros(8), [0] * 8)
+    assert type(data.slice_index) is int and data.dpsi.dtype == np.float64
+
+
 def test_source_must_avoid_first_and_last_rows():
     cfg = LatticeConfig(n_x=20, spacing=0.1, dt=0.05, n_steps=12, mass=0.0)
     v = np.zeros((12, 20))
@@ -125,6 +176,64 @@ def test_measured_dispersion_matches_lattice_relation():
     assert lhs == pytest.approx(rhs, rel=1e-9)
     # and the time-continuum lattice frequency to second order in dt
     assert omega_meas == pytest.approx(lattice_dispersion(k, m, a), abs=0.02)
+
+
+# ------------------------------------------- against a dense operator
+
+def _dense_kg(cfg):
+    """The discrete Klein-Gordon operator as a dense matrix on the flattened
+    grid, one row per interior point, built entry by entry from its
+    definition: (centered second difference in t) - (nearest-neighbour
+    Laplacian in x) + m^2, with wrapped or zero neighbours past the ends."""
+    T, N = cfg.n_steps, cfg.n_x
+    dt2, a2 = cfg.dt**2, cfg.spacing**2
+    K = np.zeros(((T - 2) * N, T * N))
+    for n in range(1, T - 1):
+        for j in range(N):
+            r = (n - 1) * N + j
+            K[r, (n + 1) * N + j] += 1.0 / dt2
+            K[r, (n - 1) * N + j] += 1.0 / dt2
+            K[r, n * N + j] += -2.0 / dt2 + 2.0 / a2 + cfg.mass**2
+            for k in (j - 1, j + 1):
+                if cfg.boundary == "periodic":
+                    K[r, n * N + k % N] -= 1.0 / a2
+                elif 0 <= k < N:
+                    K[r, n * N + k] -= 1.0 / a2
+    return K
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+def test_stencil_matches_dense_operator(boundary):
+    T, N = 8, 16
+    cfg = LatticeConfig(n_x=N, spacing=0.5, dt=0.3, n_steps=T, mass=0.8,
+                        boundary=boundary)
+    K = _dense_kg(cfg)
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(T, N))
+    kv = apply_kg(LatticeField(cfg, v)).values
+    want = K @ v.ravel()
+    tol = 1e-13 * np.abs(K).sum(axis=1).max() * np.abs(v).max()
+    assert np.abs(kv[1:-1].ravel() - want).max() <= tol
+    assert not kv[0].any() and not kv[-1].any()
+
+    # a source late in the grid: rows 4 and 5, columns 7 and 8
+    src = np.zeros((T, N))
+    src[4:6, 7:9] = rng.uniform(0.5, 1.5, size=(2, 2))
+    f = LatticeField(cfg, src)
+    rhs = src[1:-1].ravel()
+    # retarded: rows 0 and 1 vanish, and K restricted to rows 2.. is lower
+    # triangular; advanced: rows T-2 and T-1 vanish, upper triangular
+    lower = K[:, 2 * N :]
+    upper = K[:, : (T - 2) * N]
+    assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
+    ret = retarded(f).values
+    adv = advanced(f).values
+    scale = np.abs(np.linalg.solve(lower, rhs)).max()
+    assert np.abs(ret[2:].ravel() - np.linalg.solve(lower, rhs)).max() <= 1e-12 * scale
+    assert np.abs(adv[:-2].ravel() - np.linalg.solve(upper, rhs)).max() <= 1e-12 * scale
+    # behind the source the solutions are exactly zero, not merely small
+    assert np.all(ret[:5] == 0.0) and np.all(adv[5:] == 0.0)
+    assert np.array_equal(causal_E(f).values, adv - ret)
 
 
 # ------------------------------------------------------------- causal map

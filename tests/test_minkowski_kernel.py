@@ -59,6 +59,27 @@ def test_params_guards():
     assert KernelParams(m=2.0).lam == 0.5
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_separations_and_params_reject_non_finite_numbers(bad):
+    for build in (
+        lambda: SeparationPoint(dt=bad, r=1.0),
+        lambda: SeparationPoint(dt=0.5, r=bad),
+        lambda: KernelParams(m=bad),
+        lambda: KernelParams(m=1.0, eps=bad),
+        lambda: KernelParams(m=1.0, lam=bad),
+        lambda: KernelParams(m=1.0, order=bad),
+    ):
+        with pytest.raises(ValidationError):
+            build()
+    with pytest.raises(ValidationError):
+        SeparationPoint(dt="1.0", r=1.0)
+    with pytest.raises(ValidationError):
+        SeparationPoint(dt=10**400, r=1.0)
+    # the Fourier pipeline used to overflow on an infinite time difference
+    with pytest.raises(ValidationError):
+        omega2_fourier(SeparationPoint(bad, 1.0), M1)
+
+
 # --------------------------------------------------------- closed form
 
 def test_equal_time_matches_k1_directly():

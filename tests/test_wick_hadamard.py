@@ -466,6 +466,29 @@ def test_symbolic_parsers_raise_validation_errors(parse):
         parse()
 
 
+_HALF_I = ExactComplex(0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: TwoPointKernel({(1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.5j, (2, 1): -0.5j}),
+        lambda: PairingForm({(1, 2): 1}),
+        lambda: OrderingKernel({(1, 2): _HALF_I, (2, 1): -_HALF_I}, PairingForm({(1, 2): 1})),
+    ],
+    ids=["two-point-kernel", "pairing-form", "ordering-kernel"],
+)
+def test_value_reads_labels_as_integers(table):
+    t = table()
+    # numpy integers are labels; floats that truncate to a stored pair,
+    # strings and None are not
+    assert t.value(np.int64(1), np.int32(2)) == t.value(1, 2) != 0
+    for i, j in ((1.5, 2.2), (1.0, 2), ("1", 2), (1, None)):
+        with pytest.raises(ValidationError) as caught:
+            t.value(i, j)
+        assert caught.type is ValidationError
+
+
 # ------------------------------------------------ tensors over the basis
 
 def test_wick_tensor_validation():
