@@ -1,16 +1,20 @@
-"""Modified Bessel functions K1 and I1 on the closed right half plane.
+"""Modified Bessel function K1 on the closed right half plane.
 
-Internal numerics helper for the vacuum kernel evaluations.  Three regimes
-each: a convergent series near the origin, quadrature at moderate modulus,
-and the large-argument expansion.  Arguments with negative imaginary part
-are folded through conjugation symmetry.  Accuracy target is 1e-12 relative
-to the local modulus scale sqrt(pi/2|z|)e^(-Re z); the test suite holds the
-implementation to that against a high-precision reference.
+Internal numerics helper for the vacuum kernel evaluations.  Three regimes:
+a convergent series near the origin, contour quadrature at moderate
+modulus, and the large-argument expansion.  Arguments with negative
+imaginary part are folded through conjugation symmetry.  Accuracy target is
+1e-12 relative to the local modulus scale sqrt(pi/2|z|)e^(-Re z); the test
+suite holds the implementation to that against a high-precision reference.
+
+Also home of the composite Gauss-Legendre node builder that the contour
+quadrature and the vacuum mode integral share.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -19,45 +23,35 @@ from .errors import ValidationError
 
 _EULER_GAMMA = 0.5772156649015328606
 
-_GL_CACHE: dict = {}
+
+def _panels(edges, rule):
+    """Nodes and weights of the Gauss-Legendre `rule` (nodes, weights on
+    [-1, 1]) repeated on each panel between consecutive `edges`."""
+    x, w = rule
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    return (mids[:, None] + halfs[:, None] * x).ravel(), (halfs[:, None] * w).ravel()
 
 
-def _gauss_legendre(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _gl_sum(func, lo, hi, n):
-    x, w = _gauss_legendre(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    total = 0.0 + 0.0j
-    for xi, wi in zip(x, w):
-        total += wi * func(mid + half * xi)
-    return half * total
-
-
-def _i1_series(z):
-    # I1(z) = sum_k (z/2)^(2k+1) / (k! (k+1)!)
-    t2 = z * z * 0.25
-    term = 0.5 * z
-    total = term
-    for k in range(1, 60):
-        term *= t2 / (k * (k + 1))
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
+@functools.cache
+def _contour_rules():
+    # built on first use: leggauss(80) costs milliseconds, and most importers
+    # of the package never evaluate K1 in the quadrature regime
+    leggauss = np.polynomial.legendre.leggauss
+    arc = _panels(np.array([0.0, 1.0]), leggauss(80))
+    tail = _panels(np.array([0.0, 0.75, 1.5, 2.5, 4.0, 7.0]), leggauss(32))
+    return arc, tail
 
 
 def _k1_series(z):
-    # K1(z) = 1/z + log(z/2) I1(z) - (z/4) sum_k [psi(k+1)+psi(k+2)] c_k
-    # with c_k = (z^2/4)^k / (k! (k+1)!); psi(n+1) = -gamma + H_n.
+    # K1(z) = 1/z + log(z/2) I1(z) - (z/4) sum_k [psi(k+1)+psi(k+2)] c_k and
+    # I1(z) = (z/2) sum_k c_k, with c_k = (z^2/4)^k / (k! (k+1)!) and
+    # psi(n+1) = -gamma + H_n; both sums run until both have converged
     t2 = z * z * 0.25
     c = 1.0 + 0.0j
+    i_sum = c
     psi_sum = -2.0 * _EULER_GAMMA + 1.0  # psi(1) + psi(2)
-    total = c * psi_sum
+    k_sum = c * psi_sum
     harmonic_k = 0.0
     harmonic_k1 = 1.0
     for k in range(1, 60):
@@ -66,23 +60,22 @@ def _k1_series(z):
         harmonic_k1 += 1.0 / (k + 1)
         psi_sum = -2.0 * _EULER_GAMMA + harmonic_k + harmonic_k1
         term = c * psi_sum
-        total += term
-        if abs(term) < 1e-18 * abs(total):
+        i_sum += c
+        k_sum += term
+        if abs(c) < 1e-18 * abs(i_sum) and abs(term) < 1e-18 * abs(k_sum):
             break
-    return 1.0 / z + cmath.log(0.5 * z) * _i1_series(z) - 0.25 * z * total
+    return 1.0 / z + cmath.log(0.5 * z) * (0.5 * z * i_sum) - 0.25 * z * k_sum
 
 
-def _asym_tail(z, alternating):
-    # sum_k (+-1)^k a_k / z^k with a_0 = 1 and
-    # a_(k+1) = a_k (4 - (2k+1)^2) / (8 (k+1)), the nu = 1 coefficients
+def _k1_asym(z):
+    # sqrt(pi/2z) e^-z sum_k a_k / z^k with a_0 = 1 and
+    # a_(k+1) = a_k (4 - (2k+1)^2) / (8 (k+1)), the nu = 1 coefficients;
+    # the divergent series is cut before its terms start growing
     term = 1.0 + 0.0j
     total = term
     prev = abs(term)
     for k in range(30):
-        factor = (4.0 - (2 * k + 1) ** 2) / (8.0 * (k + 1))
-        if alternating:
-            factor = -factor
-        term = term * factor / z
+        term = term * ((4.0 - (2 * k + 1) ** 2) / (8.0 * (k + 1))) / z
         mag = abs(term)
         if mag >= prev:
             break
@@ -90,69 +83,30 @@ def _asym_tail(z, alternating):
         prev = mag
         if mag < 1e-17 * abs(total):
             break
-    return total
-
-
-def _k1_asym(z):
-    return cmath.sqrt(math.pi / (2.0 * z)) * cmath.exp(-z) * _asym_tail(z, False)
+    return cmath.sqrt(math.pi / (2.0 * z)) * cmath.exp(-z) * total
 
 
 def _k1_quadrature(z):
-    # rotate the cosh contour by arg z so the tail decays monotonically
+    # K1(z) = int_0^inf e^(-z cosh s) cosh s ds with the contour moved by
+    # arg z = phi so the tail decays monotonically: first s = -iu for u in
+    # [0, phi], where cosh s = cos u, then s - i phi for s in [0, 7]
     phi = cmath.phase(z)
-    total = 0.0 + 0.0j
+    (t, wt), (s, ws) = _contour_rules()
+    c = np.cosh(s - 1j * phi)
+    total = np.sum(ws * np.exp(-z * c) * c)
     if phi > 0.0:
-        total += -1j * _gl_sum(
-            lambda u: cmath.exp(-z * math.cos(u)) * math.cos(u), 0.0, phi, 80
-        )
-
-    def tail(s):
-        c = cmath.cosh(complex(s, -phi))
-        return cmath.exp(-z * c) * c
-
-    for lo, hi in ((0.0, 0.75), (0.75, 1.5), (1.5, 2.5), (2.5, 4.0), (4.0, 7.0)):
-        total += _gl_sum(tail, lo, hi, 32)
-    return total
-
-
-def _i1_trapezoid(z):
-    # I1(z) = (1/pi) int_0^pi e^(z cos t) cos t dt; the even periodic
-    # extension is entire, so the trapezoid rule converges geometrically
-    n = 160
-    theta = np.linspace(0.0, math.pi, n + 1)
-    vals = np.exp(z * np.cos(theta)) * np.cos(theta)
-    vals[0] *= 0.5
-    vals[-1] *= 0.5
-    return complex(vals.sum() * (math.pi / n) / math.pi)
-
-
-def _i1_asym(z):
-    grow = cmath.exp(z) * _asym_tail(z, True)
-    # the recessive exponential enters with a half-plane dependent phase;
-    # on the axis itself its mean contribution is zero, and at this modulus
-    # it sits far below working precision anyway
-    if z.imag == 0:
-        decay = 0.0
-    else:
-        sign = -1j if z.imag > 0 else 1j
-        decay = sign * cmath.exp(-z) * _asym_tail(z, False)
-    return (grow + decay) / cmath.sqrt(2.0 * math.pi * z)
-
-
-def _check_domain(z):
-    z = complex(z)
-    if z == 0:
-        raise ValidationError("modified Bessel argument must be nonzero")
-    if z.real < -1e-12 * abs(z):
-        raise ValidationError(
-            "modified Bessel routines cover the right half plane only"
-        )
-    return z
+        cu = np.cos(phi * t)
+        total += -1j * phi * np.sum(wt * np.exp(-z * cu) * cu)
+    return complex(total)
 
 
 def k1(z):
     """Modified Bessel function K1 for complex z with Re z >= 0."""
-    z = _check_domain(z)
+    z = complex(z)
+    if z == 0:
+        raise ValidationError("modified Bessel argument must be nonzero")
+    if z.real < -1e-12 * abs(z):
+        raise ValidationError("modified Bessel routines cover the right half plane only")
     if z.imag < 0:
         return k1(z.conjugate()).conjugate()
     r = abs(z)
@@ -161,16 +115,3 @@ def k1(z):
     if r >= 16.0:
         return _k1_asym(z)
     return _k1_quadrature(z)
-
-
-def i1(z):
-    """Modified Bessel function I1 for complex z with Re z >= 0."""
-    z = _check_domain(z)
-    if z.imag < 0:
-        return i1(z.conjugate()).conjugate()
-    r = abs(z)
-    if r <= 8.0:
-        return _i1_series(z)
-    if r < 30.0:
-        return _i1_trapezoid(z)
-    return _i1_asym(z)

@@ -46,7 +46,6 @@ __all__ = [
     "star",
     "normal_form",
     "commutator",
-    "induced_map",
     "simplicity_probe",
     "find_simplicity_witness",
     "element_to_text",
@@ -526,11 +525,6 @@ class InducedMap:
                 piece = multiply(piece, self._image_of_generator(g, a.mode))
             out = out + piece
         return out
-
-
-def induced_map(sigma, generators, E: PairingForm, parity: str, tol=1e-9) -> InducedMap:
-    """Build the endomorphism induced by sigma; parity is checked against E."""
-    return InducedMap(sigma, generators, E, parity, tol=tol)
 
 
 def simplicity_probe(a: AlgebraElement, probes, E: PairingForm):

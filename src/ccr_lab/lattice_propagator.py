@@ -33,8 +33,6 @@ __all__ = [
     "LatticeField",
     "CauchyData",
     "fundamental",
-    "retarded",
-    "advanced",
     "causal_E",
     "apply_kg",
     "pair_E",
@@ -234,14 +232,6 @@ def fundamental(f: LatticeField, which="retarded"):
         raise ValidationError("which must be 'retarded' or 'advanced'")
     box = _source_box(f, (which,))
     return _field(f.config, _solution(f, box, which))
-
-
-def retarded(f: LatticeField):
-    return fundamental(f, "retarded")
-
-
-def advanced(f: LatticeField):
-    return fundamental(f, "advanced")
 
 
 def causal_E(f: LatticeField):

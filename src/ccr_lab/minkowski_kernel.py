@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bessel import k1
+from ._bessel import _panels, k1
 from .errors import (
     OnLightconeSingularError,
     OrderGuardError,
@@ -45,7 +45,6 @@ __all__ = [
     "hadamard_coefficients",
     "lambda_shift_delta",
     "momentum_overlap",
-    "mu_minkowski",
     "cross_check_grid",
 ]
 
@@ -143,12 +142,16 @@ _LAG = np.polynomial.laguerre.laggauss(60)
 _MAX_HEAD_PANELS = 800
 
 
-def _mode_integral(rho: float, dt: float, m: float, eps: float, k0: float) -> complex:
-    """integral_0^inf  k/omega * exp(i(k rho - dt omega) - eps k)  dk.
+def _mode_integral(
+    rho: float, dt: float, m: float, eps: float, k0: float, power: int
+) -> complex:
+    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk.
 
-    Head on [0, k0] by composite Gauss-Legendre with panel density tied to
-    the total phase range; tail rotated into the complex k plane along the
-    direction where the phase decays, with Gauss-Laguerre nodes.
+    Power 1 is the integrand of the +-r components; power 2 at rho = 0 is
+    their r -> 0 limit, k sin(kr)/r -> k^2.  Head on [0, k0] by composite
+    Gauss-Legendre with panel density tied to the total phase range; tail
+    rotated into the complex k plane along the direction where the phase
+    decays, with Gauss-Laguerre nodes.
     """
     phase_range = k0 * (abs(rho) + abs(dt))
     n_panels = int(math.ceil(phase_range / (2.0 * math.pi))) + 4
@@ -157,15 +160,10 @@ def _mode_integral(rho: float, dt: float, m: float, eps: float, k0: float) -> co
             "oscillation budget exhausted approaching the lightcone",
             residual=float("inf"),
         )
-    x, w = _GL24
-    edges = np.linspace(0.0, k0, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    k = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
+    k, wts = _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
     omega = np.sqrt(k * k + m * m)
     head = np.sum(
-        wts * k / omega * np.exp(1j * (k * rho - dt * omega) - eps * k)
+        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega) - eps * k)
     )
 
     omega0 = math.sqrt(k0 * k0 + m * m)
@@ -182,39 +180,7 @@ def _mode_integral(rho: float, dt: float, m: float, eps: float, k0: float) -> co
     s = u / gamma
     kk = k0 + 1j * c * s
     om = np.sqrt(kk * kk + m * m)
-    vals = kk / om * np.exp(1j * (kk * rho - dt * om) - eps * kk)
-    tail = 1j * c * np.sum(wl * np.exp(u) * vals) / gamma
-    return complex(head + tail)
-
-
-def _mode_integral_origin(dt: float, m: float, eps: float, k0: float) -> complex:
-    # r -> 0 limit of the reduced integrand: k sin(kr)/r -> k^2
-    phase_range = k0 * abs(dt)
-    n_panels = int(math.ceil(phase_range / (2.0 * math.pi))) + 4
-    if n_panels > _MAX_HEAD_PANELS:
-        raise QuadratureFailureError(
-            "oscillation budget exhausted approaching the lightcone",
-            residual=float("inf"),
-        )
-    x, w = _GL24
-    edges = np.linspace(0.0, k0, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    k = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
-    omega = np.sqrt(k * k + m * m)
-    head = np.sum(wts * k * k / omega * np.exp(-1j * dt * omega - eps * k))
-    if dt == 0.0:
-        raise QuadratureFailureError(
-            "coincidence point has no convergent mode integral", residual=float("inf")
-        )
-    c = -1.0 if dt > 0 else 1.0
-    gamma = abs(dt) * min(k0 / math.sqrt(k0 * k0 + m * m), 1.0)
-    u, wl = _LAG
-    s = u / gamma
-    kk = k0 + 1j * c * s
-    om = np.sqrt(kk * kk + m * m)
-    vals = kk * kk / om * np.exp(-1j * dt * om - eps * kk)
+    vals = kk**power / om * np.exp(1j * (kk * rho - dt * om) - eps * kk)
     tail = 1j * c * np.sum(wl * np.exp(u) * vals) / gamma
     return complex(head + tail)
 
@@ -231,9 +197,13 @@ def _head_cutoff(p: SeparationPoint, m: float) -> float:
 
 def _fourier_once(p: SeparationPoint, m: float, eps: float, k0: float) -> complex:
     if p.r < 1e-9:
-        return _mode_integral_origin(p.dt, m, eps, k0) / _FOUR_PI_SQ
-    plus = _mode_integral(p.r, p.dt, m, eps, k0)
-    minus = _mode_integral(-p.r, p.dt, m, eps, k0)
+        if p.dt == 0.0:
+            raise QuadratureFailureError(
+                "coincidence point has no convergent mode integral", residual=float("inf")
+            )
+        return _mode_integral(0.0, p.dt, m, eps, k0, 2) / _FOUR_PI_SQ
+    plus = _mode_integral(p.r, p.dt, m, eps, k0, 1)
+    minus = _mode_integral(-p.r, p.dt, m, eps, k0, 1)
     return (plus - minus) / (2j) / (_FOUR_PI_SQ * p.r)
 
 
@@ -394,6 +364,8 @@ class MomentumProfile:
         values = np.asarray(values, dtype=complex)
         if k.ndim != 1 or k.shape != values.shape or k.size < 4:
             raise ValidationError("profile needs matching 1d grids, >= 4 samples")
+        if not (np.isfinite(k).all() and np.isfinite(values).all()):
+            raise ValidationError("momentum grid and profile values must be finite")
         if k[0] < 0.0 or np.any(np.diff(k) <= 0.0):
             raise ValidationError("momentum grid must be increasing and >= 0")
         self.k = k
@@ -414,8 +386,3 @@ def momentum_overlap(f: MomentumProfile, g: MomentumProfile) -> complex:
                 "profile product has not decayed by the end of the grid"
             )
     return complex(_TRAPZ(integrand, f.k))
-
-
-def mu_minkowski(f: MomentumProfile, g: MomentumProfile) -> float:
-    """Real one-particle scalar product of two momentum profiles."""
-    return momentum_overlap(f, g).real

@@ -24,6 +24,8 @@ from .errors import (
     SpectrumNotGappedError,
     TruncationInsufficientError,
     ValidationError,
+    as_finite,
+    as_index,
 )
 
 __all__ = [
@@ -39,14 +41,15 @@ __all__ = [
     "ground_state_mu",
     "lattice_energy_form",
     "standard_symplectic_form",
-    "fock_represent",
     "equivalence_probe",
 ]
 
 
 def standard_symplectic_form(n_modes):
     """tau matrix [[0, I], [-I, 0]] in (q_1..q_N, p_1..p_N) ordering."""
-    n = int(n_modes)
+    n = as_index(n_modes, "mode count")
+    if n < 0:
+        raise ValidationError("mode count must be >= 0")
     T = np.zeros((2 * n, 2 * n))
     T[:n, n:] = np.eye(n)
     T[n:, :n] = -np.eye(n)
@@ -60,6 +63,8 @@ def _check_square_pair(mu, tau):
         raise ValidationError("mu must be a square matrix")
     if tau.shape != mu.shape:
         raise ValidationError("tau must match mu's shape")
+    if not (np.isfinite(mu).all() and np.isfinite(tau).all()):
+        raise ValidationError("mu and tau must be finite")
     scale = max(1.0, np.abs(mu).max(), np.abs(tau).max())
     if np.abs(mu - mu.T).max() > 1e-12 * scale:
         raise ValidationError("mu must be symmetric")
@@ -281,8 +286,9 @@ def lattice_energy_form(n_sites, spacing, mass):
 
     Returns (A, tau).
     """
-    n = int(n_sites)
-    a = float(spacing)
+    n = as_index(n_sites, "n_sites")
+    a = as_finite(spacing, "spacing")
+    mass = as_finite(mass, "mass")
     if n < 1 or a <= 0:
         raise ValidationError("need at least one site and positive spacing")
     S = np.roll(np.eye(n), 1, axis=1)
@@ -383,11 +389,6 @@ class FockRepresentation:
         return complex(self.vacuum() @ v)
 
 
-def fock_represent(structure, cutoff):
-    """Truncated Fock representation of a one-particle structure."""
-    return FockRepresentation(structure, cutoff)
-
-
 # ----------------------------------------------------------- equivalence
 
 @dataclass(frozen=True)
@@ -425,18 +426,27 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
     """
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
-    if mu1.shape != mu2.shape or mu1.ndim != 2:
+    if mu1.shape != mu2.shape or mu1.ndim != 2 or mu1.shape[0] != mu1.shape[1]:
         raise ValidationError("covariances must share a square shape")
+    if mu1.shape[0] % 2:
+        raise ValidationError("covariances must have even dimension (q and p per mode)")
+    if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
+        raise ValidationError("covariances must be finite")
     total_modes = mu1.shape[0] // 2
     if truncations is None:
         truncations = [total_modes]
-    truncs = []
+    try:
+        truncs = [as_index(n_modes, "truncation") for n_modes in truncations]
+    except TypeError:
+        raise ValidationError("truncations must be a sequence of mode counts") from None
+    if not truncs or truncs[0] < 1 or any(b <= a for a, b in zip(truncs, truncs[1:])):
+        raise ValidationError("truncations must be strictly increasing mode counts >= 1")
     hs_norms = []
     c_mins = []
     c_maxs = []
     Q_last = None
-    for n_modes in truncations:
-        n = 2 * int(n_modes)
+    for n_modes in truncs:
+        n = 2 * n_modes
         if n > mu1.shape[0]:
             raise ValidationError(
                 f"truncation {n_modes} exceeds available modes {total_modes}"
@@ -453,7 +463,6 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
         B = (B + B.T) / 2.0
         lams = np.linalg.eigvalsh(B)
         hs = float(np.sqrt(np.sum(lams**2)))
-        truncs.append(int(n_modes))
         hs_norms.append(hs)
         c_mins.append(float(1.0 + lams.min()))
         c_maxs.append(float(1.0 + lams.max()))
@@ -472,7 +481,7 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
 def _trend_verdict(truncs, hs_norms, tol):
     if all(h <= tol for h in hs_norms):
         return "bounded-trend"
-    if len(truncs) < 2 or truncs[-1] == truncs[0]:
+    if len(truncs) < 2:
         return "inconclusive"
     first = max(hs_norms[0], tol)
     slope = math.log(hs_norms[-1] / first) / math.log(truncs[-1] / truncs[0])

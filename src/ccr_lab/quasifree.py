@@ -25,6 +25,7 @@ from .errors import (
     KernelInconsistencyError,
     ParityError,
     ValidationError,
+    as_index,
 )
 
 __all__ = [
@@ -56,7 +57,7 @@ def enumerate_pairings(n, max_n=PAIRING_GUARD):
     -------
     list of pairings; each pairing is a tuple of (a, b) pairs with a < b.
     """
-    n = int(n)
+    n = as_index(n, "pairing size")
     if n < 0:
         raise ValidationError("pairing size must be non-negative")
     if n % 2:
@@ -219,12 +220,6 @@ class QuasifreeState:
                 if lhs > rhs + slack:
                     out.append((i, j, lhs, rhs))
         return out
-
-    def npoint(self, indices, max_n=PAIRING_GUARD):
-        return npoint(self, indices, max_n=max_n)
-
-    def evaluate(self, element, max_n=PAIRING_GUARD):
-        return evaluate(self, element, max_n=max_n)
 
 
 def npoint(state, indices, max_n=PAIRING_GUARD):

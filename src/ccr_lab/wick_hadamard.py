@@ -843,7 +843,9 @@ class StressEnergyResult:
 
 
 def _second_blocks(w, x, h):
-    # value, both-x second derivatives, mixed x/y second derivatives
+    # value, both-x second derivatives, mixed x/y second derivatives; w is
+    # symmetric, w(x, y) = w(y, x), so the both-y block equals the both-x one
+    # and the mixed block is symmetric
     def f(dx, dy):
         return float(w(x + dx, x + dy))
 
@@ -862,18 +864,15 @@ def _second_blocks(w, x, h):
 
     eye = np.eye(4)
     xdiag = np.array([dir2(eye[a], zero) for a in range(4)])
-    ydiag = np.array([dir2(zero, eye[a]) for a in range(4)])
-    xx = np.zeros((4, 4))
+    xx = np.diag(xdiag)
     xy = np.zeros((4, 4))
     for a in range(4):
-        xx[a, a] = xdiag[a]
-        for b in range(a + 1, 4):
-            both = dir2(eye[a] + eye[b], zero)
-            xx[a, b] = xx[b, a] = 0.5 * (both - xdiag[a] - xdiag[b])
-    for a in range(4):
-        for b in range(4):
+        for b in range(a, 4):
             both = dir2(eye[a], eye[b])
-            xy[a, b] = 0.5 * (both - xdiag[a] - ydiag[b])
+            xy[a, b] = xy[b, a] = 0.5 * (both - xdiag[a] - xdiag[b])
+            if b > a:
+                both = dir2(eye[a] + eye[b], zero)
+                xx[a, b] = xx[b, a] = 0.5 * (both - xdiag[a] - xdiag[b])
     return f0, xx, xy
 
 
@@ -920,7 +919,6 @@ def stress_energy(
     value = v_f
     xx = (16.0 * xx_f - xx_c) / 15.0
     xy = (16.0 * xy_f - xy_c) / 15.0
-    xy = 0.5 * (xy + xy.T)
 
     box_x = -xx[0, 0] + xx[1, 1] + xx[2, 2] + xx[3, 3]
     cross = -xy[0, 0] + xy[1, 1] + xy[2, 2] + xy[3, 3]
@@ -933,7 +931,6 @@ def stress_energy(
     )
     if kg_term:
         tensor = tensor - (_ETA / 3.0) * kg_diag
-    tensor = 0.5 * (tensor + tensor.T)
     trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])
     return StressEnergyResult(
         tensor=tensor, trace=trace, kg_diagonal=float(kg_diag), step=step

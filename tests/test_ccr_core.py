@@ -14,12 +14,12 @@ from ccr_lab.ccr_core import (
     FLOAT,
     AlgebraElement,
     ExactComplex,
+    InducedMap,
     PairingForm,
     commutator,
     element_from_text,
     element_to_text,
     find_simplicity_witness,
-    induced_map,
     multiply,
     normal_form,
     simplicity_probe,
@@ -226,7 +226,7 @@ def test_float_mode_normal_form():
 
 def test_identity_induced_map():
     sigma = [[1, 0], [0, 1]]
-    alpha = induced_map(sigma, (1, 2), E12, "preserving")
+    alpha = InducedMap(sigma, (1, 2), E12, "preserving")
     a = word(2, 1).scale(exact(0, 1))
     assert alpha(a) == a
 
@@ -238,7 +238,7 @@ def test_rotation_preserves_relations():
     c, s = math.cos(theta), math.sin(theta)
     E = PairingForm({(1, 2): 1.0})
     sigma = [[c, -s], [s, c]]
-    alpha = induced_map(sigma, (1, 2), E, "preserving")
+    alpha = InducedMap(sigma, (1, 2), E, "preserving")
     img1 = alpha(gen(1, mode=FLOAT))
     img2 = alpha(gen(2, mode=FLOAT))
     c12 = normal_form(multiply(img1, img2) - multiply(img2, img1), E)
@@ -254,9 +254,9 @@ def test_composition_of_induced_maps():
         for r in range(2)
     ]
     a = word(1, 2, 1) + word(2).scale(exact(3, 1))
-    alpha1 = induced_map(sigma1, (1, 2), E12, "preserving")
-    alpha2 = induced_map(sigma2, (1, 2), E12, "preserving")
-    alpha12 = induced_map(combined, (1, 2), E12, "preserving")
+    alpha1 = InducedMap(sigma1, (1, 2), E12, "preserving")
+    alpha2 = InducedMap(sigma2, (1, 2), E12, "preserving")
+    alpha12 = InducedMap(combined, (1, 2), E12, "preserving")
     lhs = normal_form(alpha1(alpha2(a)), E12)
     rhs = normal_form(alpha12(a), E12)
     assert lhs == rhs
@@ -264,7 +264,7 @@ def test_composition_of_induced_maps():
 
 def test_orientation_reversing_map_conjugates():
     sigma = [[1, 0], [0, -1]]
-    alpha = induced_map(sigma, (1, 2), E12, "reversing")
+    alpha = InducedMap(sigma, (1, 2), E12, "reversing")
     assert alpha.parity == "reversing"
     a = AlgebraElement.unit(mode=EXACT).scale(exact(0, 1))
     assert alpha(a) == AlgebraElement.unit(mode=EXACT).scale(exact(0, -1))
@@ -280,12 +280,12 @@ def test_orientation_reversing_map_conjugates():
 def test_non_symmetry_is_rejected():
     sigma = [[2, 0], [0, 1]]
     with pytest.raises(InvalidSymmetryError):
-        induced_map(sigma, (1, 2), E12, "preserving")
+        InducedMap(sigma, (1, 2), E12, "preserving")
     with pytest.raises(InvalidSymmetryError):
-        induced_map(sigma, (1, 2), E12, "reversing")
+        InducedMap(sigma, (1, 2), E12, "reversing")
     # declared parity must match the actual action, not merely be plausible
     with pytest.raises(InvalidSymmetryError):
-        induced_map([[1, 0], [0, -1]], (1, 2), E12, "preserving")
+        InducedMap([[1, 0], [0, -1]], (1, 2), E12, "preserving")
 
 
 # ------------------------------------------------------ simplicity probes
@@ -305,14 +305,14 @@ def test_non_symmetry_is_rejected():
 )
 def test_induced_map_rejects_malformed_sigma(sigma):
     with pytest.raises(ValidationError):
-        induced_map(sigma, (1, 2), E12, "preserving")
+        InducedMap(sigma, (1, 2), E12, "preserving")
 
 
 def test_induced_map_takes_exact_and_float_entries_alike():
-    exact_map = induced_map([[Fraction(1), 0], [0, ExactComplex(1)]], (1, 2), E12, "preserving")
+    exact_map = InducedMap([[Fraction(1), 0], [0, ExactComplex(1)]], (1, 2), E12, "preserving")
     a = word(2, 1).scale(exact(0, 1))
     assert exact_map(a) == a
-    float_map = induced_map([[1.0, 0.0], [0.0, 1.0]], (1, 2), E12, "preserving")
+    float_map = InducedMap([[1.0, 0.0], [0.0, 1.0]], (1, 2), E12, "preserving")
     b = AlgebraElement({(2, 1): 1j}, FLOAT)
     assert float_map(b) == b
 

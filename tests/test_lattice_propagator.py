@@ -17,13 +17,11 @@ from ccr_lab.lattice_propagator import (
     CauchyData,
     LatticeConfig,
     LatticeField,
-    advanced,
     apply_kg,
     causal_E,
     extract_cauchy,
     fundamental,
     pair_E,
-    retarded,
     save_field,
     slice_compress,
     solve_cauchy,
@@ -118,7 +116,7 @@ def test_source_must_avoid_first_and_last_rows():
     v = np.zeros((12, 20))
     v[0, 10] = 1.0
     with pytest.raises(ValidationError):
-        retarded(LatticeField(cfg, v))
+        fundamental(LatticeField(cfg, v), "retarded")
 
 
 # ------------------------------------------------- fundamental solutions
@@ -129,7 +127,7 @@ def test_massless_retarded_matches_dalembert():
     x0 = 160 * cfg.spacing
     f = sampled_source(cfg, t0=0.35, x0=x0, wt=0.25, wx=0.25)
     total = f.values.sum() * cfg.spacing * cfg.dt
-    psi = retarded(LatticeField(cfg, f.values / total))
+    psi = fundamental(LatticeField(cfg, f.values / total), "retarded")
     # deep interior of the cone: plateau at 1/2
     for n, j in [(120, 160), (120, 130), (120, 190), (145, 160)]:
         t = n * cfg.dt - 0.35
@@ -145,8 +143,8 @@ def test_advanced_is_time_reflected_retarded():
     cfg = LatticeConfig(n_x=80, spacing=0.1, dt=0.08, n_steps=60, mass=0.7)
     f = sampled_source(cfg, t0=2.4, x0=4.0, wt=0.4, wx=0.5)
     flipped = LatticeField(cfg, f.values[::-1].copy())
-    lhs = advanced(f).values
-    rhs = retarded(flipped).values[::-1]
+    lhs = fundamental(f, "advanced").values
+    rhs = fundamental(flipped, "retarded").values[::-1]
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -226,8 +224,8 @@ def test_stencil_matches_dense_operator(boundary):
     lower = K[:, 2 * N :]
     upper = K[:, : (T - 2) * N]
     assert not np.triu(lower, 1).any() and not np.tril(upper, -1).any()
-    ret = retarded(f).values
-    adv = advanced(f).values
+    ret = fundamental(f, "retarded").values
+    adv = fundamental(f, "advanced").values
     scale = np.abs(np.linalg.solve(lower, rhs)).max()
     assert np.abs(ret[2:].ravel() - np.linalg.solve(lower, rhs)).max() <= 1e-12 * scale
     assert np.abs(adv[:-2].ravel() - np.linalg.solve(upper, rhs)).max() <= 1e-12 * scale
@@ -390,7 +388,7 @@ def test_absorbing_pad_contamination_guard():
                         boundary="absorbing-pad")
     f = sampled_source(cfg, t0=0.4, x0=2.0, wt=0.2, wx=0.3)
     with pytest.raises(CausalContaminationError):
-        retarded(f)
+        fundamental(f, "retarded")
 
 
 def test_absorbing_pad_agrees_with_periodic_when_uncontaminated():
@@ -399,7 +397,8 @@ def test_absorbing_pad_agrees_with_periodic_when_uncontaminated():
     cfg_a = LatticeConfig(boundary="absorbing-pad", **kw)
     fp = sampled_source(cfg_p, t0=1.2, x0=8.0, wt=0.4, wx=0.5)
     fa = LatticeField(cfg_a, fp.values)
-    assert np.abs(retarded(fp).values - retarded(fa).values).max() < 1e-13
+    periodic = fundamental(fp, "retarded").values
+    assert np.abs(periodic - fundamental(fa, "retarded").values).max() < 1e-13
 
 
 def test_field_round_trip_binary(tmp_path):

@@ -21,7 +21,6 @@ from ccr_lab.minkowski_kernel import (
     hadamard_coefficients,
     lambda_shift_delta,
     momentum_overlap,
-    mu_minkowski,
     omega2_bessel,
     omega2_fourier,
     remainder_w,
@@ -68,6 +67,8 @@ def test_separations_and_params_reject_non_finite_numbers(bad):
         lambda: KernelParams(m=1.0, eps=bad),
         lambda: KernelParams(m=1.0, lam=bad),
         lambda: KernelParams(m=1.0, order=bad),
+        lambda: MomentumProfile(np.linspace(0.0, 1.0, 5), [1.0, 2.0, bad, 0.0, 0.0]),
+        lambda: MomentumProfile([0.0, 0.25, 0.5, 0.75, bad], np.zeros(5)),
     ):
         with pytest.raises(ValidationError):
             build()
@@ -161,6 +162,22 @@ def test_coincidence_mode_integral_fails_loudly():
     with pytest.raises(QuadratureFailureError) as exc:
         omega2_fourier(SeparationPoint(0.0, 0.0), M1)
     assert exc.value.residual == float("inf")
+
+
+def test_coincidence_mode_integral_fails_loudly_with_regulator():
+    with pytest.raises(QuadratureFailureError) as exc:
+        omega2_fourier(SeparationPoint(0.0, 0.0), KernelParams(m=1.0, eps=1e-3))
+    assert exc.value.residual == float("inf")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("dt", [1.5, 0.7, -2.2])
+def test_origin_mode_integral_matches_small_r(dt, eps):
+    # r = 0 integrates k^2/omega; r = 1e-5 takes the +-r sine split of k/omega
+    params = KernelParams(m=1.0, eps=eps)
+    origin = omega2_fourier(SeparationPoint(dt, 0.0), params)
+    near = omega2_fourier(SeparationPoint(dt, 1e-5), params)
+    assert abs(origin - near) <= 1e-8 * abs(near)
 
 
 def test_kg_equation_residual_spacelike():
@@ -303,7 +320,7 @@ def test_overlap_of_gaussian_with_itself_is_its_norm():
     k = _grid()
     phi = np.exp(-((k - 2.0) ** 2)) * (1.0 + 0.0j)
     f = MomentumProfile(k, phi)
-    val = mu_minkowski(f, f)
+    val = momentum_overlap(f, f).real
     expected = float(np.trapezoid(np.abs(phi) ** 2, k))
     assert val == pytest.approx(expected, rel=1e-12)
     assert val > 0.0
@@ -313,7 +330,7 @@ def test_disjoint_bands_are_orthogonal():
     k = _grid()
     f = MomentumProfile(k, np.exp(-((k - 2.0) ** 2) * 8.0))
     g = MomentumProfile(k, np.exp(-((k - 7.0) ** 2) * 8.0))
-    assert abs(mu_minkowski(f, g)) < 1e-12
+    assert abs(momentum_overlap(f, g).real) < 1e-12
 
 
 def test_pair_bound_against_symplectic_part():
@@ -326,7 +343,7 @@ def test_pair_bound_against_symplectic_part():
         f, g = MomentumProfile(k, phi_f), MomentumProfile(k, phi_g)
         tau = 2.0 * momentum_overlap(f, g).imag
         lhs = 0.25 * tau * tau
-        rhs = mu_minkowski(f, f) * mu_minkowski(g, g)
+        rhs = momentum_overlap(f, f).real * momentum_overlap(g, g).real
         assert lhs <= rhs * (1.0 + 1e-12)
 
 

@@ -16,8 +16,8 @@ from ccr_lab.errors import (
     ValidationError,
 )
 from ccr_lab.phase_space import (
+    FockRepresentation,
     equivalence_probe,
-    fock_represent,
     ground_state_mu,
     intertwiner,
     lattice_energy_form,
@@ -187,7 +187,7 @@ def _expm(M):
 
 def test_fock_ccr_on_truncated_sector():
     s = one_particle(np.eye(2) / 2.0, TAU1)
-    rep = fock_represent(s, cutoff=4)
+    rep = FockRepresentation(s, cutoff=4)
     a = rep._lower[0]
     comm = a @ a.T - a.T @ a
     P = rep.sector_projector(2)
@@ -198,7 +198,7 @@ def test_fock_ccr_on_truncated_sector():
 def test_fock_vacuum_two_point():
     rng = np.random.default_rng(9)
     mu, tau = random_mixed_pair(rng, 1)
-    rep = fock_represent(one_particle(mu, tau), cutoff=4)
+    rep = FockRepresentation(one_particle(mu, tau), cutoff=4)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     got = rep.vacuum_npoint([e1, e2])
@@ -208,7 +208,7 @@ def test_fock_vacuum_two_point():
 
 def test_fock_four_point_matches_pairing():
     s = one_particle(np.eye(2) / 2.0, TAU1)
-    rep = fock_represent(s, cutoff=4)
+    rep = FockRepresentation(s, cutoff=4)
     e1 = np.array([1.0, 0.0])
     got = rep.vacuum_npoint([e1, e1, e1, e1])
     assert got == pytest.approx(3 * 0.5**2, abs=1e-10)
@@ -221,10 +221,10 @@ def test_fock_guards():
     mu, tau = random_mixed_pair(rng, 3)
     s = one_particle(mu, tau)  # dim 6 > 4
     with pytest.raises(ValidationError):
-        fock_represent(s, cutoff=4)
+        FockRepresentation(s, cutoff=4)
     s1 = one_particle(np.eye(2) / 2.0, TAU1)
     with pytest.raises(ValidationError):
-        fock_represent(s1, cutoff=7)
+        FockRepresentation(s1, cutoff=7)
 
 
 # ----------------------------------------------------- equivalence probe
@@ -290,3 +290,51 @@ def test_probe_report_json():
     data = json.loads(rep.to_json())
     assert data["verdict"] == "bounded-trend"
     assert data["hs_norms"] == [0.0, 0.0]
+
+
+NAN_MU = np.where(np.eye(4, dtype=bool), math.nan, 0.0)
+TAU2 = standard_symplectic(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_mu_tau(NAN_MU, TAU2),
+        lambda: validate_mu_tau(np.eye(4), np.full((4, 4), math.inf)),
+        lambda: purity(NAN_MU, TAU2),
+        lambda: one_particle(NAN_MU, TAU2),
+        lambda: ground_state_mu(NAN_MU),
+        lambda: equivalence_probe(NAN_MU, np.eye(4), truncations=[2]),
+        lambda: equivalence_probe(np.eye(5), np.eye(5)),
+        lambda: equivalence_probe(np.eye(8), np.eye(8), truncations=[0, 2]),
+        lambda: equivalence_probe(np.eye(8), np.eye(8), truncations=[4, 1]),
+        lambda: equivalence_probe(np.eye(8), np.eye(8), truncations=[2, 2]),
+        lambda: equivalence_probe(np.eye(8), np.eye(8), truncations=[1.5]),
+        lambda: equivalence_probe(np.eye(8), np.eye(8), truncations=3),
+        lambda: lattice_energy_form(4.5, 1.0, 1.0),
+        lambda: lattice_energy_form(4, math.nan, 1.0),
+        lambda: lattice_energy_form(4, 1.0, math.inf),
+        lambda: standard_symplectic_form(2.5),
+    ],
+    ids=[
+        "nan-mu",
+        "inf-tau",
+        "purity-nan",
+        "one-particle-nan",
+        "ground-state-nan",
+        "probe-nan",
+        "probe-odd-dimension",
+        "probe-zero-truncation",
+        "probe-decreasing-ladder",
+        "probe-repeated-truncation",
+        "probe-float-truncation",
+        "probe-truncations-not-a-list",
+        "float-sites",
+        "nan-spacing",
+        "inf-mass",
+        "float-mode-count",
+    ],
+)
+def test_boundary_inputs_raise_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()

@@ -151,8 +151,16 @@ def test_kernel_rejects_non_finite_entries(table):
         lambda: TwoPointKernel({(1, 1): None}),
         lambda: TwoPointKernel(lambda i, j: 1.0, generators=[1.5]),
         lambda: TwoPointKernel(lambda i, j: None, generators=[1]),
+        lambda: enumerate_pairings(4.7),
     ],
-    ids=["float-key", "string-entry", "none-entry", "float-generator", "none-callback"],
+    ids=[
+        "float-key",
+        "string-entry",
+        "none-entry",
+        "float-generator",
+        "none-callback",
+        "float-pairing-size",
+    ],
 )
 def test_kernel_rejects_non_integer_labels_and_non_numbers(build):
     with pytest.raises(ValidationError):

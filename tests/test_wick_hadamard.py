@@ -806,6 +806,20 @@ def test_symmetry_of_result():
     assert np.array_equal(res.tensor, res.tensor.T)
 
 
+def test_symmetric_kernel_is_evaluated_162_times():
+    # per step size: the value, 4 both-x diagonals, 6 both-x pairs and the
+    # 10 unordered mixed pairs, each derivative on 4 off-centre points
+    calls = []
+
+    def w(x, y):
+        calls.append(1)
+        d = np.asarray(x) - np.asarray(y)
+        return float(np.exp(-(d @ d)))
+
+    stress_energy(w, np.zeros(4), mass=1.0)
+    assert len(calls) == 2 * (1 + 4 * (4 + 6 + 10)) == 162
+
+
 def _gaussian_table(spacing=0.05, half=8):
     axis = spacing * np.arange(-half, half + 1)
     g = np.exp(-(axis**2))
