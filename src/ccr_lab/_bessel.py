@@ -1,11 +1,13 @@
-"""Modified Bessel function K1 on the closed right half plane.
+"""Modified Bessel functions K1 and I1 on the closed right half plane.
 
-Internal numerics helper for the vacuum kernel evaluations.  Three regimes:
-a convergent series near the origin, contour quadrature at moderate
-modulus, and the large-argument expansion.  Arguments with negative
-imaginary part are folded through conjugation symmetry.  Accuracy target is
-1e-12 relative to the local modulus scale sqrt(pi/2|z|)e^(-Re z); the test
-suite holds the implementation to that against a high-precision reference.
+Internal numerics helper for the vacuum kernel evaluations.  K1 has three
+regimes: a convergent series near the origin, contour quadrature at moderate
+modulus, and the large-argument expansion.  I1 is one trapezoid rule over
+its integral representation.  Arguments with negative imaginary part are
+folded through conjugation symmetry.  Accuracy target is 1e-12 relative to
+the local modulus scale (sqrt(pi/2|z|)e^(-Re z) for K1, e^|Re z|/sqrt(2pi|z|)
+for I1); the test suite holds the implementation to that against a
+high-precision reference.
 
 Also home of the composite Gauss-Legendre node builder that the contour
 quadrature and the vacuum mode integral share.
@@ -100,13 +102,18 @@ def _k1_quadrature(z):
     return complex(total)
 
 
-def k1(z):
-    """Modified Bessel function K1 for complex z with Re z >= 0."""
+def _check_domain(z):
     z = complex(z)
     if z == 0:
         raise ValidationError("modified Bessel argument must be nonzero")
     if z.real < -1e-12 * abs(z):
         raise ValidationError("modified Bessel routines cover the right half plane only")
+    return z
+
+
+def k1(z):
+    """Modified Bessel function K1 for complex z with Re z >= 0."""
+    z = _check_domain(z)
     if z.imag < 0:
         return k1(z.conjugate()).conjugate()
     r = abs(z)
@@ -115,3 +122,16 @@ def k1(z):
     if r >= 16.0:
         return _k1_asym(z)
     return _k1_quadrature(z)
+
+
+def i1(z):
+    """Modified Bessel function I1 for complex z with Re z >= 0."""
+    z = _check_domain(z)
+    if z.imag < 0:
+        return i1(z.conjugate()).conjugate()
+    # trapezoid rule on I1(z) = (1/pi) int_0^pi (e^(z cos t) - 1) cos t dt,
+    # whose even periodic extension is entire: 160 panels hold the target
+    # out to |z| = 200, and expm1 keeps small z at full relative precision
+    c = np.cos(np.linspace(0.0, math.pi, 161))
+    v = c * np.expm1(z * c)
+    return complex((v.sum() - 0.5 * (v[0] + v[-1])) / 160)
