@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by all ccr_lab modules, and the two readers of
-outside numbers that raise it.
+"""Exception taxonomy shared by all ccr_lab modules, and the three readers
+of outside numbers that raise it.
 
 Two exit-relevant base classes: ValidationError means the inputs violate a
 documented precondition (CLI exit 2); NumericalCheckError means the inputs
@@ -8,6 +8,8 @@ were admissible but a numerical consistency check failed (CLI exit 3).
 
 import math
 import operator
+
+import numpy as np
 
 
 class CcrLabError(Exception):
@@ -41,6 +43,18 @@ def as_finite(x, what):
     except (TypeError, OverflowError):
         pass
     raise ValidationError(f"{what} must be a finite real number, got {x!r}")
+
+
+def as_finite_array(values, what):
+    """values as a float array of finite real numbers, not copied if it is one;
+    strings, ragged nesting and NaN or infinite entries raise ValidationError."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged nesting
+        v = None
+    if v is None or v.dtype.kind not in "biuf" or not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be an array of finite real numbers")
+    return v.astype(float, copy=False)
 
 
 # symbolic algebra

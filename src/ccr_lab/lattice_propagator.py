@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
     WindowTooThinError,
     as_finite,
+    as_finite_array,
     as_index,
 )
 
@@ -44,17 +45,6 @@ __all__ = [
 ]
 
 BOUNDARIES = ("periodic", "absorbing-pad")
-
-
-def _finite_array(values, what):
-    """A float copy of values, which must be finite real numbers."""
-    try:
-        v = np.asarray(values)
-    except ValueError:  # ragged nesting
-        v = None
-    if v is None or v.dtype.kind not in "biuf" or not np.isfinite(v).all():
-        raise ValidationError(f"{what} must be an array of finite real numbers")
-    return v.astype(float)
 
 
 @dataclass(frozen=True)
@@ -100,7 +90,7 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _finite_array(self.values, "field values")
+        v = as_finite_array(self.values, "field values").copy()  # frozen below
         if v.shape != (self.config.n_steps, self.config.n_x):
             raise ValidationError(
                 f"field shape {v.shape} does not match grid "
@@ -142,7 +132,7 @@ class CauchyData:
     dpsi: np.ndarray
 
     def __post_init__(self):
-        psi, dpsi = (_finite_array(a, "Cauchy data") for a in (self.psi, self.dpsi))
+        psi, dpsi = (as_finite_array(a, "Cauchy data") for a in (self.psi, self.dpsi))
         if psi.shape != (self.config.n_x,) or dpsi.shape != (self.config.n_x,):
             raise ValidationError("Cauchy arrays must have one entry per site")
         n = as_index(self.slice_index, "slice index")

@@ -25,6 +25,7 @@ from .errors import (
     TruncationInsufficientError,
     ValidationError,
     as_finite,
+    as_finite_array,
     as_index,
 )
 
@@ -57,14 +58,11 @@ def standard_symplectic_form(n_modes):
 
 
 def _check_square_pair(mu, tau):
-    mu = np.asarray(mu, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    # mu and tau are float arrays already read through as_finite_array
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise ValidationError("mu must be a square matrix")
     if tau.shape != mu.shape:
         raise ValidationError("tau must match mu's shape")
-    if not (np.isfinite(mu).all() and np.isfinite(tau).all()):
-        raise ValidationError("mu and tau must be finite")
     scale = max(1.0, np.abs(mu).max(), np.abs(tau).max())
     if np.abs(mu - mu.T).max() > 1e-12 * scale:
         raise ValidationError("mu must be symmetric")
@@ -98,7 +96,7 @@ def validate_mu_tau(mu, tau, tol=1e-9):
     the matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
     mu(x,x) mu(y,y).
     """
-    mu, tau = _check_square_pair(mu, tau)
+    mu, tau = _check_square_pair(as_finite_array(mu, "mu"), as_finite_array(tau, "tau"))
     L = _cholesky_pd(mu)
     J = np.linalg.solve(mu, tau / 2.0)
     # J in the mu-orthonormal frame; antisymmetric there iff J* = -J
@@ -244,12 +242,12 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
     (massless periodic chain) makes the inverse blow up and is rejected
     instead.
     """
-    A = np.asarray(energy_form, dtype=float)
+    A = as_finite_array(energy_form, "energy form")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
         raise ValidationError("energy form must be square of even dimension")
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
-    A, T = _check_square_pair(A, tau)
+    A, T = _check_square_pair(A, as_finite_array(tau, "tau"))
     scale = max(1.0, np.abs(A).max())
     wA, VA = np.linalg.eigh((A + A.T) / 2.0)
     if wA.min() < -1e-10 * scale:
@@ -424,14 +422,14 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
     reported: hs growing at least like N^0.4 reads divergent, essentially
     flat reads bounded, anything else inconclusive.
     """
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
+    mu1 = as_finite_array(mu1, "mu1")
+    mu2 = as_finite_array(mu2, "mu2")
     if mu1.shape != mu2.shape or mu1.ndim != 2 or mu1.shape[0] != mu1.shape[1]:
         raise ValidationError("covariances must share a square shape")
     if mu1.shape[0] % 2:
         raise ValidationError("covariances must have even dimension (q and p per mode)")
-    if not (np.isfinite(mu1).all() and np.isfinite(mu2).all()):
-        raise ValidationError("covariances must be finite")
+    if tau is not None:
+        tau = as_finite_array(tau, "tau")
     total_modes = mu1.shape[0] // 2
     if truncations is None:
         truncations = [total_modes]
@@ -455,7 +453,7 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
         m2 = mu2[:n, :n]
         L = _cholesky_pd(m1, "mu1 block")
         if tau is not None:
-            t = np.asarray(tau, dtype=float)[:n, :n]
+            t = tau[:n, :n]
             validate_mu_tau(m1, t)
             validate_mu_tau(m2, t)
         delta = m2 - m1

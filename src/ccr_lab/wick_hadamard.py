@@ -8,9 +8,16 @@ pairing form E; under that constraint the ordered monomials
 canonical labels, and commutators come out the same for every admissible
 kappa.
 
+normal_order, unorder, wick_product and alpha_map are each a sum over
+partial matchings of letters, weighted by kappa, -kappa, kappa across the
+two factors only, and a difference table d.  One routine, _contract,
+computes all four.
+
 Tensor-level operations (WickTensor, DifferenceKernel, alpha_map) work over
 a finite generator basis of at most 8 labels.  Exact tensors hold
 ExactComplex entries in object arrays; float tensors are complex128.
+alpha_map reads a tensor as ordered monomials, contracts those and writes
+the result back as tensors.
 
 The stress tensor block at the bottom uses the mostly-plus flat metric
 diag(-1, 1, 1, 1), evaluates second derivatives of a smooth symmetric
@@ -42,8 +49,6 @@ from .ccr_core import (
     _WordCombination,
     coerce,
     is_exact,
-    multiply,
-    normal_form,
 )
 from .errors import (
     DegreeGuardError,
@@ -228,79 +233,86 @@ class NormalOrderedElement(_WordCombination):
         return f"NormalOrderedElement({{{body}}}, mode={self.mode!r})"
 
 
-def _accumulate(table, word, value):
-    if word in table:
-        value = table[word] + value
+def _accumulate(table, key, value):
+    if key in table:
+        value = table[key] + value
     if value:
-        table[word] = value
+        table[key] = value
     else:
-        table.pop(word, None)
+        table.pop(key, None)
 
 
-def _push_generator(table, g, kernel, mode):
-    # :w: phi(g) = :w g: + sum over positions l of kappa(w_l, g) :w minus l:
+def _contract(starts, weight, pool=False):
+    """Sum over partial matchings, one letter at a time.
+
+    ``starts`` yields (open, letters, coefficient), ``open`` a sorted word.
+    Each letter g either contracts with one open letter l, at weight[(l,
+    g)], or stays unmatched: it joins the open letters, or a closed pool
+    that nothing contracts with when ``pool`` is true.  States with equal
+    open and pooled letters are merged, so m open copies of l give one term
+    of weight m * weight[(l, g)].  Returns {sorted unmatched word: coeff}.
+    """
     out = {}
-    for w, c in table.items():
-        grown = tuple(sorted(w + (g,)))
-        _accumulate(out, grown, c)
-        for l in range(len(w)):
-            k = kernel.scalar(w[l], g, mode)
-            if not k:
-                continue
-            _accumulate(out, w[:l] + w[l + 1 :], c * k)
+    for start, letters, coeff in starts:
+        states = {(start, ()): coeff}
+        for g in letters:
+            grown = {}
+            for (open_, closed), c in states.items():
+                if pool:
+                    _accumulate(grown, (open_, tuple(sorted(closed + (g,)))), c)
+                else:
+                    _accumulate(grown, (tuple(sorted(open_ + (g,))), closed), c)
+                for i, l in enumerate(open_):
+                    if i and open_[i - 1] == l:
+                        continue
+                    k = weight.get((l, g))
+                    if k is not None:
+                        m = open_.count(l)
+                        term = c * k if m == 1 else c * k * m
+                        _accumulate(grown, (open_[:i] + open_[i + 1 :], closed), term)
+            states = grown
+        for (open_, closed), c in states.items():
+            _accumulate(out, tuple(sorted(open_ + closed)), c)
     return out
+
+
+def _kernel_table(kernel, elements, mode):
+    # kappa on the letters the elements use, read once in the scalar mode;
+    # float entries raise ScalarModeMismatchError in exact mode
+    letters = {g for e in elements for w in e.terms for g in w}
+    pairs = [(i, j) for i in letters for j in letters if (i, j) in kernel.entries]
+    return {p: coerce(kernel.entries[p], mode) for p in pairs}
 
 
 def normal_order(a: AlgebraElement, kernel: OrderingKernel) -> NormalOrderedElement:
     """Expand an algebra element in the ordered-monomial basis of ``kernel``.
 
-    Works one generator at a time with the right-multiplication rule quoted
-    above _push_generator; exact input stays exact.
+    Wick's theorem: a word phi(w1)...phi(wn) is the sum over partial
+    matchings M of its slots of prod kappa(w_a, w_b) over the pairs a < b
+    in M, times the ordered monomial of the unmatched letters.  Exact input
+    stays exact.
     """
     if not isinstance(a, AlgebraElement):
         raise ValidationError("normal_order expects an AlgebraElement")
-    out = {}
-    for word, coeff in a.terms.items():
-        table = {(): coeff}
-        for g in word:
-            table = _push_generator(table, g, kernel, a.mode)
-        for w, c in table.items():
-            _accumulate(out, w, c)
-    return NormalOrderedElement._new(out, a.mode)
+    weight = _kernel_table(kernel, (a,), a.mode)
+    terms = _contract([((), w, c) for w, c in a.terms.items()], weight)
+    return NormalOrderedElement._new(terms, a.mode)
 
 
 def unorder(a: NormalOrderedElement, kernel: OrderingKernel) -> AlgebraElement:
     """Inverse of normal_order: rewrite ordered monomials as plain products.
 
-    Uses :W phi(g): = :W: phi(g) - sum_l kappa(w_l, g) :W minus l: read
-    right to left, with memoization over sorted subwords, then puts the
-    result in normal form against the kernel's pairing.
+    The inverse Wick formula: :phi(w1)...phi(wn): is the sum over partial
+    matchings M of (-1)^|M| prod kappa(w_a, w_b) over the pairs a < b in M,
+    times the plain product of the unmatched letters in order.  Ordered
+    monomials are stored with sorted words, so every product is already in
+    normal form.
     """
     if not isinstance(a, NormalOrderedElement):
         raise ValidationError("unorder expects a NormalOrderedElement")
-    mode = a.mode
-    memo = {}
-
-    def plain(word):
-        if word in memo:
-            return memo[word]
-        if not word:
-            res = AlgebraElement.unit(mode)
-        else:
-            head, g = word[:-1], word[-1]
-            res = multiply(plain(head), AlgebraElement.generator(g, mode))
-            for l in range(len(head)):
-                k = kernel.scalar(head[l], g, mode)
-                if k:
-                    res = res - plain(head[:l] + head[l + 1 :]).scale(k)
-        res = normal_form(res, kernel.pairing)
-        memo[word] = res
-        return res
-
-    total = AlgebraElement.zero(mode)
-    for w, c in a.terms.items():
-        total = total + plain(w).scale(c)
-    return normal_form(total, kernel.pairing)
+    weight = {p: -k for p, k in _kernel_table(kernel, (a,), a.mode).items()}
+    terms = _contract([((), w, c) for w, c in a.terms.items()], weight)
+    return AlgebraElement._new(terms, a.mode)
 
 
 def wick_product(
@@ -308,17 +320,22 @@ def wick_product(
 ) -> NormalOrderedElement:
     """Product of two ordered elements, re-expanded in the ordered basis.
 
-    Routes through the plain algebra (unorder, multiply, reorder), which is
-    exact in rational mode.  Inputs above degree 4 are rejected.
+    :A::B: is the sum over partial matchings that pair letters of A only
+    with letters of B, of prod kappa(a_i, b_j) over the pairs, times the
+    ordered monomial of every unmatched letter.  Exact input stays exact.
+    Inputs above degree 4 are rejected.
     """
+    if not isinstance(a, NormalOrderedElement) or not isinstance(b, NormalOrderedElement):
+        raise ValidationError("wick_product expects two NormalOrderedElements")
     if a.degree > _WICK_DEGREE_GUARD or b.degree > _WICK_DEGREE_GUARD:
         raise DegreeGuardError(
             f"wick_product degree guard is {_WICK_DEGREE_GUARD}; "
             f"got {a.degree} and {b.degree}"
         )
     a._check_mode(b)
-    prod = multiply(unorder(a, kernel), unorder(b, kernel))
-    return normal_order(prod, kernel)
+    weight = _kernel_table(kernel, (a, b), a.mode)
+    starts = [(wa, wb, ca * cb) for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+    return NormalOrderedElement._new(_contract(starts, weight, pool=True), a.mode)
 
 
 # tensors over a finite basis
@@ -510,23 +527,20 @@ class DifferenceKernel(_BasisTable):
         return f"DifferenceKernel(basis={self.basis}, mode={self.mode!r})"
 
 
-def _hermite_coefficient(n, k):
-    # number of ways to mark k disjoint pairs in n slots
-    return Fraction(
-        math.factorial(n),
-        math.factorial(k) * math.factorial(n - 2 * k) * 2**k,
-    )
-
-
 def alpha_map(d: DifferenceKernel, w: WickTensor) -> dict:
     """Change-of-ordering image of one tensor monomial.
 
-    Returns a dict mapping degree n - 2k to the tensor obtained by
-    contracting k copies of d into w's slots, weighted by the pair-marking
-    count n!/(k! (n-2k)! 2^k).  With d = 0 this is the identity
-    {n: w}.  Exact input with an exact difference stays exact, which is
-    what makes the composition law and the normal_order cross-check exact
-    statements rather than tolerances.
+    Re-expands W(w), ordered against kappa_old, in the basis ordered
+    against kappa_new, where d is the symmetric part of kappa_new -
+    kappa_old: each ordered monomial :phi(w1)...phi(wn): maps to the sum
+    over partial matchings M of its slots of prod d(w_a, w_b) over the
+    pairs in M, times the ordered monomial of the unmatched letters.
+    Returns a dict mapping degree n - 2k to the tensor of the terms with k
+    pairs; degrees whose tensor vanishes are left out, and the degree-n
+    piece is w itself.  With d = 0 this is the identity {n: w}.  Exact
+    input with an exact difference stays exact, which is what makes the
+    composition law and the normal_order cross-check exact statements
+    rather than tolerances.
     """
     if not isinstance(d, DifferenceKernel) or not isinstance(w, WickTensor):
         raise ValidationError("alpha_map expects (DifferenceKernel, WickTensor)")
@@ -536,19 +550,44 @@ def alpha_map(d: DifferenceKernel, w: WickTensor) -> dict:
         raise ScalarModeMismatchError(
             f"cannot mix {d.mode} difference with {w.mode} tensor"
         )
-    n = w.degree
-    out = {}
-    contracted = w.array
-    for k in range(n // 2 + 1):
-        scaled = contracted * coerce(_hermite_coefficient(n, k), w.mode)
-        piece = WickTensor(w.basis, scaled, w.mode)
-        if k == 0 or not piece.is_zero():
-            out[n - 2 * k] = piece
-        if 2 * (k + 1) <= n:
-            contracted = np.asarray(
-                np.tensordot(d.matrix, contracted, axes=([0, 1], [0, 1]))
+    weight = {
+        (w.basis[p], w.basis[q]): coerce(v, w.mode)
+        for (p, q), v in np.ndenumerate(d.array)
+        if v
+    }
+    starts = [((), word, c) for word, c in tensors_to_element([w]).terms.items()]
+    lower = {u: c for u, c in _contract(starts, weight).items() if len(u) < w.degree}
+    return {w.degree: w, **_tensors(lower, w.basis, w.mode)}
+
+
+def _orderings(word):
+    # number of distinct orderings of a word, n! / prod(mult!)
+    counts = Counter(word).values()
+    return math.factorial(len(word)) // math.prod(map(math.factorial, counts))
+
+
+def _tensors(terms, basis, mode):
+    # {degree: WickTensor} of {word: coefficient}; each distinct ordering of
+    # a word's basis positions carries its coefficient over _orderings(word)
+    basis = _labels(basis)
+    index_of = {b: p for p, b in enumerate(basis)}
+    arrays = {}
+    for word, coeff in terms.items():
+        n = len(word)
+        if n > _TENSOR_DEGREE_GUARD:
+            raise ValidationError(
+                f"word length {n} exceeds tensor degree guard {_TENSOR_DEGREE_GUARD}"
             )
-    return out
+        try:
+            positions = tuple(index_of[g] for g in word)
+        except KeyError as exc:
+            raise ValidationError(f"word uses generator {exc.args[0]} outside the basis")
+        if n not in arrays:
+            arrays[n] = _zeros((len(basis),) * n, mode)
+        value = coeff * coerce(Fraction(1, _orderings(word)), mode)
+        for perm in set(itertools.permutations(positions)):
+            arrays[n][perm] = value
+    return {n: WickTensor(basis, arr, mode) for n, arr in arrays.items()}
 
 
 def word_tensor(word, basis, mode=EXACT):
@@ -558,38 +597,13 @@ def word_tensor(word, basis, mode=EXACT):
     prod(mult!) / n!, so summing over all index tuples reproduces the
     monomial with coefficient one.
     """
-    basis = _labels(basis)
     word = _labels(word)
-    index_of = {b: p for p, b in enumerate(basis)}
-    try:
-        positions = tuple(index_of[g] for g in word)
-    except KeyError as exc:
-        raise ValidationError(f"word uses generator {exc.args[0]} outside the basis")
-    n = len(word)
-    if n > _TENSOR_DEGREE_GUARD:
-        raise ValidationError(
-            f"word length {n} exceeds tensor degree guard {_TENSOR_DEGREE_GUARD}"
-        )
-    counts = Counter(word)
-    weight = Fraction(
-        math.prod(math.factorial(c) for c in counts.values()), math.factorial(n)
-    )
-    arr = _zeros((len(basis),) * n, mode)
-    val = coerce(weight, mode)
-    for perm in set(itertools.permutations(positions)):
-        arr[perm] = val
-    return WickTensor(basis, arr, mode)
+    return _tensors({word: coerce(1, mode)}, basis, mode)[len(word)]
 
 
 def element_to_tensors(a: NormalOrderedElement, basis) -> dict:
     """Split an ordered element into homogeneous coefficient tensors."""
-    basis = _labels(basis)
-    out = {}
-    for w, c in a.terms.items():
-        piece = word_tensor(w, basis, a.mode).scale(c)
-        n = len(w)
-        out[n] = out[n] + piece if n in out else piece
-    return out
+    return _tensors(a.terms, basis, a.mode)
 
 
 def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
@@ -599,34 +613,17 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
     its values are used).  The inverse weight n!/prod(mult!) undoes
     word_tensor's normalization.
     """
-    if isinstance(parts, dict):
-        parts = list(parts.values())
-    else:
-        parts = list(parts)
-    if not parts:
-        return NormalOrderedElement.zero(mode or EXACT)
-    if mode is None:
-        mode = parts[0].mode
+    parts = list(parts.values() if isinstance(parts, dict) else parts)
+    mode = mode or (parts[0].mode if parts else EXACT)
     terms = {}
     for w in parts:
         if w.mode != mode:
             raise ScalarModeMismatchError("mixed scalar modes in tensor list")
-        n = w.degree
-        size = len(w.basis)
-        for combo in itertools.combinations_with_replacement(range(size), n):
+        for combo in itertools.combinations_with_replacement(range(len(w.basis)), w.degree):
             entry = w.array[combo]
-            if not entry:
-                continue
-            counts = Counter(combo)
-            mult = Fraction(
-                math.factorial(n),
-                math.prod(math.factorial(c) for c in counts.values()),
-            )
-            word = tuple(w.basis[p] for p in combo)
-            coeff = entry * coerce(mult, mode)
-            if word in terms:
-                coeff = terms[word] + coeff
-            terms[word] = coeff
+            if entry:
+                word = tuple(w.basis[p] for p in combo)
+                _accumulate(terms, word, entry * coerce(_orderings(combo), mode))
     return NormalOrderedElement(terms, mode)
 
 

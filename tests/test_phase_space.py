@@ -338,3 +338,29 @@ TAU2 = standard_symplectic(2)
 def test_boundary_inputs_raise_validation_errors(call):
     with pytest.raises(ValidationError):
         call()
+
+
+MATRIX_READERS = {
+    "validate-mu": lambda bad: validate_mu_tau(bad, TAU1),
+    "validate-tau": lambda bad: validate_mu_tau(np.eye(2), bad),
+    "purity": lambda bad: purity(bad, TAU1),
+    "one-particle": lambda bad: one_particle(bad, TAU1),
+    "ground-state": lambda bad: ground_state_mu(bad),
+    "ground-state-tau": lambda bad: ground_state_mu(np.eye(2), tau=bad),
+    "probe-mu1": lambda bad: equivalence_probe(bad, np.eye(2)),
+    "probe-mu2": lambda bad: equivalence_probe(np.eye(2), bad),
+    "probe-tau": lambda bad: equivalence_probe(np.eye(2), np.eye(2), tau=bad),
+}
+BAD_MATRICES = {
+    "string": [["a", 0], [0, 1]],
+    "ragged": [[1.0, 0.0], [0.0]],
+    "nan": [[math.nan, 0.0], [0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+@pytest.mark.parametrize("reader", MATRIX_READERS.values(), ids=MATRIX_READERS.keys())
+def test_matrix_entries_refuse_unreadable_matrices(reader, bad):
+    # strings and ragged nesting used to leak numpy's ValueError
+    with pytest.raises(ValidationError):
+        reader(bad)

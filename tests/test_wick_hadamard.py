@@ -132,8 +132,31 @@ def difference_tables(draw, real_only=False):
     return DifferenceKernel(GENS, arr)
 
 
-def kappa_fn(kernel):
-    return lambda i, j: kernel.scalar(i, j, EXACT)
+@st.composite
+def float_kernels(draw):
+    # a float symmetric part with E4's antisymmetric part: the E constraint
+    # holds; entries below 1e-6 read as zero, so no product underflows
+    reals = st.floats(min_value=-2, max_value=2).map(lambda x: x if abs(x) > 1e-6 else 0.0)
+    table = {}
+    for p, i in enumerate(GENS):
+        for j in GENS[p:]:
+            table[(i, j)] = complex(draw(reals), draw(reals))
+    return OrderingKernel.from_symmetric_part(table, E4)
+
+
+def kappa_fn(kernel, mode=EXACT):
+    return lambda i, j: kernel.scalar(i, j, mode)
+
+
+def abs_kappa_fn(kernel):
+    return lambda i, j: abs(kernel.scalar(i, j, FLOAT))
+
+
+def assert_close_to_oracle(got, want, scale):
+    """Float terms against oracle terms, each within 1e-12 of the oracle's
+    sum of absolute products for that word."""
+    for w in set(got) | set(want):
+        assert abs(got.get(w, 0) - want.get(w, 0)) <= 1e-12 * scale.get(w, 0.0), w
 
 
 # --------------------------------------------------- ordering kernel type
@@ -190,6 +213,11 @@ def test_exact_elements_reject_float_kernel():
     )
     with pytest.raises(ScalarModeMismatchError):
         normal_order(multiply(gen(1), gen(2)), k)
+    with pytest.raises(ScalarModeMismatchError):
+        unorder(NormalOrderedElement.monomial((1, 2)), k)
+    f, g = NormalOrderedElement.monomial((1,)), NormalOrderedElement.monomial((2,))
+    with pytest.raises(ScalarModeMismatchError):
+        wick_product(f, g, k)
 
 
 def test_kernel_is_immutable():
@@ -259,6 +287,26 @@ def test_round_trip_from_ordered_basis(terms, kernel):
     assert normal_order(unorder(noe, kernel), kernel) == noe
 
 
+@given(words6, float_kernels())
+@settings(max_examples=60, deadline=None)
+def test_float_normal_order_matches_matching_oracle(word, kernel):
+    got = normal_order(AlgebraElement({word: 1.0}, FLOAT), kernel)
+    want = normal_order_oracle(word, kappa_fn(kernel, FLOAT), 1.0)
+    scale = normal_order_oracle(word, abs_kappa_fn(kernel), 1.0)
+    assert_close_to_oracle(got.terms, want, scale)
+
+
+@given(words6, float_kernels())
+@settings(max_examples=60, deadline=None)
+def test_float_unorder_matches_inverse_oracle(word, kernel):
+    sorted_word = tuple(sorted(word))
+    got = unorder(NormalOrderedElement({sorted_word: 1.0}, FLOAT), kernel)
+    want = unorder_oracle(sorted_word, kappa_fn(kernel, FLOAT), 1.0)
+    # same matchings as the inverse formula, every product counted positive
+    scale = normal_order_oracle(sorted_word, abs_kappa_fn(kernel), 1.0)
+    assert_close_to_oracle(got.terms, want, scale)
+
+
 def test_degree_four_generating_expansion():
     """The order-4 coefficient of the exponential identity.
 
@@ -318,16 +366,16 @@ def test_vacuum_expectation_of_product_is_kernel_value():
     assert prod.unit_coefficient() == KAPPA.scalar(1, 3, EXACT)
 
 
-def _cross_contraction_oracle(wa, wb, kernel):
+def _cross_contraction_oracle(wa, wb, kappa, one=ONE):
     """Wick product of :wa: and :wb: by enumerating left-right matchings."""
     out = {}
     na, nb = len(wa), len(wb)
     for r in range(min(na, nb) + 1):
         for asub in itertools.combinations(range(na), r):
             for bsub in itertools.permutations(range(nb), r):
-                coeff = ONE
+                coeff = one
                 for s in range(r):
-                    coeff = coeff * kernel.scalar(wa[asub[s]], wb[bsub[s]], EXACT)
+                    coeff = coeff * kappa(wa[asub[s]], wb[bsub[s]])
                 rest = tuple(
                     sorted(
                         [wa[p] for p in range(na) if p not in asub]
@@ -340,19 +388,47 @@ def _cross_contraction_oracle(wa, wb, kernel):
     return {w: c for w, c in out.items() if c}
 
 
-@given(
-    st.lists(st.integers(1, 4), max_size=3).map(lambda w: tuple(sorted(w))),
-    st.lists(st.integers(1, 4), max_size=3).map(lambda w: tuple(sorted(w))),
-    exact_kernels(),
-)
+sorted_words4 = words4.map(lambda w: tuple(sorted(w)))
+
+
+@given(sorted_words4, sorted_words4, exact_kernels())
 @settings(max_examples=40, deadline=None)
 def test_wick_product_matches_cross_contractions(wa, wb, kernel):
+    # words up to the degree guard
     got = wick_product(
         NormalOrderedElement.monomial(wa),
         NormalOrderedElement.monomial(wb),
         kernel,
     )
-    assert got.terms == _cross_contraction_oracle(wa, wb, kernel)
+    assert got.terms == _cross_contraction_oracle(wa, wb, kappa_fn(kernel))
+
+
+@given(
+    st.dictionaries(sorted_words4, scalars, min_size=2, max_size=3),
+    st.dictionaries(sorted_words4, scalars, min_size=2, max_size=3),
+    exact_kernels(),
+)
+@settings(max_examples=25, deadline=None)
+def test_wick_product_is_bilinear(a_terms, b_terms, kernel):
+    got = wick_product(
+        NormalOrderedElement(a_terms, EXACT), NormalOrderedElement(b_terms, EXACT), kernel
+    )
+    want = {}
+    for wa, ca in a_terms.items():
+        for wb, cb in b_terms.items():
+            for w, c in _cross_contraction_oracle(wa, wb, kappa_fn(kernel)).items():
+                want[w] = want[w] + ca * cb * c if w in want else ca * cb * c
+    assert got.terms == {w: c for w, c in want.items() if c}
+
+
+@given(sorted_words4, sorted_words4, float_kernels())
+@settings(max_examples=40, deadline=None)
+def test_float_wick_product_matches_cross_contractions(wa, wb, kernel):
+    a, b = (NormalOrderedElement({w: 1.0}, FLOAT) for w in (wa, wb))
+    got = wick_product(a, b, kernel)
+    want = _cross_contraction_oracle(wa, wb, kappa_fn(kernel, FLOAT), 1.0)
+    scale = _cross_contraction_oracle(wa, wb, abs_kappa_fn(kernel), 1.0)
+    assert_close_to_oracle(got.terms, want, scale)
 
 
 @given(exact_kernels(), exact_kernels())
@@ -436,6 +512,8 @@ def test_element_kinds_are_not_interchangeable():
         normal_order(ordered, KAPPA)
     with pytest.raises(ValidationError):
         unorder(plain, KAPPA)
+    with pytest.raises(ValidationError):
+        wick_product(plain, ordered, KAPPA)
 
 
 _BAD_ENTRY_TENSOR = json.dumps(
@@ -627,6 +705,97 @@ def test_alpha_fully_contracted_coefficient_matches_double_contraction():
                 for l in range(4):
                     scalar = scalar + d.matrix[i, j] * d.matrix[k, l] * t[i, j, k, l]
     assert out[0].array[()] == scalar * ExactComplex(hermite_alpha_coeff(4, 2))
+
+
+def _alpha_contraction_oracle(d, t, mode, absolute=False):
+    """Degree -> {index tuple: entry} of the ordering-change image of the
+    array t, by contracting d into the leading slot pairs of every index
+    tuple, times n!/(k! (n-2k)! 2^k).  With ``absolute`` every factor is
+    replaced by its modulus, which gives the roundoff scale of each entry."""
+    size = lambda v: abs(v) if absolute else v  # noqa: E731
+    n = t.ndim
+    out = {}
+    for idx in np.ndindex(t.shape):
+        v = size(t[idx])
+        if not v:
+            continue
+        for k in range(n // 2 + 1):
+            h = hermite_alpha_coeff(n, k)
+            term = v * (ExactComplex(h) if mode == EXACT else float(h))
+            for s in range(k):
+                term = term * size(d[idx[2 * s], idx[2 * s + 1]])
+            piece = out.setdefault(n - 2 * k, {})
+            rest = idx[2 * k :]
+            piece[rest] = piece[rest] + term if rest in piece else term
+    out = {m: {i: v for i, v in piece.items() if v} for m, piece in out.items()}
+    return {m: piece for m, piece in out.items() if piece}
+
+
+ALPHA_SUMS = {
+    "degree-4": {(1, 1, 2, 3): (1, 2), (2, 2, 4, 4): (-3, 0.5), (1, 2, 3, 4): (0.75, 0)},
+    "degree-6": {
+        (1, 1, 1, 2, 3, 4): (2, -1),
+        (1, 2, 2, 3, 3, 4): (-0.5, 0.25),
+        (2, 2, 4, 4, 4, 4): (1, 3),
+    },
+}
+
+
+def _tensor_sum(words, mode):
+    total = None
+    for word, (re, im) in words.items():
+        c = exact(Fraction(re), Fraction(im)) if mode == EXACT else complex(re, im)
+        piece = word_tensor(word, GENS, mode).scale(c)
+        total = piece if total is None else total + piece
+    return total
+
+
+def _difference(mode, support=GENS):
+    # symmetric, nonzero only where both generators lie in `support`
+    rows = []
+    for p, i in enumerate(GENS):
+        row = []
+        for q, j in enumerate(GENS):
+            v = exact(Fraction((p + 1) * (q + 1) % 5 - 2, 3), p + q - 3)
+            if i not in support or j not in support:
+                v = exact(0)
+            row.append(v if mode == EXACT else complex(v))
+        rows.append(row)
+    dtype = object if mode == EXACT else complex
+    return DifferenceKernel(GENS, np.array(rows, dtype=dtype))
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("words", ALPHA_SUMS.values(), ids=ALPHA_SUMS.keys())
+def test_alpha_of_word_sums_matches_contraction_oracle(words, mode):
+    w = _tensor_sum(words, mode)
+    d = _difference(mode)
+    n = w.degree
+    out = alpha_map(d, w)
+    want = _alpha_contraction_oracle(d.matrix, w.array, mode)
+    got = {m: {i: t.array[i] for i in np.ndindex(t.array.shape) if t.array[i]}
+           for m, t in out.items()}
+    assert out[n] == w
+    assert set(got) == set(want) == {n, n - 2, n - 4, n - 6} - {-2}
+    if mode == EXACT:
+        assert got == want
+        return
+    scale = _alpha_contraction_oracle(d.matrix, w.array, mode, absolute=True)
+    for m in want:
+        assert_close_to_oracle(got[m], want[m], scale[m])
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_alpha_leaves_out_vanishing_pieces(mode):
+    # d lives on generator 4 alone and the words never use it, so every
+    # contraction vanishes; then on generators 1 and 2, which each degree-6
+    # word uses at most three times, so at most one pair forms and the
+    # pieces of degree 2 and 0 vanish
+    w = _tensor_sum({(1, 1, 2, 3): (1, 2), (1, 2, 2, 3): (-3, 1)}, mode)
+    assert alpha_map(_difference(mode, support=(4,)), w) == {4: w}
+    w6 = _tensor_sum({(1, 2, 3, 3, 3, 3): (2, 1), (1, 1, 2, 3, 3, 3): (1, -1)}, mode)
+    out = alpha_map(_difference(mode, support=(1, 2)), w6)
+    assert set(out) == {6, 4} and out[6] == w6
 
 
 @given(difference_tables(real_only=True), words4, scalars)
