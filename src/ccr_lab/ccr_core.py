@@ -68,25 +68,34 @@ class ExactComplex:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
+    @classmethod
+    def _of(cls, re, im):
+        # results of Fraction arithmetic are Fractions already; skip the
+        # re-coercion __init__ would do
+        z = object.__new__(cls)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
     def __add__(self, other):
         other = coerce(other, EXACT)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        return ExactComplex._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = coerce(other, EXACT)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        return ExactComplex._of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return coerce(other, EXACT) - self
 
     def __mul__(self, other):
         other = coerce(other, EXACT)
-        return ExactComplex(
+        return ExactComplex._of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -94,10 +103,10 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return ExactComplex._of(-self.re, -self.im)
 
     def conjugate(self):
-        return ExactComplex(self.re, -self.im)
+        return ExactComplex._of(self.re, -self.im)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

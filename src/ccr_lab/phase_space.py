@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +79,65 @@ def _cholesky_pd(mu, what="mu"):
         raise InvalidCovarianceError(f"{what} is not positive definite") from None
 
 
+def _lower_inverse(L):
+    # inverse of a lower-triangular matrix by 2 x 2 blocks; numpy has no
+    # triangular solver, and its general inv costs about 7x more at n = 256
+    n = len(L)
+    if n <= 32:
+        return np.linalg.inv(L)
+    k = n // 2
+    a = _lower_inverse(L[:k, :k])
+    c = _lower_inverse(L[k:, k:])
+    out = np.zeros_like(L)
+    out[:k, :k] = a
+    out[k:, k:] = c
+    out[k:, :k] = -(c @ L[k:, :k]) @ a
+    return out
+
+
+class _Frame(NamedTuple):
+    mu: np.ndarray
+    tau: np.ndarray
+    L: np.ndarray  # Cholesky factor, mu = L L^T
+    Linv: np.ndarray
+    J: np.ndarray  # mu^{-1} tau / 2
+    Jt: np.ndarray  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
+
+
+def _frame(mu, tau, what="mu"):
+    """Read a covariance pair once and build its mu-orthonormal frame.
+
+    Raises unless mu is symmetric positive definite, tau antisymmetric and J
+    mu-antisymmetric (Jt antisymmetric).  The bound ||J||_mu <= 1 is left to
+    the caller, which reads it off whichever spectrum of Jt it computes.
+    """
+    mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
+    L = _cholesky_pd(mu, what)
+    Linv = _lower_inverse(L)
+    half = Linv @ (tau / 2.0)
+    Jt = half @ Linv.T
+    scale = max(1.0, np.abs(Jt).max())
+    if np.abs(Jt + Jt.T).max() > 1e-8 * scale:
+        raise InvalidCovarianceError("J is not mu-antisymmetric")
+    return _Frame(mu, tau, L, Linv, Linv.T @ half, Jt)
+
+
+def _check_bound(norm, tol):
+    if norm > 1.0 + tol:
+        raise InvalidCovarianceError(
+            f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails"
+        )
+    return norm
+
+
+def _bounded_frame(mu, tau, tol=1e-9, what="mu"):
+    """The frame of (mu, tau) and ||J||_mu = ||Jt||_2, from the largest
+    eigenvalue of Jt^T Jt; raises if the norm exceeds 1 + tol."""
+    f = _frame(mu, tau, what)
+    top = float(np.linalg.eigvalsh(f.Jt.T @ f.Jt)[-1])
+    return f, _check_bound(math.sqrt(max(top, 0.0)), tol)
+
+
 @dataclass(frozen=True)
 class OperatorJ:
     """Map J with mu(x, J y) = tau(x, y) / 2, plus its mu-operator norm."""
@@ -96,30 +156,23 @@ def validate_mu_tau(mu, tau, tol=1e-9):
     the matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
     mu(x,x) mu(y,y).
     """
-    mu, tau = _check_square_pair(as_finite_array(mu, "mu"), as_finite_array(tau, "tau"))
-    L = _cholesky_pd(mu)
-    J = np.linalg.solve(mu, tau / 2.0)
-    # J in the mu-orthonormal frame; antisymmetric there iff J* = -J
-    Jt = L.T @ J @ np.linalg.inv(L.T)
-    scale = max(1.0, np.abs(Jt).max())
-    if np.abs(Jt + Jt.T).max() > 1e-8 * scale:
-        raise InvalidCovarianceError("J is not mu-antisymmetric")
-    norm = float(np.linalg.norm(Jt, 2))
-    if norm > 1.0 + tol:
-        raise InvalidCovarianceError(
-            f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails"
-        )
-    return OperatorJ(J=J, mu=mu, tau=tau, mu_norm=norm)
+    f, norm = _bounded_frame(mu, tau, tol)
+    return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=norm)
 
 
 @dataclass(frozen=True)
 class OneParticleStructure:
-    """Real-linear map K into C^M with <Kx|Ky> = mu(x,y) + (i/2) tau(x,y)."""
+    """Real-linear map K into C^M with <Kx|Ky> = mu(x,y) + (i/2) tau(x,y).
+
+    `reconstruction_residual` is max |K^H K - (mu + (i/2) tau)| as measured
+    when one_particle built the structure (None if built otherwise).
+    """
 
     K: np.ndarray
     mu: np.ndarray
     tau: np.ndarray
     dim: int
+    reconstruction_residual: float | None = None
 
     def inner(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -133,33 +186,33 @@ def one_particle(mu, tau, tol=1e-9, rank_tol=1e-10):
     In the mu-orthonormal frame the hermitian matrix I + i J has spectrum in
     [0, 2]; its strictly positive eigenspaces carry the representation.  Pure
     directions contribute one dimension per mode, mixed directions two (the
-    doubling that keeps the complex span dense).
+    doubling that keeps the complex span dense).  The spectrum of i J is
+    +-||J||_mu at its ends, so the pair bound is read off the same
+    eigenvalues.
     """
-    opj = validate_mu_tau(mu, tau, tol=tol)
-    mu, tau = opj.mu, opj.tau
-    L = np.linalg.cholesky(mu)
-    Jt = L.T @ opj.J @ np.linalg.inv(L.T)
-    Jt = (Jt - Jt.T) / 2.0
-    C = np.eye(len(mu)) + 1j * Jt
-    w, U = np.linalg.eigh(C)
+    f = _frame(mu, tau)
+    Jt = (f.Jt - f.Jt.T) / 2.0
+    w, U = np.linalg.eigh(np.eye(len(Jt)) + 1j * Jt)
+    _check_bound(float(np.abs(w - 1.0).max()), tol)
     keep = w > rank_tol * max(1.0, w.max(initial=0.0))
     w_pos = w[keep]
     U_pos = U[:, keep]
-    K = (np.sqrt(w_pos)[:, None] * U_pos.conj().T) @ L.T
-    structure = OneParticleStructure(K=K, mu=mu, tau=tau, dim=int(keep.sum()))
-    _verify_reconstruction(structure, tol=1e-12)
-    return structure
+    K = (np.sqrt(w_pos)[:, None] * U_pos.conj().T) @ f.L.T
+    resid = _verify_reconstruction(K, f.mu, f.tau, tol=1e-12)
+    return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=int(keep.sum()),
+                                reconstruction_residual=resid)
 
 
-def _verify_reconstruction(s, tol):
-    target = s.mu + 0.5j * s.tau
-    got = s.K.conj().T @ s.K
+def _verify_reconstruction(K, mu, tau, tol):
+    target = mu + 0.5j * tau
+    got = K.conj().T @ K
     scale = max(1.0, np.abs(target).max())
-    resid = np.abs(got - target).max()
+    resid = float(np.abs(got - target).max())
     if resid > tol * scale * 10:
         raise InternalInconsistencyError(
             f"one-particle reconstruction residual {resid:.3e}"
         )
+    return resid
 
 
 def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure, tol=1e-10):
@@ -197,15 +250,16 @@ def purity(mu, tau, tol_square=1e-10, tol_variational=1e-8):
     the sup over the Rayleigh quotient is attained there.  Disagreement
     raises, since both express the same purity condition.
     """
-    opj = validate_mu_tau(mu, tau)
-    mu, tau = opj.mu, opj.tau
+    f, _ = _bounded_frame(mu, tau)
+    mu, tau = f.mu, f.tau
     n = len(mu)
-    r_square = float(np.abs(opj.J @ opj.J + np.eye(n)).max())
+    r_square = float(np.abs(f.J @ f.J + np.eye(n)).max())
     pure_a = r_square <= tol_square
 
+    # Test B solves with mu itself; only the Cholesky factor that reduces
+    # the generalized problem to a symmetric one is shared with the frame.
     quarter = 0.25 * tau.T @ np.linalg.solve(mu, tau)
-    L = np.linalg.cholesky(mu)
-    B = np.linalg.solve(L, np.linalg.solve(L, quarter.T).T)
+    B = f.Linv @ quarter @ f.Linv.T
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
     r_var = float(np.abs(lams - 1.0).max()) if n else 0.0
     pure_b = r_var <= tol_variational
@@ -230,17 +284,19 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
         block form.  The flow is x' = T A x with T tau's matrix.
     gap_tol : relative spectral gap below which the system is rejected.
 
-    Returns the unique flow-invariant pure covariance. The construction
-    diagonalizes the frequency operator in the energy metric: with
-    G = A^{1/2} T A^{1/2} and (h_k, w_k) the positive-frequency eigenpairs
-    of iG,
+    Returns the unique flow-invariant pure covariance, built as a
+    congruence.  With the Cholesky factor A = R R^T, the matrix
+    G = R^T T R is real antisymmetric and its singular values s_k are the
+    mode frequencies (each twice).  With G^T G = V diag(s^2) V^T,
 
-        mu = Re( A^{1/2} W diag(h)^{-1} W^H A^{1/2} ),
+        mu = R V diag(1 / (2 s)) V^T R^T,
 
-    which keeps positive frequencies only; the normalization is the one
-    under which a pure pair saturates the validation bound.  A zero mode
-    (massless periodic chain) makes the inverse blow up and is rejected
-    instead.
+    i.e. mu = R (G^T G)^{-1/2} R^T / 2, which is independent of the choice
+    of factor R; the normalization is the one under which a pure pair
+    saturates the validation bound.  The s_k are taken as the column norms
+    of G V, which resolve a vanishing frequency to roundoff in G rather than
+    to the square root of roundoff in G^T G.  A zero mode (massless periodic
+    chain) makes 1/s blow up and is rejected instead.
     """
     A = as_finite_array(energy_form, "energy form")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
@@ -248,30 +304,28 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
     A, T = _check_square_pair(A, as_finite_array(tau, "tau"))
+    A = (A + A.T) / 2.0
     scale = max(1.0, np.abs(A).max())
-    wA, VA = np.linalg.eigh((A + A.T) / 2.0)
-    if wA.min() < -1e-10 * scale:
+    wA = np.linalg.eigvalsh(A)
+    if wA[0] < -1e-10 * scale:
         raise InvalidCovarianceError("energy form must be positive")
-    if wA.min() <= 1e-12 * scale:
+    if wA[0] <= 1e-12 * scale:
         # zero-energy direction: the frequency spectrum touches zero
         raise SpectrumNotGappedError(
             "energy form has a null direction; no gapped ground state"
         )
-    root = (VA * np.sqrt(wA)) @ VA.T
-
-    G = root @ T @ root
-    H = 1j * (G - G.T) / 2.0
-    h, W = np.linalg.eigh(H)
-    h_max = float(np.abs(h).max())
-    if h_max == 0.0 or float(np.abs(h).min()) < gap_tol * h_max:
+    R = np.linalg.cholesky(A)
+    G = R.T @ T @ R
+    _, V = np.linalg.eigh(G.T @ G)
+    s = np.linalg.norm(G @ V, axis=0)
+    s_max = float(s.max())
+    if s_max == 0.0 or float(s.min()) < gap_tol * s_max:
         raise SpectrumNotGappedError(
             "frequency spectrum touches zero; no gapped ground state"
         )
-    pos = h > 0
-    Wp = W[:, pos]
-    hp = h[pos]
-    mu = (root @ Wp) @ np.diag(1.0 / hp) @ (root @ Wp).conj().T
-    return np.real((mu + mu.conj().T) / 2.0)
+    RV = R @ V
+    mu = (RV / (2.0 * s)) @ RV.T
+    return (mu + mu.T) / 2.0
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -442,7 +496,6 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
     hs_norms = []
     c_mins = []
     c_maxs = []
-    Q_last = None
     for n_modes in truncs:
         n = 2 * n_modes
         if n > mu1.shape[0]:
@@ -451,20 +504,22 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
             )
         m1 = mu1[:n, :n]
         m2 = mu2[:n, :n]
-        L = _cholesky_pd(m1, "mu1 block")
-        if tau is not None:
+        if tau is None:
+            Linv = _lower_inverse(_cholesky_pd(m1, "mu1 block"))
+        else:
             t = tau[:n, :n]
-            validate_mu_tau(m1, t)
-            validate_mu_tau(m2, t)
+            Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
+            _bounded_frame(m2, t, what="mu2 block")
         delta = m2 - m1
-        B = np.linalg.solve(L, np.linalg.solve(L, delta.T).T)
+        B = Linv @ delta @ Linv.T
         B = (B + B.T) / 2.0
         lams = np.linalg.eigvalsh(B)
         hs = float(np.sqrt(np.sum(lams**2)))
         hs_norms.append(hs)
         c_mins.append(float(1.0 + lams.min()))
         c_maxs.append(float(1.0 + lams.max()))
-        Q_last = np.linalg.solve(m1, delta)
+    # Q = mu1^{-1} (mu2 - mu1) on the last (largest) block
+    Q_last = Linv.T @ (Linv @ delta)
     verdict = _trend_verdict(truncs, hs_norms, tol)
     return EquivalenceReport(
         truncations=tuple(truncs),

@@ -168,6 +168,38 @@ def ho_ground_covariance(omega):
     return np.diag([omega / 2.0, 1.0 / (2.0 * omega)])
 
 
+def lattice_ground_covariance(n_sites, spacing, mass):
+    """Ground-state covariance of the periodic Klein-Gordon chain, entry by
+    entry from its normal modes.
+
+    The chain's potential block is circulant, so its normal modes are plane
+    waves with frequencies omega_k = lattice_dispersion(2 pi k / (N a)).
+    In the symplectic-smearing labeling the q block is V^{1/2} / 2 and the p
+    block V^{-1/2} / 2, that is
+
+        mu_qq[i, j] = sum_k omega_k cos(2 pi k (i - j) / N) / (2 N),
+        mu_pp[i, j] = sum_k cos(2 pi k (i - j) / N) / (2 N omega_k),
+
+    in the ordering (q_1..q_N, p_1..p_N); the q-p blocks vanish.
+    """
+    n = n_sites
+    omegas = [
+        lattice_dispersion(2.0 * math.pi * k / (n * spacing), mass, spacing)
+        for k in range(n)
+    ]
+    qq = np.zeros(n)
+    pp = np.zeros(n)
+    for d in range(n):  # d = (i - j) mod N
+        cosines = [math.cos(2.0 * math.pi * k * d / n) for k in range(n)]
+        qq[d] = math.fsum(w * c for w, c in zip(omegas, cosines)) / (2.0 * n)
+        pp[d] = math.fsum(c / w for w, c in zip(omegas, cosines)) / (2.0 * n)
+    lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    mu = np.zeros((2 * n, 2 * n))
+    mu[:n, :n] = qq[lag]
+    mu[n:, n:] = pp[lag]
+    return mu
+
+
 def rank1_hs_norm(mu1, v):
     """Hilbert-Schmidt norm of Q for mu2 = mu1 + v v^T: equals v^T mu1^{-1} v."""
     return float(v @ np.linalg.solve(mu1, v))

@@ -95,6 +95,38 @@ def test_mode_mismatch_rejected():
         AlgebraElement({(1,): 0.5}, mode=EXACT)
 
 
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+exact_operands = st.one_of(
+    scalars, st.integers(min_value=-5, max_value=5), fractions
+)
+
+
+@given(fractions, fractions, exact_operands)
+@settings(max_examples=200, deadline=None)
+def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
+    # the operand may be an int or Fraction, coerced to ExactComplex
+    z = ExactComplex(re, im)
+    if isinstance(other, ExactComplex):
+        o_re, o_im = other.re, other.im
+    else:
+        o_re, o_im = Fraction(other), Fraction(0)
+    product = (re * o_re - im * o_im, re * o_im + im * o_re)
+    cases = [
+        (z + other, (re + o_re, im + o_im)),
+        (other + z, (re + o_re, im + o_im)),
+        (z - other, (re - o_re, im - o_im)),
+        (other - z, (o_re - re, o_im - im)),
+        (z * other, product),
+        (other * z, product),
+        (-z, (-re, -im)),
+        (z.conjugate(), (re, -im)),
+    ]
+    for got, want in cases:
+        assert type(got) is ExactComplex
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert (got.re, got.im) == want
+
+
 # ------------------------------------------------------------------ star
 
 def test_star_reverses_and_conjugates():

@@ -29,6 +29,7 @@ from ccr_lab.phase_space import (
 
 from oracles import (
     ho_ground_covariance,
+    lattice_ground_covariance,
     random_mixed_pair,
     random_pure_pair,
     rank1_hs_norm,
@@ -68,6 +69,36 @@ def test_shape_and_symmetry_validation():
         validate_mu_tau(-np.eye(2), TAU1)
 
 
+def _svd_mu_norm(mu, tau):
+    # ||J||_mu as the largest singular value of L^{-1} (tau / 2) L^{-T}
+    L = np.linalg.cholesky(mu)
+    half = np.linalg.solve(L, tau / 2.0)
+    return float(np.linalg.svd(np.linalg.solve(L, half.T).T, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("maker", [random_pure_pair, random_mixed_pair])
+def test_mu_norm_matches_svd_norm(maker):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 6):
+        mu, tau = maker(rng, n)
+        assert validate_mu_tau(mu, tau).mu_norm == pytest.approx(
+            _svd_mu_norm(mu, tau), rel=1e-12
+        )
+
+
+def test_pair_bound_at_one_plus_tol():
+    # a pure pair has ||J||_mu = 1; shrinking mu by 1 + d raises it to 1 + d
+    mu, tau = random_pure_pair(np.random.default_rng(19), 3)
+    inside = mu / (1.0 + 0.5e-9)
+    opj = validate_mu_tau(inside, tau)
+    assert opj.mu_norm == pytest.approx(_svd_mu_norm(inside, tau), rel=1e-13)
+    assert 1.0 < opj.mu_norm < 1.0 + 1e-9
+    outside = mu / (1.0 + 2e-9)
+    for entry in (validate_mu_tau, one_particle, purity):
+        with pytest.raises(InvalidCovarianceError, match="pair bound"):
+            entry(outside, tau)
+
+
 # ------------------------------------------------------------ one_particle
 
 def test_pure_single_mode_structure():
@@ -88,6 +119,15 @@ def test_reconstruction_random_valid_pairs():
             y = rng.normal(size=6)
             want = x @ mu @ y + 0.5j * (x @ tau @ y)
             assert abs(s.inner(x, y) - want) <= 1e-12 * scale * 40
+
+
+def test_reconstruction_residual_is_reported():
+    rng = np.random.default_rng(23)
+    mu, tau = random_mixed_pair(rng, 3)
+    s = one_particle(mu, tau)
+    want = np.abs(s.K.conj().T @ s.K - (mu + 0.5j * tau)).max()
+    assert s.reconstruction_residual == want
+    assert s.reconstruction_residual <= 1e-11 * max(1.0, np.abs(mu).max())
 
 
 def test_mixed_state_doubles_dimension():
@@ -157,6 +197,57 @@ def test_lattice_ground_state_and_gap_guard():
     A0, tau0 = lattice_energy_form(6, 0.5, mass=0.0)
     with pytest.raises(SpectrumNotGappedError):
         ground_state_mu(A0, tau0)
+
+
+def test_ground_state_under_symplectic_change_of_basis():
+    # x = S y with S tau S^T = tau turns energy A into S^T A S and the
+    # ground state mu into S^T mu S; start from two decoupled oscillators
+    omegas = (0.7, 2.3)
+    tau = standard_symplectic(2)
+    A0 = np.diag([omegas[0] ** 2, 1.0, omegas[1] ** 2, 1.0])
+    mu0 = np.zeros((4, 4))
+    for k, w in enumerate(omegas):
+        mu0[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = ho_ground_covariance(w)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        H = rng.normal(size=(4, 4))
+        S = _expm(0.6 * tau @ (H + H.T))  # tau H with H symmetric is Hamiltonian
+        assert np.allclose(S @ tau @ S.T, tau, atol=1e-12)
+        want = S.T @ mu0 @ S
+        got = ground_state_mu(S.T @ A0 @ S, tau)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spacing, mass", [(0.5, 1.0), (0.37, 0.6)])
+def test_ground_state_of_long_chain_matches_mode_sum(spacing, mass):
+    A, tau = lattice_energy_form(128, spacing, mass)
+    want = lattice_ground_covariance(128, spacing, mass)
+    assert np.abs(ground_state_mu(A, tau) - want).max() <= 1e-10
+
+
+def test_indefinite_energy_form_rejected():
+    A = np.diag([1.0, -0.5, 2.0, 1.0])
+    with pytest.raises(InvalidCovarianceError):
+        ground_state_mu(A)
+    # same in a rotated basis, where no diagonal entry is negative
+    Q = np.linalg.qr(np.random.default_rng(31).normal(size=(4, 4)))[0]
+    assert np.diag(Q.T @ A @ Q).min() > 0
+    with pytest.raises(InvalidCovarianceError):
+        ground_state_mu(Q.T @ A @ Q)
+
+
+def test_degenerate_form_has_no_gapped_ground_state():
+    # tau without a q-p coupling for one mode leaves that mode at zero
+    # frequency although the energy form is positive definite
+    tau = standard_symplectic(3)
+    tau[4:, 4:] = 0.0
+    rng = np.random.default_rng(37)
+    M = rng.normal(size=(6, 6))
+    A = M @ M.T + np.eye(6)
+    Q = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+    for T in (tau, Q.T @ tau @ Q):
+        with pytest.raises(SpectrumNotGappedError):
+            ground_state_mu(A, T)
 
 
 def test_ground_state_invariance_under_flow():
@@ -276,6 +367,8 @@ def test_probe_swap_symmetry_within_constants():
     hs12, hs21 = r12.hs_norms[0], r21.hs_norms[0]
     c_min, c_max = r12.c_mins[0], r12.c_maxs[0]
     assert hs12 / c_max - 1e-9 <= hs21 <= hs12 / c_min + 1e-9
+    Q = np.linalg.solve(mu1, mu2 - mu1)
+    assert np.abs(r12.Q - Q).max() <= 1e-10 * np.abs(Q).max()
 
 
 def test_probe_invalid_first_covariance():

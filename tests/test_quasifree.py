@@ -18,6 +18,7 @@ from ccr_lab.errors import (
     ValidationError,
 )
 from ccr_lab.quasifree import (
+    NPOINT_GUARD,
     QuasifreeState,
     TwoPointKernel,
     enumerate_pairings,
@@ -221,14 +222,19 @@ def test_sixteen_point_closed_form_at_default_guard():
 
 
 def test_npoint_guard():
+    # npoint's guard is its own, above enumerate_pairings' 16
+    # (test_pairings_guards): up to it, a constant kernel kappa gives the
+    # closed form (n-1)!! kappa^(n/2)
     omega = 0.8
+    kappa = 1.0 / (2.0 * omega)
     state = QuasifreeState(vacuum_mode_kernel([omega]))
     with pytest.raises(ValidationError, match="pairing guard"):
-        npoint(state, [1] * 18)
+        npoint(state, [1] * (NPOINT_GUARD + 2))
     with pytest.raises(ValidationError, match="pairing guard"):
         npoint(state, [1, 2, 1, 2], max_n=2)
-    expected = double_factorial(17) * (1.0 / (2.0 * omega)) ** 9
-    assert npoint(state, [1] * 18, max_n=18) == pytest.approx(expected, rel=1e-13)
+    for n in (18, NPOINT_GUARD):
+        expected = double_factorial(n - 1) * kappa ** (n // 2)
+        assert npoint(state, [1] * n) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize(
