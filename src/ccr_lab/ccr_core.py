@@ -368,14 +368,14 @@ class PairingForm:
                 out[p, q] = float(self.value(gens[p], gens[q]))
         return out
 
-    def is_weakly_nondegenerate(self, generators, tol=1e-10):
-        """True iff E restricted to the generators has full rank."""
+    def is_weakly_nondegenerate(self, generators):
+        """True iff E on the generators has full rank at relative cutoff 1e-10."""
         import numpy as np
 
         mat = self.matrix(generators)
         if mat.size == 0:
             return True
-        rank = np.linalg.matrix_rank(mat, tol=tol * max(1.0, abs(mat).max()))
+        rank = np.linalg.matrix_rank(mat, tol=1e-10 * max(1.0, abs(mat).max()))
         return rank == len(list(generators))
 
     def to_json(self):
@@ -479,10 +479,11 @@ class InducedMap:
 
     parity "preserving" gives a linear *-homomorphism; "reversing" gives the
     anti-linear variant that conjugates scalars.  Word order is kept either
-    way; only the coefficients see the difference.
+    way; only the coefficients see the difference.  sigma must carry E to
+    +E (or -E) within 1e-9 times max(1, largest E entry).
     """
 
-    def __init__(self, sigma, generators, E, parity, tol=1e-9):
+    def __init__(self, sigma, generators, E, parity):
         import numpy as np
 
         gens = list(_labels(generators))
@@ -505,7 +506,7 @@ class InducedMap:
             residual = abs(transported - Emat).max()
         else:
             residual = abs(transported + Emat).max()
-        if residual > tol * scale:
+        if residual > 1e-9 * scale:
             raise InvalidSymmetryError(
                 f"sigma does not {parity.rstrip('ing')}e E: residual {residual:.3e}"
             )

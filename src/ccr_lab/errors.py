@@ -45,16 +45,18 @@ def as_finite(x, what):
     raise ValidationError(f"{what} must be a finite real number, got {x!r}")
 
 
-def as_finite_array(values, what):
-    """values as a float array of finite real numbers, not copied if it is one;
-    strings, ragged nesting and NaN or infinite entries raise ValidationError."""
+def as_finite_array(values, what, dtype=float):
+    """values as a float (or, with dtype=complex, complex) array of finite
+    numbers, not copied if it is one; strings, ragged nesting, NaN or infinite
+    entries and complex entries of a float array raise ValidationError."""
+    kinds = "biufc" if dtype is complex else "biuf"
     try:
         v = np.asarray(values)
     except ValueError:  # ragged nesting
         v = None
-    if v is None or v.dtype.kind not in "biuf" or not np.isfinite(v).all():
-        raise ValidationError(f"{what} must be an array of finite real numbers")
-    return v.astype(float, copy=False)
+    if v is None or v.dtype.kind not in kinds or not np.isfinite(v).all():
+        raise ValidationError(f"{what} must be an array of finite numbers")
+    return v.astype(dtype, copy=False)
 
 
 # symbolic algebra

@@ -31,6 +31,8 @@ from .errors import (
     TailTruncationError,
     ValidationError,
     as_finite,
+    as_finite_array,
+    as_index,
 )
 
 __all__ = [
@@ -89,6 +91,7 @@ class KernelParams:
             raise ValidationError("regulator must be >= 0")
         if self.order < 0 or int(self.order) != self.order:
             raise ValidationError("parametrix order must be a whole number")
+        object.__setattr__(self, "order", int(self.order))
         if self.order > 8:
             raise OrderGuardError(
                 f"parametrix order {self.order} exceeds the supported 8"
@@ -281,6 +284,10 @@ def cross_check_grid():
 
 def hadamard_coefficients(m: float, order: int):
     """Closed-form coefficients of the log series, index 0..order."""
+    m = as_finite(m, "mass")
+    order = as_index(order, "parametrix order")
+    if order < 0:
+        raise ValidationError("parametrix order must be >= 0")
     if order > 8:
         raise OrderGuardError(f"parametrix order {order} exceeds the supported 8")
     out = []
@@ -339,6 +346,7 @@ def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
 
 def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float) -> complex:
     """Exact change of the remainder under lam -> lam_new."""
+    lam_new = as_finite(lam_new, "lam_new")
     if lam_new <= 0.0:
         raise ValidationError("length scale must be > 0")
     if params.m == 0.0:
@@ -360,12 +368,10 @@ class MomentumProfile:
     """A momentum-space profile sampled on an increasing radial grid."""
 
     def __init__(self, k, values):
-        k = np.asarray(k, dtype=float)
-        values = np.asarray(values, dtype=complex)
+        k = as_finite_array(k, "momentum grid")
+        values = as_finite_array(values, "profile values", complex)
         if k.ndim != 1 or k.shape != values.shape or k.size < 4:
             raise ValidationError("profile needs matching 1d grids, >= 4 samples")
-        if not (np.isfinite(k).all() and np.isfinite(values).all()):
-            raise ValidationError("momentum grid and profile values must be finite")
         if k[0] < 0.0 or np.any(np.diff(k) <= 0.0):
             raise ValidationError("momentum grid must be increasing and >= 0")
         self.k = k

@@ -122,20 +122,20 @@ def _frame(mu, tau, what="mu"):
     return _Frame(mu, tau, L, Linv, Linv.T @ half, Jt)
 
 
-def _check_bound(norm, tol):
-    if norm > 1.0 + tol:
+def _check_bound(norm):
+    if norm > 1.0 + 1e-9:
         raise InvalidCovarianceError(
             f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails"
         )
     return norm
 
 
-def _bounded_frame(mu, tau, tol=1e-9, what="mu"):
+def _bounded_frame(mu, tau, what="mu"):
     """The frame of (mu, tau) and ||J||_mu = ||Jt||_2, from the largest
-    eigenvalue of Jt^T Jt; raises if the norm exceeds 1 + tol."""
+    eigenvalue of Jt^T Jt; raises if the norm exceeds 1 + 1e-9."""
     f = _frame(mu, tau, what)
     top = float(np.linalg.eigvalsh(f.Jt.T @ f.Jt)[-1])
-    return f, _check_bound(math.sqrt(max(top, 0.0)), tol)
+    return f, _check_bound(math.sqrt(max(top, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,15 @@ class OperatorJ:
     mu_norm: float
 
 
-def validate_mu_tau(mu, tau, tol=1e-9):
+def validate_mu_tau(mu, tau):
     """Admit a covariance pair and return its J operator.
 
     Checks mu symmetric positive definite, tau antisymmetric, the
-    mu-antisymmetry of J, and the bound ||J||_mu <= 1 + tol.  The bound is
+    mu-antisymmetry of J, and the bound ||J||_mu <= 1 + 1e-9.  The bound is
     the matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
     mu(x,x) mu(y,y).
     """
-    f, norm = _bounded_frame(mu, tau, tol)
+    f, norm = _bounded_frame(mu, tau)
     return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=norm)
 
 
@@ -174,58 +174,62 @@ class OneParticleStructure:
     dim: int
     reconstruction_residual: float | None = None
 
+    def _vector(self, x):
+        # x as a finite real phase vector of this structure's length
+        x = as_finite_array(x, "phase vector")
+        if x.shape != (self.K.shape[1],):
+            raise ValidationError(f"phase vector must have length {self.K.shape[1]}")
+        return x
+
     def inner(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return complex(np.vdot(self.K @ x, self.K @ y))
+        return complex(np.vdot(self.K @ self._vector(x), self.K @ self._vector(y)))
 
 
-def one_particle(mu, tau, tol=1e-9, rank_tol=1e-10):
+def one_particle(mu, tau):
     """Spectral construction of a one-particle structure for (mu, tau).
 
     In the mu-orthonormal frame the hermitian matrix I + i J has spectrum in
-    [0, 2]; its strictly positive eigenspaces carry the representation.  Pure
-    directions contribute one dimension per mode, mixed directions two (the
-    doubling that keeps the complex span dense).  The spectrum of i J is
-    +-||J||_mu at its ends, so the pair bound is read off the same
-    eigenvalues.
+    [0, 2]; its eigenspaces above 1e-10 times the top eigenvalue carry the
+    representation.  Pure directions contribute one dimension per mode, mixed
+    directions two (the doubling that keeps the complex span dense).  The
+    spectrum of i J is +-||J||_mu at its ends, so the pair bound is read off
+    the same eigenvalues.  K^H K must reproduce mu + (i/2) tau within 1e-11
+    relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
     Jt = (f.Jt - f.Jt.T) / 2.0
     w, U = np.linalg.eigh(np.eye(len(Jt)) + 1j * Jt)
-    _check_bound(float(np.abs(w - 1.0).max()), tol)
-    keep = w > rank_tol * max(1.0, w.max(initial=0.0))
-    w_pos = w[keep]
-    U_pos = U[:, keep]
-    K = (np.sqrt(w_pos)[:, None] * U_pos.conj().T) @ f.L.T
-    resid = _verify_reconstruction(K, f.mu, f.tau, tol=1e-12)
+    norm = _check_bound(float(np.abs(w - 1.0).max()))
+    keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
+    K = (np.sqrt(w[keep])[:, None] * U[:, keep].conj().T) @ f.L.T
+    target = f.mu + 0.5j * f.tau
+    resid = float(np.abs(K.conj().T @ K - target).max())
+    if resid > 1e-11 * max(1.0, np.abs(target).max()):
+        if w.min() < -1e-12:
+            # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
+            # has no one-particle structure, so the input is at fault
+            raise InvalidCovarianceError(
+                f"|J|_mu = {norm:.12g} exceeds 1: no one-particle structure "
+                f"reproduces the pair (residual {resid:.3e})"
+            )
+        raise InternalInconsistencyError(
+            f"one-particle reconstruction residual {resid:.3e}"
+        )
     return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=int(keep.sum()),
                                 reconstruction_residual=resid)
 
 
-def _verify_reconstruction(K, mu, tau, tol):
-    target = mu + 0.5j * tau
-    got = K.conj().T @ K
-    scale = max(1.0, np.abs(target).max())
-    resid = float(np.abs(got - target).max())
-    if resid > tol * scale * 10:
-        raise InternalInconsistencyError(
-            f"one-particle reconstruction residual {resid:.3e}"
-        )
-    return resid
-
-
-def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure, tol=1e-10):
-    """Unitary V with V K1 = K2 for two structures of the same pair."""
+def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
+    """Unitary V with V K1 = K2 for two structures of the same pair, to 1e-8."""
     if s1.dim != s2.dim:
         raise ValidationError("structures have different dimensions")
     K1, K2 = s1.K, s2.K
     gram = K1 @ K1.conj().T
     V = K2 @ K1.conj().T @ np.linalg.inv(gram)
     scale = max(1.0, np.abs(K2).max())
-    if np.abs(V @ K1 - K2).max() > tol * scale * 100:
+    if np.abs(V @ K1 - K2).max() > 1e-8 * scale:
         raise InternalInconsistencyError("intertwiner does not map K1 to K2")
-    if np.abs(V.conj().T @ V - np.eye(s1.dim)).max() > tol * 100:
+    if np.abs(V.conj().T @ V - np.eye(s1.dim)).max() > 1e-8:
         raise InternalInconsistencyError("intertwiner is not unitary")
     return V
 
@@ -241,20 +245,20 @@ class PurityReport:
         return "pure" if self.pure else "mixed"
 
 
-def purity(mu, tau, tol_square=1e-10, tol_variational=1e-8):
+def purity(mu, tau):
     """Two independent purity tests that must agree.
 
-    Test A: J^2 = -I within tol_square.  Test B: the variational
+    Test A: J^2 = -I within 1e-10.  Test B: the variational
     characterization, which reduces to the generalized eigenproblem
-    (1/4) tau^T mu^{-1} tau v = lambda mu v having all lambda equal to 1;
-    the sup over the Rayleigh quotient is attained there.  Disagreement
-    raises, since both express the same purity condition.
+    (1/4) tau^T mu^{-1} tau v = lambda mu v having all lambda equal to 1
+    within 1e-8; the sup over the Rayleigh quotient is attained there.
+    Disagreement raises, since both express the same purity condition.
     """
     f, _ = _bounded_frame(mu, tau)
     mu, tau = f.mu, f.tau
     n = len(mu)
     r_square = float(np.abs(f.J @ f.J + np.eye(n)).max())
-    pure_a = r_square <= tol_square
+    pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
     # the generalized problem to a symmetric one is shared with the frame.
@@ -262,7 +266,7 @@ def purity(mu, tau, tol_square=1e-10, tol_variational=1e-8):
     B = f.Linv @ quarter @ f.Linv.T
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
     r_var = float(np.abs(lams - 1.0).max()) if n else 0.0
-    pure_b = r_var <= tol_variational
+    pure_b = r_var <= 1e-8
 
     if pure_a != pure_b:
         raise InternalInconsistencyError(
@@ -273,7 +277,7 @@ def purity(mu, tau, tol_square=1e-10, tol_variational=1e-8):
                         variational_residual=r_var)
 
 
-def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
+def ground_state_mu(energy_form, tau=None):
     """Ground-state covariance of a quadratic Hamiltonian.
 
     Parameters
@@ -282,7 +286,6 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
         x^T A x / 2 on phase vectors.
     tau : antisymmetric form fixing the dynamics; defaults to the standard
         block form.  The flow is x' = T A x with T tau's matrix.
-    gap_tol : relative spectral gap below which the system is rejected.
 
     Returns the unique flow-invariant pure covariance, built as a
     congruence.  With the Cholesky factor A = R R^T, the matrix
@@ -296,7 +299,8 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
     saturates the validation bound.  The s_k are taken as the column norms
     of G V, which resolve a vanishing frequency to roundoff in G rather than
     to the square root of roundoff in G^T G.  A zero mode (massless periodic
-    chain) makes 1/s blow up and is rejected instead.
+    chain) makes 1/s blow up and is rejected instead, as is any spectrum
+    with min s < 1e-10 max s.
     """
     A = as_finite_array(energy_form, "energy form")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
@@ -319,7 +323,7 @@ def ground_state_mu(energy_form, tau=None, gap_tol=1e-10):
     _, V = np.linalg.eigh(G.T @ G)
     s = np.linalg.norm(G @ V, axis=0)
     s_max = float(s.max())
-    if s_max == 0.0 or float(s.min()) < gap_tol * s_max:
+    if s_max == 0.0 or float(s.min()) < 1e-10 * s_max:
         raise SpectrumNotGappedError(
             "frequency spectrum touches zero; no gapped ground state"
         )
@@ -364,10 +368,11 @@ class FockRepresentation:
         M = structure.dim
         if M > 4:
             raise ValidationError(f"one-particle dimension {M} exceeds guard 4")
+        cutoff = as_index(cutoff, "cutoff")
         if not (0 < cutoff <= 6):
             raise ValidationError("cutoff must lie in 1..6")
         self.structure = structure
-        self.cutoff = int(cutoff)
+        self.cutoff = cutoff
         self.basis = [
             occ
             for occ in itertools.product(range(cutoff + 1), repeat=M)
@@ -401,7 +406,7 @@ class FockRepresentation:
 
     def field(self, x):
         """Represented field on a real phase vector."""
-        xi = self.structure.K @ np.asarray(x, dtype=float)
+        xi = self.structure.K @ self.structure._vector(x)
         return self.annihilator(xi) + self.creator(xi)
 
     def vacuum(self):
@@ -416,8 +421,8 @@ class FockRepresentation:
     def commutator_residual(self, psi, xi):
         """Max deviation of [a(psi), a+(xi)] from <K psi|K xi> I on the
         sector with total occupation <= cutoff - 1."""
-        A = self.annihilator(self.structure.K @ np.asarray(psi, dtype=float))
-        Cr = self.creator(self.structure.K @ np.asarray(xi, dtype=float))
+        A = self.annihilator(self.structure.K @ self.structure._vector(psi))
+        Cr = self.creator(self.structure.K @ self.structure._vector(xi))
         comm = A @ Cr - Cr @ A
         expected = self.structure.inner(psi, xi) * np.eye(self.dim)
         P = self.sector_projector(self.cutoff - 1)
@@ -430,6 +435,10 @@ class FockRepresentation:
         n-fold product starting and ending in the vacuum, so cutoff >= n is
         comfortably sufficient and is required.
         """
+        try:
+            vectors = [self.structure._vector(x) for x in vectors]
+        except TypeError:
+            raise ValidationError("vectors must be a sequence of phase vectors") from None
         n = len(vectors)
         if n > self.cutoff:
             raise TruncationInsufficientError(
@@ -465,7 +474,7 @@ class EquivalenceReport:
         )
 
 
-def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
+def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     """Truncation-ladder probe for unitary equivalence of two covariances.
 
     For each mode count N in the ladder the leading 2N x 2N blocks are
@@ -474,7 +483,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
     mu1 Q = mu2 - mu1, computed in the mu1 geometry.  In finite dimension
     every Q is Hilbert-Schmidt, so only the growth trend along the ladder is
     reported: hs growing at least like N^0.4 reads divergent, essentially
-    flat reads bounded, anything else inconclusive.
+    flat (or at most 1e-12 throughout) reads bounded, anything else
+    inconclusive.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -520,7 +530,7 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
         c_maxs.append(float(1.0 + lams.max()))
     # Q = mu1^{-1} (mu2 - mu1) on the last (largest) block
     Q_last = Linv.T @ (Linv @ delta)
-    verdict = _trend_verdict(truncs, hs_norms, tol)
+    verdict = _trend_verdict(truncs, hs_norms)
     return EquivalenceReport(
         truncations=tuple(truncs),
         hs_norms=tuple(hs_norms),
@@ -531,12 +541,12 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None, tol=1e-12):
     )
 
 
-def _trend_verdict(truncs, hs_norms, tol):
-    if all(h <= tol for h in hs_norms):
+def _trend_verdict(truncs, hs_norms):
+    if all(h <= 1e-12 for h in hs_norms):
         return "bounded-trend"
     if len(truncs) < 2:
         return "inconclusive"
-    first = max(hs_norms[0], tol)
+    first = max(hs_norms[0], 1e-12)
     slope = math.log(hs_norms[-1] / first) / math.log(truncs[-1] / truncs[0])
     if slope >= 0.4:
         return "divergent-trend"

@@ -44,6 +44,8 @@ PAIRING_GUARD = 16  # enumerate_pairings lists (n-1)!! tuples: 2,027,025 at 16
 # kernel (2-vCPU VM, Python 3.11), one call takes about 0.12 s at n = 22 and
 # 0.4 s at n = 24.
 NPOINT_GUARD = 22
+_GRAM_DEGREE_GUARD = 4
+_KERNEL_TOL = 1e-10  # relative; exchange checks, pair bound, Gram certificate
 
 
 def enumerate_pairings(n, max_n=PAIRING_GUARD):
@@ -95,7 +97,7 @@ class TwoPointKernel:
 
     Accepts either a dict over ordered index pairs or a callable plus a
     generator list; the callable is tabulated once at construction.  The
-    construction checks, with tolerance `tol` relative to the largest entry:
+    construction checks, to 1e-10 relative to max(1, largest entry):
 
     * generator labels are integers and entries are numbers (otherwise
       ValidationError);
@@ -108,7 +110,7 @@ class TwoPointKernel:
       reproduces it entry for entry.
     """
 
-    def __init__(self, table, generators=None, pairing=None, tol=1e-10):
+    def __init__(self, table, generators=None, pairing=None):
         if callable(table):
             if generators is None:
                 raise ValidationError("a kernel callback needs a generator list")
@@ -125,7 +127,6 @@ class TwoPointKernel:
                 gens = _labels(generators)
         self.generators = gens
         self.entries = entries
-        self.tol = float(tol)
         self._verify(pairing)
 
     def _verify(self, pairing):
@@ -135,29 +136,29 @@ class TwoPointKernel:
                     f"two-point kernel entry ({i},{j}) = {v!r} is not finite"
                 )
         scale = max([abs(v) for v in self.entries.values()], default=0.0)
-        scale = max(scale, 1.0)
+        tol = _KERNEL_TOL * max(scale, 1.0)
         for i in self.generators:
             for j in self.generators:
                 a = self._get(i, j)
                 b = self._get(j, i)
-                if abs(a.real - b.real) > self.tol * scale:
+                if abs(a.real - b.real) > tol:
                     raise KernelInconsistencyError(
                         f"real part not symmetric at ({i},{j}): "
                         f"{a.real!r} vs {b.real!r}"
                     )
-                if abs(a.imag + b.imag) > self.tol * scale:
+                if abs(a.imag + b.imag) > tol:
                     raise KernelInconsistencyError(
                         f"imaginary part not antisymmetric at ({i},{j})"
                     )
                 if pairing is not None:
                     e = float(pairing.value(i, j))
-                    if abs(2.0 * a.imag - e) > self.tol * max(scale, abs(e)):
+                    if abs(2.0 * a.imag - e) > max(tol, _KERNEL_TOL * abs(e)):
                         raise KernelInconsistencyError(
                             f"2 Im omega2({i},{j}) = {2 * a.imag!r} does not "
                             f"match the declared pairing {e!r}"
                         )
             d = self._get(i, i)
-            if abs(d.imag) > self.tol * scale or d.real < -self.tol * scale:
+            if abs(d.imag) > tol or d.real < -tol:
                 raise KernelInconsistencyError(
                     f"diagonal entry ({i},{i}) = {d!r} must be real and >= 0"
                 )
@@ -192,14 +193,14 @@ class QuasifreeState:
     """Quasifree state for a two-point kernel.
 
     check=True additionally enforces the pair bound
-    |E(f,g)|^2 / 4 <= omega2(f,f) omega2(g,g) on every stored pair, a
-    necessary condition for positivity.  Positivity itself is only ever
-    certified on explicit finite families via gram_positivity.
+    |E(f,g)|^2 / 4 <= omega2(f,f) omega2(g,g), to 1e-10 max(1, |entry|)^2,
+    on every stored pair, a necessary condition for positivity.  Positivity
+    itself is only ever certified on explicit finite families via
+    gram_positivity.
     """
 
-    def __init__(self, kernel: TwoPointKernel, check=True, tol=1e-10):
+    def __init__(self, kernel: TwoPointKernel, check=True):
         self.kernel = kernel
-        self.tol = float(tol)
         if check:
             bad = self.cauchy_schwarz_violations()
             if bad:
@@ -216,7 +217,7 @@ class QuasifreeState:
         scale = max(
             [abs(v) for v in self.kernel.entries.values()], default=0.0
         )
-        slack = self.tol * max(scale, 1.0) ** 2
+        slack = _KERNEL_TOL * max(scale, 1.0) ** 2
         for a, i in enumerate(gens):
             for j in gens[a + 1 :]:
                 lhs = abs(self.kernel.pairing_value(i, j)) ** 2 / 4.0
@@ -312,19 +313,20 @@ class GramReport:
         )
 
 
-def gram_positivity(state, elements, tol=1e-10, max_degree=4):
+def gram_positivity(state, elements):
     """Gram-matrix positivity certificate on a finite element family.
 
     G_ij is the state value of star(a_i) a_j, evaluated directly on the
     product words (evaluation is order-independent, so no normal form is
     taken first).  The matrix must be hermitian within a relative 1e-8; its
-    minimal eigenvalue is compared against -tol times the trace.
+    minimal eigenvalue is compared against -1e-10 times the trace.  Elements
+    above degree 4 are refused.
     """
     elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
     for a in elems:
-        if a.degree > max_degree:
+        if a.degree > _GRAM_DEGREE_GUARD:
             raise DegreeGuardError(
-                f"family contains degree {a.degree} > guard {max_degree}"
+                f"family contains degree {a.degree} > guard {_GRAM_DEGREE_GUARD}"
             )
     n = len(elems)
     G = np.zeros((n, n), dtype=complex)
@@ -343,7 +345,7 @@ def gram_positivity(state, elements, tol=1e-10, max_degree=4):
     sym = (G + G.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
     trace = float(np.trace(sym).real)
-    threshold = -tol * trace
+    threshold = -_KERNEL_TOL * trace
     min_eig = float(eigs[0])
     return GramReport(min_eig, threshold, min_eig >= threshold, G, float(herm))
 

@@ -29,6 +29,7 @@ waves in this signature.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -59,6 +60,8 @@ from .errors import (
     ResolutionError,
     ScalarModeMismatchError,
     ValidationError,
+    as_finite,
+    as_finite_array,
 )
 from .minkowski_kernel import (
     KernelParams,
@@ -106,7 +109,8 @@ class OrderingKernel:
     """Reference contraction table for normal ordering.
 
     ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
-    entries read as zero.  ``pairing`` is the ambient antisymmetric form E.
+    entries read as zero, and entries that are not exact must be finite
+    numbers.  ``pairing`` is the ambient antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
     1e-12 otherwise.  ``tag`` records what the kernel is: the two-point
@@ -122,7 +126,14 @@ class OrderingKernel:
             )
         if not isinstance(pairing, PairingForm):
             raise ValidationError("pairing must be a PairingForm")
-        entries = {_labels(key): v for key, v in dict(table).items() if v}
+        entries = {}
+        for key, v in dict(table).items():
+            if not is_exact(v):
+                v = coerce(v, FLOAT)
+                if not cmath.isfinite(v):
+                    raise ValidationError(f"ordering-kernel entry {v!r} is not finite")
+            if v:
+                entries[_labels(key)] = v
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "tag", tag)
@@ -345,6 +356,15 @@ def _zeros(shape, mode):
     return np.full(shape, coerce(0, mode), dtype=object if mode == EXACT else complex)
 
 
+def _basis(labels):
+    basis = _labels(labels)
+    if not 0 < len(basis) <= _BASIS_GUARD:
+        raise ValidationError(f"basis size must be between 1 and {_BASIS_GUARD}")
+    if len(set(basis)) != len(basis):
+        raise ValidationError("basis labels must be distinct")
+    return basis
+
+
 class _BasisTable:
     """Immutable symmetric array over a basis of 1 to 8 distinct labels.
 
@@ -363,13 +383,7 @@ class _BasisTable:
     _asymmetric = InvalidSymmetryError
 
     def __init__(self, basis, array, mode=None):
-        basis = _labels(basis)
-        if not 0 < len(basis) <= _BASIS_GUARD:
-            raise ValidationError(
-                f"basis size must be between 1 and {_BASIS_GUARD}"
-            )
-        if len(set(basis)) != len(basis):
-            raise ValidationError("basis labels must be distinct")
+        basis = _basis(basis)
         arr = np.asarray(array)
         if mode is None:
             mode = EXACT if arr.dtype == object else FLOAT
@@ -394,6 +408,16 @@ class _BasisTable:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "mode", mode)
+
+    @classmethod
+    def _new(cls, basis, array, mode):
+        # internal results: basis already read, array already symmetric and
+        # in mode, so nothing is checked again
+        out = object.__new__(cls)
+        object.__setattr__(out, "basis", basis)
+        object.__setattr__(out, "array", array)
+        object.__setattr__(out, "mode", mode)
+        return out
 
     def _check_symmetric(self, arr, mode):
         # adjacent transpositions generate the full symmetric group
@@ -457,7 +481,7 @@ class WickTensor(_BasisTable):
 
     def star(self):
         """Entrywise conjugate, the coefficient tensor of the adjoint."""
-        return WickTensor(self.basis, np.conj(self.array), self.mode)
+        return WickTensor._new(self.basis, np.asarray(np.conj(self.array)), self.mode)
 
     def is_zero(self):
         return not self.array.any()
@@ -569,7 +593,7 @@ def _orderings(word):
 def _tensors(terms, basis, mode):
     # {degree: WickTensor} of {word: coefficient}; each distinct ordering of
     # a word's basis positions carries its coefficient over _orderings(word)
-    basis = _labels(basis)
+    basis = _basis(basis)
     index_of = {b: p for p, b in enumerate(basis)}
     arrays = {}
     for word, coeff in terms.items():
@@ -587,7 +611,7 @@ def _tensors(terms, basis, mode):
         value = coeff * coerce(Fraction(1, _orderings(word)), mode)
         for perm in set(itertools.permutations(positions)):
             arrays[n][perm] = value
-    return {n: WickTensor(basis, arr, mode) for n, arr in arrays.items()}
+    return {n: WickTensor._new(basis, arr, mode) for n, arr in arrays.items()}
 
 
 def word_tensor(word, basis, mode=EXACT):
@@ -704,6 +728,9 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
         raise ValidationError("the coincidence remainder needs m > 0")
     if params.eps != 0:
         raise ValidationError("state values require eps = 0, not a regulator")
+    x = as_finite_array((0.0, 0.0, 0.0, 0.0) if x is None else x, "x")
+    if x.shape != (4,):
+        raise ValidationError("x must have 4 components")
     radii = [2.0**-j / params.m for j in range(4, 12)]
     sigmas, values = [], []
     for r in radii:
@@ -715,12 +742,8 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
         sigmas.append(r * r)
         values.append(v.real)
     base = float(_extrapolate_to_zero(sigmas, values))
-    if x is None:
-        x = (0.0, 0.0, 0.0, 0.0)
-    x = tuple(float(c) for c in x)
-    if len(x) != 4:
-        raise ValidationError("x must have 4 components")
     if perturbation is not None:
+        x = tuple(x.tolist())
         base += float(np.real(perturbation(x, x)))
     return base
 
@@ -742,7 +765,10 @@ class TwoPointTable:
     """
 
     def __init__(self, axes, values):
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        try:
+            axes = tuple(as_finite_array(a, "separation axis") for a in axes)
+        except TypeError:
+            raise ValidationError("axes must be a sequence of 4 arrays") from None
         if len(axes) != 4:
             raise ValidationError("need exactly 4 separation axes")
         spacings = []
@@ -757,13 +783,11 @@ class TwoPointTable:
             if np.abs(a + a[::-1]).max() > 1e-9 * max(1.0, np.abs(a).max()):
                 raise ValidationError("axes must be symmetric about zero")
             spacings.append(float(steps.mean()))
-        values = np.asarray(values, dtype=float)
+        values = as_finite_array(values, "table values")
         if values.shape != tuple(a.size for a in axes):
             raise ValidationError(
                 f"value array shape {values.shape} does not match the axes"
             )
-        if not np.isfinite(values).all():
-            raise ValidationError("table values must be finite")
         flipped = values[::-1, ::-1, ::-1, ::-1]
         scale = max(1.0, float(np.abs(values).max()))
         if np.abs(values - flipped).max() > 1e-10 * scale:
@@ -796,9 +820,10 @@ class TwoPointTable:
         return i0, w
 
     def __call__(self, xp, yp):
-        delta = np.asarray(xp, dtype=float) - np.asarray(yp, dtype=float)
-        if delta.shape != (4,):
+        xp, yp = as_finite_array(xp, "point"), as_finite_array(yp, "point")
+        if xp.shape != (4,) or yp.shape != (4,):
             raise ValidationError("points must have 4 components")
+        delta = xp - yp
         starts, weights = [], []
         for d in range(4):
             i0, w = self._axis_weights(d, delta[d])
@@ -891,14 +916,14 @@ def stress_energy(
     Richardson-combined; a gridded kernel must resolve the finer stencil,
     else the resolution guard fires.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_finite_array(x, "x")
     if x.shape != (4,):
         raise ValidationError("x must have 4 components")
-    mass = float(mass)
+    mass = as_finite(mass, "mass")
     if mass < 0:
         raise ValidationError("mass must be >= 0")
-    xi = float(xi)
-    step = float(step)
+    xi = as_finite(xi, "xi")
+    step = as_finite(step, "difference step")
     if step <= 0:
         raise ValidationError("difference step must be positive")
     spacing = getattr(w, "grid_spacing", None)

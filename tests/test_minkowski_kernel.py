@@ -69,6 +69,19 @@ def test_separations_and_params_reject_non_finite_numbers(bad):
         lambda: KernelParams(m=1.0, order=bad),
         lambda: MomentumProfile(np.linspace(0.0, 1.0, 5), [1.0, 2.0, bad, 0.0, 0.0]),
         lambda: MomentumProfile([0.0, 0.25, 0.5, 0.75, bad], np.zeros(5)),
+        lambda: hadamard_coefficients(bad, 3),
+        lambda: lambda_shift_delta(SeparationPoint(0.3, 1.0), M1, bad),
+    ):
+        with pytest.raises(ValidationError):
+            build()
+    k5 = np.linspace(0.0, 1.0, 5)
+    for build in (
+        lambda: hadamard_coefficients(1.0, 2.5),
+        lambda: lambda_shift_delta(SeparationPoint(0.3, 1.0), M1, "a"),
+        lambda: MomentumProfile(["a"] * 5, np.zeros(5)),
+        lambda: MomentumProfile([[0.0], [0.25, 0.5], 0.75, 1.0], np.zeros(4)),
+        lambda: MomentumProfile(k5, ["1"] * 5),
+        lambda: MomentumProfile(k5, [[1.0], [1.0, 2.0], 0.0, 0.0, 0.0]),
     ):
         with pytest.raises(ValidationError):
             build()

@@ -99,6 +99,17 @@ def test_pair_bound_at_one_plus_tol():
             entry(outside, tau)
 
 
+@pytest.mark.parametrize("excess", [1e-10, 5e-10])
+def test_one_particle_refuses_admitted_pair_above_one(excess):
+    # inside the 1e-9 slack, ||J||_mu > 1 leaves I + iJ with a negative
+    # eigenvalue; that is the input's fault, not an internal inconsistency
+    mu, tau = random_pure_pair(np.random.default_rng(19), 3)
+    validate_mu_tau(mu / (1.0 + excess), tau)
+    with pytest.raises(InvalidCovarianceError, match=r"\|J\|_mu"):
+        one_particle(mu / (1.0 + excess), tau)
+    assert one_particle(mu / (1.0 + 1e-13), tau).dim == 3
+
+
 # ------------------------------------------------------------ one_particle
 
 def test_pure_single_mode_structure():
@@ -389,6 +400,10 @@ NAN_MU = np.where(np.eye(4, dtype=bool), math.nan, 0.0)
 TAU2 = standard_symplectic(2)
 
 
+def _fock(cutoff=4):
+    return FockRepresentation(one_particle(np.eye(2) / 2.0, TAU1), cutoff)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -408,6 +423,21 @@ TAU2 = standard_symplectic(2)
         lambda: lattice_energy_form(4, math.nan, 1.0),
         lambda: lattice_energy_form(4, 1.0, math.inf),
         lambda: standard_symplectic_form(2.5),
+        lambda: _fock(2.5),
+        lambda: _fock("3"),
+        lambda: _fock(None),
+        lambda: _fock().field(["a", 0.0]),
+        lambda: _fock().field([1.0, 0.0, 0.0]),
+        lambda: _fock().field([math.nan, 0.0]),
+        lambda: _fock().structure.inner([1.0, 0.0], ["a", 0.0]),
+        lambda: _fock().structure.inner([1.0], [0.0, 1.0]),
+        lambda: _fock().structure.inner([math.inf, 0.0], [0.0, 1.0]),
+        lambda: _fock().vacuum_npoint([[1.0, 0.0], [math.nan, 0.0]]),
+        lambda: _fock().vacuum_npoint([[1.0, 0.0, 0.0]]),
+        lambda: _fock().vacuum_npoint(3),
+        lambda: _fock().commutator_residual([1.0, 0.0], [math.nan, 0.0]),
+        lambda: _fock().commutator_residual(["a", 0.0], [0.0, 1.0]),
+        lambda: _fock().commutator_residual([1.0, 0.0], [0.0, 1.0, 0.0]),
     ],
     ids=[
         "nan-mu",
@@ -426,6 +456,21 @@ TAU2 = standard_symplectic(2)
         "nan-spacing",
         "inf-mass",
         "float-mode-count",
+        "fock-float-cutoff",
+        "fock-string-cutoff",
+        "fock-none-cutoff",
+        "field-string",
+        "field-wrong-length",
+        "field-nan",
+        "inner-string",
+        "inner-wrong-length",
+        "inner-inf",
+        "vacuum-npoint-nan",
+        "vacuum-npoint-wrong-length",
+        "vacuum-npoint-not-a-list",
+        "commutator-nan",
+        "commutator-string",
+        "commutator-wrong-length",
     ],
 )
 def test_boundary_inputs_raise_validation_errors(call):

@@ -516,6 +516,7 @@ def test_element_kinds_are_not_interchangeable():
         wick_product(plain, ordered, KAPPA)
 
 
+_HALF_I_FLOAT = {(1, 2): 0.5j, (2, 1): -0.5j}
 _BAD_ENTRY_TENSOR = json.dumps(
     {"kind": "wick-tensor", "degree": 1, "basis": [1, 2], "mode": "exact",
      "entries": [[[0], "a", "0"]]}
@@ -533,10 +534,16 @@ _BAD_ENTRY_TENSOR = json.dumps(
         lambda: PairingForm({(1, 2): math.nan}),
         lambda: tensor_from_json(_BAD_ENTRY_TENSOR),
         lambda: tensor_from_json("5"),
+        lambda: OrderingKernel({**_HALF_I_FLOAT, (1, 1): math.nan}, PairingForm({(1, 2): 1.0})),
+        lambda: OrderingKernel(
+            {(1, 2): math.inf, (2, 1): math.inf}, PairingForm({(1, 2): 1.0})
+        ),
+        lambda: OrderingKernel({**_HALF_I_FLOAT, (1, 1): "x"}, PairingForm({(1, 2): 1.0})),
     ],
     ids=[
         "zero-denominator", "float-text", "junk-word", "pairing-json-key", "pairing-json-list",
-        "pairing-nan", "tensor-json-entry", "tensor-json-number",
+        "pairing-nan", "tensor-json-entry", "tensor-json-number", "ordering-kernel-nan",
+        "ordering-kernel-inf", "ordering-kernel-string",
     ],
 )
 def test_symbolic_parsers_raise_validation_errors(parse):
@@ -612,6 +619,20 @@ def test_word_tensor_normalization():
     assert w.array[1, 0, 0] == third
     assert w.array[0, 0, 0] == ExactComplex()
     assert tensors_to_element({3: w}).terms == {(1, 1, 2): ONE}
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_word_tensor_at_the_guards_round_trips(mode):
+    # degree 6 over 8 labels, both guards at their limit
+    basis = tuple(range(1, 9))
+    for word in [(1, 2, 3, 4, 5, 6), (2, 2, 5, 7, 8, 8)]:
+        w = word_tensor(word, basis, mode)
+        assert w.degree == 6 and w.array.shape == (8,) * 6
+        assert tensors_to_element([w]) == NormalOrderedElement.monomial(word, mode)
+    with pytest.raises(ValidationError):
+        word_tensor((1, 2), tuple(range(9)), mode)
+    with pytest.raises(ValidationError):
+        word_tensor((1, 2), (1, 2, 2), mode)
 
 
 @given(st.dictionaries(words4, scalars, max_size=3))
@@ -879,6 +900,9 @@ def test_phi2_guards():
         phi2_H_expectation(KernelParams(m=1.0, eps=1e-3))
     with pytest.raises(ValidationError):
         phi2_H_expectation(KernelParams(m=1.0), x=(0.0, 0.0))
+    for x in [(math.nan, 0.0, 0.0, 0.0), ("a", 0.0, 0.0, 0.0)]:
+        with pytest.raises(ValidationError):
+            phi2_H_expectation(KernelParams(m=1.0), x=x)
 
 
 # ------------------------------------------------- stress tensor, flat
@@ -1044,9 +1068,23 @@ def test_table_validation():
     odd[3, 4, 5, 6] += 1.0
     with pytest.raises(ValidationError):
         TwoPointTable((axis, axis, axis, axis), odd)
+    nan_axis = np.where(axis == 0.0, math.nan, axis)
+    for bad_axes, bad_values in [
+        ((["a"] * 17, axis, axis, axis), good),
+        (([[0.0], [0.05, 0.1]], axis, axis, axis), good),
+        ((nan_axis, axis, axis, axis), good),
+        ((axis, axis, axis, axis), np.full(good.shape, "a")),
+        ((axis, axis, axis, axis), [[0.0], [0.0, 1.0]]),
+        (5, good),
+    ]:
+        with pytest.raises(ValidationError):
+            TwoPointTable(bad_axes, bad_values)
     table = TwoPointTable((axis, axis, axis, axis), good)
     with pytest.raises(ValidationError):
         table(np.array([5.0, 0.0, 0.0, 0.0]), np.zeros(4))
+    for point in ([math.nan, 0.0, 0.0, 0.0], ["a", 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValidationError):
+            table(point, np.zeros(4))
 
 
 def test_stress_argument_guards():
@@ -1058,3 +1096,9 @@ def test_stress_argument_guards():
         stress_energy(lambda x, y: 0.0, np.zeros(4), mass=1.0, step=0.0)
     with pytest.raises(ValidationError):
         stress_energy(3.5, np.zeros(4), mass=1.0)
+    for bad in (math.nan, math.inf, "x"):
+        for kwargs in ({"mass": bad}, {"mass": 1.0, "xi": bad}, {"mass": 1.0, "step": bad}):
+            with pytest.raises(ValidationError):
+                stress_energy(lambda x, y: 0.0, np.zeros(4), **kwargs)
+        with pytest.raises(ValidationError):
+            stress_energy(lambda x, y: 0.0, [bad, 0.0, 0.0, 0.0], mass=1.0)
