@@ -10,7 +10,8 @@ for I1); the test suite holds the implementation to that against a
 high-precision reference.
 
 Also home of the composite Gauss-Legendre node builder that the contour
-quadrature and the vacuum mode integral share.
+quadrature and the vacuum mode integral share, and of the partial sums of
+the K1 series, which the Hadamard remainder reuses.
 """
 
 from __future__ import annotations
@@ -45,27 +46,37 @@ def _contour_rules():
     return arc, tail
 
 
-def _k1_series(z):
-    # K1(z) = 1/z + log(z/2) I1(z) - (z/4) sum_k [psi(k+1)+psi(k+2)] c_k and
-    # I1(z) = (z/2) sum_k c_k, with c_k = (z^2/4)^k / (k! (k+1)!) and
-    # psi(n+1) = -gamma + H_n; both sums run until both have converged
-    t2 = z * z * 0.25
-    c = 1.0 + 0.0j
-    i_sum = c
-    psi_sum = -2.0 * _EULER_GAMMA + 1.0  # psi(1) + psi(2)
+def _series_sums(t, split=-1):
+    # partial sums of c_k = t^k / (k! (k+1)!) over k <= split and over
+    # k > split, and the full sum of psi_k c_k, where psi_k = psi(k+1) +
+    # psi(k+2) and psi(n+1) = -gamma + H_n; runs until both full sums have
+    # converged.  With t = z^2/4 these are the series of K1 and I1.
+    c = 1.0
+    head, tail = (c, 0.0) if split >= 0 else (0.0, c)
+    psi_sum = 1.0 - 2.0 * _EULER_GAMMA  # psi(1) + psi(2)
     k_sum = c * psi_sum
     harmonic_k = 0.0
     harmonic_k1 = 1.0
     for k in range(1, 60):
-        c *= t2 / (k * (k + 1))
+        c *= t / (k * (k + 1))
         harmonic_k += 1.0 / k
         harmonic_k1 += 1.0 / (k + 1)
         psi_sum = -2.0 * _EULER_GAMMA + harmonic_k + harmonic_k1
         term = c * psi_sum
-        i_sum += c
+        if k <= split:
+            head += c
+        else:
+            tail += c
         k_sum += term
-        if abs(c) < 1e-18 * abs(i_sum) and abs(term) < 1e-18 * abs(k_sum):
+        if abs(c) < 1e-18 * abs(head + tail) and abs(term) < 1e-18 * abs(k_sum):
             break
+    return head, tail, k_sum
+
+
+def _k1_series(z):
+    # K1(z) = 1/z + log(z/2) I1(z) - (z/4) sum_k psi_k c_k and
+    # I1(z) = (z/2) sum_k c_k, with t = z^2/4 in _series_sums
+    _, i_sum, k_sum = _series_sums(z * z * 0.25)
     return 1.0 / z + cmath.log(0.5 * z) * (0.5 * z * i_sum) - 0.25 * z * k_sum
 
 

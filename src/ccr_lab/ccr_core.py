@@ -170,6 +170,16 @@ def _labels(seq):
         raise ValidationError(f"generator labels must be integers, got {seq!r}") from None
 
 
+def _table(table, what):
+    """A table of entries as a dict: a mapping or an iterable of (key, value)
+    pairs; anything else raises ValidationError rather than leaking
+    TypeError."""
+    try:
+        return dict(table)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a mapping, got {table!r}") from None
+
+
 def _word(word):
     word = _labels(word)
     if word and min(word) < 0:
@@ -328,7 +338,7 @@ class PairingForm:
 
     def __init__(self, entries=None):
         clean = {}
-        for key, v in (entries or {}).items():
+        for key, v in _table(entries or {}, "pairing entries").items():
             i, j = _labels(key)
             if not isinstance(v, numbers.Real) or not (is_exact(v) or math.isfinite(v)):
                 raise ValidationError(

@@ -171,11 +171,13 @@ def _stencil(config):
     return step, dt2
 
 
-def _march(psi, step, start, forward, source=None):
-    """Leapfrog psi in place from row `start` to the grid edge ahead, adding
-    the source rows when a source is given."""
+def _march(psi, step, start, forward, source=None, stop=None):
+    """Leapfrog psi in place from row `start` to row `stop` (by default the
+    grid edge ahead), adding the source rows when a source is given."""
     d = 1 if forward else -1
-    for n in range(start, psi.shape[0] - 1 if forward else 0, d):
+    if stop is None:
+        stop = psi.shape[0] - 1 if forward else 0
+    for n in range(start, stop, d):
         step(psi[n], psi[n - d], psi[n + d], None if source is None else source[n])
     return psi
 
@@ -202,17 +204,18 @@ def _source_box(f: LatticeField, kinds):
     return box
 
 
-def _solution(f: LatticeField, box, which):
+def _solution(f: LatticeField, box, which, stop=None):
     """Fundamental solution as an array, marched from the source's first row
-    (retarded) or last row (advanced); every row behind that one is zero."""
+    (retarded) or last row (advanced); every row behind that one is zero.
+    With `stop` the march ends at that row, and rows past it stay zero."""
     cfg = f.config
     psi = np.zeros((cfg.n_steps, cfg.n_x))
     if box is None:
         return psi
     step, _ = _stencil(cfg)
     if which == "retarded":
-        return _march(psi, step, box[0], True, f.values)
-    return _march(psi, step, box[1], False, f.values)
+        return _march(psi, step, box[0], True, f.values, stop)
+    return _march(psi, step, box[1], False, f.values, stop)
 
 
 def fundamental(f: LatticeField, which="retarded"):
@@ -224,12 +227,18 @@ def fundamental(f: LatticeField, which="retarded"):
     return _field(f.config, _solution(f, box, which))
 
 
+def _causal(f: LatticeField, box, rows=(None, None)):
+    """Advanced minus retarded solution as an array; with rows = (lo, hi)
+    the marches stop once they have filled rows lo..hi."""
+    E = _solution(f, box, "advanced", rows[0])
+    E -= _solution(f, box, "retarded", rows[1])
+    return E
+
+
 def causal_E(f: LatticeField):
     """Advanced minus retarded solution of the source."""
     box = _source_box(f, ("advanced", "retarded"))
-    E = _solution(f, box, "advanced")
-    E -= _solution(f, box, "retarded")
-    return _field(f.config, E)
+    return _field(f.config, _causal(f, box))
 
 
 def apply_kg(field: LatticeField):
@@ -264,10 +273,10 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
         return float(cfg.spacing * cfg.dt * np.sum(f.values * Eg.values))
     if method != "surface":
         raise ValidationError("method must be 'volume' or 'surface'")
-    psi_f = causal_E(f)
-    psi_g = causal_E(g)
+    boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]
     n = _pick_slice(f, g, slice_index)
-    uf, ug = psi_f.values, psi_g.values
+    # only rows n-1..n+1 are read, so neither march goes past them
+    uf, ug = (_causal(h, box, (n - 1, n + 1)) for h, box in zip((f, g), boxes))
     w = (
         uf[n] * (ug[n + 1] - ug[n - 1]) - ug[n] * (uf[n + 1] - uf[n - 1])
     ).sum() * cfg.spacing / (2.0 * cfg.dt)

@@ -6,6 +6,13 @@ radial Fourier mode integral), the short-distance parametrix with its
 closed-form coefficients, the smooth remainder after subtraction, and the
 one-particle scalar product of radially sampled momentum profiles.
 
+The mode integral's nodes do not depend on the regulator, so one pass over
+them gives the integral at every rung of the regulator ladder that the eps
+-> 0 extrapolation needs.  Near coincidence the remainder is summed as one
+series in which the 1/sigma poles of kernel and parametrix cancel term by
+term, so it keeps full precision where the difference of the two would
+lose it (see remainder_w).
+
 Conventions.  Separations are reduced by translation and rotation symmetry
 to a time difference dt and a spatial modulus r >= 0.  The causal square is
 sigma = r^2 - dt^2 (positive spacelike), regulated as
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bessel import _panels, k1
+from ._bessel import _panels, _series_sums, k1
 from .errors import (
     OnLightconeSingularError,
     OrderGuardError,
@@ -112,15 +119,21 @@ def sigma_eps(p: SeparationPoint, eps: float) -> complex:
     return complex(s + eps * eps, 2.0 * eps * p.dt)
 
 
-def _branch_sqrt_sigma(p: SeparationPoint, eps: float) -> complex:
-    if eps > 0.0:
-        return cmath.sqrt(sigma_eps(p, eps))
+def _off_cone_sigma(p: SeparationPoint) -> float:
+    """sigma at eps = 0, refusing a null separation."""
     s = p.sigma
     scale = p.r * p.r + p.dt * p.dt
     if abs(s) <= 1e-12 * scale or scale == 0.0:
         raise OnLightconeSingularError(
             "null separation is singular without a regulator"
         )
+    return s
+
+
+def _branch_sqrt_sigma(p: SeparationPoint, eps: float) -> complex:
+    if eps > 0.0:
+        return cmath.sqrt(sigma_eps(p, eps))
+    s = _off_cone_sigma(p)
     if s > 0.0:
         return complex(math.sqrt(s), 0.0)
     return complex(0.0, math.copysign(math.sqrt(-s), p.dt))
@@ -145,16 +158,17 @@ _LAG = np.polynomial.laguerre.laggauss(60)
 _MAX_HEAD_PANELS = 800
 
 
-def _mode_integral(
-    rho: float, dt: float, m: float, eps: float, k0: float, power: int
-) -> complex:
-    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk.
+def _mode_integral(rho, dt, m, eps, k0, power):
+    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk
+    for every regulator in the sequence `eps`, in one pass.
 
     Power 1 is the integrand of the +-r components; power 2 at rho = 0 is
     their r -> 0 limit, k sin(kr)/r -> k^2.  Head on [0, k0] by composite
     Gauss-Legendre with panel density tied to the total phase range; tail
     rotated into the complex k plane along the direction where the phase
-    decays, with Gauss-Laguerre nodes.
+    decays, with Gauss-Laguerre nodes.  No node depends on the regulator, so
+    the undamped integrand is computed once and contracted with the damping
+    exp(-eps k) of each rung.
     """
     phase_range = k0 * (abs(rho) + abs(dt))
     n_panels = int(math.ceil(phase_range / (2.0 * math.pi))) + 4
@@ -165,8 +179,8 @@ def _mode_integral(
         )
     k, wts = _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
     omega = np.sqrt(k * k + m * m)
-    head = np.sum(
-        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega) - eps * k)
+    head = np.exp(-np.outer(eps, k)) @ (
+        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega))
     )
 
     omega0 = math.sqrt(k0 * k0 + m * m)
@@ -183,9 +197,9 @@ def _mode_integral(
     s = u / gamma
     kk = k0 + 1j * c * s
     om = np.sqrt(kk * kk + m * m)
-    vals = kk**power / om * np.exp(1j * (kk * rho - dt * om) - eps * kk)
-    tail = 1j * c * np.sum(wl * np.exp(u) * vals) / gamma
-    return complex(head + tail)
+    vals = wl * np.exp(u) * kk**power / om * np.exp(1j * (kk * rho - dt * om))
+    tail = np.exp(-np.outer(eps, kk)) @ vals
+    return head + 1j * c * tail / gamma
 
 
 def _head_cutoff(p: SeparationPoint, m: float) -> float:
@@ -198,7 +212,7 @@ def _head_cutoff(p: SeparationPoint, m: float) -> float:
     return k0
 
 
-def _fourier_once(p: SeparationPoint, m: float, eps: float, k0: float) -> complex:
+def _fourier_once(p: SeparationPoint, m: float, eps, k0: float):
     if p.r < 1e-9:
         if p.dt == 0.0:
             raise QuadratureFailureError(
@@ -210,18 +224,22 @@ def _fourier_once(p: SeparationPoint, m: float, eps: float, k0: float) -> comple
     return (plus - minus) / (2j) / (_FOUR_PI_SQ * p.r)
 
 
-def _fourier_checked(p: SeparationPoint, m: float, eps: float) -> complex:
+def _fourier_checked(p: SeparationPoint, m: float, eps):
+    """The kernel at each regulator of the ladder `eps`, from two head
+    cutoffs; the rungs are self-checked in ladder order."""
     k0 = _head_cutoff(p, m)
     v1 = _fourier_once(p, m, eps, k0)
     v2 = _fourier_once(p, m, eps, 1.37 * k0 + 1.0)
-    scale = max(abs(v2), 1e-2 * max(m * m, 1.0) / _FOUR_PI_SQ)
-    residual = abs(v1 - v2)
-    if residual > 1e-9 * scale:
-        raise QuadratureFailureError(
-            f"mode integral self-check failed (residual {residual:.3e})",
-            residual=residual,
-        )
-    return v2
+    floor = 1e-2 * max(m * m, 1.0) / _FOUR_PI_SQ
+    for a, b in zip(v1, v2):
+        scale = max(abs(b), floor)
+        residual = abs(a - b)
+        if residual > 1e-9 * scale:
+            raise QuadratureFailureError(
+                f"mode integral self-check failed (residual {residual:.3e})",
+                residual=residual,
+            )
+    return [complex(b) for b in v2]
 
 
 def _extrapolate_to_zero(xs, ys):
@@ -248,14 +266,14 @@ def omega2_fourier(p: SeparationPoint, params: KernelParams) -> complex:
         raise ValidationError("mass must be >= 0")
     m = params.m
     if params.eps > 0.0:
-        return _fourier_checked(p, m, params.eps)
+        return _fourier_checked(p, m, [params.eps])[0]
     span = p.r + abs(p.dt)
     if span <= 0.0:
         raise QuadratureFailureError(
             "coincidence point has no convergent mode integral", residual=float("inf")
         )
     ladder = [f * span for f in (3e-3, 1e-3, 3e-4, 1e-4, 3e-5)]
-    values = [_fourier_checked(p, m, e) for e in ladder]
+    values = _fourier_checked(p, m, ladder)
     full = _extrapolate_to_zero(ladder, values)
     trimmed = _extrapolate_to_zero(ladder[1:], values[1:])
     scale = max(abs(full), 1e-2 * max(m * m, 1.0) / _FOUR_PI_SQ)
@@ -303,25 +321,25 @@ def hadamard_coefficients(m: float, order: int):
 _SIGMA_WINDOW = 25.0
 
 
-def hadamard_H(p: SeparationPoint, params: KernelParams) -> complex:
-    """Short-distance parametrix 1/(4 pi^2 sigma_eps) + sum v_k sigma^k log(sigma_eps/lam^2)."""
-    lam = params.lam
-    s = p.sigma
+def _check_window(s: float, lam: float) -> None:
     if abs(s) > _SIGMA_WINDOW * lam * lam:
         raise ValidationError(
             "separation outside the parametrix window for this length scale"
         )
+
+
+def hadamard_H(p: SeparationPoint, params: KernelParams) -> complex:
+    """Short-distance parametrix 1/(4 pi^2 sigma_eps) + sum v_k sigma^k log(sigma_eps/lam^2)."""
+    lam = params.lam
+    s = p.sigma
+    _check_window(s, lam)
     eps = params.eps
     if eps > 0.0:
         se = sigma_eps(p, eps)
         log_term = cmath.log(se / (lam * lam))
         lead = 1.0 / (_FOUR_PI_SQ * se)
     else:
-        scale = p.r * p.r + p.dt * p.dt
-        if scale == 0.0 or abs(s) <= 1e-12 * scale:
-            raise OnLightconeSingularError(
-                "null separation is singular without a regulator"
-            )
+        _off_cone_sigma(p)
         lead = complex(1.0 / (_FOUR_PI_SQ * s), 0.0)
         if s > 0.0:
             log_term = complex(math.log(s / (lam * lam)), 0.0)
@@ -338,10 +356,34 @@ def hadamard_H(p: SeparationPoint, params: KernelParams) -> complex:
 
 
 def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
-    """Smooth remainder: closed-form kernel minus the order-N parametrix."""
-    if params.m <= 0.0:
+    """Smooth remainder w = W - H: closed-form kernel minus the order-N
+    parametrix.
+
+    At eps = 0 and m^2 |sigma| <= 16, the radius inside which K1 is its own
+    convergent series, the two 1/(4 pi^2 sigma) poles cancel exactly and
+    are never formed.  With t = m^2 sigma/4, c_k = t^k/(k! (k+1)!),
+    psi_k = psi(k+1) + psi(k+2) and L = log|t|, plus i pi sign(dt) for
+    timelike sigma,
+
+        w = (m^2/16 pi^2) [ sum_{k<=N} c_k log(m^2 lam^2/4)
+                            + sum_{k>N} c_k L - sum_k psi_k c_k ].
+
+    Every other input takes omega2_bessel - hadamard_H.  Either route
+    refuses a non-positive mass, then a null separation, then a separation
+    outside the parametrix window.
+    """
+    m = params.m
+    if m <= 0.0:
         raise ValidationError("the remainder needs a positive mass")
-    return omega2_bessel(p, params) - hadamard_H(p, params)
+    if params.eps > 0.0 or m * m * abs(p.sigma) > 16.0:
+        return omega2_bessel(p, params) - hadamard_H(p, params)
+    s = _off_cone_sigma(p)
+    _check_window(s, params.lam)
+    t = 0.25 * m * m * s
+    head, tail, psi_sum = _series_sums(t, params.order)
+    log_t = complex(math.log(abs(t)), 0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
+    log_lam = math.log(0.25 * (m * params.lam) ** 2)
+    return m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum)
 
 
 def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float) -> complex:

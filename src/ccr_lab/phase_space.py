@@ -60,8 +60,8 @@ def standard_symplectic_form(n_modes):
 
 def _check_square_pair(mu, tau):
     # mu and tau are float arrays already read through as_finite_array
-    if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
-        raise ValidationError("mu must be a square matrix")
+    if mu.ndim != 2 or mu.shape[0] != mu.shape[1] or mu.size == 0:
+        raise ValidationError("mu must be a non-empty square matrix")
     if tau.shape != mu.shape:
         raise ValidationError("tau must match mu's shape")
     scale = max(1.0, np.abs(mu).max(), np.abs(tau).max())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, coerce, star
+from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _table, coerce, star
 from .errors import (
     DegreeGuardError,
     IncompleteKernelError,
@@ -120,7 +120,8 @@ class TwoPointKernel:
             }
         else:
             entries = {
-                _labels(key): coerce(v, FLOAT) for key, v in dict(table).items()
+                _labels(key): coerce(v, FLOAT)
+                for key, v in _table(table, "two-point table").items()
             }
             gens = tuple(sorted({i for pair in entries for i in pair}))
             if generators is not None:
@@ -322,7 +323,10 @@ def gram_positivity(state, elements):
     minimal eigenvalue is compared against -1e-10 times the trace.  Elements
     above degree 4 are refused.
     """
-    elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
+    try:
+        elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
+    except (TypeError, AttributeError):
+        raise ValidationError("elements must be an iterable of algebra elements") from None
     for a in elems:
         if a.degree > _GRAM_DEGREE_GUARD:
             raise DegreeGuardError(

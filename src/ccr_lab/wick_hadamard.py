@@ -47,6 +47,7 @@ from .ccr_core import (
     ExactComplex,
     PairingForm,
     _labels,
+    _table,
     _WordCombination,
     coerce,
     is_exact,
@@ -127,7 +128,7 @@ class OrderingKernel:
         if not isinstance(pairing, PairingForm):
             raise ValidationError("pairing must be a PairingForm")
         entries = {}
-        for key, v in dict(table).items():
+        for key, v in _table(table, "ordering-kernel table").items():
             if not is_exact(v):
                 v = coerce(v, FLOAT)
                 if not cmath.isfinite(v):
@@ -182,7 +183,7 @@ class OrderingKernel:
         filled in.  Rational S and E entries produce an exact kernel.
         """
         sym = {}
-        for key, v in dict(symmetric).items():
+        for key, v in _table(symmetric, "symmetric part").items():
             key = _labels(key)
             rkey = key[::-1]
             if rkey in sym and sym[rkey] != v:
@@ -371,9 +372,9 @@ class _BasisTable:
     Every axis runs over ``basis``, and the array is symmetric under
     exchange of any two axes.  Exact tables hold ExactComplex entries in
     object arrays; float tables are complex128.  A ``mode`` of None reads
-    the mode off the array: object dtype means exact.  Subclasses set the
-    allowed ranks, the name used in messages and the error raised for an
-    array that is not symmetric.
+    the mode off the array: object dtype means exact.  Float entries must
+    be finite.  Subclasses set the allowed ranks, the name used in messages
+    and the errors raised for an array that is not symmetric or not finite.
     """
 
     __slots__ = ("basis", "array", "mode")
@@ -381,6 +382,7 @@ class _BasisTable:
     _ranks = range(_TENSOR_DEGREE_GUARD + 1)
     _what = "table"
     _asymmetric = InvalidSymmetryError
+    _nonfinite = ValidationError
 
     def __init__(self, basis, array, mode=None):
         basis = _basis(basis)
@@ -396,6 +398,8 @@ class _BasisTable:
                 arr = arr.astype(complex)
             except (TypeError, ValueError):
                 raise ValidationError(f"{self._what} has non-numeric entries") from None
+            if not np.isfinite(arr).all():
+                raise self._nonfinite(f"{self._what} has non-finite entries")
         else:
             raise ValidationError(f"unknown scalar mode {mode!r}")
         if arr.ndim not in self._ranks:
@@ -516,12 +520,7 @@ class DifferenceKernel(_BasisTable):
 
     _ranks = (2,)
     _what = "difference table"
-    _asymmetric = InvalidDifferenceError
-
-    def __init__(self, basis, matrix, mode=None):
-        super().__init__(basis, matrix, mode)
-        if self.mode == FLOAT and not np.isfinite(self.array).all():
-            raise InvalidDifferenceError("difference table has non-finite entries")
+    _asymmetric = _nonfinite = InvalidDifferenceError
 
     @property
     def matrix(self):

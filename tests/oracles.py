@@ -321,6 +321,32 @@ def coincidence_remainder(m, lam):
     )
 
 
+def remainder_oracle(dt, r, m, lam, order):
+    """Hadamard remainder W - H at eps = 0, both terms in 50 digits: mpmath
+    K1 for W = (m^2/4pi^2) K1(z)/z, z = m sqrt(sigma), and the order-N
+    parametrix H = 1/(4pi^2 sigma) + sum v_k sigma^k log(sigma/lam^2).  The
+    timelike root and log take the side given by the sign of dt."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        dt, r, m, lam = (mpmath.mpf(v) for v in (dt, r, m, lam))
+        sigma = r * r - dt * dt
+        if sigma > 0:
+            root, log_sigma = mpmath.sqrt(sigma), mpmath.log(sigma)
+        else:
+            side = 1 if dt > 0 else -1
+            root = mpmath.mpc(0, side * mpmath.sqrt(-sigma))
+            log_sigma = mpmath.log(-sigma) + side * mpmath.pi * 1j
+        z = m * root
+        four_pi_sq = 4 * mpmath.pi**2
+        w = m * m / four_pi_sq * mpmath.besselk(1, z) / z - 1 / (four_pi_sq * sigma)
+        for k in range(order + 1):
+            v = (m * m / (4 * four_pi_sq) * (m * m / 4) ** k
+                 / (mpmath.factorial(k) * mpmath.factorial(k + 1)))
+            w -= v * sigma**k * (log_sigma - mpmath.log(lam * lam))
+        return complex(w)
+
+
 def neville_to_zero(xs, ys):
     """Polynomial extrapolation of (xs, ys) to x = 0, Neville's scheme."""
     xs = [float(x) for x in xs]

@@ -432,6 +432,11 @@ def test_pairing_form_antisymmetry():
         PairingForm({(3, 3): Fraction(1)})
 
 
+def test_pairing_form_refuses_entries_that_are_not_a_mapping():
+    with pytest.raises(ValidationError):
+        PairingForm(5)
+
+
 def test_weak_nondegeneracy_report():
     assert E_TWO_BLOCKS.is_weakly_nondegenerate((1, 2, 3, 4))
     assert not E12.is_weakly_nondegenerate((1, 2, 3))

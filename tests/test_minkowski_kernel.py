@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ccr_lab import minkowski_kernel as mk
+from ccr_lab._bessel import _panels
 from ccr_lab.errors import (
     OnLightconeSingularError,
     OrderGuardError,
@@ -32,6 +34,7 @@ from oracles import (
     commutator_radial_oracle,
     hadamard_v_coefficients,
     mp_k1,
+    remainder_oracle,
 )
 
 M1 = KernelParams(m=1.0, eps=0.0)
@@ -193,6 +196,35 @@ def test_origin_mode_integral_matches_small_r(dt, eps):
     assert abs(origin - near) <= 1e-8 * abs(near)
 
 
+def _per_rung(rho, dt, m, eps, k0, power):
+    # the mode integral at one regulator with the damping inside the
+    # integrand, on the same nodes: the loop the batched ladder replaced
+    n_panels = int(math.ceil(k0 * (abs(rho) + abs(dt)) / (2.0 * math.pi))) + 4
+    k, w = _panels(np.linspace(0.0, k0, n_panels + 1), mk._GL24)
+    om = np.sqrt(k * k + m * m)
+    head = np.sum(w * k**power / om * np.exp(1j * (k * rho - dt * om) - eps * k))
+    beta0 = rho - dt * k0 / math.sqrt(k0 * k0 + m * m)
+    c = math.copysign(1.0, beta0)
+    gamma = min(abs(beta0), abs(rho - dt))
+    u, wl = mk._LAG
+    kk = k0 + 1j * c * u / gamma
+    om = np.sqrt(kk * kk + m * m)
+    vals = kk**power / om * np.exp(1j * (kk * rho - dt * om) - eps * kk)
+    return head + 1j * c * np.sum(wl * np.exp(u) * vals) / gamma
+
+
+@pytest.mark.parametrize("dt, r", [(0.5, 1.2), (2.0, 0.5), (1.5, 0.0), (-2.2, 2.8)])
+def test_regulator_ladder_matches_per_rung_integrals(dt, r):
+    p = SeparationPoint(dt, r)
+    ladder = np.array([3e-3, 1e-3, 3e-4, 1e-4, 3e-5]) * (r + abs(dt))
+    for m in (0.0, 1.3):
+        for k0 in (mk._head_cutoff(p, m), 1.37 * mk._head_cutoff(p, m) + 1.0):
+            for rho, power in ((r, 1), (-r, 1)) if r else ((0.0, 2),):
+                got = mk._mode_integral(rho, dt, m, ladder, k0, power)
+                want = np.array([_per_rung(rho, dt, m, e, k0, power) for e in ladder])
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_kg_equation_residual_spacelike():
     # radial wave operator, second-order central differences
     params = M1
@@ -268,6 +300,53 @@ def test_remainder_and_derivatives_bounded_into_the_origin():
     for col in range(3):
         peak = max(abs(row[col]) for row in rows)
         assert peak <= 2.0 * abs(anchor[col])
+
+
+def _separation(x, m, lean, kind):
+    # a separation with m^2 |sigma| = x: spacelike, or timelike to the
+    # future or the past
+    long_side = math.sqrt(x / (1.0 - lean * lean)) / m
+    if kind == "spacelike":
+        return SeparationPoint(lean * long_side, long_side)
+    sign = 1.0 if kind == "future" else -1.0
+    return SeparationPoint(sign * long_side, lean * long_side)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_remainder_matches_mpmath_oracle(order):
+    # m^2 |sigma| from near coincidence, where W and H are each ~1/sigma,
+    # across the series radius 16 to the edge of the window 25 m^2 lam^2
+    masses = ((1.0, 1.0), (0.7, 1.3), (2.2, 0.45), (1.4, 1.05))
+    for m, lam_m in (masses[order % 4], masses[(order + 1) % 4]):
+        lam = lam_m / m
+        for x in (1e-12, 1e-6, 3e-3, 0.4, 5.0, 15.9, 16.1, 24.0, 40.0):
+            if x > 25.0 * lam_m * lam_m:
+                continue
+            for lean, kind in ((0.3, "spacelike"), (0.6, "future"), (0.2, "past")):
+                p = _separation(x, m, lean, kind)
+                got = remainder_w(p, KernelParams(m=m, lam=lam, order=order))
+                want = remainder_oracle(p.dt, p.r, m, lam, order)
+                assert abs(got - want) <= 1e-13 * m * m / (16 * math.pi**2)
+
+
+def test_remainder_series_regime_error_contract():
+    # every input here has m^2 |sigma| <= 16, the series regime
+    with pytest.raises(ValidationError):
+        remainder_w(SeparationPoint(0.0, 0.5), KernelParams(m=0.0, lam=1.0))
+    with pytest.raises(ValidationError):  # the mass is read before the cone
+        remainder_w(SeparationPoint(0.5, 0.5), KernelParams(m=0.0, lam=1.0))
+    for p in (SeparationPoint(0.0, 0.0), SeparationPoint(0.5, 0.5),
+              SeparationPoint(-0.5, 0.5)):
+        with pytest.raises(OnLightconeSingularError):
+            remainder_w(p, M1)
+    # outside the window |sigma| <= 25 lam^2, and the cone before the window
+    with pytest.raises(ValidationError):
+        remainder_w(SeparationPoint(0.0, 3.0), KernelParams(m=1.0, lam=0.5))
+    far = 1e7
+    on_cone = SeparationPoint(math.sqrt(far * far - 10.0), far)
+    assert on_cone.sigma > 6.25
+    with pytest.raises(OnLightconeSingularError):
+        remainder_w(on_cone, KernelParams(m=1.0, lam=0.5))
 
 
 def test_lambda_shift_identity_is_exact():

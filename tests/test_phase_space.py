@@ -438,6 +438,9 @@ def _fock(cutoff=4):
         lambda: _fock().commutator_residual([1.0, 0.0], [math.nan, 0.0]),
         lambda: _fock().commutator_residual(["a", 0.0], [0.0, 1.0]),
         lambda: _fock().commutator_residual([1.0, 0.0], [0.0, 1.0, 0.0]),
+        lambda: validate_mu_tau(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: one_particle(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: purity(np.zeros((0, 0)), np.zeros((0, 0))),
     ],
     ids=[
         "nan-mu",
@@ -471,6 +474,9 @@ def _fock(cutoff=4):
         "commutator-nan",
         "commutator-string",
         "commutator-wrong-length",
+        "validate-empty",
+        "one-particle-empty",
+        "purity-empty",
     ],
 )
 def test_boundary_inputs_raise_validation_errors(call):

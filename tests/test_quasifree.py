@@ -168,6 +168,11 @@ def test_kernel_rejects_non_integer_labels_and_non_numbers(build):
         build()
 
 
+def test_kernel_refuses_a_table_that_is_not_a_mapping():
+    with pytest.raises(ValidationError):
+        TwoPointKernel(5)
+
+
 # -------------------------------------------------------------- moments
 
 def test_odd_moments_vanish_and_normalization():
@@ -291,6 +296,13 @@ def test_hermiticity_of_evaluation():
 
 
 # ------------------------------------------------------------ positivity
+
+def test_gram_refuses_a_family_that_is_not_a_list_of_elements():
+    state = QuasifreeState(vacuum_mode_kernel([1.0]))
+    for family in (5, [5]):
+        with pytest.raises(ValidationError):
+            gram_positivity(state, family)
+
 
 def test_gram_trivial_families():
     state = QuasifreeState(vacuum_mode_kernel([1.0]))

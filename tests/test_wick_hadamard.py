@@ -175,6 +175,13 @@ def test_kernel_rejects_wrong_antisymmetric_part():
         OrderingKernel({(1, 2): 0.3 + 0.2j, (2, 1): 0.3 - 0.2j}, PairingForm({(1, 2): 1.0}))
 
 
+def test_kernel_refuses_tables_that_are_not_mappings():
+    with pytest.raises(ValidationError):
+        OrderingKernel(5, E4)
+    with pytest.raises(ValidationError):
+        OrderingKernel.from_symmetric_part(5, E4)
+
+
 def test_float_kernel_with_correct_split_passes():
     k = OrderingKernel(
         {(1, 2): 0.3 + 0.5j, (2, 1): 0.3 - 0.5j}, PairingForm({(1, 2): 1.0})
@@ -591,6 +598,17 @@ def test_wick_tensor_validation():
         WickTensor(GENS, np.zeros((4,) * 7))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_wick_tensor_refuses_non_finite_entries(bad):
+    arr = np.zeros((4, 4), dtype=complex)
+    arr[1, 1] = bad
+    with pytest.raises(ValidationError):
+        WickTensor(GENS, arr)
+    arr[1, 1] = complex(0.0, bad)
+    with pytest.raises(ValidationError):
+        WickTensor(GENS, arr)
+
+
 def test_wick_tensor_exact_symmetry_is_strict():
     arr = np.empty((4, 4), dtype=object)
     arr.fill(ExactComplex())
@@ -866,6 +884,16 @@ def test_phi2_vacuum_matches_coincidence_oracle():
     assert value == pytest.approx(coincidence_remainder(m, 1.0 / m), abs=1e-6)
     # translation invariance: the point argument does not change the vacuum value
     assert phi2_H_expectation(params, x=(3.0, -1.0, 0.5, 2.0)) == value
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_phi2_matches_coincidence_oracle_to_roundoff(order):
+    # the equal-time ladder reads the cancellation-free series of w, so the
+    # extrapolated value is limited by roundoff, not by the pole subtraction
+    for m, lam_m in ((0.55, 0.6), (1.0, 1.0), (1.3, 1.85), (1.9, 1.7)):
+        got = phi2_H_expectation(KernelParams(m=m, lam=lam_m / m, order=order))
+        want = coincidence_remainder(m, lam_m / m)
+        assert abs(got - want) <= 1e-12 * m * m / (16 * math.pi**2)
 
 
 def test_phi2_lambda_shift():
