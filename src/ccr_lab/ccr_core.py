@@ -6,9 +6,9 @@ the exchange relation
 where E is an antisymmetric real pairing on generator indices.  Elements are
 finite linear combinations of words over the generator alphabet; the canonical
 representative of an element has every word sorted in non-decreasing index
-order, and ``normal_form`` computes it by confluent rewriting.  Scalars come
-in two modes: exact complex rationals (the default for identity checking) and
-ordinary complex floats.
+order, and ``normal_form`` computes it.  Scalars come in two modes: exact
+complex rationals (the default for identity checking) and ordinary complex
+floats.
 
 >>> E = PairingForm({(1, 2): 1})
 >>> a = AlgebraElement.generator(2) * AlgebraElement.generator(1)
@@ -432,51 +432,75 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def star(a: AlgebraElement) -> AlgebraElement:
     """Involution: reverse every word, conjugate every coefficient."""
+    if not isinstance(a, AlgebraElement):
+        raise ValidationError("star expects an AlgebraElement")
     return AlgebraElement._new(
         {w[::-1]: c.conjugate() for w, c in a.terms.items()}, a.mode
     )
 
 
-def _first_inversion(word):
-    for pos in range(len(word) - 1):
-        if word[pos] > word[pos + 1]:
-            return pos
-    return None
+def _accumulate(table, key, value):
+    if key in table:
+        value = table[key] + value
+    if value:
+        table[key] = value
+    else:
+        table.pop(key, None)
+
+
+def _contract(starts, weight, pool=False):
+    """Sum over partial matchings, one letter at a time.
+
+    ``starts`` yields (open, letters, coefficient), ``open`` a sorted word.
+    Each letter g either contracts with one open letter l, at weight[(l,
+    g)], or stays unmatched: it joins the open letters, or a closed pool
+    that nothing contracts with when ``pool`` is true.  States with equal
+    open and pooled letters are merged, so m open copies of l give one term
+    of weight m * weight[(l, g)].  Returns {sorted unmatched word: coeff}.
+    """
+    out = {}
+    for start, letters, coeff in starts:
+        states = {(start, ()): coeff}
+        for g in letters:
+            grown = {}
+            for (open_, closed), c in states.items():
+                if pool:
+                    _accumulate(grown, (open_, tuple(sorted(closed + (g,)))), c)
+                else:
+                    _accumulate(grown, (tuple(sorted(open_ + (g,))), closed), c)
+                for i, l in enumerate(open_):
+                    if i and open_[i - 1] == l:
+                        continue
+                    k = weight.get((l, g))
+                    if k is not None:
+                        m = open_.count(l)
+                        term = c * k if m == 1 else c * k * m
+                        _accumulate(grown, (open_[:i] + open_[i + 1 :], closed), term)
+            states = grown
+        for (open_, closed), c in states.items():
+            _accumulate(out, tuple(sorted(open_ + closed)), c)
+    return out
 
 
 def normal_form(a: AlgebraElement, E: PairingForm) -> AlgebraElement:
     """Canonical representative with all words sorted non-decreasingly.
 
-    Repeatedly applies phi(j)phi(i) -> phi(i)phi(j) - i E_ij 1 (j > i) to the
-    leftmost inversion of each word.  Every swap strictly lowers the inversion
-    count at fixed degree and emits a remainder two degrees down, so the
-    rewriting terminates; merging coefficients by word keeps it from
-    re-deriving duplicates.  Exact elements need rational E entries.
+    Sorting a word is Wick's theorem for the ordering kernel kappa(l, g) =
+    i E(l, g) for l > g, else 0: its antisymmetric part is (i/2)E, and its
+    ordered monomial of a sorted word is the sorted plain product.  So a
+    word is the sum over partial matchings of its slots of prod kappa(w_a,
+    w_b) over the pairs a < b, times the sorted product of the unmatched
+    letters.  E is read once, over the letters the element uses; exact
+    elements need rational E entries there.
     """
-    mode = a.mode
-    minus_i = coerce(ExactComplex(0, -1), mode)
-    factors = {}  # (i, j) -> -i E_ij, each pair's scalar made once
-    pending = dict(a.terms)
-    done = {}
-    while pending:
-        word, coeff = pending.popitem()
-        if not coeff:
-            continue
-        pos = _first_inversion(word)
-        if pos is None:
-            done[word] = done[word] + coeff if word in done else coeff
-            continue
-        i, j = word[pos + 1], word[pos]
-        swapped = word[:pos] + (i, j) + word[pos + 2 :]
-        pending[swapped] = pending[swapped] + coeff if swapped in pending else coeff
-        factor = factors.get((i, j))
-        if factor is None:
-            factor = factors[(i, j)] = coerce(E.value(i, j), mode) * minus_i
-        if factor:
-            shorter = word[:pos] + word[pos + 2 :]
-            term = coeff * factor
-            pending[shorter] = pending[shorter] + term if shorter in pending else term
-    return AlgebraElement._new(done, mode)
+    if not isinstance(a, AlgebraElement) or not isinstance(E, PairingForm):
+        raise ValidationError("normal_form expects (AlgebraElement, PairingForm)")
+    minus_i = coerce(ExactComplex(0, -1), a.mode)
+    letters = {g for w in a.terms for g in w}
+    pairs = [(i, j) for i in letters for j in letters if (i, j) in E.entries]
+    weight = {(j, i): coerce(E.entries[(i, j)], a.mode) * minus_i for i, j in pairs}
+    terms = _contract([((), w, c) for w, c in a.terms.items()], weight)
+    return AlgebraElement._new(terms, a.mode)
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement, E: PairingForm) -> AlgebraElement:

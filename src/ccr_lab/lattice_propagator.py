@@ -384,4 +384,11 @@ def save_field(field: LatticeField, path):
 
 
 def load_field_values(path):
-    return np.load(path)
+    """Read a grid written by save_field as a finite float array.  A path
+    np.load cannot open or read without unpickling, or NaN or infinite
+    entries, raise ValidationError."""
+    try:
+        values = np.load(path)
+    except (OSError, TypeError, ValueError, EOFError) as exc:
+        raise ValidationError(f"cannot read field values from {path!r}: {exc}") from None
+    return as_finite_array(values, "field values")

@@ -66,8 +66,9 @@ class SeparationPoint:
     r: float
 
     def __post_init__(self):
-        as_finite(self.dt, "dt")
-        as_finite(self.r, "r")
+        dt, r = as_finite(self.dt, "dt"), as_finite(self.r, "r")
+        if not math.isfinite(r * r - dt * dt):
+            raise ValidationError("dt**2 or r**2 overflows, so sigma would be NaN")
         if self.r < 0.0:
             raise ValidationError("spatial separation modulus must be >= 0")
 
@@ -110,6 +111,8 @@ class KernelParams:
         as_finite(lam, "lam")
         if lam <= 0.0:
             raise ValidationError("length scale must be > 0")
+        if not 0.0 < lam * lam < math.inf:
+            raise ValidationError("lam**2 must be a nonzero finite float")
         if self.eps > 0.1 * lam:
             raise ValidationError("regulator must be small against the length scale")
 
@@ -382,7 +385,7 @@ def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
     t = 0.25 * m * m * s
     head, tail, psi_sum = _series_sums(t, params.order)
     log_t = complex(math.log(abs(t)), 0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
-    log_lam = math.log(0.25 * (m * params.lam) ** 2)
+    log_lam = 2.0 * math.log(0.5 * m * params.lam)
     return m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum)
 
 
@@ -393,7 +396,7 @@ def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float)
         raise ValidationError("length scale must be > 0")
     if params.m == 0.0:
         return 0.0 + 0.0j
-    shift = math.log(params.lam**2 / lam_new**2)
+    shift = 2.0 * math.log(params.lam / lam_new)
     s = p.sigma
     total = 0.0 + 0.0j
     for kk, v in enumerate(hadamard_coefficients(params.m, params.order)):

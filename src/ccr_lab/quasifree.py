@@ -48,16 +48,16 @@ _GRAM_DEGREE_GUARD = 4
 _KERNEL_TOL = 1e-10  # relative; exchange checks, pair bound, Gram certificate
 
 
-def enumerate_pairings(n, max_n=PAIRING_GUARD):
+def enumerate_pairings(n):
     """All perfect matchings of {1, ..., n} as tuples of ascending pairs.
 
     The order is deterministic: the smallest unmatched label is paired with
-    each larger one in turn, recursively.  Count is (n-1)!!.
+    each larger one in turn, recursively.  Count is (n-1)!!, so n above
+    PAIRING_GUARD raises ValidationError.
 
     Parameters
     ----------
     n : even int
-    max_n : guard against double-factorial blowup; raise to override.
 
     Returns
     -------
@@ -68,15 +68,13 @@ def enumerate_pairings(n, max_n=PAIRING_GUARD):
         raise ValidationError("pairing size must be non-negative")
     if n % 2:
         raise ParityError(f"no perfect matchings of an odd set (n={n})")
-    _check_guard(n, max_n)
+    _check_guard(n, PAIRING_GUARD)
     return _pairings(tuple(range(1, n + 1)))
 
 
-def _check_guard(n, max_n):
-    if n > max_n:
-        raise ValidationError(
-            f"n={n} exceeds the pairing guard {max_n}; pass max_n to override"
-        )
+def _check_guard(n, guard):
+    if n > guard:
+        raise ValidationError(f"n={n} exceeds the pairing guard {guard}")
 
 
 def _pairings(labels):
@@ -228,7 +226,7 @@ class QuasifreeState:
         return out
 
 
-def npoint(state, indices, max_n=NPOINT_GUARD):
+def npoint(state, indices):
     """Moment of the state on an ordered index list.
 
     Zero for odd length, one for the empty list, otherwise the sum over
@@ -244,7 +242,7 @@ def npoint(state, indices, max_n=NPOINT_GUARD):
     listing the pairings; the table itself costs n(n-1)/2 kernel lookups.
 
     Slot labels must be integers (Python or numpy); anything else raises
-    ValidationError, as does an even n above `max_n`.
+    ValidationError, as does an even n above NPOINT_GUARD.
     """
     try:
         idx = [operator.index(i) for i in indices]
@@ -257,7 +255,7 @@ def npoint(state, indices, max_n=NPOINT_GUARD):
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
-    _check_guard(n, max_n)
+    _check_guard(n, NPOINT_GUARD)
     value = state.kernel._get  # idx is read already; no second label check
     if n == 2:
         # one pair needs no table; this is the commonest call, e.g. every
@@ -286,11 +284,11 @@ def npoint(state, indices, max_n=NPOINT_GUARD):
     return layer[0]
 
 
-def evaluate(state, element: AlgebraElement, max_n=NPOINT_GUARD):
+def evaluate(state, element: AlgebraElement):
     """Linear extension of the moments to a full algebra element."""
     total = 0.0 + 0.0j
     for word, coeff in element.terms.items():
-        total += complex(coeff) * npoint(state, word, max_n=max_n)
+        total += complex(coeff) * npoint(state, word)
     return total
 
 
@@ -354,11 +352,11 @@ def gram_positivity(state, elements):
     return GramReport(min_eig, threshold, min_eig >= threshold, G, float(herm))
 
 
-def npoint_csv(state, families, max_n=NPOINT_GUARD):
+def npoint_csv(state, families):
     """CSV rows `indices,re,im` for a list of index families."""
     lines = ["indices,re,im"]
     for fam in families:
-        v = npoint(state, fam, max_n=max_n)
+        v = npoint(state, fam)
         label = " ".join(str(int(i)) for i in fam)
         lines.append(f"{label},{v.real:.17g},{v.imag:.17g}")
     return "\n".join(lines) + "\n"

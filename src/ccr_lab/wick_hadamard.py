@@ -10,8 +10,9 @@ kappa.
 
 normal_order, unorder, wick_product and alpha_map are each a sum over
 partial matchings of letters, weighted by kappa, -kappa, kappa across the
-two factors only, and a difference table d.  One routine, _contract,
-computes all four.
+two factors only, and a difference table d; so is ccr_core.normal_form,
+under the kernel whose ordered monomials are sorted plain products.  One
+routine, ccr_core._contract, computes all five.
 
 Tensor-level operations (WickTensor, DifferenceKernel, alpha_map) work over
 a finite generator basis of at most 8 labels.  Exact tensors hold
@@ -46,6 +47,8 @@ from .ccr_core import (
     AlgebraElement,
     ExactComplex,
     PairingForm,
+    _accumulate,
+    _contract,
     _labels,
     _table,
     _WordCombination,
@@ -243,49 +246,6 @@ class NormalOrderedElement(_WordCombination):
     def __repr__(self):
         body = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items()))
         return f"NormalOrderedElement({{{body}}}, mode={self.mode!r})"
-
-
-def _accumulate(table, key, value):
-    if key in table:
-        value = table[key] + value
-    if value:
-        table[key] = value
-    else:
-        table.pop(key, None)
-
-
-def _contract(starts, weight, pool=False):
-    """Sum over partial matchings, one letter at a time.
-
-    ``starts`` yields (open, letters, coefficient), ``open`` a sorted word.
-    Each letter g either contracts with one open letter l, at weight[(l,
-    g)], or stays unmatched: it joins the open letters, or a closed pool
-    that nothing contracts with when ``pool`` is true.  States with equal
-    open and pooled letters are merged, so m open copies of l give one term
-    of weight m * weight[(l, g)].  Returns {sorted unmatched word: coeff}.
-    """
-    out = {}
-    for start, letters, coeff in starts:
-        states = {(start, ()): coeff}
-        for g in letters:
-            grown = {}
-            for (open_, closed), c in states.items():
-                if pool:
-                    _accumulate(grown, (open_, tuple(sorted(closed + (g,)))), c)
-                else:
-                    _accumulate(grown, (tuple(sorted(open_ + (g,))), closed), c)
-                for i, l in enumerate(open_):
-                    if i and open_[i - 1] == l:
-                        continue
-                    k = weight.get((l, g))
-                    if k is not None:
-                        m = open_.count(l)
-                        term = c * k if m == 1 else c * k * m
-                        _accumulate(grown, (open_[:i] + open_[i + 1 :], closed), term)
-            states = grown
-        for (open_, closed), c in states.items():
-            _accumulate(out, tuple(sorted(open_ + closed)), c)
-    return out
 
 
 def _kernel_table(kernel, elements, mode):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from ccr_lab.errors import (
     ScalarModeMismatchError,
     ValidationError,
 )
+
+from oracles import normal_order_oracle
 
 E12 = PairingForm({(1, 2): Fraction(1)})
 E_TWO_BLOCKS = PairingForm({(1, 2): Fraction(1), (3, 4): Fraction(1)})
@@ -93,6 +96,12 @@ def test_mode_mismatch_rejected():
         multiply(a, b)
     with pytest.raises(ScalarModeMismatchError):
         AlgebraElement({(1,): 0.5}, mode=EXACT)
+    # normal_form reads E once over the element's letters, so a float entry
+    # among them is refused even where no swap needs it
+    E = PairingForm({(1, 2): 0.5})
+    with pytest.raises(ScalarModeMismatchError):
+        normal_form(word(1, 2), E)
+    assert normal_form(word(1, 3), E) == word(1, 3)
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -252,6 +261,26 @@ def test_float_mode_normal_form():
     nf = normal_form(a, E)
     assert nf.terms[(1, 2)] == pytest.approx(1.0 + 0.0j)
     assert nf.terms[()] == pytest.approx(-0.5j)
+
+
+def test_normal_form_matches_brute_force_matchings():
+    # sorting is Wick's theorem under kappa(l, g) = i E(l, g) for l > g,
+    # else 0: the oracle lists every partial matching of the slots
+    rng = random.Random(11)
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    E = PairingForm({p: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for p in pairs})
+    E_float = PairingForm({p: rng.uniform(-2.0, 2.0) for p in pairs})
+    kappa = lambda l, g: exact(0, 1) * E.value(l, g) if l > g else exact(0)  # noqa: E731
+    kappa_float = lambda l, g: 1j * E_float.value(l, g) if l > g else 0j  # noqa: E731
+    for _ in range(60):
+        w = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 8)))
+        got = normal_form(AlgebraElement({w: exact(1)}, EXACT), E).terms
+        assert got == normal_order_oracle(w, kappa, exact(1)), w
+        got = normal_form(AlgebraElement({w: 1.0}, FLOAT), E_float).terms
+        want = normal_order_oracle(w, kappa_float, 1.0)
+        scale = max((abs(c) for c in want.values()), default=1.0)
+        for u in set(got) | set(want):
+            assert abs(got.get(u, 0) - want.get(u, 0)) <= 1e-12 * scale, (w, u)
 
 
 # ----------------------------------------------------------- induced maps

@@ -21,6 +21,7 @@ from ccr_lab.lattice_propagator import (
     causal_E,
     extract_cauchy,
     fundamental,
+    load_field_values,
     pair_E,
     save_field,
     slice_compress,
@@ -410,3 +411,16 @@ def test_field_round_trip_binary(tmp_path):
     assert back.dtype == np.float64
     assert back.shape == (10, 24)
     assert np.array_equal(back, f.values)
+    assert np.array_equal(load_field_values(p), f.values)
+
+
+def test_load_field_values_refuses_unreadable_files(tmp_path):
+    text = tmp_path / "field.txt"
+    text.write_text("1.0 2.0\n3.0 4.0\n")
+    pickled = tmp_path / "objects.npy"
+    np.save(pickled, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+    nan = tmp_path / "nan.npy"
+    np.save(nan, np.array([[0.0, math.nan]]))
+    for path in (text, pickled, nan, tmp_path / "missing.npy", 5):
+        with pytest.raises(ValidationError):
+            load_field_values(path)

@@ -79,6 +79,11 @@ def test_separations_and_params_reject_non_finite_numbers(bad):
             build()
     k5 = np.linspace(0.0, 1.0, 5)
     for build in (
+        # finite numbers whose squares overflow: sigma would be inf - inf
+        lambda: SeparationPoint(1e200, 1e200),
+        lambda: SeparationPoint(dt=1e200, r=0.5),
+        lambda: SeparationPoint(dt=0.5, r=1e200),
+        lambda: KernelParams(m=1.0, lam=1e300),
         lambda: hadamard_coefficients(1.0, 2.5),
         lambda: lambda_shift_delta(SeparationPoint(0.3, 1.0), M1, "a"),
         lambda: MomentumProfile(["a"] * 5, np.zeros(5)),
@@ -347,6 +352,11 @@ def test_remainder_series_regime_error_contract():
     assert on_cone.sigma > 6.25
     with pytest.raises(OnLightconeSingularError):
         remainder_w(on_cone, KernelParams(m=1.0, lam=0.5))
+    # (m lam)^2 overflows a float, its log does not: near coincidence w is
+    # (m^2/16pi^2)(log(m^2 lam^2/4) + 2 gamma - 1)
+    w = remainder_w(SeparationPoint(0.0, 1e-150), KernelParams(m=1e100, lam=1e100))
+    log_lam = 2.0 * math.log(0.5e200)
+    assert w == pytest.approx(1e200 / (16 * math.pi**2) * (log_lam + 2 * np.euler_gamma - 1))
 
 
 def test_lambda_shift_identity_is_exact():
@@ -357,6 +367,9 @@ def test_lambda_shift_identity_is_exact():
         delta = remainder_w(p, shifted) - remainder_w(p, params)
         predicted = lambda_shift_delta(p, params, lam_new)
         assert delta == pytest.approx(predicted, abs=1e-10 * max(1.0, abs(predicted)))
+        # linear in log(lam/lam_new), also where lam_new**2 overflows a float
+        far = lambda_shift_delta(p, params, 1e300)
+        assert far == pytest.approx(3.0 * lambda_shift_delta(p, params, 1e100), rel=1e-12)
 
 
 # ------------------------------------------- smeared smoothness witness

@@ -82,9 +82,7 @@ def test_pairings_guards():
         enumerate_pairings(3)
     with pytest.raises(ValidationError):
         enumerate_pairings(18)
-    with pytest.raises(ValidationError):
-        enumerate_pairings(4, max_n=2)
-    assert len(enumerate_pairings(4, max_n=4)) == 3
+    assert len(enumerate_pairings(4)) == 3
 
 
 # -------------------------------------------------------------- kernels
@@ -235,8 +233,6 @@ def test_npoint_guard():
     state = QuasifreeState(vacuum_mode_kernel([omega]))
     with pytest.raises(ValidationError, match="pairing guard"):
         npoint(state, [1] * (NPOINT_GUARD + 2))
-    with pytest.raises(ValidationError, match="pairing guard"):
-        npoint(state, [1, 2, 1, 2], max_n=2)
     for n in (18, NPOINT_GUARD):
         expected = double_factorial(n - 1) * kappa ** (n // 2)
         assert npoint(state, [1] * n) == pytest.approx(expected, rel=1e-13)

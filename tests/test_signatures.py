@@ -1,5 +1,6 @@
-"""Every numerical check has one fixed bound: no public entry takes a
-tolerance a caller could loosen.  The one exception is
+"""Every numerical check has one fixed bound and every size guard one fixed
+value: no public entry takes a tolerance a caller could loosen, nor a
+max_n that lifts a guard.  The one exception is
 LatticeField.support_box(tol=), which picks which entries count as support
 rather than bounding a check."""
 
@@ -14,8 +15,8 @@ import ccr_lab
 ALLOWED = {("LatticeField.support_box", "tol")}
 
 
-def _is_tolerance(name):
-    return name == "tol" or name.endswith("_tol") or name.startswith("tol_")
+def _is_override(name):
+    return name in ("tol", "max_n") or name.endswith("_tol") or name.startswith("tol_")
 
 
 def _public_callables():
@@ -45,4 +46,4 @@ def test_public_signatures_take_no_tolerance():
         for param in inspect.signature(obj).parameters
     }
     assert ALLOWED <= params
-    assert sorted(p for p in params - ALLOWED if _is_tolerance(p[1])) == []
+    assert sorted(p for p in params - ALLOWED if _is_override(p[1])) == []

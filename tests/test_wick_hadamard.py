@@ -23,6 +23,8 @@ from ccr_lab.ccr_core import (
     element_from_text,
     multiply,
     normal_form,
+    simplicity_probe,
+    star,
 )
 from ccr_lab.errors import (
     DegreeGuardError,
@@ -521,6 +523,20 @@ def test_element_kinds_are_not_interchangeable():
         unorder(plain, KAPPA)
     with pytest.raises(ValidationError):
         wick_product(plain, ordered, KAPPA)
+    # the plain-product entries refuse other kinds too, rather than leaking
+    # AttributeError
+    E = KAPPA.pairing
+    for call in (
+        lambda: normal_form(ordered, E),
+        lambda: normal_form(5, E),
+        lambda: normal_form(plain, 5),
+        lambda: simplicity_probe(plain, [{1: 1}, {2: 1}], 5),
+        lambda: star(ordered),
+        lambda: star(5),
+        lambda: multiply(plain, ordered),
+    ):
+        with pytest.raises(ValidationError):
+            call()
 
 
 _HALF_I_FLOAT = {(1, 2): 0.5j, (2, 1): -0.5j}
