@@ -10,8 +10,10 @@ for I1); the test suite holds the implementation to that against a
 high-precision reference.
 
 Also home of the composite Gauss-Legendre node builder that the contour
-quadrature and the vacuum mode integral share, and of the partial sums of
-the K1 series, which the Hadamard remainder reuses.
+quadrature and the vacuum mode integral share, and of the one series in
+c_k = t^k/(k! (k+1)!): with t = z^2/4 it is the K1 and I1 series, with
+t = m^2 sigma/4 the Hadamard series that the parametrix and the remainder
+read (_series_sums, _series_head).
 """
 
 from __future__ import annotations
@@ -46,31 +48,38 @@ def _contour_rules():
     return arc, tail
 
 
-def _series_sums(t, split=-1):
+def _series_sums(t, split=-1, terms=None):
     # partial sums of c_k = t^k / (k! (k+1)!) over k <= split and over
     # k > split, and the full sum of psi_k c_k, where psi_k = psi(k+1) +
     # psi(k+2) and psi(n+1) = -gamma + H_n; runs until both full sums have
-    # converged.  With t = z^2/4 these are the series of K1 and I1.
+    # converged.  Given a list `terms`, it appends c_0..c_split there and
+    # stops after them instead, however small they are.
     c = 1.0
     head, tail = (c, 0.0) if split >= 0 else (0.0, c)
     psi_sum = 1.0 - 2.0 * _EULER_GAMMA  # psi(1) + psi(2)
     k_sum = c * psi_sum
-    harmonic_k = 0.0
-    harmonic_k1 = 1.0
-    for k in range(1, 60):
+    for k in range(1, 60 if terms is None else split + 2):
+        if terms is not None:
+            terms.append(c)
         c *= t / (k * (k + 1))
-        harmonic_k += 1.0 / k
-        harmonic_k1 += 1.0 / (k + 1)
-        psi_sum = -2.0 * _EULER_GAMMA + harmonic_k + harmonic_k1
+        psi_sum += 1.0 / k + 1.0 / (k + 1)  # psi(n+1) = psi(n) + 1/n
         term = c * psi_sum
         if k <= split:
             head += c
         else:
             tail += c
         k_sum += term
-        if abs(c) < 1e-18 * abs(head + tail) and abs(term) < 1e-18 * abs(k_sum):
+        if (abs(c) < 1e-18 * abs(head + tail) and abs(term) < 1e-18 * abs(k_sum)
+                and terms is None):
             break
     return head, tail, k_sum
+
+
+def _series_head(t, n):
+    """[c_0, ..., c_n] of the series in _series_sums."""
+    terms = []
+    _series_sums(t, n, terms)
+    return terms
 
 
 def _k1_series(z):

@@ -269,8 +269,14 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
         raise ValidationError("fields live on different grids")
     cfg = f.config
     if method == "volume":
-        Eg = causal_E(g)
-        return float(cfg.spacing * cfg.dt * np.sum(f.values * Eg.values))
+        box = _source_box(g, ("advanced", "retarded"))
+        support = f.support_box()
+        if support is None:
+            return 0.0
+        # only f's support rows are read, so neither march goes past them
+        n0, n1 = support[:2]
+        Eg = _causal(g, box, (n0, n1))[n0 : n1 + 1]
+        return float(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg))
     if method != "surface":
         raise ValidationError("method must be 'volume' or 'surface'")
     boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]

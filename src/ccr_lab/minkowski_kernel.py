@@ -8,10 +8,14 @@ one-particle scalar product of radially sampled momentum profiles.
 
 The mode integral's nodes do not depend on the regulator, so one pass over
 them gives the integral at every rung of the regulator ladder that the eps
--> 0 extrapolation needs.  Near coincidence the remainder is summed as one
-series in which the 1/sigma poles of kernel and parametrix cancel term by
-term, so it keeps full precision where the difference of the two would
-lose it (see remainder_w).
+-> 0 extrapolation needs.  The parametrix, its coefficients, the lam-shift
+and the remainder read one series, (m^2/16 pi^2) c_k with c_k =
+t^k/(k! (k+1)!) at t = m^2 sigma/4 (_bessel._series_sums): the first three
+sum its head k <= N.  Near coincidence the remainder sums all of it, the
+1/sigma poles of kernel and parametrix cancelled term by term, so it keeps
+full precision where their difference would lose it (see remainder_w).  A
+value that overflows a float, such as 1/(4 pi^2 sigma) at a subnormal
+sigma, is refused with ValidationError, not returned as inf.
 
 Conventions.  Separations are reduced by translation and rotation symmetry
 to a time difference dt and a spatial modulus r >= 0.  The causal square is
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bessel import _panels, _series_sums, k1
+from ._bessel import _panels, _series_head, _series_sums, k1
 from .errors import (
     OnLightconeSingularError,
     OrderGuardError,
@@ -39,7 +44,6 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
-    as_index,
 )
 
 __all__ = [
@@ -58,6 +62,27 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
+
+
+def _finite(value):
+    """value, refused where it overflowed a float."""
+    if not cmath.isfinite(value):
+        raise ValidationError("the result overflows a float for these inputs")
+    return value
+
+
+def _mass_and_order(m, order):
+    """Mass and parametrix order for KernelParams and hadamard_coefficients:
+    m >= 0 with m^2 zero or a normal float, order a whole number 0..8."""
+    m = as_finite(m, "mass")
+    if m < 0.0 or m > 0.0 and not sys.float_info.min <= m * m < math.inf:
+        raise ValidationError("mass must be 0, or positive with m**2 a normal float")
+    order = as_finite(order, "parametrix order")
+    if order < 0 or int(order) != order:
+        raise ValidationError("parametrix order must be a whole number >= 0")
+    if order > 8:
+        raise OrderGuardError(f"parametrix order {int(order)} exceeds the supported 8")
+    return m, int(order)
 
 
 @dataclass(frozen=True)
@@ -91,25 +116,15 @@ class KernelParams:
     order: int = 3
 
     def __post_init__(self):
-        for name in ("m", "eps", "order"):
-            as_finite(getattr(self, name), name)
-        if self.m < 0.0:
-            raise ValidationError("mass must be >= 0")
-        if self.eps < 0.0:
+        _, order = _mass_and_order(self.m, self.order)
+        object.__setattr__(self, "order", order)
+        if as_finite(self.eps, "eps") < 0.0:
             raise ValidationError("regulator must be >= 0")
-        if self.order < 0 or int(self.order) != self.order:
-            raise ValidationError("parametrix order must be a whole number")
-        object.__setattr__(self, "order", int(self.order))
-        if self.order > 8:
-            raise OrderGuardError(
-                f"parametrix order {self.order} exceeds the supported 8"
-            )
         lam = self.lam
         if lam is None:
             lam = 1.0 / self.m if self.m > 0 else 1.0
             object.__setattr__(self, "lam", lam)
-        as_finite(lam, "lam")
-        if lam <= 0.0:
+        if as_finite(lam, "lam") <= 0.0:
             raise ValidationError("length scale must be > 0")
         if not 0.0 < lam * lam < math.inf:
             raise ValidationError("lam**2 must be a nonzero finite float")
@@ -118,8 +133,8 @@ class KernelParams:
 
 
 def sigma_eps(p: SeparationPoint, eps: float) -> complex:
-    s = p.sigma
-    return complex(s + eps * eps, 2.0 * eps * p.dt)
+    eps = as_finite(eps, "regulator")
+    return _finite(complex(p.sigma + eps * eps, 2.0 * eps * p.dt))
 
 
 def _off_cone_sigma(p: SeparationPoint) -> float:
@@ -133,25 +148,30 @@ def _off_cone_sigma(p: SeparationPoint) -> float:
     return s
 
 
-def _branch_sqrt_sigma(p: SeparationPoint, eps: float) -> complex:
-    if eps > 0.0:
-        return cmath.sqrt(sigma_eps(p, eps))
-    s = _off_cone_sigma(p)
-    if s > 0.0:
-        return complex(math.sqrt(s), 0.0)
-    return complex(0.0, math.copysign(math.sqrt(-s), p.dt))
+def _sigma_and_pole(p: SeparationPoint, eps: float):
+    """sigma_eps, whose zero imaginary part at eps = 0 takes the sign of dt
+    (the side of the cut, see Conventions), and 1/(4 pi^2 sigma_eps),
+    refusing a separation where that pole overflows."""
+    se = sigma_eps(p, eps) if eps > 0.0 else complex(_off_cone_sigma(p), math.copysign(0.0, p.dt))
+    lead = 1.0 / (_FOUR_PI_SQ * se) if se else math.inf
+    if not cmath.isfinite(lead):
+        raise ValidationError("separation so near coincidence that 1/(4 pi^2 sigma) overflows")
+    return se, lead
 
 
 def omega2_bessel(p: SeparationPoint, params: KernelParams) -> complex:
-    """Closed-form vacuum kernel (m^2/4pi^2) K1(m sqrt(sigma_eps))/(m sqrt(sigma_eps)).
+    """Closed-form vacuum kernel (m^2/4pi^2) K1(z)/z = z K1(z)/(4 pi^2 sigma_eps),
+    z = m sqrt(sigma_eps).
 
     With eps = 0 this is the regulator limit directly: the branch of the
-    square root at timelike separation follows the sign of dt.
+    square root at timelike separation follows the sign of dt.  A separation
+    whose 1/(4 pi^2 sigma) overflows is refused, as in hadamard_H.
     """
     if params.m <= 0.0:
         raise ValidationError("the closed form needs a positive mass")
-    z = params.m * _branch_sqrt_sigma(p, params.eps)
-    return params.m * params.m / _FOUR_PI_SQ * k1(z) / z
+    se, lead = _sigma_and_pole(p, params.eps)
+    z = params.m * cmath.sqrt(se)
+    return _finite(lead * (z * k1(z)))
 
 
 # --------------------------------------------------- Fourier mode pipeline
@@ -173,13 +193,13 @@ def _mode_integral(rho, dt, m, eps, k0, power):
     the undamped integrand is computed once and contracted with the damping
     exp(-eps k) of each rung.
     """
-    phase_range = k0 * (abs(rho) + abs(dt))
-    n_panels = int(math.ceil(phase_range / (2.0 * math.pi))) + 4
-    if n_panels > _MAX_HEAD_PANELS:
+    turns = k0 * (abs(rho) + abs(dt)) / (2.0 * math.pi)
+    if not turns <= _MAX_HEAD_PANELS - 4:  # an infinite phase range fails too
         raise QuadratureFailureError(
             "oscillation budget exhausted approaching the lightcone",
             residual=float("inf"),
         )
+    n_panels = int(math.ceil(turns)) + 4
     k, wts = _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
     omega = np.sqrt(k * k + m * m)
     head = np.exp(-np.outer(eps, k)) @ (
@@ -210,7 +230,9 @@ def _head_cutoff(p: SeparationPoint, m: float) -> float:
     k0 = 6.0 * max(m, 0.5) + 8.0 / max(r + dt, 0.05)
     if dt > r and r > 0.0:
         # stationary phase of the +r component; push the cutoff past it
-        k_star = m * r / math.sqrt(dt * dt - r * r)
+        # as the ratio x = r/dt < 1, since dt^2 - r^2 can underflow to 0
+        x = r / dt
+        k_star = m * x / math.sqrt(1.0 - x * x)
         k0 = max(k0, 1.6 * k_star)
     return k0
 
@@ -237,12 +259,12 @@ def _fourier_checked(p: SeparationPoint, m: float, eps):
     for a, b in zip(v1, v2):
         scale = max(abs(b), floor)
         residual = abs(a - b)
-        if residual > 1e-9 * scale:
+        if not residual <= 1e-9 * scale:  # a NaN residual fails too
             raise QuadratureFailureError(
                 f"mode integral self-check failed (residual {residual:.3e})",
                 residual=residual,
             )
-    return [complex(b) for b in v2]
+    return [_finite(complex(b)) for b in v2]
 
 
 def _extrapolate_to_zero(xs, ys):
@@ -265,23 +287,17 @@ def omega2_fourier(p: SeparationPoint, params: KernelParams) -> complex:
     and polynomially extrapolated; the spread between full and trimmed
     extrapolants is the quoted failure residual.
     """
-    if params.m < 0.0:
-        raise ValidationError("mass must be >= 0")
     m = params.m
     if params.eps > 0.0:
         return _fourier_checked(p, m, [params.eps])[0]
-    span = p.r + abs(p.dt)
-    if span <= 0.0:
-        raise QuadratureFailureError(
-            "coincidence point has no convergent mode integral", residual=float("inf")
-        )
+    span = p.r + abs(p.dt)  # at span = 0, _fourier_once refuses the coincidence point
     ladder = [f * span for f in (3e-3, 1e-3, 3e-4, 1e-4, 3e-5)]
     values = _fourier_checked(p, m, ladder)
     full = _extrapolate_to_zero(ladder, values)
     trimmed = _extrapolate_to_zero(ladder[1:], values[1:])
     scale = max(abs(full), 1e-2 * max(m * m, 1.0) / _FOUR_PI_SQ)
     residual = abs(full - trimmed)
-    if residual > 1e-7 * scale:
+    if not residual <= 1e-7 * scale:  # a NaN residual fails too
         raise QuadratureFailureError(
             f"regulator extrapolation did not settle (residual {residual:.3e})",
             residual=residual,
@@ -304,21 +320,16 @@ def cross_check_grid():
 # ----------------------------------------------------- parametrix and w
 
 def hadamard_coefficients(m: float, order: int):
-    """Closed-form coefficients of the log series, index 0..order."""
-    m = as_finite(m, "mass")
-    order = as_index(order, "parametrix order")
-    if order < 0:
-        raise ValidationError("parametrix order must be >= 0")
-    if order > 8:
-        raise OrderGuardError(f"parametrix order {order} exceeds the supported 8")
-    out = []
-    for kk in range(order + 1):
-        out.append(
-            m * m / (16.0 * math.pi**2)
-            * (m * m / 4.0) ** kk
-            / (math.factorial(kk) * math.factorial(kk + 1))
-        )
-    return out
+    """Coefficients v_0..v_order of the log series: v_k sigma^k is
+    (m^2/16 pi^2) c_k at t = m^2 sigma/4, so v_k is that term at sigma = 1."""
+    m, order = _mass_and_order(m, order)
+    v0 = m * m / (4.0 * _FOUR_PI_SQ)
+    return [_finite(v0 * c) for c in _series_head(0.25 * m * m, order)]
+
+
+def _log_series(m: float, s: float, order: int) -> float:
+    """sum_{k<=N} v_k s^k, the head of the remainder's series at sigma = s."""
+    return m * m / (4.0 * _FOUR_PI_SQ) * sum(_series_head(0.25 * m * m * s, order))
 
 
 _SIGMA_WINDOW = 25.0
@@ -332,30 +343,16 @@ def _check_window(s: float, lam: float) -> None:
 
 
 def hadamard_H(p: SeparationPoint, params: KernelParams) -> complex:
-    """Short-distance parametrix 1/(4 pi^2 sigma_eps) + sum v_k sigma^k log(sigma_eps/lam^2)."""
-    lam = params.lam
-    s = p.sigma
-    _check_window(s, lam)
-    eps = params.eps
-    if eps > 0.0:
-        se = sigma_eps(p, eps)
-        log_term = cmath.log(se / (lam * lam))
-        lead = 1.0 / (_FOUR_PI_SQ * se)
-    else:
-        _off_cone_sigma(p)
-        lead = complex(1.0 / (_FOUR_PI_SQ * s), 0.0)
-        if s > 0.0:
-            log_term = complex(math.log(s / (lam * lam)), 0.0)
-        else:
-            log_term = complex(
-                math.log(-s / (lam * lam)), math.copysign(math.pi, p.dt)
-            )
-    if params.m == 0.0:
-        return lead
-    total = lead
-    for kk, v in enumerate(hadamard_coefficients(params.m, params.order)):
-        total += v * s**kk * log_term
-    return total
+    """Short-distance parametrix 1/(4 pi^2 sigma_eps) + sum_{k<=N} v_k sigma^k log(sigma_eps/lam^2).
+
+    The log sum is the head k <= N of the series remainder_w sums whole.
+    The log is log sigma_eps - 2 log lam, which holds where sigma/lam^2
+    underflows; a separation whose 1/(4 pi^2 sigma) overflows is refused.
+    """
+    _check_window(p.sigma, params.lam)
+    se, lead = _sigma_and_pole(p, params.eps)
+    log_term = cmath.log(se) - 2.0 * math.log(params.lam)
+    return _finite(lead + _log_series(params.m, p.sigma, params.order) * log_term)
 
 
 def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
@@ -384,24 +381,23 @@ def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
     _check_window(s, params.lam)
     t = 0.25 * m * m * s
     head, tail, psi_sum = _series_sums(t, params.order)
-    log_t = complex(math.log(abs(t)), 0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
+    # where t underflows to 0 so does every term of tail
+    log_t = complex(math.log(abs(t)) if t else 0.0,
+                    0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
     log_lam = 2.0 * math.log(0.5 * m * params.lam)
-    return m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum)
+    return _finite(m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum))
 
 
 def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float) -> complex:
-    """Exact change of the remainder under lam -> lam_new."""
+    """Exact change of the remainder under lam -> lam_new:
+    -2 log(lam/lam_new) sum_{k<=N} v_k sigma^k, the head of the remainder's
+    series.  Like the parametrix it is refused outside the window."""
     lam_new = as_finite(lam_new, "lam_new")
     if lam_new <= 0.0:
         raise ValidationError("length scale must be > 0")
-    if params.m == 0.0:
-        return 0.0 + 0.0j
-    shift = 2.0 * math.log(params.lam / lam_new)
-    s = p.sigma
-    total = 0.0 + 0.0j
-    for kk, v in enumerate(hadamard_coefficients(params.m, params.order)):
-        total += v * s**kk
-    return -total * shift
+    _check_window(p.sigma, params.lam)
+    shift = 2.0 * (math.log(params.lam) - math.log(lam_new))
+    return _finite(complex(-_log_series(params.m, p.sigma, params.order) * shift))
 
 
 # ------------------------------------------------ one-particle product
@@ -436,4 +432,4 @@ def momentum_overlap(f: MomentumProfile, g: MomentumProfile) -> complex:
             raise TailTruncationError(
                 "profile product has not decayed by the end of the grid"
             )
-    return complex(_TRAPZ(integrand, f.k))
+    return _finite(complex(_TRAPZ(integrand, f.k)))

@@ -57,7 +57,6 @@ from .ccr_core import (
 )
 from .errors import (
     DegreeGuardError,
-    InternalInconsistencyError,
     InvalidDifferenceError,
     InvalidSymmetryError,
     OrderingKernelInvalidError,
@@ -67,12 +66,7 @@ from .errors import (
     as_finite,
     as_finite_array,
 )
-from .minkowski_kernel import (
-    KernelParams,
-    SeparationPoint,
-    _extrapolate_to_zero,
-    remainder_w,
-)
+from .minkowski_kernel import KernelParams
 
 __all__ = [
     "OrderingKernel",
@@ -675,11 +669,13 @@ def tensor_from_json(text: str) -> WickTensor:
 def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float:
     """Expectation of the ordered square against the parametrix subtraction.
 
-    The value is the coincidence limit of the two-point remainder along an
-    equal-time ladder r = 2^-j / m, Richardson-extrapolated in r^2.  It does
-    not depend on the spacetime point x for the translation-invariant
-    vacuum; a smooth symmetric perturbation kernel (a callable s(x, y))
-    shifts the value by its own diagonal s(x, x).
+    The value is the coincidence limit of the remainder w = W - H: the
+    t = 0 value of the series minkowski_kernel.remainder_w sums, where only
+    c_0 survives at every parametrix order, so it is the closed form
+    (m^2/16 pi^2) (2 log(m lam/2) - 1 + 2 gamma).  It does not depend on
+    the spacetime point x for the translation-invariant vacuum; a smooth
+    symmetric perturbation kernel (a callable s(x, y)) shifts it by its own
+    diagonal s(x, x).  A value that overflows a float is refused.
     """
     if not isinstance(params, KernelParams):
         raise ValidationError("phi2_H_expectation expects KernelParams")
@@ -690,21 +686,13 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
     x = as_finite_array((0.0, 0.0, 0.0, 0.0) if x is None else x, "x")
     if x.shape != (4,):
         raise ValidationError("x must have 4 components")
-    radii = [2.0**-j / params.m for j in range(4, 12)]
-    sigmas, values = [], []
-    for r in radii:
-        v = remainder_w(SeparationPoint(0.0, r), params)
-        if abs(v.imag) > 1e-8 * (1.0 + abs(v.real)):
-            raise InternalInconsistencyError(
-                f"equal-time remainder has imaginary part {v.imag:.3e}"
-            )
-        sigmas.append(r * r)
-        values.append(v.real)
-    base = float(_extrapolate_to_zero(sigmas, values))
+    m = params.m
+    log_lam = 2.0 * math.log(0.5 * m * params.lam)
+    value = m * m / (16.0 * math.pi**2) * (log_lam - 1.0 + 2.0 * np.euler_gamma)
     if perturbation is not None:
         x = tuple(x.tolist())
-        base += float(np.real(perturbation(x, x)))
-    return base
+        value += as_finite(np.real(perturbation(x, x)), "perturbation diagonal")
+    return as_finite(value, "coincidence value")
 
 
 # point-split stress tensor, flat metric diag(-1, 1, 1, 1)

@@ -273,6 +273,19 @@ def test_pairing_antisymmetry_is_exact():
     assert pair_E(f, f, "volume") == pytest.approx(0.0, abs=1e-18)
 
 
+def test_volume_pairing_reads_the_full_causal_solution_on_f_rows():
+    # the marches stop at f's support rows; being causal, they agree there
+    # with the march over the whole grid
+    cfg = LatticeConfig(n_x=100, spacing=0.1, dt=0.08, n_steps=60, mass=1.0)
+    f, g = _two_sources(cfg)
+    for a, b in ((f, g), (g, f)):
+        full = cfg.spacing * cfg.dt * np.sum(a.values * causal_E(b).values)
+        assert pair_E(a, b, "volume") == pytest.approx(full, rel=1e-13)
+    zero = LatticeField(cfg, np.zeros((cfg.n_steps, cfg.n_x)))
+    assert pair_E(zero, g, "volume") == 0.0
+    assert pair_E(f, zero, "volume") == 0.0
+
+
 def test_spacelike_sources_pair_to_zero():
     cfg = LatticeConfig(n_x=140, spacing=0.1, dt=0.08, n_steps=40, mass=1.0)
     f = sampled_source(cfg, t0=1.5, x0=3.0, wt=0.6, wx=0.6)

@@ -1,13 +1,17 @@
 """Tests for the flat-space vacuum kernel pipelines and the parametrix."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccr_lab import minkowski_kernel as mk
 from ccr_lab._bessel import _panels
 from ccr_lab.errors import (
+    CcrLabError,
     OnLightconeSingularError,
     OrderGuardError,
     QuadratureFailureError,
@@ -28,6 +32,7 @@ from ccr_lab.minkowski_kernel import (
     remainder_w,
     sigma_eps,
 )
+from ccr_lab.wick_hadamard import phi2_H_expectation
 
 from oracles import (
     coincidence_remainder,
@@ -372,6 +377,44 @@ def test_lambda_shift_identity_is_exact():
         assert far == pytest.approx(3.0 * lambda_shift_delta(p, params, 1e100), rel=1e-12)
 
 
+def test_float_range_edges_refuse_or_stay_finite():
+    # sigma = 1e-320 is subnormal: 1/(4 pi^2 sigma) overflows, and at
+    # lam = 1e100 so did sigma/lam^2 in the log, to 0
+    tiny = SeparationPoint(0.0, 1e-160)
+    for lam in (1.0, 1e100):
+        params = KernelParams(m=1.0, lam=lam)
+        with pytest.raises(ValidationError):
+            hadamard_H(tiny, params)
+        with pytest.raises(ValidationError):
+            omega2_bessel(tiny, params)
+        # the series branch never forms the pole: w is its coincidence value
+        w = remainder_w(tiny, params)
+        assert w == pytest.approx(coincidence_remainder(1.0, lam), rel=1e-12)
+    # sigma = 5e-324: t = m^2 sigma/4 underflows to 0
+    assert remainder_w(SeparationPoint(0.0, 2.3e-162), M1) == pytest.approx(
+        coincidence_remainder(1.0, 1.0), rel=1e-12
+    )
+    # the lam-shift is refused outside the parametrix window, where
+    # sigma**k used to overflow
+    for r in (1e100, 1e150):
+        with pytest.raises(ValidationError):
+            lambda_shift_delta(SeparationPoint(0.0, r), KernelParams(), 2.0)
+    # a mass whose square overflows, or underflows to 0 or a subnormal
+    for m in (1e200, 2e154, 1e-160, 1e-200):
+        with pytest.raises(ValidationError):
+            KernelParams(m=m, lam=1.0)
+        with pytest.raises(ValidationError):
+            hadamard_coefficients(m, 3)
+    # m^2 is finite here but the coefficients, the parametrix and w are not
+    with pytest.raises(ValidationError):
+        hadamard_coefficients(1e100, 8)
+    big = KernelParams(m=1e154, lam=1e154, order=0)
+    for call in (lambda: remainder_w(SeparationPoint(0.0, 1e-160), big),
+                 lambda: phi2_H_expectation(big)):
+        with pytest.raises(ValidationError):
+            call()
+
+
 # ------------------------------------------- smeared smoothness witness
 
 def _bump(u):
@@ -469,3 +512,102 @@ def test_profile_validation():
     g = MomentumProfile(k[:-1], np.exp(-k[:-1] * k[:-1]))
     with pytest.raises(ValidationError):
         momentum_overlap(f, g)
+
+
+# ------------------------------------------------ the float range, at large
+
+_EDGES = (0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-200, 1e-160,
+          1e-154, 1e-12, 16.0, 25.0, 1e100, 1e150, 1e154, 1.3e154, 1e200,
+          1e300, 1.7976931348623157e308, math.inf, math.nan)
+_usual = st.floats(min_value=1e-3, max_value=10.0)
+# eight usual values in ten, so that most drawn objects construct and the
+# edges meet each public function, not only the constructors
+_sizes = st.integers(0, 9).flatmap(
+    lambda i: _usual if i < 8 else st.sampled_from(_EDGES) if i == 8 else st.floats(min_value=0.0)
+)
+_numbers = st.builds(lambda sign, v: sign * v, st.sampled_from((1.0, -1.0)), _sizes)
+_orders = st.sampled_from(tuple(range(9)) * 3 + (-1, 9, 2.5, 3.0))
+
+
+def _point(draw):
+    # scaled into the parametrix window 25 lam^2 of most drawn parameters
+    return SeparationPoint(0.1 * draw(_numbers), 0.1 * draw(_sizes))
+
+
+def _params(draw):
+    lam = draw(st.one_of(st.none(), _sizes))
+    eps = draw(st.integers(0, 3).flatmap(lambda i: _sizes if i == 3 else st.just(0.0)))
+    return KernelParams(m=draw(_sizes), eps=eps, lam=lam, order=draw(_orders))
+
+
+def _profile(draw, k=None):
+    if k is None:
+        steps = _sizes.filter(lambda v: v > 0.0)
+        k = np.cumsum([draw(steps) for _ in range(draw(st.integers(4, 6)))])
+    # a Gaussian envelope down to e^-36 at the last sample passes the tail check
+    values = [complex(draw(_numbers), draw(_numbers)) for _ in k]
+    return MomentumProfile(k, values * np.exp(-((6.0 * k / k[-1]) ** 2)))
+
+
+def _overlap(draw):
+    f = _profile(draw)
+    return momentum_overlap(f, _profile(draw, f.k))
+
+
+def _perturbation(draw):
+    value = draw(st.one_of(st.none(), _numbers))
+    return None if value is None else (lambda x, y: value)
+
+
+_CALLS = {
+    "SeparationPoint": lambda d: _point(d),
+    "KernelParams": lambda d: _params(d),
+    "MomentumProfile": lambda d: _profile(d),
+    "sigma_eps": lambda d: sigma_eps(_point(d), d(_numbers)),
+    "omega2_bessel": lambda d: omega2_bessel(_point(d), _params(d)),
+    "omega2_fourier": lambda d: omega2_fourier(_point(d), _params(d)),
+    "hadamard_H": lambda d: hadamard_H(_point(d), _params(d)),
+    "remainder_w": lambda d: remainder_w(_point(d), _params(d)),
+    "hadamard_coefficients": lambda d: hadamard_coefficients(d(_sizes), d(_orders)),
+    "lambda_shift_delta": lambda d: lambda_shift_delta(_point(d), _params(d), d(_sizes)),
+    "momentum_overlap": lambda d: _overlap(d),
+    "cross_check_grid": lambda d: cross_check_grid(),
+    "phi2_H_expectation": lambda d: phi2_H_expectation(
+        _params(d), [d(_numbers) for _ in range(4)], _perturbation(d)
+    ),
+}
+
+
+def _returned_numbers(out):
+    if isinstance(out, (list, tuple)):
+        for item in out:
+            yield from _returned_numbers(item)
+    elif isinstance(out, SeparationPoint):
+        yield from (out.dt, out.r, out.sigma)
+    elif isinstance(out, KernelParams):
+        yield from (out.m, out.eps, out.lam, out.order)
+    elif isinstance(out, MomentumProfile):
+        yield from np.concatenate([out.k, out.values])
+    else:
+        yield out
+
+
+def test_property_calls_cover_the_public_names():
+    assert set(_CALLS) == set(mk.__all__) | {"phi2_H_expectation"}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_float_range_only_refuses_or_returns_finite_numbers(name, data):
+    # subnormals, signed zeros, values near overflow, every order 0..8: a
+    # call either raises one of the package's own errors or returns finite
+    # numbers, never inf, NaN or a builtin exception.  numpy's overflow
+    # warnings are silenced: the finite check below is what counts
+    try:
+        with np.errstate(all="ignore"):
+            out = _CALLS[name](data.draw)
+    except CcrLabError:
+        return
+    for v in _returned_numbers(out):
+        assert cmath.isfinite(v), (name, out)

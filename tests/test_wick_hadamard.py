@@ -902,10 +902,11 @@ def test_phi2_vacuum_matches_coincidence_oracle():
     assert phi2_H_expectation(params, x=(3.0, -1.0, 0.5, 2.0)) == value
 
 
-@pytest.mark.parametrize("order", range(1, 9))
+@pytest.mark.parametrize("order", range(0, 9))
 def test_phi2_matches_coincidence_oracle_to_roundoff(order):
-    # the equal-time ladder reads the cancellation-free series of w, so the
-    # extrapolated value is limited by roundoff, not by the pole subtraction
+    # the value is the t = 0 term of the series of w, the same at every
+    # order; an equal-time ladder extrapolated in r^2 missed it at order 0,
+    # where w keeps a t log t term
     for m, lam_m in ((0.55, 0.6), (1.0, 1.0), (1.3, 1.85), (1.9, 1.7)):
         got = phi2_H_expectation(KernelParams(m=m, lam=lam_m / m, order=order))
         want = coincidence_remainder(m, lam_m / m)
