@@ -307,10 +307,6 @@ def wick_product(
 # tensors over a finite basis
 
 
-def _zeros(shape, mode):
-    return np.full(shape, coerce(0, mode), dtype=object if mode == EXACT else complex)
-
-
 def _basis(labels):
     basis = _labels(labels)
     if not 0 < len(basis) <= _BASIS_GUARD:
@@ -321,17 +317,20 @@ def _basis(labels):
 
 
 class _BasisTable:
-    """Immutable symmetric array over a basis of 1 to 8 distinct labels.
+    """Immutable symmetric table over a basis of 1 to 8 distinct labels.
 
-    Every axis runs over ``basis``, and the array is symmetric under
-    exchange of any two axes.  Exact tables hold ExactComplex entries in
-    object arrays; float tables are complex128.  A ``mode`` of None reads
-    the mode off the array: object dtype means exact.  Float entries must
-    be finite.  Subclasses set the allowed ranks, the name used in messages
-    and the errors raised for an array that is not symmetric or not finite.
+    Each of the ``degree`` slots runs over ``basis`` and the table is
+    symmetric under slot exchange, so ``entries`` holds only {sorted tuple
+    of basis positions: nonzero value}, ExactComplex in exact mode and
+    complex in float mode.  The constructor reads a dense array (a ``mode``
+    of None means exact for object dtype) with finite float entries,
+    symmetric to 1e-12 of its largest entry or exactly in exact mode.
+    ``array`` is the dense table, built once from the entries and
+    read-only.  Subclasses set the allowed ranks, the name used in messages
+    and the errors for a table that is not symmetric or not finite.
     """
 
-    __slots__ = ("basis", "array", "mode")
+    __slots__ = ("basis", "degree", "mode", "entries", "_array")
 
     _ranks = range(_TENSOR_DEGREE_GUARD + 1)
     _what = "table"
@@ -340,13 +339,14 @@ class _BasisTable:
 
     def __init__(self, basis, array, mode=None):
         basis = _basis(basis)
-        arr = np.asarray(array)
+        try:
+            arr = np.asarray(array)
+        except ValueError:
+            raise ValidationError(f"{self._what} is a ragged array") from None
         if mode is None:
             mode = EXACT if arr.dtype == object else FLOAT
         if mode == EXACT:
-            arr = np.array([coerce(v, EXACT) for v in arr.flat], dtype=object).reshape(
-                arr.shape
-            )
+            arr = np.array([coerce(v, EXACT) for v in arr.flat], dtype=object).reshape(arr.shape)
         elif mode == FLOAT:
             try:
                 arr = arr.astype(complex)
@@ -363,19 +363,21 @@ class _BasisTable:
                 f"{self._what} shape {arr.shape} does not match basis size {len(basis)}"
             )
         self._check_symmetric(arr, mode)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "mode", mode)
+        indices = itertools.combinations_with_replacement(range(len(basis)), arr.ndim)
+        self._set(basis, arr.ndim, mode, {idx: arr.item(idx) for idx in indices})
+
+    def _set(self, basis, degree, mode, entries):
+        values = (basis, degree, mode, {idx: v for idx, v in entries.items() if v}, None)
+        for name, value in zip(_BasisTable.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
-    def _new(cls, basis, array, mode):
-        # internal results: basis already read, array already symmetric and
-        # in mode, so nothing is checked again
-        out = object.__new__(cls)
-        object.__setattr__(out, "basis", basis)
-        object.__setattr__(out, "array", array)
-        object.__setattr__(out, "mode", mode)
-        return out
+    def _new(cls, basis, degree, mode, entries):
+        # internal results, keyed and in mode already; a float overflow is refused
+        if mode == FLOAT and not all(map(cmath.isfinite, entries.values())):
+            raise cls._nonfinite(f"{cls._what} has non-finite entries")
+        return object.__new__(cls)._set(basis, degree, mode, entries)
 
     def _check_symmetric(self, arr, mode):
         # adjacent transpositions generate the full symmetric group
@@ -383,10 +385,7 @@ class _BasisTable:
             tol = 1e-12 * max(1.0, float(np.abs(arr).max()))
         for axis in range(arr.ndim - 1):
             swapped = np.swapaxes(arr, axis, axis + 1)
-            if mode == EXACT:
-                bad = not (arr == swapped).all()
-            else:
-                bad = np.abs(arr - swapped).max() > tol
+            bad = (arr != swapped).any() if mode == EXACT else np.abs(arr - swapped).max() > tol
             if bad:
                 raise self._asymmetric(
                     f"{self._what} is not symmetric under slot exchange"
@@ -395,30 +394,42 @@ class _BasisTable:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _check_compatible(self, other):
-        if self.basis != other.basis:
-            raise ValidationError(f"{self._what}s live over different bases")
+    @property
+    def array(self):
+        if self._array is None:
+            arr = np.full((len(self.basis),) * self.degree, coerce(0, self.mode))
+            for idx, v in self.entries.items():
+                for perm in set(itertools.permutations(idx)):
+                    arr[perm] = v
+            arr.flags.writeable = False
+            object.__setattr__(self, "_array", arr)
+        return self._array
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (self.basis, self.degree) != (other.basis, other.degree):
+            raise ValidationError(f"cannot combine {self._what}s of different bases or ranks")
         if self.mode != other.mode:
-            raise ScalarModeMismatchError(
-                f"cannot combine {self.mode} and {other.mode} {self._what}s"
-            )
-        if self.array.ndim != other.array.ndim:
-            raise ValidationError(f"cannot add {self._what}s of different rank")
+            raise ScalarModeMismatchError(f"cannot mix {self.mode} and {other.mode} {self._what}s")
+        a, b, zero = self.entries, other.entries, coerce(0, self.mode)
+        entries = {idx: op(a.get(idx, zero), b.get(idx, zero)) for idx in a.keys() | b.keys()}
+        return self._new(self.basis, self.degree, self.mode, entries)
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_compatible(other)
-        return type(self)(self.basis, self.array + other.array, self.mode)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check_compatible(other)
-        return type(self)(self.basis, self.array - other.array, self.mode)
+        return self._combine(other, operator.sub)
 
     def scale(self, c):
-        return type(self)(self.basis, self.array * coerce(c, self.mode), self.mode)
+        # through numpy, whose complex product rounds unlike Python's; a float
+        # factor that is not finite is refused even with no entry to spoil
+        c = coerce(c, self.mode)
+        if self.mode == FLOAT and not cmath.isfinite(c):
+            raise self._nonfinite(f"scale factor {c} is not finite")
+        values = (np.array(list(self.entries.values())) * c).tolist()
+        return self._new(self.basis, self.degree, self.mode, dict(zip(self.entries, values)))
 
 
 class WickTensor(_BasisTable):
@@ -433,32 +444,22 @@ class WickTensor(_BasisTable):
 
     _what = "coefficient tensor"
 
-    @property
-    def degree(self):
-        return self.array.ndim
-
     def star(self):
         """Entrywise conjugate, the coefficient tensor of the adjoint."""
-        return WickTensor._new(self.basis, np.asarray(np.conj(self.array)), self.mode)
+        entries = {idx: v.conjugate() for idx, v in self.entries.items()}
+        return WickTensor._new(self.basis, self.degree, self.mode, entries)
 
     def is_zero(self):
-        return not self.array.any()
+        return not self.entries
 
     def __eq__(self, other):
         if not isinstance(other, WickTensor):
             return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.mode == other.mode
-            and self.degree == other.degree
-            and bool((self.array == other.array).all())
-        )
+        mine = (self.basis, self.mode, self.degree, self.entries)
+        return mine == (other.basis, other.mode, other.degree, other.entries)
 
     def __repr__(self):
-        return (
-            f"WickTensor(degree={self.degree}, basis={self.basis}, "
-            f"mode={self.mode!r})"
-        )
+        return f"WickTensor(degree={self.degree}, basis={self.basis}, mode={self.mode!r})"
 
 
 class DifferenceKernel(_BasisTable):
@@ -467,7 +468,6 @@ class DifferenceKernel(_BasisTable):
     Only the symmetric part of a kernel difference acts on ordered
     monomials (the antisymmetric parts agree by the E constraint and
     cancel), so symmetry is enforced here rather than assumed downstream.
-    Float entries must be finite.
     """
 
     __slots__ = ()
@@ -488,17 +488,18 @@ class DifferenceKernel(_BasisTable):
         This is the difference that alpha_map needs to re-expand
         kernel_old-ordered monomials in the kernel_new basis.
         """
-        basis = _labels(basis)
+        if not all(isinstance(k, OrderingKernel) for k in (kernel_new, kernel_old)):
+            raise ValidationError("from_orderings expects two OrderingKernels")
+        basis = _basis(basis)
         mode = _mode_of(
             *(k.value(i, j) for k in (kernel_new, kernel_old) for i in basis for j in basis)
         )
         half = coerce(Fraction(1, 2), mode)
-
-        def diff(i, j):
-            return kernel_new.scalar(i, j, mode) - kernel_old.scalar(i, j, mode)
-
-        rows = [[(diff(i, j) + diff(j, i)) * half for j in basis] for i in basis]
-        return cls(basis, np.array(rows, dtype=object), mode)
+        diff = [[kernel_new.scalar(i, j, mode) - kernel_old.scalar(i, j, mode) for j in basis]
+                for i in basis]
+        pairs = itertools.combinations_with_replacement(range(len(basis)), 2)
+        entries = {(p, q): (diff[p][q] + diff[q][p]) * half for p, q in pairs}
+        return cls._new(basis, 2, mode, entries)
 
     def __repr__(self):
         return f"DifferenceKernel(basis={self.basis}, mode={self.mode!r})"
@@ -524,14 +525,10 @@ def alpha_map(d: DifferenceKernel, w: WickTensor) -> dict:
     if d.basis != w.basis:
         raise ValidationError("difference table and tensor bases differ")
     if d.mode != w.mode:
-        raise ScalarModeMismatchError(
-            f"cannot mix {d.mode} difference with {w.mode} tensor"
-        )
-    weight = {
-        (w.basis[p], w.basis[q]): coerce(v, w.mode)
-        for (p, q), v in np.ndenumerate(d.array)
-        if v
-    }
+        raise ScalarModeMismatchError(f"cannot mix {d.mode} difference with {w.mode} tensor")
+    weight = {}
+    for (p, q), v in d.entries.items():
+        weight[(w.basis[p], w.basis[q])] = weight[(w.basis[q], w.basis[p])] = v
     starts = [((), word, c) for word, c in tensors_to_element([w]).terms.items()]
     lower = {u: c for u, c in _contract(starts, weight).items() if len(u) < w.degree}
     return {w.degree: w, **_tensors(lower, w.basis, w.mode)}
@@ -544,11 +541,11 @@ def _orderings(word):
 
 
 def _tensors(terms, basis, mode):
-    # {degree: WickTensor} of {word: coefficient}; each distinct ordering of
-    # a word's basis positions carries its coefficient over _orderings(word)
+    # {degree: WickTensor} of {word: coefficient}; a word's entry, at its
+    # sorted basis positions, is its coefficient over _orderings(word)
     basis = _basis(basis)
     index_of = {b: p for p, b in enumerate(basis)}
-    arrays = {}
+    tables = {}
     for word, coeff in terms.items():
         n = len(word)
         if n > _TENSOR_DEGREE_GUARD:
@@ -556,15 +553,11 @@ def _tensors(terms, basis, mode):
                 f"word length {n} exceeds tensor degree guard {_TENSOR_DEGREE_GUARD}"
             )
         try:
-            positions = tuple(index_of[g] for g in word)
+            positions = tuple(sorted(index_of[g] for g in word))
         except KeyError as exc:
             raise ValidationError(f"word uses generator {exc.args[0]} outside the basis")
-        if n not in arrays:
-            arrays[n] = _zeros((len(basis),) * n, mode)
-        value = coeff * coerce(Fraction(1, _orderings(word)), mode)
-        for perm in set(itertools.permutations(positions)):
-            arrays[n][perm] = value
-    return {n: WickTensor._new(basis, arr, mode) for n, arr in arrays.items()}
+        tables.setdefault(n, {})[positions] = coeff * coerce(Fraction(1, _orderings(word)), mode)
+    return {n: WickTensor._new(basis, n, mode, entries) for n, entries in tables.items()}
 
 
 def word_tensor(word, basis, mode=EXACT):
@@ -575,11 +568,15 @@ def word_tensor(word, basis, mode=EXACT):
     monomial with coefficient one.
     """
     word = _labels(word)
+    if mode not in (EXACT, FLOAT):
+        raise ValidationError(f"unknown scalar mode {mode!r}")
     return _tensors({word: coerce(1, mode)}, basis, mode)[len(word)]
 
 
 def element_to_tensors(a: NormalOrderedElement, basis) -> dict:
     """Split an ordered element into homogeneous coefficient tensors."""
+    if not isinstance(a, NormalOrderedElement):
+        raise ValidationError("element_to_tensors expects a NormalOrderedElement")
     return _tensors(a.terms, basis, a.mode)
 
 
@@ -590,46 +587,44 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
     its values are used).  The inverse weight n!/prod(mult!) undoes
     word_tensor's normalization.
     """
-    parts = list(parts.values() if isinstance(parts, dict) else parts)
+    try:
+        parts = list(parts.values() if isinstance(parts, dict) else parts)
+    except TypeError:
+        parts = None
+    if parts is None or not all(isinstance(w, WickTensor) for w in parts):
+        raise ValidationError("tensors_to_element expects an iterable of WickTensors")
     mode = mode or (parts[0].mode if parts else EXACT)
     terms = {}
     for w in parts:
         if w.mode != mode:
             raise ScalarModeMismatchError("mixed scalar modes in tensor list")
-        for combo in itertools.combinations_with_replacement(range(len(w.basis)), w.degree):
-            entry = w.array[combo]
-            if entry:
-                word = tuple(w.basis[p] for p in combo)
-                _accumulate(terms, word, entry * coerce(_orderings(combo), mode))
+        for idx in sorted(w.entries):
+            word = tuple(w.basis[p] for p in idx)
+            _accumulate(terms, word, w.entries[idx] * coerce(_orderings(idx), mode))
     return NormalOrderedElement(terms, mode)
 
 
 def tensor_to_json(w: WickTensor) -> str:
-    """JSON form of a tensor: nonzero entries only, rationals as strings."""
+    """The "ccr-lab/1" wick-tensor listing: degree, basis, mode and one row
+    [index, re, im] for every index of each nonzero orbit (all orderings of
+    a sorted index) in lexicographic order, rationals as strings in exact
+    mode.  tensor_from_json requires every orbit to be listed whole."""
+    if not isinstance(w, WickTensor):
+        raise ValidationError("tensor_to_json expects a WickTensor")
     rows = []
-    for idx in np.ndindex(*w.array.shape):
-        v = coerce(w.array[idx], w.mode)
-        if not v:
-            continue
-        if w.mode == EXACT:
-            rows.append([list(idx), str(v.re), str(v.im)])
-        else:
-            rows.append([list(idx), v.real, v.imag])
-    return json.dumps(
-        {
-            "schema": "ccr-lab/1",
-            "kind": "wick-tensor",
-            "degree": w.degree,
-            "basis": list(w.basis),
-            "mode": w.mode,
-            "entries": rows,
-        },
-        sort_keys=True,
-    )
+    for idx, v in w.entries.items():
+        value = [str(v.re), str(v.im)] if w.mode == EXACT else [v.real, v.imag]
+        rows.extend([list(perm), *value] for perm in set(itertools.permutations(idx)))
+    rows.sort(key=operator.itemgetter(0))
+    data = {"schema": "ccr-lab/1", "kind": "wick-tensor", "degree": w.degree,
+            "basis": list(w.basis), "mode": w.mode, "entries": rows}
+    return json.dumps(data, sort_keys=True)
 
 
 def tensor_from_json(text: str) -> WickTensor:
-    """Inverse of tensor_to_json; malformed input raises ValidationError."""
+    """Inverse of tensor_to_json; malformed input raises ValidationError, and
+    an orbit listed in part or whose entries disagree (beyond 1e-12 max(1,
+    |entry|) in float mode) raises InvalidSymmetryError."""
     try:
         data = json.loads(text)
     except (TypeError, ValueError) as exc:
@@ -644,23 +639,28 @@ def tensor_from_json(text: str) -> WickTensor:
     mode = data["mode"]
     if mode not in (EXACT, FLOAT):
         raise ValidationError(f"unknown scalar mode {mode!r}")
-    basis = _labels(data["basis"])
+    basis = _basis(data["basis"])
+    orbits = {}
     try:
         n = operator.index(data["degree"])
-        size = len(basis)
-        if not 0 <= n <= _TENSOR_DEGREE_GUARD or not 0 < size <= _BASIS_GUARD:
-            raise ValidationError(
-                f"degree {n} over {size} labels is outside the tensor guards"
-            )
-        arr = _zeros((size,) * n, mode)
+        if not 0 <= n <= _TENSOR_DEGREE_GUARD:
+            raise ValidationError(f"degree {n} is outside the tensor guard")
         for idx, re, im in data["entries"]:
             idx = _labels(idx)
-            if len(idx) != n or any(not 0 <= i < size for i in idx):
+            if len(idx) != n or any(not 0 <= i < len(basis) for i in idx):
                 raise ValidationError(f"entry index {idx} is out of range")
-            arr[idx] = coerce(ExactComplex(re, im), mode)
-    except (TypeError, ValueError, OverflowError) as exc:
+            orbits.setdefault(tuple(sorted(idx)), {})[idx] = coerce(ExactComplex(re, im), mode)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"malformed tensor json entry: {exc!r}") from None
-    return WickTensor(basis, arr, mode)
+    entries = {}
+    for idx, orbit in orbits.items():
+        v = entries[idx] = orbit.get(idx)
+        if len(orbit) != _orderings(idx) or any(
+            u != v if mode == EXACT else abs(u - v) > 1e-12 * max(1.0, abs(v))
+            for u in orbit.values()
+        ):
+            raise InvalidSymmetryError(f"the entries of orbit {idx} are partial or disagree")
+    return WickTensor._new(basis, n, mode, entries)
 
 
 # coincidence limits

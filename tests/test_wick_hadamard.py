@@ -3,6 +3,7 @@ point-split stress tensor."""
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -26,7 +27,9 @@ from ccr_lab.ccr_core import (
     simplicity_probe,
     star,
 )
+from ccr_lab import wick_hadamard
 from ccr_lab.errors import (
+    CcrLabError,
     DegreeGuardError,
     InvalidDifferenceError,
     InvalidSymmetryError,
@@ -663,6 +666,7 @@ def test_word_tensor_at_the_guards_round_trips(mode):
         w = word_tensor(word, basis, mode)
         assert w.degree == 6 and w.array.shape == (8,) * 6
         assert tensors_to_element([w]) == NormalOrderedElement.monomial(word, mode)
+        assert tensor_from_json(tensor_to_json(w)) == w
     with pytest.raises(ValidationError):
         word_tensor((1, 2), tuple(range(9)), mode)
     with pytest.raises(ValidationError):
@@ -889,6 +893,218 @@ def test_tensor_json_round_trip():
         tensor_from_json("{not json")
     with pytest.raises(ValidationError):
         tensor_from_json("{}")
+
+
+def test_float_scale_is_the_dense_product():
+    # numpy's complex product can round unlike Python's in the last bit (here
+    # on one entry of three): scale gives what the dense array times c gives
+    t = _tensor_sum(ALPHA_SUMS["degree-4"], FLOAT)
+    c = 0.3 - 1.1j
+    assert np.array_equal(t.scale(c).array, t.array * c)
+
+
+# the "ccr-lab/1" wick-tensor listing, pinned byte for byte: every index of
+# each nonzero orbit, in lexicographic order
+_EXACT_LISTING = (
+    '{"basis": [1, 2, 3, 4], "degree": 3, "entries": [[[0, 1, 1], "1/7", "-1/3"], '
+    '[[1, 0, 1], "1/7", "-1/3"], [[1, 1, 0], "1/7", "-1/3"]], "kind": "wick-tensor", '
+    '"mode": "exact", "schema": "ccr-lab/1"}'
+)
+_FLOAT_LISTING = (
+    '{"basis": [1, 2, 3, 4], "degree": 3, "entries": [[[1, 3, 3], 0.08333333333333333, -0.5], '
+    '[[3, 1, 3], 0.08333333333333333, -0.5], [[3, 3, 1], 0.08333333333333333, -0.5]], '
+    '"kind": "wick-tensor", "mode": "float", "schema": "ccr-lab/1"}'
+)
+
+
+def test_tensor_json_listing_is_pinned():
+    w = word_tensor((2, 1, 2), GENS).scale(exact(Fraction(3, 7), -1))
+    wf = word_tensor((4, 2, 4), GENS, FLOAT).scale(0.25 - 1.5j)
+    assert tensor_to_json(w) == _EXACT_LISTING
+    assert tensor_to_json(wf) == _FLOAT_LISTING
+    assert tensor_from_json(_EXACT_LISTING) == w
+    assert tensor_from_json(_FLOAT_LISTING) == wf
+    assert w.entries == {(0, 1, 1): exact(Fraction(1, 7), Fraction(-1, 3))}
+
+
+def _listing_with(text, row, value):
+    data = json.loads(text)
+    data["entries"][row][1] = value
+    return json.dumps(data)
+
+
+def test_tensor_json_orbits_must_be_whole_and_agree():
+    # a float orbit entry off by less than 1e-12 max(1, |entry|) is read, and
+    # the entry at the sorted index is the one kept; one off by more is refused
+    for size in (1.0, 1e6):
+        wf = word_tensor((4, 2, 4), GENS, FLOAT).scale(size * (0.25 - 1.5j))
+        text, (v,) = tensor_to_json(wf), wf.entries.values()
+        tol = 1e-12 * max(1.0, abs(v))
+        assert tensor_from_json(_listing_with(text, 2, v.real + 0.5 * tol)) == wf
+        with pytest.raises(InvalidSymmetryError):
+            tensor_from_json(_listing_with(text, 2, v.real + 2 * tol))
+    with pytest.raises(InvalidSymmetryError):
+        tensor_from_json(_listing_with(_EXACT_LISTING, 1, "2/7"))
+    for text in (_EXACT_LISTING, _FLOAT_LISTING):
+        data = json.loads(text)
+        del data["entries"][1]
+        with pytest.raises(InvalidSymmetryError):
+            tensor_from_json(json.dumps(data))
+
+
+def test_dense_array_is_built_once_and_read_only():
+    t = word_tensor((1, 2, 2), GENS)
+    d = _difference(FLOAT)
+    assert t.array is t.array and d.matrix is d.array is d.matrix
+    assert t.array[1, 0, 1] == ExactComplex(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        t.array[0, 0, 0] = ExactComplex(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WickTensor(GENS, [[1, 2], [3]]),
+        lambda: DifferenceKernel(GENS, [[1, 2], [3]]),
+        lambda: element_to_tensors(5, GENS),
+        lambda: tensors_to_element(5),
+        lambda: tensors_to_element([5]),
+        lambda: tensor_to_json(5),
+        lambda: DifferenceKernel.from_orderings(5, 5, GENS),
+        lambda: word_tensor((1, 2), GENS, mode="bogus"),
+        lambda: tensor_from_json(_listing_with(_EXACT_LISTING, 0, "1/0")),
+    ],
+    ids=[
+        "ragged-tensor", "ragged-difference", "element-to-tensors", "tensors-to-element",
+        "tensors-to-element-item", "tensor-to-json", "from-orderings", "word-tensor-mode",
+        "json-zero-denominator",
+    ],
+)
+def test_tensor_layer_refuses_foreign_input(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+# every tensor name in __all__, fed strings, ragged and wrong-shape arrays,
+# NaN and +-inf, and malformed JSON
+_TENSOR_NAMES = {
+    "WickTensor", "DifferenceKernel", "alpha_map", "word_tensor", "element_to_tensors",
+    "tensors_to_element", "tensor_to_json", "tensor_from_json",
+}
+_specials = st.sampled_from([math.nan, math.inf, -math.inf, complex(0, math.nan), 0.5, 2])
+_junk_scalars = st.one_of(
+    _specials, st.text(max_size=3), st.none(), st.integers(-3, 10), scalars
+)
+
+
+@st.composite
+def _junk_arrays(draw):
+    shape = draw(st.lists(st.integers(0, 4), max_size=4))
+    size = math.prod(shape)
+    if draw(st.booleans()):
+        # symmetric over GENS, its one entry on the diagonal corner drawn
+        arr = np.full((len(GENS),) * len(shape), draw(st.sampled_from([0, 1.5j, ONE])))
+        arr = arr.astype(object)
+        arr[(0,) * arr.ndim] = draw(_junk_scalars)
+        if draw(st.booleans()):
+            try:
+                return arr.astype(complex)
+            except (TypeError, ValueError):
+                pass
+        return arr
+    values = draw(st.lists(_junk_scalars, min_size=size, max_size=size))
+    arr = np.empty(size, dtype=object)
+    arr[:] = values
+    return arr.reshape(shape)
+
+
+_junk = st.one_of(
+    _junk_scalars,
+    _junk_arrays(),
+    st.just([[1, 2], [3]]),
+    st.lists(st.integers(-2, 9), max_size=9),
+    st.builds(word_tensor, words6, st.just(GENS)),
+    st.just(_difference(EXACT)),
+)
+_arrays = st.one_of(st.just([[1, 2], [3]]), _junk_arrays(), _junk)
+_bases = st.sampled_from(
+    [GENS, GENS, GENS, (2, 1), tuple(range(9)), (1, 1), (1.5, 2), "ab", None, [[1, 2], [3]]]
+)
+_modes = st.sampled_from([EXACT, FLOAT, None, "bogus", 5])
+
+
+def _mutated_listing(draw):
+    data = json.loads(draw(st.sampled_from([_EXACT_LISTING, _FLOAT_LISTING])))
+    key = draw(st.sampled_from(sorted(data)))
+    values = st.one_of(
+        st.none(), st.text(max_size=3), st.integers(-2, 12), st.just(10**400),
+        st.sampled_from([math.nan, math.inf, 2.5, "1/0", [], [1, 2], list(range(9)), {"a": 1}]),
+    )
+    row, col = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    mutation = draw(st.sampled_from(["drop", "replace", "row", "cell", "index", "orbit"]))
+    if mutation == "drop":
+        del data[key]
+    elif mutation == "replace":
+        data[key] = draw(values)
+    elif mutation == "row":
+        data["entries"][row] = data["entries"][row][: draw(st.integers(0, 4))] + [0] * 2
+    elif mutation == "cell":
+        data["entries"][row][col] = draw(values)
+    elif mutation == "index":
+        data["entries"][row][0][col] = draw(st.one_of(values, st.integers(-9, 9)))
+    else:
+        del data["entries"][row]
+    text = json.dumps(data)
+    return draw(st.sampled_from([text, text[: len(text) // 2], json.dumps([text])]))
+
+
+_TENSOR_CALLS = {
+    "WickTensor": lambda d: WickTensor(d(_bases), d(_arrays), d(_modes)),
+    "DifferenceKernel": lambda d: (
+        DifferenceKernel(d(_bases), d(_arrays), d(_modes))
+        if d(st.booleans())
+        else DifferenceKernel.from_orderings(d(st.one_of(_junk, st.just(KAPPA))), KAPPA, d(_bases))
+    ),
+    "alpha_map": lambda d: alpha_map(
+        d(st.one_of(_junk, st.just(_difference(FLOAT)))),
+        d(st.one_of(_junk, st.builds(word_tensor, words6, st.just(GENS), st.just(FLOAT)))),
+    ),
+    "word_tensor": lambda d: word_tensor(d(st.one_of(words6, _junk)), d(_bases), d(_modes)),
+    "element_to_tensors": lambda d: element_to_tensors(
+        d(st.one_of(_junk, st.builds(NormalOrderedElement, st.dictionaries(words6, scalars)))),
+        d(_bases),
+    ),
+    "tensors_to_element": lambda d: tensors_to_element(
+        d(st.one_of(_junk, st.lists(_junk, max_size=2))), d(_modes)
+    ),
+    "tensor_to_json": lambda d: tensor_to_json(d(_junk)),
+    "tensor_from_json": lambda d: tensor_from_json(
+        _mutated_listing(d) if d(st.booleans()) else d(st.one_of(st.text(max_size=8), _junk))
+    ),
+}
+
+
+def test_tensor_property_calls_cover_the_tensor_names():
+    assert set(_TENSOR_CALLS) == _TENSOR_NAMES <= set(wick_hadamard.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_CALLS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tensor_layer_raises_only_package_errors(name, data):
+    # a call either raises one of the package's own errors, never a numpy or
+    # builtin exception, or returns tables in a known mode with finite entries
+    try:
+        with np.errstate(all="ignore"):
+            out = _TENSOR_CALLS[name](data.draw)
+    except CcrLabError:
+        return
+    for t in out.values() if isinstance(out, dict) else [out]:
+        if isinstance(t, str):
+            continue
+        assert t.mode in (EXACT, FLOAT), (name, t)
+        values = (t.terms if isinstance(t, NormalOrderedElement) else t.entries).values()
+        assert t.mode == EXACT or all(map(cmath.isfinite, values)), (name, t)
 
 
 # --------------------------------------------------- coincidence limits
