@@ -158,6 +158,8 @@ def coerce(x, mode):
             return complex(x)
         except TypeError:
             pass
+        except OverflowError:
+            raise ValidationError("scalar is outside the float range") from None
     raise ValidationError(f"scalar {x!r} is not a number")
 
 
@@ -644,10 +646,18 @@ def element_to_text(a: AlgebraElement) -> str:
     return " + ".join(parts)
 
 
+def _decimal(digits):
+    """int of a digit string; past Python's conversion limit, ValidationError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValidationError(f"integer of {len(digits)} digits is too long") from None
+
+
 def _parse_scalar(text, mode):
     m = _EXACT_COEFF.match(text)
     if m:
-        p, q, r, s = map(int, m.groups())
+        p, q, r, s = map(_decimal, m.groups())
         if not (q and s):
             raise ValidationError(f"coefficient {text!r} has a zero denominator")
         return coerce(ExactComplex(Fraction(p, q), Fraction(r, s)), mode)
@@ -675,7 +685,7 @@ def element_from_text(text: str, mode=EXACT) -> AlgebraElement:
             word_text = "phi(" + word_text
             if not _WORD.fullmatch(word_text):
                 raise ValidationError(f"malformed generator word {word_text!r}")
-            word = tuple(int(g) for g in _GEN.findall(word_text))
+            word = tuple(map(_decimal, _GEN.findall(word_text)))
         else:
             coeff_text, word = chunk, ()
         coeff = _parse_scalar(coeff_text, mode)

@@ -11,15 +11,16 @@ commutator, so no normal-forming is required first.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _table, coerce, star
+from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _table, coerce
 from .errors import (
+    CcrLabError,
     DegreeGuardError,
     IncompleteKernelError,
     KernelInconsistencyError,
@@ -99,7 +100,8 @@ class TwoPointKernel:
 
     * generator labels are integers and entries are numbers (otherwise
       ValidationError);
-    * every entry is finite (otherwise ValidationError);
+    * every entry is finite, its modulus included (otherwise
+      ValidationError);
     * the real part is symmetric and the imaginary part antisymmetric
       (equivalently, the kernel differs from its transpose by i times a real
       antisymmetric form);
@@ -109,18 +111,26 @@ class TwoPointKernel:
     """
 
     def __init__(self, table, generators=None, pairing=None):
+        if pairing is not None and not isinstance(pairing, PairingForm):
+            raise ValidationError("the declared pairing must be a PairingForm")
         if callable(table):
             if generators is None:
                 raise ValidationError("a kernel callback needs a generator list")
             gens = _labels(generators)
-            entries = {
-                (i, j): coerce(table(i, j), FLOAT) for i in gens for j in gens
-            }
+            try:
+                raw = {(i, j): table(i, j) for i in gens for j in gens}
+            except CcrLabError:
+                raise
+            except Exception as exc:  # the callback's own failure is bad input
+                raise ValidationError(f"kernel callback fails: {exc!r}") from exc
+            entries = {pair: coerce(v, FLOAT) for pair, v in raw.items()}
         else:
-            entries = {
-                _labels(key): coerce(v, FLOAT)
-                for key, v in _table(table, "two-point table").items()
-            }
+            entries = {}
+            for key, v in _table(table, "two-point table").items():
+                key = _labels(key)
+                if len(key) != 2:
+                    raise ValidationError(f"two-point key {key!r} is not an index pair")
+                entries[key] = coerce(v, FLOAT)
             gens = tuple(sorted({i for pair in entries for i in pair}))
             if generators is not None:
                 gens = _labels(generators)
@@ -130,7 +140,7 @@ class TwoPointKernel:
 
     def _verify(self, pairing):
         for (i, j), v in self.entries.items():
-            if not cmath.isfinite(v):
+            if not math.isfinite(math.hypot(v.real, v.imag)):
                 raise ValidationError(
                     f"two-point kernel entry ({i},{j}) = {v!r} is not finite"
                 )
@@ -150,7 +160,7 @@ class TwoPointKernel:
                         f"imaginary part not antisymmetric at ({i},{j})"
                     )
                 if pairing is not None:
-                    e = float(pairing.value(i, j))
+                    e = coerce(pairing.value(i, j), FLOAT).real
                     if abs(2.0 * a.imag - e) > max(tol, _KERNEL_TOL * abs(e)):
                         raise KernelInconsistencyError(
                             f"2 Im omega2({i},{j}) = {2 * a.imag!r} does not "
@@ -199,6 +209,8 @@ class QuasifreeState:
     """
 
     def __init__(self, kernel: TwoPointKernel, check=True):
+        if not isinstance(kernel, TwoPointKernel):
+            raise ValidationError("a quasifree state needs a TwoPointKernel")
         self.kernel = kernel
         if check:
             bad = self.cauchy_schwarz_violations()
@@ -210,19 +222,23 @@ class QuasifreeState:
                 )
 
     def cauchy_schwarz_violations(self):
-        """Pairs violating |E(f,g)|^2/4 <= omega2(f,f) omega2(g,g)."""
+        """Pairs violating |E(f,g)|^2/4 <= omega2(f,f) omega2(g,g).  The
+        terms are compared in units of a power of two above the largest
+        entry, an exact rescaling under which no square overflows."""
         out = []
+        value = self.kernel.value
         gens = self.kernel.generators
         scale = max(
             [abs(v) for v in self.kernel.entries.values()], default=0.0
         )
-        slack = _KERNEL_TOL * max(scale, 1.0) ** 2
+        unit = math.ldexp(1.0, math.frexp(max(scale, 1.0))[1])
+        slack = _KERNEL_TOL * (max(scale, 1.0) / unit) ** 2
         for a, i in enumerate(gens):
             for j in gens[a + 1 :]:
-                lhs = abs(self.kernel.pairing_value(i, j)) ** 2 / 4.0
-                rhs = self.kernel.value(i, i).real * self.kernel.value(j, j).real
+                lhs = (value(i, j).imag / unit) ** 2
+                rhs = (value(i, i).real / unit) * (value(j, j).real / unit)
                 if lhs > rhs + slack:
-                    out.append((i, j, lhs, rhs))
+                    out.append((i, j, lhs * unit * unit, rhs * unit * unit))
         return out
 
 
@@ -242,21 +258,36 @@ def npoint(state, indices):
     listing the pairings; the table itself costs n(n-1)/2 kernel lookups.
 
     Slot labels must be integers (Python or numpy); anything else raises
-    ValidationError, as does an even n above NPOINT_GUARD.
+    ValidationError, as do a state that is not a QuasifreeState and an even
+    n above NPOINT_GUARD.
     """
+    return _moment(_lookup(state), _slots(indices))
+
+
+def _lookup(state):
+    """The kernel lookup of a quasifree state, else ValidationError."""
+    if not isinstance(state, QuasifreeState):
+        raise ValidationError(f"expected a QuasifreeState, got {state!r}")
+    return state.kernel._get
+
+
+def _slots(indices):
     try:
-        idx = [operator.index(i) for i in indices]
+        return [operator.index(i) for i in indices]
     except TypeError:
         raise ValidationError(
             f"npoint needs an iterable of integer slot labels, got {indices!r}"
         ) from None
+
+
+def _moment(value, idx):
+    """npoint on slot labels read already, through the kernel lookup value."""
     n = len(idx)
     if n == 0:
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
     _check_guard(n, NPOINT_GUARD)
-    value = state.kernel._get  # idx is read already; no second label check
     if n == 2:
         # one pair needs no table; this is the commonest call, e.g. every
         # Gram entry of a degree-1 family
@@ -286,9 +317,12 @@ def npoint(state, indices):
 
 def evaluate(state, element: AlgebraElement):
     """Linear extension of the moments to a full algebra element."""
+    value = _lookup(state)
+    if not isinstance(element, AlgebraElement):
+        raise ValidationError(f"evaluate expects an AlgebraElement, got {element!r}")
     total = 0.0 + 0.0j
     for word, coeff in element.terms.items():
-        total += complex(coeff) * npoint(state, word)
+        total += coerce(coeff, FLOAT) * _moment(value, word)
     return total
 
 
@@ -315,9 +349,14 @@ class GramReport:
 def gram_positivity(state, elements):
     """Gram-matrix positivity certificate on a finite element family.
 
-    G_ij is the state value of star(a_i) a_j, evaluated directly on the
-    product words (evaluation is order-independent, so no normal form is
-    taken first).  The matrix must be hermitian within a relative 1e-8; its
+    G_ij is the state value of star(a_i) a_j.  With u_1..u_k the distinct
+    words of the family (in order of first appearance) and A the k x n
+    matrix of its coefficients, a_j = sum_i A_ij u_i, that is G = A^H M A
+    for the word-moment matrix M_ij = npoint(reverse(u_i) u_j).  M is
+    filled in full, one moment per word pair, with no triangle mirrored, so
+    that a kernel breaking its exchange relation shows in G.  A G that is
+    not finite (NaN or infinite coefficients, or products that overflow)
+    raises ValidationError.  G must be hermitian within a relative 1e-8; its
     minimal eigenvalue is compared against -1e-10 times the trace.  Elements
     above degree 4 are refused.
     """
@@ -330,11 +369,15 @@ def gram_positivity(state, elements):
             raise DegreeGuardError(
                 f"family contains degree {a.degree} > guard {_GRAM_DEGREE_GUARD}"
             )
-    n = len(elems)
-    G = np.zeros((n, n), dtype=complex)
-    for r in range(n):
-        for c in range(n):
-            G[r, c] = evaluate(state, star(elems[r]) * elems[c])
+    value = _lookup(state)
+    words = list(dict.fromkeys(w for a in elems for w in a.terms))
+    k, n = len(words), len(elems)
+    A = np.array([[a.terms.get(w, 0) for a in elems] for w in words], complex).reshape(k, n)
+    M = np.array([[_moment(value, u[::-1] + v) for v in words] for u in words], complex)
+    with np.errstate(all="ignore"):  # a G that overflows is refused below
+        G = A.conj().T @ M.reshape(k, k) @ A
+    if not np.isfinite(G).all():
+        raise ValidationError("the Gram matrix is not finite")
     scale = max(1.0, np.abs(G).max()) if G.size else 1.0
     herm = np.abs(G - G.conj().T).max() if G.size else 0.0
     if herm > 1e-8 * scale:
@@ -354,9 +397,15 @@ def gram_positivity(state, elements):
 
 def npoint_csv(state, families):
     """CSV rows `indices,re,im` for a list of index families."""
+    value = _lookup(state)
+    try:
+        families = list(families)
+    except TypeError:
+        raise ValidationError(f"families must be an iterable, got {families!r}") from None
     lines = ["indices,re,im"]
     for fam in families:
-        v = npoint(state, fam)
-        label = " ".join(str(int(i)) for i in fam)
+        idx = _slots(fam)
+        v = _moment(value, idx)
+        label = " ".join(map(str, idx))
         lines.append(f"{label},{v.real:.17g},{v.imag:.17g}")
     return "\n".join(lines) + "\n"

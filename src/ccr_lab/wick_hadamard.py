@@ -35,6 +35,7 @@ import itertools
 import json
 import math
 import operator
+import re as _re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -621,10 +622,28 @@ def tensor_to_json(w: WickTensor) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+_RATIONAL = _re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _listed_value(re, im, mode):
+    """One listed entry in the form tensor_to_json writes it: p or p/q
+    integer strings in exact mode, finite JSON numbers in float mode."""
+    if mode == EXACT:
+        if all(isinstance(x, str) and _RATIONAL.fullmatch(x) for x in (re, im)):
+            return ExactComplex(Fraction(re), Fraction(im))
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+        v = complex(re, im)
+        if cmath.isfinite(v):
+            return v
+    raise ValidationError(f"tensor json entry {[re, im]!r} is not a listed {mode} value")
+
+
 def tensor_from_json(text: str) -> WickTensor:
     """Inverse of tensor_to_json; malformed input raises ValidationError, and
     an orbit listed in part or whose entries disagree (beyond 1e-12 max(1,
-    |entry|) in float mode) raises InvalidSymmetryError."""
+    |entry|) in float mode) raises InvalidSymmetryError.  Entries must be
+    written as tensor_to_json writes them; any other form, a decimal
+    exponent such as "1e1000000" among them, is refused."""
     try:
         data = json.loads(text)
     except (TypeError, ValueError) as exc:
@@ -649,7 +668,7 @@ def tensor_from_json(text: str) -> WickTensor:
             idx = _labels(idx)
             if len(idx) != n or any(not 0 <= i < len(basis) for i in idx):
                 raise ValidationError(f"entry index {idx} is out of range")
-            orbits.setdefault(tuple(sorted(idx)), {})[idx] = coerce(ExactComplex(re, im), mode)
+            orbits.setdefault(tuple(sorted(idx)), {})[idx] = _listed_value(re, im, mode)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"malformed tensor json entry: {exc!r}") from None
     entries = {}

@@ -446,6 +446,23 @@ def test_malformed_text_rejected():
         element_from_text("1/1+0/1*i*psi(1)", mode=EXACT)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000 + "/1+0/1*i", "1/1+0/1*i*phi(" + "1" * 5000 + ")"],
+    ids=["coefficient", "generator"],
+)
+def test_text_refuses_integers_past_the_conversion_limit(text):
+    # Python's int() stops at 4300 digits; the reader says so in its own terms
+    with pytest.raises(ValidationError, match="5000 digits"):
+        element_from_text(text, mode=EXACT)
+
+
+def test_float_element_refuses_numbers_past_the_float_range():
+    for c in (10**400, Fraction(10**400, 3), ExactComplex(0, 10**400)):
+        with pytest.raises(ValidationError, match="float range"):
+            AlgebraElement({(1,): c}, mode=FLOAT)
+
+
 def test_pairing_form_json_round_trip():
     E = PairingForm({(1, 2): Fraction(3, 7), (2, 5): Fraction(-1, 2)})
     back = PairingForm.from_json(json.loads(json.dumps(E.to_json())))

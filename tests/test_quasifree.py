@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccr_lab import quasifree
 from ccr_lab.ccr_core import FLOAT, AlgebraElement, PairingForm, normal_form, star
 from ccr_lab.errors import (
+    CcrLabError,
     DegreeGuardError,
     IncompleteKernelError,
     KernelInconsistencyError,
@@ -351,8 +356,6 @@ def test_gram_degree_guard():
 
 
 def test_gram_report_json_and_csv_export():
-    import json
-
     state = QuasifreeState(vacuum_mode_kernel([1.0]))
     rep = gram_positivity(state, [AlgebraElement.unit(mode=FLOAT)])
     data = json.loads(rep.to_json())
@@ -366,3 +369,267 @@ def test_gram_report_json_and_csv_export():
 def test_cauchy_schwarz_margins_on_valid_kernel():
     state = QuasifreeState(vacuum_mode_kernel([1.0, 2.5]))
     assert state.cauchy_schwarz_violations() == []
+
+
+# ------------------------------------------- the word-moment Gram matrix
+
+def _gram_by_products(state, family):
+    """The definition G_rc = omega(star(a_r) a_c), every product formed and
+    evaluated term by term: the reference for the word-moment route."""
+    n = len(family)
+    G = [[evaluate(state, star(a) * b) for b in family] for a in family]
+    return np.array(G, dtype=complex).reshape(n, n)
+
+
+def _random_family(rng, gens, n, max_degree):
+    """n float elements of degree <= max_degree over gens, some words shared
+    between elements, complex coefficients."""
+    pool = [()] + [
+        tuple(int(g) for g in rng.choice(gens, size=rng.integers(1, max_degree + 1)))
+        for _ in range(2 * n)
+    ]
+    family = []
+    for _ in range(n):
+        words = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 5))]
+        coeffs = rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))
+        family.append(AlgebraElement(dict(zip(words, coeffs)), mode=FLOAT))
+    return family
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_matches_the_product_definition(seed):
+    state = dense_state(5, seed=seed)
+    rng = np.random.default_rng(200 + seed)
+    for max_degree in (1, 2, 4):
+        family = _random_family(rng, range(1, 6), 8, max_degree)
+        rep = gram_positivity(state, family)
+        ref = _gram_by_products(state, family)
+        assert np.abs(rep.gram - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert rep.psd
+
+
+def test_gram_takes_exact_elements_and_zero_elements():
+    state = dense_state(3, seed=4)
+    exact = AlgebraElement({(1, 2): 1, (3,): -2, (): 1})
+    family = [exact, AlgebraElement.zero(mode=FLOAT), AlgebraElement.generator(2)]
+    ref = _gram_by_products(state, [AlgebraElement(a.terms, FLOAT) for a in family])
+    rep = gram_positivity(state, family)
+    assert np.abs(rep.gram - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert rep.gram[1].tolist() == [0, 0, 0]
+
+
+def test_gram_family_outside_the_kernel_raises():
+    # generator 6 is outside the 5-generator kernel: both routes raise
+    state = dense_state(5, seed=1)
+    family = _random_family(np.random.default_rng(3), range(1, 6), 5, 2)
+    family.append(AlgebraElement({(2, 6): 1.0, (): 0.5j}, mode=FLOAT))
+    with pytest.raises(IncompleteKernelError):
+        gram_positivity(state, family)
+    with pytest.raises(IncompleteKernelError):
+        _gram_by_products(state, family)
+
+
+def test_gram_catches_a_kernel_that_breaks_its_exchange_relation():
+    # one off-diagonal entry changed after construction: omega(1, 2) and
+    # omega(2, 1) no longer differ by i E only, and the Gram matrix, with
+    # its word-moment matrix filled in full, is not hermitian
+    kernel = vacuum_mode_kernel([1.0, 0.7])
+    state = QuasifreeState(kernel)
+    kernel.entries[(1, 2)] += 0.3
+    family = [AlgebraElement.generator(g, mode=FLOAT) for g in (1, 2, 3)]
+    with pytest.raises(KernelInconsistencyError, match="not hermitian"):
+        gram_positivity(state, family)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        [AlgebraElement({(1,): math.nan}, FLOAT)],
+        [AlgebraElement({(1,): math.inf}, FLOAT)],
+        [AlgebraElement({(): complex(0, -math.inf)}, FLOAT), AlgebraElement.unit(FLOAT)],
+        [AlgebraElement({(1,): 1e200}, FLOAT), AlgebraElement({(2,): 1e200}, FLOAT)],
+    ],
+    ids=["nan", "inf", "imaginary-inf", "overflowing-products"],
+)
+def test_gram_refuses_a_matrix_that_is_not_finite(family):
+    state = QuasifreeState(vacuum_mode_kernel([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not finite"):
+            gram_positivity(state, family)
+
+
+# ------------------------------------------------------ the public boundary
+
+_BASE = vacuum_mode_kernel([1.0, 0.7])
+
+
+def _raising_callback(i, j):
+    return 1 / 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: npoint(None, [1, 1]),
+        lambda: evaluate(QuasifreeState(vacuum_mode_kernel([1.0])), "x"),
+        lambda: evaluate(None, AlgebraElement.unit(FLOAT)),
+        lambda: gram_positivity(None, [AlgebraElement.unit(FLOAT)]),
+        lambda: QuasifreeState("k"),
+        lambda: npoint_csv(QuasifreeState(vacuum_mode_kernel([1.0])), 5),
+        lambda: npoint_csv(None, [[1, 1]]),
+        lambda: TwoPointKernel({(1, 2, 3): 1.0}),
+        lambda: TwoPointKernel({(1,): 1.0}),
+        lambda: TwoPointKernel(_raising_callback, generators=[1, 2]),
+        lambda: TwoPointKernel(lambda i, j: {}[(i, j)], generators=[1]),
+        lambda: TwoPointKernel({(1, 1): 10**400}),
+        lambda: TwoPointKernel({(1, 1): 1.0}, pairing=5),
+        lambda: TwoPointKernel({(1, 1): 1.0, (1, 2): complex(1.7e308, 1.7e308)}),
+        lambda: TwoPointKernel(_BASE.entries, pairing=PairingForm({(1, 2): 10**400})),
+    ],
+    ids=[
+        "npoint-state", "evaluate-element", "evaluate-state", "gram-state", "state-kernel",
+        "csv-families", "csv-state", "three-index-key", "one-index-key", "raising-callback",
+        "key-error-callback", "entry-out-of-float-range", "pairing-not-a-form",
+        "modulus-out-of-float-range", "pairing-out-of-float-range",
+    ],
+)
+def test_quasifree_boundary_refuses_foreign_input(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_pair_bound_is_checked_near_the_float_range(scale):
+    # every term of the bound is quadratic in the kernel: scaling a valid
+    # kernel keeps it valid, and scaling the violating one keeps it violating
+    QuasifreeState(TwoPointKernel({k: v * scale for k, v in _BASE.entries.items()}))
+    bad = {(1, 1): 0.1, (2, 2): 0.1, (1, 2): 0.5j, (2, 1): -0.5j}
+    with pytest.raises(KernelInconsistencyError, match="pair bound"):
+        QuasifreeState(TwoPointKernel({k: v * scale for k, v in bad.items()}))
+
+
+def test_npoint_csv_labels_an_iterator_family():
+    state = QuasifreeState(vacuum_mode_kernel([1.0]))
+    assert npoint_csv(state, [iter([1, 1])]) == npoint_csv(state, [[1, 1]])
+
+
+# every name in quasifree.__all__, fed junk states, kernels, labels,
+# elements and families, NaN, +-inf and numbers past the float range
+_specials = st.sampled_from(
+    [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1.7e308, 1.7e308),
+     1e200, 1e-320, 10**400, 2.5]
+)
+_label_junk = st.one_of(
+    _specials, st.none(), st.text(max_size=3), st.integers(-3, 9), st.just((1.5, 2))
+)
+_junk = st.one_of(_label_junk, st.sampled_from([[1, 2], [[1, 2], [3]], {"a": 1}]))
+_gens = st.one_of(st.integers(0, 5), _label_junk)
+_values = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 0.5j, -0.5j, 1e150, Fraction(1, 3), 2]), _specials,
+    st.none(), st.text(max_size=2),
+)
+_keys = st.integers(0, 5).flatmap(
+    lambda i: st.tuples(st.integers(1, 4), st.integers(1, 4)) if i < 3 else st.one_of(
+        st.tuples(_gens, _gens), st.tuples(_gens), st.tuples(_gens, _gens, _gens),
+        st.sampled_from([None, 5, "ab", 1.5]),
+    )
+)
+_pairings = st.sampled_from(
+    [None, None, _BASE.pairing_form(), PairingForm({(1, 2): 10**400}), 5, "E"]
+)
+_gen_lists = st.one_of(
+    st.none(), st.lists(st.integers(0, 5), max_size=4), st.sampled_from([[1.5], "ab", 5]),
+)
+
+
+def _table_arg(draw):
+    table = dict(_BASE.entries) if draw(st.booleans()) else {}
+    table.update(draw(st.dictionaries(_keys, _values, max_size=3)))
+    shape = draw(st.sampled_from(["dict", "pairs", "callback", "raising", "junk"]))
+    if shape == "pairs":
+        return list(table.items())
+    if shape == "callback":
+        return lambda i, j: table[(i, j)]
+    if shape == "raising":
+        return _raising_callback
+    return table if shape == "dict" else draw(_junk)
+
+
+def _kernel(draw):
+    if draw(st.booleans()):
+        # the valid base kernel, scaled to the edges of the float range
+        scale = draw(st.sampled_from([1.0, 1e150, 1e200, 1e300, 1e-320]))
+        return TwoPointKernel({key: v * scale for key, v in _BASE.entries.items()})
+    gens = draw(st.one_of(st.just(_BASE.generators), _gen_lists))
+    return TwoPointKernel(_table_arg(draw), gens, draw(_pairings))
+
+
+def _state(draw):
+    choice = draw(st.integers(0, 3))
+    if choice < 2:
+        return QuasifreeState(_BASE)
+    if choice == 2:
+        return QuasifreeState(_kernel(draw), check=draw(st.booleans()))
+    return draw(_junk)
+
+
+_words = st.lists(st.integers(0, 5), max_size=5).map(tuple)
+
+
+def _element(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_junk)
+    terms = draw(st.dictionaries(st.one_of(_words, _label_junk), _values, max_size=4))
+    return AlgebraElement(terms, draw(st.sampled_from([FLOAT, FLOAT, "exact", "bogus"])))
+
+
+def _family(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_junk)
+    return [_element(draw) for _ in range(draw(st.integers(0, 4)))]
+
+
+def _indices(draw):
+    labels = st.lists(st.one_of(st.integers(0, 5), _junk), max_size=6)
+    return draw(st.one_of(_words, labels, _junk))
+
+
+def _csv_families(draw):
+    if draw(st.booleans()):
+        return [_indices(draw) for _ in range(draw(st.integers(0, 3)))]
+    return draw(_junk)
+
+
+_QF_CALLS = {
+    "TwoPointKernel": _kernel,
+    "QuasifreeState": lambda d: QuasifreeState(
+        d(st.one_of(st.just(_BASE), _junk)) if d(st.booleans()) else _kernel(d),
+        check=d(st.booleans()),
+    ),
+    "GramReport": lambda d: json.loads(gram_positivity(_state(d), _family(d)).to_json()),
+    "enumerate_pairings": lambda d: enumerate_pairings(
+        d(st.one_of(st.integers(-2, 10), st.just(18), _junk))
+    ),
+    "npoint": lambda d: npoint(_state(d), _indices(d)),
+    "evaluate": lambda d: evaluate(_state(d), _element(d)),
+    "gram_positivity": lambda d: gram_positivity(_state(d), _family(d)),
+    "npoint_csv": lambda d: npoint_csv(_state(d), _csv_families(d)),
+}
+
+
+def test_property_calls_cover_the_quasifree_names():
+    assert set(_QF_CALLS) == set(quasifree.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(_QF_CALLS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_quasifree_raises_only_package_errors(name, data):
+    # a call either raises one of the package's own errors or returns; numpy
+    # warnings are silenced, as only escaping exceptions count here
+    try:
+        with np.errstate(all="ignore"):
+            _QF_CALLS[name](data.draw)
+    except CcrLabError:
+        pass

@@ -952,6 +952,28 @@ def test_tensor_json_orbits_must_be_whole_and_agree():
             tensor_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "mode, value",
+    [
+        (EXACT, "1e1000000"), (EXACT, "1e3000000"), (EXACT, "1.5"), (EXACT, " 1"),
+        (EXACT, "1/-2"), (EXACT, 1), (FLOAT, "0.5"), (FLOAT, True), (FLOAT, math.nan),
+        (FLOAT, -math.inf), (FLOAT, None),
+    ],
+)
+def test_tensor_json_reads_only_what_tensor_to_json_writes(mode, value):
+    # exact entries are p or p/q integer strings, float entries JSON
+    # numbers; a decimal exponent would make Fraction build a million-digit
+    # integer, so it is refused before any conversion
+    def listing(re):
+        return json.dumps({"kind": "wick-tensor", "degree": 0, "basis": [1], "mode": mode,
+                           "entries": [[[], re, "0" if mode == EXACT else 0.0]]})
+
+    with pytest.raises(ValidationError, match="is not a listed"):
+        tensor_from_json(listing(value))
+    back = tensor_from_json(listing("-3/4" if mode == EXACT else -0.75))
+    assert complex(back.entries[()]) == -0.75
+
+
 def test_dense_array_is_built_once_and_read_only():
     t = word_tensor((1, 2, 2), GENS)
     d = _difference(FLOAT)
