@@ -22,6 +22,7 @@ themselves are hermitian, so no index decoration is needed.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -59,14 +60,19 @@ FLOAT = "float"
 class ExactComplex:
     """Complex number with Fraction real and imaginary parts.
 
-    Immutable; arithmetic never rounds.
+    Immutable; arithmetic never rounds.  Parts that are not finite
+    rationals raise ValidationError.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        try:
+            parts = Fraction(re), Fraction(im)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"parts {re!r}, {im!r} are not finite rationals") from None
+        object.__setattr__(self, "re", parts[0])
+        object.__setattr__(self, "im", parts[1])
 
     @classmethod
     def _of(cls, re, im):
@@ -163,6 +169,14 @@ def coerce(x, mode):
     raise ValidationError(f"scalar {x!r} is not a number")
 
 
+def _finite(x, mode):
+    """coerce(x, mode), refusing a float-mode value that is not finite."""
+    x = coerce(x, mode)
+    if mode == FLOAT and not cmath.isfinite(x):
+        raise ValidationError(f"scalar {x!r} is not finite")
+    return x
+
+
 def _labels(seq):
     """Generator labels as a tuple of ints; floats, strings and non-iterables
     raise ValidationError rather than being truncated or leaking TypeError."""
@@ -173,13 +187,25 @@ def _labels(seq):
 
 
 def _table(table, what):
-    """A table of entries as a dict: a mapping or an iterable of (key, value)
-    pairs; anything else raises ValidationError rather than leaking
-    TypeError."""
+    """A table of entries as a dict: None (empty), a mapping or an iterable
+    of (key, value) pairs; anything else raises ValidationError rather than
+    leaking TypeError."""
     try:
-        return dict(table)
+        return dict(() if table is None else table)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be a mapping, got {table!r}") from None
+
+
+def _pair_table(table, what):
+    """A table keyed by index pairs, {(i, j): value}; a key that is not a
+    pair of integer labels raises ValidationError."""
+    out = {}
+    for key, v in _table(table, what).items():
+        key = _labels(key)
+        if len(key) != 2:
+            raise ValidationError(f"{what} key {key!r} is not an index pair")
+        out[key] = v
+    return out
 
 
 def _word(word):
@@ -207,9 +233,9 @@ class _WordCombination:
         if mode not in (EXACT, FLOAT):
             raise ValidationError(f"unknown scalar mode {mode!r}")
         clean = {}
-        for word, coeff in (terms or {}).items():
+        for word, coeff in _table(terms, "element terms").items():
             word = self._canonical(word)
-            coeff = coerce(coeff, mode)
+            coeff = _finite(coeff, mode)
             if coeff:
                 total = clean[word] + coeff if word in clean else coeff
                 if total:
@@ -274,7 +300,7 @@ class _WordCombination:
         return self.scale(-1)
 
     def scale(self, c):
-        c = coerce(c, self.mode)
+        c = _finite(c, self.mode)
         return self._new({w: coeff * c for w, coeff in self.terms.items()}, self.mode)
 
     def __bool__(self):
@@ -307,7 +333,7 @@ class AlgebraElement(_WordCombination):
     @classmethod
     def from_vector(cls, vector, mode=EXACT):
         """Degree-one element sum_g vector[g] * phi(g) from a dict."""
-        return cls({(g,): c for g, c in vector.items()}, mode)
+        return cls({(g,): c for g, c in _table(vector, "vector").items()}, mode)
 
     def is_zero(self):
         return not self.terms
@@ -332,16 +358,15 @@ class PairingForm:
 
     Stored triangularly: entries[(i, j)] = E_ij for i < j.  Missing pairs are
     zero.  Entry values may be Fraction/int (usable in both scalar modes) or
-    finite real floats (float mode only); anything else raises
-    ValidationError.
+    finite real floats (float mode only); anything else, or a key that is
+    not an index pair, raises ValidationError.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
         clean = {}
-        for key, v in _table(entries or {}, "pairing entries").items():
-            i, j = _labels(key)
+        for (i, j), v in _pair_table(entries, "pairing entries").items():
             if not isinstance(v, numbers.Real) or not (is_exact(v) or math.isfinite(v)):
                 raise ValidationError(
                     f"pairing entry ({i},{j}) = {v!r} is not a finite real number"
@@ -369,16 +394,16 @@ class PairingForm:
         return -self.entries.get((j, i), 0)
 
     def matrix(self, generators):
-        """Float matrix of E restricted to an ordered generator list."""
+        """Float matrix of E restricted to an ordered generator list; an entry
+        past the float range raises ValidationError."""
         import numpy as np
 
-        gens = list(generators)
-        n = len(gens)
-        out = np.zeros((n, n))
-        for p in range(n):
-            for q in range(n):
-                out[p, q] = float(self.value(gens[p], gens[q]))
-        return out
+        gens = _labels(generators)
+        try:
+            rows = [[float(self.value(p, q)) for q in gens] for p in gens]
+        except OverflowError:
+            raise ValidationError("pairing entries lie outside the float range") from None
+        return np.array(rows).reshape(len(gens), len(gens))
 
     def is_weakly_nondegenerate(self, generators):
         """True iff E on the generators has full rank at relative cutoff 1e-10."""
@@ -388,24 +413,23 @@ class PairingForm:
         if mat.size == 0:
             return True
         rank = np.linalg.matrix_rank(mat, tol=1e-10 * max(1.0, abs(mat).max()))
-        return rank == len(list(generators))
+        return rank == len(mat)
 
     def to_json(self):
-        rows = []
-        for (i, j), v in sorted(self.entries.items()):
-            if isinstance(v, Fraction):
-                rows.append([i, j, str(v)])
-            else:
-                rows.append([i, j, v])
+        """{"pairing": [[i, j, E_ij], ...]} for i < j, in _json_scalar's form."""
+        rows = [
+            [i, j, str(Fraction(v)) if is_exact(v) else float(v)]
+            for (i, j), v in sorted(self.entries.items())
+        ]
         return json.dumps({"pairing": rows}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text, exact=True):
+    def from_json(cls, text):
+        """Inverse of to_json: exact entries come back as Fractions, float
+        ones as floats; a value in any other form raises ValidationError."""
         try:
-            entries = {}
-            for i, j, v in json.loads(text)["pairing"]:
-                v = Fraction(v)
-                entries[(i, j)] = v if exact else float(v)
+            rows = json.loads(text)["pairing"]
+            entries = {(i, j): _json_scalar(v, "pairing entry") for i, j, v in rows}
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed pairing json: {exc!r}") from None
         return cls(entries)
@@ -522,6 +546,8 @@ class InducedMap:
     def __init__(self, sigma, generators, E, parity):
         import numpy as np
 
+        if not isinstance(E, PairingForm):
+            raise ValidationError("InducedMap needs a PairingForm")
         gens = list(_labels(generators))
         n = len(gens)
         try:
@@ -536,13 +562,13 @@ class InducedMap:
         if parity not in ("preserving", "reversing"):
             raise ValidationError("parity must be 'preserving' or 'reversing'")
         Emat = E.matrix(gens)
-        scale = max(1.0, abs(Emat).max())
+        scale = abs(Emat).max(initial=1.0)
         transported = mat.T @ Emat @ mat
         if parity == "preserving":
-            residual = abs(transported - Emat).max()
+            residual = abs(transported - Emat).max(initial=0.0)
         else:
-            residual = abs(transported + Emat).max()
-        if residual > 1e-9 * scale:
+            residual = abs(transported + Emat).max(initial=0.0)
+        if not residual <= 1e-9 * scale:  # an overflow to NaN fails too
             raise InvalidSymmetryError(
                 f"sigma does not {parity.rstrip('ing')}e E: residual {residual:.3e}"
             )
@@ -562,6 +588,8 @@ class InducedMap:
         )
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
+        if not isinstance(a, AlgebraElement):
+            raise ValidationError("an InducedMap acts on AlgebraElements")
         out = AlgebraElement.zero(a.mode)
         for word, coeff in a.terms.items():
             if self.parity == "reversing":
@@ -580,6 +608,12 @@ def simplicity_probe(a: AlgebraElement, probes, E: PairingForm):
     whose length must equal the top degree of a; multiples of the unit accept
     any probe list and give zero.
     """
+    if not isinstance(a, AlgebraElement):
+        raise ValidationError("simplicity_probe expects an AlgebraElement")
+    try:
+        probes = list(probes)
+    except TypeError:
+        raise ValidationError(f"probes must be a list of vectors, got {probes!r}") from None
     k = a.degree
     if k > 0 and len(probes) != k:
         raise ArityError(
@@ -598,16 +632,46 @@ def find_simplicity_witness(a: AlgebraElement, E: PairingForm, generators):
     proportional to the unit this search succeeds on small generator sets;
     with degenerate E it may legitimately fail.
     """
+    if not isinstance(a, AlgebraElement):
+        raise ValidationError("find_simplicity_witness expects an AlgebraElement")
+    gens = _labels(generators)
     k = a.degree
     if k == 0:
         return None
-    gens = list(generators)
     for combo in _cartesian(gens, repeat=k):
         probes = [{g: 1} for g in combo]
         value = simplicity_probe(a, probes, E)
         if value:
             return probes, value
     return None
+
+
+# ------------------------------------------------------ JSON scalar grammar
+
+_RATIONAL = _re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _json_scalar(x, what):
+    """A real scalar of "ccr-lab/1" JSON: a "p" or "p/q" string reads as a
+    Fraction, a finite number (not a bool) as a float; any other form,
+    "1e1000000" among them, raises ValidationError."""
+    try:
+        if isinstance(x, str) and _RATIONAL.fullmatch(x):
+            return Fraction(x)
+        if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
+            return float(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValidationError(f"{what} {x!r} is not a listed scalar")
+
+
+def _listed_value(re, im, mode):
+    """A listed complex entry [re, im]: rationals in exact mode, numbers in
+    float mode."""
+    parts = _json_scalar(re, "listed part"), _json_scalar(im, "listed part")
+    if all(isinstance(x, Fraction if mode == EXACT else float) for x in parts):
+        return ExactComplex._of(*parts) if mode == EXACT else complex(*parts)
+    raise ValidationError(f"listed entry {[re, im]!r} is not a listed {mode} value")
 
 
 # ---------------------------------------------------------------- text form
@@ -633,6 +697,8 @@ def element_to_text(a: AlgebraElement) -> str:
     Terms are ordered by (word length, word); the unit term is a bare
     coefficient.  Exact coefficients print as p/q+r/s*i.
     """
+    if not isinstance(a, AlgebraElement):
+        raise ValidationError("element_to_text expects an AlgebraElement")
     if not a.terms:
         return "0"
     parts = []
@@ -674,6 +740,8 @@ def _parse_scalar(text, mode):
 
 def element_from_text(text: str, mode=EXACT) -> AlgebraElement:
     """Inverse of element_to_text."""
+    if not isinstance(text, str):
+        raise ValidationError(f"element text must be a string, got {text!r}")
     text = text.strip()
     if text == "0":
         return AlgebraElement.zero(mode)

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by all ccr_lab modules, and the three readers
-of outside numbers that raise it.
+"""Exception taxonomy shared by all ccr_lab modules, the three readers of
+outside numbers that raise it, and the one caller of outside callbacks.
 
 Two exit-relevant base classes: ValidationError means the inputs violate a
 documented precondition (CLI exit 2); NumericalCheckError means the inputs
@@ -57,6 +57,17 @@ def as_finite_array(values, what, dtype=float):
     if v is None or v.dtype.kind not in kinds or not np.isfinite(v).all():
         raise ValidationError(f"{what} must be an array of finite numbers")
     return v.astype(dtype, copy=False)
+
+
+def call_outside(what, f, *args):
+    """f(*args) for a callable supplied from outside; its own failure, any
+    exception but a CcrLabError, is bad input and raises ValidationError."""
+    try:
+        return f(*args)
+    except CcrLabError:
+        raise
+    except Exception as exc:
+        raise ValidationError(f"{what} fails: {exc!r}") from exc
 
 
 # symbolic algebra

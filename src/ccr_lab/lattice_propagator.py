@@ -99,10 +99,10 @@ class LatticeField:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def support_box(self, tol=0.0):
-        """(n_min, n_max, j_min, j_max) of entries with |value| > tol,
-        or None for an all-zero field."""
-        mask = np.abs(self.values) > tol
+    def support_box(self):
+        """(n_min, n_max, j_min, j_max) of the nonzero entries, or None for
+        an all-zero field."""
+        mask = self.values != 0
         if not mask.any():
             return None
         rows = np.nonzero(mask.any(axis=1))[0]

@@ -484,7 +484,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     every Q is Hilbert-Schmidt, so only the growth trend along the ladder is
     reported: hs growing at least like N^0.4 reads divergent, essentially
     flat (or at most 1e-12 throughout) reads bounded, anything else
-    inconclusive.
+    inconclusive.  tau defaults to the standard block form; each block of
+    both covariances must pass validate_mu_tau against tau's block.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -492,9 +493,12 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         raise ValidationError("covariances must share a square shape")
     if mu1.shape[0] % 2:
         raise ValidationError("covariances must have even dimension (q and p per mode)")
-    if tau is not None:
-        tau = as_finite_array(tau, "tau")
     total_modes = mu1.shape[0] // 2
+    if tau is None:
+        tau = standard_symplectic_form(total_modes)
+    tau = as_finite_array(tau, "tau")
+    if tau.shape != mu1.shape:
+        raise ValidationError("tau must match the covariances' shape")
     if truncations is None:
         truncations = [total_modes]
     try:
@@ -514,12 +518,9 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
             )
         m1 = mu1[:n, :n]
         m2 = mu2[:n, :n]
-        if tau is None:
-            Linv = _lower_inverse(_cholesky_pd(m1, "mu1 block"))
-        else:
-            t = tau[:n, :n]
-            Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
-            _bounded_frame(m2, t, what="mu2 block")
+        t = tau[:n, :n]
+        Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
+        _bounded_frame(m2, t, what="mu2 block")
         delta = m2 - m1
         B = Linv @ delta @ Linv.T
         B = (B + B.T) / 2.0

@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _table, coerce
+from .ccr_core import FLOAT, AlgebraElement, PairingForm, _finite, _labels, _pair_table, coerce
 from .errors import (
-    CcrLabError,
     DegreeGuardError,
     IncompleteKernelError,
     KernelInconsistencyError,
     ParityError,
     ValidationError,
     as_index,
+    call_outside,
 )
 
 __all__ = [
@@ -98,8 +98,10 @@ class TwoPointKernel:
     generator list; the callable is tabulated once at construction.  The
     construction checks, to 1e-10 relative to max(1, largest entry):
 
-    * generator labels are integers and entries are numbers (otherwise
-      ValidationError);
+    * generator labels are integers, keys index pairs and entries numbers,
+      and a declared generator list covers every label of a table
+      (otherwise ValidationError; a list wider than the table raises
+      IncompleteKernelError);
     * every entry is finite, its modulus included (otherwise
       ValidationError);
     * the real part is symmetric and the imaginary part antisymmetric
@@ -117,25 +119,18 @@ class TwoPointKernel:
             if generators is None:
                 raise ValidationError("a kernel callback needs a generator list")
             gens = _labels(generators)
-            try:
-                raw = {(i, j): table(i, j) for i in gens for j in gens}
-            except CcrLabError:
-                raise
-            except Exception as exc:  # the callback's own failure is bad input
-                raise ValidationError(f"kernel callback fails: {exc!r}") from exc
-            entries = {pair: coerce(v, FLOAT) for pair, v in raw.items()}
+            raw = call_outside(
+                "kernel callback", lambda: {(i, j): table(i, j) for i in gens for j in gens}
+            )
         else:
-            entries = {}
-            for key, v in _table(table, "two-point table").items():
-                key = _labels(key)
-                if len(key) != 2:
-                    raise ValidationError(f"two-point key {key!r} is not an index pair")
-                entries[key] = coerce(v, FLOAT)
-            gens = tuple(sorted({i for pair in entries for i in pair}))
-            if generators is not None:
-                gens = _labels(generators)
+            raw = _pair_table(table, "two-point table")
+            labels = {i for pair in raw for i in pair}
+            gens = tuple(sorted(labels)) if generators is None else _labels(generators)
+            if not labels <= set(gens):
+                missing = sorted(labels - set(gens))
+                raise ValidationError(f"generator list misses labels {missing} of the table")
         self.generators = gens
-        self.entries = entries
+        self.entries = {pair: coerce(v, FLOAT) for pair, v in raw.items()}
         self._verify(pairing)
 
     def _verify(self, pairing):
@@ -201,25 +196,24 @@ class TwoPointKernel:
 class QuasifreeState:
     """Quasifree state for a two-point kernel.
 
-    check=True additionally enforces the pair bound
+    The constructor enforces the pair bound
     |E(f,g)|^2 / 4 <= omega2(f,f) omega2(g,g), to 1e-10 max(1, |entry|)^2,
-    on every stored pair, a necessary condition for positivity.  Positivity
-    itself is only ever certified on explicit finite families via
+    on every generator pair, a necessary condition for positivity.
+    Positivity itself is only ever certified on explicit finite families via
     gram_positivity.
     """
 
-    def __init__(self, kernel: TwoPointKernel, check=True):
+    def __init__(self, kernel: TwoPointKernel):
         if not isinstance(kernel, TwoPointKernel):
             raise ValidationError("a quasifree state needs a TwoPointKernel")
         self.kernel = kernel
-        if check:
-            bad = self.cauchy_schwarz_violations()
-            if bad:
-                i, j, lhs, rhs = bad[0]
-                raise KernelInconsistencyError(
-                    f"pair bound fails at ({i},{j}): |E|^2/4 = {lhs:.6g} "
-                    f"> {rhs:.6g} = omega2(f,f) omega2(g,g)"
-                )
+        bad = self.cauchy_schwarz_violations()
+        if bad:
+            i, j, lhs, rhs = bad[0]
+            raise KernelInconsistencyError(
+                f"pair bound fails at ({i},{j}): |E|^2/4 = {lhs:.6g} "
+                f"> {rhs:.6g} = omega2(f,f) omega2(g,g)"
+            )
 
     def cauchy_schwarz_violations(self):
         """Pairs violating |E(f,g)|^2/4 <= omega2(f,f) omega2(g,g).  The
@@ -258,10 +252,10 @@ def npoint(state, indices):
     listing the pairings; the table itself costs n(n-1)/2 kernel lookups.
 
     Slot labels must be integers (Python or numpy); anything else raises
-    ValidationError, as do a state that is not a QuasifreeState and an even
-    n above NPOINT_GUARD.
+    ValidationError, as do a state that is not a QuasifreeState, an even n
+    above NPOINT_GUARD and a moment that overflows.
     """
-    return _moment(_lookup(state), _slots(indices))
+    return _finite(_moment(_lookup(state), _slots(indices)), FLOAT)
 
 
 def _lookup(state):
@@ -316,14 +310,15 @@ def _moment(value, idx):
 
 
 def evaluate(state, element: AlgebraElement):
-    """Linear extension of the moments to a full algebra element."""
+    """Linear extension of the moments to a full algebra element; a value
+    that is not finite raises ValidationError."""
     value = _lookup(state)
     if not isinstance(element, AlgebraElement):
         raise ValidationError(f"evaluate expects an AlgebraElement, got {element!r}")
     total = 0.0 + 0.0j
     for word, coeff in element.terms.items():
         total += coerce(coeff, FLOAT) * _moment(value, word)
-    return total
+    return _finite(total, FLOAT)
 
 
 @dataclass(frozen=True)
@@ -396,7 +391,8 @@ def gram_positivity(state, elements):
 
 
 def npoint_csv(state, families):
-    """CSV rows `indices,re,im` for a list of index families."""
+    """CSV rows `indices,re,im` for a list of index families; a moment that
+    is not finite raises ValidationError."""
     value = _lookup(state)
     try:
         families = list(families)
@@ -405,7 +401,7 @@ def npoint_csv(state, families):
     lines = ["indices,re,im"]
     for fam in families:
         idx = _slots(fam)
-        v = _moment(value, idx)
+        v = _finite(_moment(value, idx), FLOAT)
         label = " ".join(map(str, idx))
         lines.append(f"{label},{v.real:.17g},{v.imag:.17g}")
     return "\n".join(lines) + "\n"

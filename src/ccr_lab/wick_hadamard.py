@@ -35,7 +35,6 @@ import itertools
 import json
 import math
 import operator
-import re as _re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +50,8 @@ from .ccr_core import (
     _accumulate,
     _contract,
     _labels,
-    _table,
+    _listed_value,
+    _pair_table,
     _WordCombination,
     coerce,
     is_exact,
@@ -66,6 +66,7 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
+    call_outside,
 )
 from .minkowski_kernel import KernelParams
 
@@ -89,8 +90,6 @@ __all__ = [
     "stress_energy",
 ]
 
-KERNEL_TAGS = ("state-kernel", "hadamard")
-
 _WICK_DEGREE_GUARD = 4
 _TENSOR_DEGREE_GUARD = 6
 _BASIS_GUARD = 8
@@ -112,30 +111,24 @@ class OrderingKernel:
     numbers.  ``pairing`` is the ambient antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
-    1e-12 otherwise.  ``tag`` records what the kernel is: the two-point
-    table of a state, or a regularized parametrix table.
+    1e-12 otherwise.
     """
 
-    __slots__ = ("entries", "pairing", "tag")
+    __slots__ = ("entries", "pairing")
 
-    def __init__(self, table, pairing, tag="state-kernel"):
-        if tag not in KERNEL_TAGS:
-            raise ValidationError(
-                f"unknown ordering-kernel tag {tag!r}; expected one of {KERNEL_TAGS}"
-            )
+    def __init__(self, table, pairing):
         if not isinstance(pairing, PairingForm):
             raise ValidationError("pairing must be a PairingForm")
         entries = {}
-        for key, v in _table(table, "ordering-kernel table").items():
+        for key, v in _pair_table(table, "ordering-kernel table").items():
             if not is_exact(v):
                 v = coerce(v, FLOAT)
                 if not cmath.isfinite(v):
                     raise ValidationError(f"ordering-kernel entry {v!r} is not finite")
             if v:
-                entries[_labels(key)] = v
+                entries[key] = v
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "tag", tag)
         self._check_antisymmetric_part()
 
     def __setattr__(self, name, value):
@@ -174,15 +167,16 @@ class OrderingKernel:
         return coerce(self.value(i, j), mode)
 
     @classmethod
-    def from_symmetric_part(cls, symmetric, pairing, tag="state-kernel"):
+    def from_symmetric_part(cls, symmetric, pairing):
         """Build kappa = S + (i/2)E from a symmetric table S.
 
         S entries may be given for one orientation only; the mirror is
         filled in.  Rational S and E entries produce an exact kernel.
         """
+        if not isinstance(pairing, PairingForm):
+            raise ValidationError("pairing must be a PairingForm")
         sym = {}
-        for key, v in _table(symmetric, "symmetric part").items():
-            key = _labels(key)
+        for key, v in _pair_table(symmetric, "symmetric part").items():
             rkey = key[::-1]
             if rkey in sym and sym[rkey] != v:
                 raise ValidationError(
@@ -202,20 +196,20 @@ class OrderingKernel:
                 e = pairing.value(i, j)
                 mode = _mode_of(s, e)
                 entries[(i, j)] = coerce(s, mode) + coerce(e, mode) * coerce(half_i, mode)
-        return cls(entries, pairing, tag)
+        return cls(entries, pairing)
 
     @classmethod
-    def from_state_kernel(cls, kernel, tag="state-kernel"):
+    def from_state_kernel(cls, kernel):
         """Wrap a two-point table exposing generators/value/pairing_form."""
         entries = {
             (i, j): kernel.value(i, j)
             for i in kernel.generators
             for j in kernel.generators
         }
-        return cls(entries, kernel.pairing_form(), tag)
+        return cls(entries, kernel.pairing_form())
 
     def __repr__(self):
-        return f"OrderingKernel({len(self.entries)} entries, tag={self.tag!r})"
+        return f"OrderingKernel({len(self.entries)} entries)"
 
 
 class NormalOrderedElement(_WordCombination):
@@ -581,12 +575,12 @@ def element_to_tensors(a: NormalOrderedElement, basis) -> dict:
     return _tensors(a.terms, basis, a.mode)
 
 
-def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
+def tensors_to_element(parts) -> NormalOrderedElement:
     """Resum homogeneous coefficient tensors into an ordered element.
 
-    ``parts`` is any iterable of WickTensors (a dict from alpha_map works:
-    its values are used).  The inverse weight n!/prod(mult!) undoes
-    word_tensor's normalization.
+    ``parts`` is any iterable of WickTensors of one scalar mode (a dict from
+    alpha_map works: its values are used); no parts give the exact zero.
+    The inverse weight n!/prod(mult!) undoes word_tensor's normalization.
     """
     try:
         parts = list(parts.values() if isinstance(parts, dict) else parts)
@@ -594,7 +588,7 @@ def tensors_to_element(parts, mode=None) -> NormalOrderedElement:
         parts = None
     if parts is None or not all(isinstance(w, WickTensor) for w in parts):
         raise ValidationError("tensors_to_element expects an iterable of WickTensors")
-    mode = mode or (parts[0].mode if parts else EXACT)
+    mode = parts[0].mode if parts else EXACT
     terms = {}
     for w in parts:
         if w.mode != mode:
@@ -620,22 +614,6 @@ def tensor_to_json(w: WickTensor) -> str:
     data = {"schema": "ccr-lab/1", "kind": "wick-tensor", "degree": w.degree,
             "basis": list(w.basis), "mode": w.mode, "entries": rows}
     return json.dumps(data, sort_keys=True)
-
-
-_RATIONAL = _re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _listed_value(re, im, mode):
-    """One listed entry in the form tensor_to_json writes it: p or p/q
-    integer strings in exact mode, finite JSON numbers in float mode."""
-    if mode == EXACT:
-        if all(isinstance(x, str) and _RATIONAL.fullmatch(x) for x in (re, im)):
-            return ExactComplex(Fraction(re), Fraction(im))
-    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-        v = complex(re, im)
-        if cmath.isfinite(v):
-            return v
-    raise ValidationError(f"tensor json entry {[re, im]!r} is not a listed {mode} value")
 
 
 def tensor_from_json(text: str) -> WickTensor:
@@ -694,7 +672,8 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
     (m^2/16 pi^2) (2 log(m lam/2) - 1 + 2 gamma).  It does not depend on
     the spacetime point x for the translation-invariant vacuum; a smooth
     symmetric perturbation kernel (a callable s(x, y)) shifts it by its own
-    diagonal s(x, x).  A value that overflows a float is refused.
+    diagonal s(x, x); a perturbation that fails raises ValidationError.  A
+    value that overflows a float is refused.
     """
     if not isinstance(params, KernelParams):
         raise ValidationError("phi2_H_expectation expects KernelParams")
@@ -710,7 +689,8 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
     value = m * m / (16.0 * math.pi**2) * (log_lam - 1.0 + 2.0 * np.euler_gamma)
     if perturbation is not None:
         x = tuple(x.tolist())
-        value += as_finite(np.real(perturbation(x, x)), "perturbation diagonal")
+        s = call_outside("perturbation kernel", perturbation, x, x)
+        value += as_finite(np.real(s), "perturbation diagonal")
     return as_finite(value, "coincidence value")
 
 
@@ -864,9 +844,7 @@ def _second_blocks(w, x, h):
     return f0, xx, xy
 
 
-def stress_energy(
-    w, x, mass, xi=0.0, step=0.05, kg_term=True
-) -> StressEnergyResult:
+def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
     """Stress tensor of a smooth symmetric two-point kernel at a point.
 
     ``w`` is a callable w(x4, y4) -> real, or a TwoPointTable.  The operator
@@ -875,9 +853,10 @@ def stress_energy(
 
         (1 - 2 xi) d_a d'_b  -  2 xi d_a d_b
         + g_ab (2 xi box_x + (2 xi - 1/2) g^{cd} d_c d'_d + m^2 / 2)
-        - (1/3) g_ab (m^2 - box_x)        [dropped when kg_term is false]
+        - (1/3) g_ab (m^2 - box_x)
 
-    The Einstein-tensor term of the curved-space operator vanishes here.
+    The Einstein-tensor term of the curved-space operator vanishes here; the
+    tensor without the last term is tensor + g_ab kg_diagonal / 3.
     Derivatives use 4th order central stencils at ``step`` and half of it,
     Richardson-combined; a gridded kernel must resolve the finer stencil,
     else the resolution guard fires.
@@ -916,9 +895,8 @@ def stress_energy(
         (1.0 - 2.0 * xi) * xy
         - 2.0 * xi * xx
         + _ETA * (2.0 * xi * box_x + (2.0 * xi - 0.5) * cross + 0.5 * mass * mass * value)
+        - (_ETA / 3.0) * kg_diag
     )
-    if kg_term:
-        tensor = tensor - (_ETA / 3.0) * kg_diag
     trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])
     return StressEnergyResult(
         tensor=tensor, trace=trace, kg_diagonal=float(kg_diag), step=step

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccr_lab import ccr_core
 from ccr_lab.ccr_core import (
     EXACT,
     FLOAT,
@@ -28,6 +31,7 @@ from ccr_lab.ccr_core import (
 )
 from ccr_lab.errors import (
     ArityError,
+    CcrLabError,
     InvalidSymmetryError,
     ScalarModeMismatchError,
     ValidationError,
@@ -486,3 +490,178 @@ def test_pairing_form_refuses_entries_that_are_not_a_mapping():
 def test_weak_nondegeneracy_report():
     assert E_TWO_BLOCKS.is_weakly_nondegenerate((1, 2, 3, 4))
     assert not E12.is_weakly_nondegenerate((1, 2, 3))
+
+
+def test_pairing_form_json_keeps_each_entry_in_its_form():
+    E = PairingForm({(1, 2): Fraction(3, 7), (2, 4): 5, (3, 4): -0.25})
+    back = PairingForm.from_json(E.to_json())
+    assert back == E
+    assert type(back.value(1, 2)) is Fraction and type(back.value(3, 4)) is float
+
+
+@pytest.mark.parametrize(
+    "value",
+    ['"1e200000"', "1e200000", "true", '"1.5"', '"1/0"', "null", '"1/-2"'],
+)
+def test_pairing_form_json_reads_only_what_to_json_writes(value):
+    # a decimal exponent would make Fraction build a 664,386-bit integer,
+    # and a JSON number past the float range reads as inf; both are refused
+    with pytest.raises(ValidationError):
+        PairingForm.from_json('{"pairing": [[1, 2, %s]]}' % value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PairingForm({(1, 2, 3): 1}),
+        lambda: PairingForm({(1,): 1}),
+        lambda: ExactComplex("x"),
+        lambda: ExactComplex(float("nan")),
+        lambda: ExactComplex(float("inf")),
+        lambda: ExactComplex(0, 1j),
+        lambda: AlgebraElement(5),
+        lambda: AlgebraElement.from_vector(5),
+        lambda: AlgebraElement({(1,): float("nan")}, FLOAT),
+        lambda: AlgebraElement({(1,): complex(0, float("inf"))}, FLOAT),
+        lambda: gen(1, FLOAT).scale(float("nan")),
+        lambda: InducedMap([[1, 0], [0, 1]], (1, 2), 5, "preserving"),
+        lambda: InducedMap([[1, 0], [0, 1]], (1, 2), E12, "preserving")(5),
+        lambda: InducedMap(
+            [[1e200, 0], [0, 1e200]], (1, 2), PairingForm({(1, 2): 1e200}), "preserving"
+        ),
+        lambda: simplicity_probe(5, [{1: 1}], E12),
+        lambda: simplicity_probe(gen(1), 5, E12),
+        lambda: simplicity_probe(gen(1), [5], E12),
+        lambda: find_simplicity_witness(gen(1), E12, 5),
+        lambda: find_simplicity_witness(5, E12, [1]),
+        lambda: element_to_text(5),
+        lambda: element_from_text(5),
+        lambda: element_from_text("1e999+0*i", FLOAT),
+        lambda: element_from_text("nan+0*i*phi(1)", FLOAT),
+        lambda: E12.is_weakly_nondegenerate(5),
+        lambda: PairingForm({(1, 2): 10**400}).matrix((1, 2)),
+    ],
+    ids=[
+        "pairing-three-index-key", "pairing-one-index-key", "exact-string", "exact-nan",
+        "exact-inf", "exact-complex-part", "element-not-a-mapping", "vector-not-a-mapping",
+        "element-nan", "element-imaginary-inf", "scale-nan", "map-pairing", "map-argument",
+        "map-overflow-to-nan", "probe-element", "probe-list", "probe-vector", "witness-generators",
+        "witness-element", "to-text", "from-text", "text-past-float-range", "text-nan",
+        "nondegenerate-generators", "matrix-past-float-range",
+    ],
+)
+def test_ccr_core_boundary_refuses_foreign_input(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+# every name in ccr_core.__all__, fed junk scalars, words, elements, pairings,
+# maps, probe lists, JSON and text, NaN, +-inf and numbers past the float range
+_specials = st.sampled_from(
+    [math.nan, math.inf, -math.inf, complex(0, math.nan), 1e308, 1e-320, -0.0, 10**400,
+     Fraction(10**400, 3), 2.5]
+)
+_key_junk = st.one_of(
+    _specials, st.none(), st.text(max_size=3), st.integers(-3, 9), st.just((1.5, 2))
+)
+_junk = st.one_of(_key_junk, st.sampled_from([[1, 2], [[1, 2], [3]], {"a": 1}, {1: "x"}]))
+_scalars = st.one_of(
+    st.sampled_from([0, 1, -2, Fraction(1, 3), ExactComplex(1, -1), 0.5, 1j, 1e200]),
+    _specials, st.none(), st.text(max_size=2),
+)
+_labels = st.one_of(st.integers(0, 4), st.integers(0, 4), _key_junk)
+_words = st.one_of(st.lists(st.integers(0, 4), max_size=3).map(tuple), st.tuples(_labels))
+_modes = st.sampled_from([EXACT, FLOAT, FLOAT, "bogus"])
+_gen_lists = st.one_of(st.lists(st.integers(0, 4), max_size=3), _junk)
+
+
+def _element(draw, junk=True):
+    if junk and draw(st.integers(0, 4)) == 0:
+        return draw(_junk)
+    return AlgebraElement(draw(st.dictionaries(_words, _scalars, max_size=3)), draw(_modes))
+
+
+def _pairing(draw, junk=True):
+    if junk and draw(st.integers(0, 4)) == 0:
+        return draw(_junk)
+    keys = st.one_of(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.tuples(_labels, _labels),
+                     st.lists(_labels, max_size=3).map(tuple), _key_junk)
+    return PairingForm(draw(st.dictionaries(keys, _scalars, max_size=3)))
+
+
+def _pairing_call(draw):
+    E = _pairing(draw, junk=False)
+    action = draw(st.integers(0, 3))
+    if action == 0:
+        return E.value(draw(_labels), draw(_labels))
+    if action == 1:
+        return E.is_weakly_nondegenerate(draw(_gen_lists))
+    if action == 2:
+        return PairingForm.from_json(E.to_json())
+    row = draw(st.lists(st.one_of(_labels, st.sampled_from(['"1/3"', '"1e9"', "true"])),
+                        max_size=4))
+    return PairingForm.from_json('{"pairing": [%s]}' % ", ".join(map(str, row)))
+
+
+def _induced_map(draw):
+    n = draw(st.integers(0, 3))
+    sigma = draw(st.one_of(
+        st.lists(st.lists(_scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.just([[0, 1], [-1, 0]]), _junk,
+    ))
+    gens = draw(st.one_of(st.just(list(range(1, n + 1))), _gen_lists))
+    parity = draw(st.sampled_from(["preserving", "reversing", "bogus"]))
+    return InducedMap(sigma, gens, _pairing(draw), parity)(_element(draw))
+
+
+def _probes(draw):
+    vectors = st.dictionaries(_labels, _scalars, max_size=2)
+    return draw(st.one_of(st.lists(st.one_of(vectors, _junk), max_size=3), _junk))
+
+
+def _text(draw):
+    if draw(st.booleans()):
+        return draw(st.one_of(st.text(max_size=12), _junk))
+    a = AlgebraElement({(1, 2): Fraction(1, 3), (): 2}, draw(st.sampled_from([EXACT, FLOAT])))
+    text = element_to_text(a)
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(st.sampled_from(["", "e999", "nan", "x", "/0"])) + text[cut:]
+
+
+_CORE_CALLS = {
+    "ExactComplex": lambda d: ExactComplex(d(_scalars), d(_scalars)) * d(_scalars),
+    "AlgebraElement": lambda d: (
+        _element(d, junk=False).scale(d(_scalars)) if d(st.booleans())
+        else AlgebraElement.from_vector(d(st.one_of(st.dictionaries(_labels, _scalars), _junk)),
+                                        d(_modes))
+    ),
+    "PairingForm": _pairing_call,
+    "InducedMap": _induced_map,
+    "multiply": lambda d: multiply(_element(d), _element(d)),
+    "star": lambda d: star(_element(d)),
+    "normal_form": lambda d: normal_form(_element(d), _pairing(d)),
+    "commutator": lambda d: commutator(_element(d), _element(d), _pairing(d)),
+    "simplicity_probe": lambda d: simplicity_probe(_element(d), _probes(d), _pairing(d)),
+    "find_simplicity_witness": lambda d: find_simplicity_witness(
+        _element(d), _pairing(d), d(_gen_lists)
+    ),
+    "element_to_text": lambda d: element_to_text(_element(d)),
+    "element_from_text": lambda d: element_from_text(_text(d), d(_modes)),
+}
+
+
+def test_property_calls_cover_the_ccr_core_names():
+    assert set(_CORE_CALLS) == set(ccr_core.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(_CORE_CALLS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_ccr_core_raises_only_package_errors(name, data):
+    # a call either raises one of the package's own errors or returns; numpy
+    # warnings are silenced, as only escaping exceptions count here
+    try:
+        with np.errstate(all="ignore"):
+            _CORE_CALLS[name](data.draw)
+    except CcrLabError:
+        pass

@@ -388,6 +388,16 @@ def test_probe_invalid_first_covariance():
         equivalence_probe(-np.eye(4), np.eye(4), tau, truncations=[2])
 
 
+def test_probe_checks_every_block_against_the_default_tau():
+    # with no tau given, each block still goes through validate_mu_tau
+    with pytest.raises(InvalidCovarianceError):
+        equivalence_probe(np.eye(4), -np.eye(4))
+    with pytest.raises(InvalidCovarianceError, match="pair bound"):
+        equivalence_probe(np.eye(4), np.eye(4) / 4.0, truncations=[1, 2])
+    with pytest.raises(ValidationError, match="shape"):
+        equivalence_probe(np.eye(4), np.eye(4), tau=standard_symplectic_form(3))
+
+
 def test_probe_report_json():
     mu = np.eye(4)
     rep = equivalence_probe(mu, mu, truncations=[1, 2])

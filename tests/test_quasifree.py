@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -119,6 +120,33 @@ def test_kernel_against_declared_pairing():
     wrong = PairingForm({(1, 2): 2.0})
     with pytest.raises(KernelInconsistencyError):
         TwoPointKernel(k.entries, generators=k.generators, pairing=wrong)
+
+
+def test_declared_generators_cover_every_label_of_the_table():
+    # a list narrower than the table would leave (1, 2) and (2, 1) unchecked
+    # while npoint still read them; a wider one misses entries
+    table = {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 5j, (2, 1): 7.0}
+    with pytest.raises(ValidationError, match="misses labels"):
+        TwoPointKernel(table, generators=[1])
+    with pytest.raises(IncompleteKernelError):
+        TwoPointKernel({(1, 1): 1.0}, generators=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: npoint(s, [1, 1, 1, 1]),
+        lambda s: evaluate(s, AlgebraElement({(1, 1, 1, 1): 1.0}, FLOAT)),
+        lambda s: npoint_csv(s, [[1, 1], [1, 1, 1, 1]]),
+    ],
+    ids=["npoint", "evaluate", "npoint-csv"],
+)
+def test_moment_past_the_float_range_is_refused(call):
+    # every entry is finite, but the four-point moment 3 w(1,1)^2 is not
+    state = QuasifreeState(TwoPointKernel({k: v * 1e300 for k, v in _BASE.entries.items()}))
+    assert npoint(state, [1, 1]) == _BASE.value(1, 1) * 1e300
+    with pytest.raises(ValidationError, match="not finite"):
+        call(state)
 
 
 def test_missing_entry_raises():
@@ -335,17 +363,16 @@ def test_pair_bound_violation_detected_and_gram_fails():
         (1, 2): 0.5j,
         (2, 1): -0.5j,
     }
-    kernel = TwoPointKernel(table)
     with pytest.raises(KernelInconsistencyError):
-        QuasifreeState(kernel)
-    state = QuasifreeState(kernel, check=False)
-    fam = [
-        AlgebraElement.generator(1, mode=FLOAT),
-        AlgebraElement.generator(2, mode=FLOAT),
-    ]
+        QuasifreeState(TwoPointKernel(table))
+    # a real kernel passes the pair bound, E being zero, and still fails the
+    # Gram check on {phi1, phi2, phi3}, where G = W has eigenvalue -0.8
+    w = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
+    state = QuasifreeState(TwoPointKernel(lambda i, j: w[i - 1][j - 1], generators=[1, 2, 3]))
+    fam = [AlgebraElement.generator(g, mode=FLOAT) for g in (1, 2, 3)]
     rep = gram_positivity(state, fam)
     assert not rep.psd
-    assert rep.min_eigenvalue == pytest.approx(0.1 - 0.5, abs=1e-12)
+    assert rep.min_eigenvalue == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_gram_degree_guard():
@@ -441,12 +468,17 @@ def test_gram_catches_a_kernel_that_breaks_its_exchange_relation():
         gram_positivity(state, family)
 
 
+# the constructor refuses a coefficient that is not finite, so those
+# elements are reached by arithmetic that overflows
+_HUGE = AlgebraElement({(1,): 1e200}, FLOAT).scale(1e200)
+
+
 @pytest.mark.parametrize(
     "family",
     [
-        [AlgebraElement({(1,): math.nan}, FLOAT)],
-        [AlgebraElement({(1,): math.inf}, FLOAT)],
-        [AlgebraElement({(): complex(0, -math.inf)}, FLOAT), AlgebraElement.unit(FLOAT)],
+        [_HUGE - _HUGE],
+        [_HUGE],
+        [AlgebraElement({(): -1e200j}, FLOAT).scale(1e200), AlgebraElement.unit(FLOAT)],
         [AlgebraElement({(1,): 1e200}, FLOAT), AlgebraElement({(2,): 1e200}, FLOAT)],
     ],
     ids=["nan", "inf", "imaginary-inf", "overflowing-products"],
@@ -570,7 +602,7 @@ def _state(draw):
     if choice < 2:
         return QuasifreeState(_BASE)
     if choice == 2:
-        return QuasifreeState(_kernel(draw), check=draw(st.booleans()))
+        return QuasifreeState(_kernel(draw))
     return draw(_junk)
 
 
@@ -604,8 +636,7 @@ def _csv_families(draw):
 _QF_CALLS = {
     "TwoPointKernel": _kernel,
     "QuasifreeState": lambda d: QuasifreeState(
-        d(st.one_of(st.just(_BASE), _junk)) if d(st.booleans()) else _kernel(d),
-        check=d(st.booleans()),
+        d(st.one_of(st.just(_BASE), _junk)) if d(st.booleans()) else _kernel(d)
     ),
     "GramReport": lambda d: json.loads(gram_positivity(_state(d), _family(d)).to_json()),
     "enumerate_pairings": lambda d: enumerate_pairings(
@@ -626,10 +657,13 @@ def test_property_calls_cover_the_quasifree_names():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_quasifree_raises_only_package_errors(name, data):
-    # a call either raises one of the package's own errors or returns; numpy
-    # warnings are silenced, as only escaping exceptions count here
+    # a call either raises one of the package's own errors or returns, and a
+    # state value it returns is finite; numpy warnings are silenced, as only
+    # escaping exceptions count here
     try:
         with np.errstate(all="ignore"):
-            _QF_CALLS[name](data.draw)
+            out = _QF_CALLS[name](data.draw)
     except CcrLabError:
-        pass
+        return
+    if isinstance(out, complex):
+        assert cmath.isfinite(out)

@@ -1,8 +1,7 @@
 """Every numerical check has one fixed bound and every size guard one fixed
 value: no public entry takes a tolerance a caller could loosen, nor a
-max_n that lifts a guard.  The one exception is
-LatticeField.support_box(tol=), which picks which entries count as support
-rather than bounding a check."""
+max_n that lifts a guard.  The parameters that have a default are pinned as
+well, so that a new option is added on purpose, with this list."""
 
 from __future__ import annotations
 
@@ -12,7 +11,44 @@ import pkgutil
 
 import ccr_lab
 
-ALLOWED = {("LatticeField.support_box", "tol")}
+ALLOWED = set()
+
+DEFAULTED = {
+    ("AlgebraElement", "mode"),
+    ("AlgebraElement", "terms"),
+    ("AlgebraElement.from_vector", "mode"),
+    ("AlgebraElement.generator", "mode"),
+    ("DifferenceKernel", "mode"),
+    ("EquivalenceReport", "Q"),
+    ("ExactComplex", "im"),
+    ("ExactComplex", "re"),
+    ("KernelParams", "eps"),
+    ("KernelParams", "lam"),
+    ("KernelParams", "m"),
+    ("KernelParams", "order"),
+    ("LatticeConfig", "boundary"),
+    ("NormalOrderedElement", "mode"),
+    ("NormalOrderedElement", "terms"),
+    ("NormalOrderedElement.monomial", "coefficient"),
+    ("NormalOrderedElement.monomial", "mode"),
+    ("OneParticleStructure", "reconstruction_residual"),
+    ("PairingForm", "entries"),
+    ("TwoPointKernel", "generators"),
+    ("TwoPointKernel", "pairing"),
+    ("WickTensor", "mode"),
+    ("element_from_text", "mode"),
+    ("equivalence_probe", "tau"),
+    ("equivalence_probe", "truncations"),
+    ("fundamental", "which"),
+    ("ground_state_mu", "tau"),
+    ("pair_E", "method"),
+    ("pair_E", "slice_index"),
+    ("phi2_H_expectation", "perturbation"),
+    ("phi2_H_expectation", "x"),
+    ("stress_energy", "step"),
+    ("stress_energy", "xi"),
+    ("word_tensor", "mode"),
+}
 
 
 def _is_override(name):
@@ -37,13 +73,25 @@ def _public_callables():
                 yield name, obj
 
 
-def test_public_signatures_take_no_tolerance():
+def _parameters():
     seen = dict(_public_callables())
     assert "validate_mu_tau" in seen and "TwoPointKernel" in seen
-    params = {
-        (where, param)
+    return {
+        (where, name): param
         for where, obj in seen.items()
-        for param in inspect.signature(obj).parameters
+        for name, param in inspect.signature(obj).parameters.items()
     }
+
+
+def test_public_signatures_take_no_tolerance():
+    params = set(_parameters())
     assert ALLOWED <= params
     assert sorted(p for p in params - ALLOWED if _is_override(p[1])) == []
+
+
+def test_defaulted_parameters_are_listed():
+    defaulted = {
+        key for key, param in _parameters().items()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert sorted(defaulted) == sorted(DEFAULTED)
