@@ -248,9 +248,13 @@ class _WordCombination:
     @classmethod
     def _new(cls, terms, mode):
         # internal results: words already canonical, scalars already in
-        # mode, so only the zero coefficients are dropped
+        # mode, so only the zero coefficients are dropped; a float overflow
+        # is refused
+        terms = {w: c for w, c in terms.items() if c}
+        if mode == FLOAT and not all(map(cmath.isfinite, terms.values())):
+            raise ValidationError("a float coefficient overflows: it is not finite")
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", {w: c for w, c in terms.items() if c})
+        object.__setattr__(out, "terms", terms)
         object.__setattr__(out, "mode", mode)
         return out
 

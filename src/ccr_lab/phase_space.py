@@ -47,12 +47,20 @@ __all__ = [
 ]
 
 
+def _phase_zeros(n_modes, what):
+    # a zero 2N x 2N matrix; a size numpy cannot hold is refused as input
+    try:
+        return np.zeros((2 * n_modes, 2 * n_modes))
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{what} {n_modes} is too large for a dense matrix") from None
+
+
 def standard_symplectic_form(n_modes):
     """tau matrix [[0, I], [-I, 0]] in (q_1..q_N, p_1..p_N) ordering."""
     n = as_index(n_modes, "mode count")
     if n < 0:
         raise ValidationError("mode count must be >= 0")
-    T = np.zeros((2 * n, 2 * n))
+    T = _phase_zeros(n, "mode count")
     T[:n, n:] = np.eye(n)
     T[n:, :n] = -np.eye(n)
     return T
@@ -107,17 +115,21 @@ class _Frame(NamedTuple):
 def _frame(mu, tau, what="mu"):
     """Read a covariance pair once and build its mu-orthonormal frame.
 
-    Raises unless mu is symmetric positive definite, tau antisymmetric and J
-    mu-antisymmetric (Jt antisymmetric).  The bound ||J||_mu <= 1 is left to
-    the caller, which reads it off whichever spectrum of Jt it computes.
+    Raises unless mu is symmetric positive definite, tau antisymmetric, every
+    entry of Jt at most 1 + 1e-9 and J mu-antisymmetric (Jt antisymmetric).
+    The bound ||J||_mu <= 1 is left to the caller, which reads it off
+    whichever spectrum of Jt it computes.
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
     L = _cholesky_pd(mu, what)
     Linv = _lower_inverse(L)
     half = Linv @ (tau / 2.0)
     Jt = half @ Linv.T
-    scale = max(1.0, np.abs(Jt).max())
-    if np.abs(Jt + Jt.T).max() > 1e-8 * scale:
+    # an entry of Jt bounds ||J||_mu from below; NaN from an overflow fails too
+    big = float(np.abs(Jt).max())
+    if not big <= 1.0 + 1e-9:
+        raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
+    if np.abs(Jt + Jt.T).max() > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
     return _Frame(mu, tau, L, Linv, Linv.T @ half, Jt)
 
@@ -165,14 +177,14 @@ class OneParticleStructure:
     """Real-linear map K into C^M with <Kx|Ky> = mu(x,y) + (i/2) tau(x,y).
 
     `reconstruction_residual` is max |K^H K - (mu + (i/2) tau)| as measured
-    when one_particle built the structure (None if built otherwise).
+    when one_particle built the structure.
     """
 
     K: np.ndarray
     mu: np.ndarray
     tau: np.ndarray
     dim: int
-    reconstruction_residual: float | None = None
+    reconstruction_residual: float
 
     def _vector(self, x):
         # x as a finite real phase vector of this structure's length
@@ -221,6 +233,8 @@ def one_particle(mu, tau):
 
 def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
     """Unitary V with V K1 = K2 for two structures of the same pair, to 1e-8."""
+    if not (isinstance(s1, OneParticleStructure) and isinstance(s2, OneParticleStructure)):
+        raise ValidationError("intertwiner expects two OneParticleStructures")
     if s1.dim != s2.dim:
         raise ValidationError("structures have different dimensions")
     K1, K2 = s1.K, s2.K
@@ -252,20 +266,25 @@ def purity(mu, tau):
     characterization, which reduces to the generalized eigenproblem
     (1/4) tau^T mu^{-1} tau v = lambda mu v having all lambda equal to 1
     within 1e-8; the sup over the Rayleigh quotient is attained there.
-    Disagreement raises, since both express the same purity condition.
+    Reduced by the Cholesky factor, test B's matrix is Jt^T Jt, so the pair
+    bound ||J||_mu <= 1 + 1e-9 is read off its largest eigenvalue before the
+    tests are compared.  Disagreement raises, since both express the same
+    purity condition.
     """
-    f, _ = _bounded_frame(mu, tau)
+    f = _frame(mu, tau)
     mu, tau = f.mu, f.tau
-    n = len(mu)
-    r_square = float(np.abs(f.J @ f.J + np.eye(n)).max())
+    r_square = float(np.abs(f.J @ f.J + np.eye(len(mu))).max())
     pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
     # the generalized problem to a symmetric one is shared with the frame.
     quarter = 0.25 * tau.T @ np.linalg.solve(mu, tau)
     B = f.Linv @ quarter @ f.Linv.T
+    if not np.isfinite(B).all():
+        raise ValidationError("tau^T mu^{-1} tau overflows the float range")
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
-    r_var = float(np.abs(lams - 1.0).max()) if n else 0.0
+    _check_bound(math.sqrt(max(float(lams[-1]), 0.0)))
+    r_var = float(np.abs(lams - 1.0).max())
     pure_b = r_var <= 1e-8
 
     if pure_a != pure_b:
@@ -308,7 +327,7 @@ def ground_state_mu(energy_form, tau=None):
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
     A, T = _check_square_pair(A, as_finite_array(tau, "tau"))
-    A = (A + A.T) / 2.0
+    A = 0.5 * A + 0.5 * A.T  # halved first: entries near the float limit stay finite
     scale = max(1.0, np.abs(A).max())
     wA = np.linalg.eigvalsh(A)
     if wA[0] < -1e-10 * scale:
@@ -320,7 +339,10 @@ def ground_state_mu(energy_form, tau=None):
         )
     R = np.linalg.cholesky(A)
     G = R.T @ T @ R
-    _, V = np.linalg.eigh(G.T @ G)
+    GtG = G.T @ G
+    if not np.isfinite(GtG).all():
+        raise ValidationError("energy form and tau overflow the float range")
+    _, V = np.linalg.eigh(GtG)
     s = np.linalg.norm(G @ V, axis=0)
     s_max = float(s.max())
     if s_max == 0.0 or float(s.min()) < 1e-10 * s_max:
@@ -329,7 +351,10 @@ def ground_state_mu(energy_form, tau=None):
         )
     RV = R @ V
     mu = (RV / (2.0 * s)) @ RV.T
-    return (mu + mu.T) / 2.0
+    mu = (mu + mu.T) / 2.0
+    if not np.isfinite(mu).all():
+        raise ValidationError("ground-state covariance overflows the float range")
+    return mu
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -347,10 +372,11 @@ def lattice_energy_form(n_sites, spacing, mass):
     mass = as_finite(mass, "mass")
     if n < 1 or a <= 0:
         raise ValidationError("need at least one site and positive spacing")
+    A = _phase_zeros(n, "n_sites")
     S = np.roll(np.eye(n), 1, axis=1)
-    V = mass * mass * np.eye(n) + (2 * np.eye(n) - S - S.T) / (a * a)
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, :n] = V
+    A[:n, :n] = mass * mass * np.eye(n) + (2 * np.eye(n) - S - S.T) / (a * a)
+    if not np.isfinite(A).all():
+        raise ValidationError("energy form overflows: spacing or mass is out of range")
     A[n:, n:] = np.eye(n)
     return A, standard_symplectic_form(n)
 
@@ -365,6 +391,8 @@ class FockRepresentation:
     """
 
     def __init__(self, structure: OneParticleStructure, cutoff: int):
+        if not isinstance(structure, OneParticleStructure):
+            raise ValidationError("FockRepresentation expects a OneParticleStructure")
         M = structure.dim
         if M > 4:
             raise ValidationError(f"one-particle dimension {M} exceeds guard 4")
@@ -395,7 +423,9 @@ class FockRepresentation:
 
     def annihilator(self, xi):
         """a(xi): anti-linear in the one-particle argument."""
-        xi = np.asarray(xi, dtype=complex)
+        xi = as_finite_array(xi, "one-particle vector", dtype=complex)
+        if xi.shape != (self.structure.dim,):
+            raise ValidationError(f"one-particle vector must have length {self.structure.dim}")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for j, mat in enumerate(self._lower):
             out += np.conj(xi[j]) * mat
@@ -415,6 +445,7 @@ class FockRepresentation:
         return v
 
     def sector_projector(self, max_total):
+        max_total = as_index(max_total, "total occupation")
         d = np.array([1.0 if sum(occ) <= max_total else 0.0 for occ in self.basis])
         return np.diag(d)
 
@@ -459,7 +490,7 @@ class EquivalenceReport:
     c_mins: tuple
     c_maxs: tuple
     verdict: str
-    Q: np.ndarray = field(repr=False, default=None)
+    Q: np.ndarray = field(repr=False)
 
     def to_json(self):
         return json.dumps(
@@ -477,15 +508,20 @@ class EquivalenceReport:
 def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     """Truncation-ladder probe for unitary equivalence of two covariances.
 
-    For each mode count N in the ladder the leading 2N x 2N blocks are
-    compared: c_min, c_max are the extreme generalized eigenvalues of
-    mu2 v = c mu1 v, and the Hilbert-Schmidt norm is that of Q with
-    mu1 Q = mu2 - mu1, computed in the mu1 geometry.  In finite dimension
-    every Q is Hilbert-Schmidt, so only the growth trend along the ladder is
-    reported: hs growing at least like N^0.4 reads divergent, essentially
+    A truncation N keeps the leading 2N phase coordinates in the caller's
+    ordering; under the (q_1..q_N, p_1..p_N) convention that is an N-mode
+    subsystem only at the full mode count, and below half of it tau's block
+    is zero.  For each N, c_min and c_max are the extreme generalized
+    eigenvalues of mu2 v = c mu1 v on the leading blocks, and hs is the
+    Hilbert-Schmidt norm of Q with mu1 Q = mu2 - mu1 in the mu1 geometry.
+    In finite dimension every Q is Hilbert-Schmidt, so only the growth trend
+    is reported: hs growing at least like N^0.4 reads divergent, essentially
     flat (or at most 1e-12 throughout) reads bounded, anything else
-    inconclusive.  tau defaults to the standard block form; each block of
-    both covariances must pass validate_mu_tau against tau's block.
+    inconclusive.  tau defaults to the standard block form.  Both
+    covariances must pass validate_mu_tau on the largest block, factored
+    once: L is lower triangular, so each leading block of L^{-1} and of
+    B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own, and only the
+    symmetry checks, scaled to each block, run per block.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -507,38 +543,30 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         raise ValidationError("truncations must be a sequence of mode counts") from None
     if not truncs or truncs[0] < 1 or any(b <= a for a, b in zip(truncs, truncs[1:])):
         raise ValidationError("truncations must be strictly increasing mode counts >= 1")
-    hs_norms = []
-    c_mins = []
-    c_maxs = []
-    for n_modes in truncs:
-        n = 2 * n_modes
-        if n > mu1.shape[0]:
-            raise ValidationError(
-                f"truncation {n_modes} exceeds available modes {total_modes}"
-            )
-        m1 = mu1[:n, :n]
-        m2 = mu2[:n, :n]
-        t = tau[:n, :n]
-        Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
-        _bounded_frame(m2, t, what="mu2 block")
-        delta = m2 - m1
-        B = Linv @ delta @ Linv.T
-        B = (B + B.T) / 2.0
-        lams = np.linalg.eigvalsh(B)
-        hs = float(np.sqrt(np.sum(lams**2)))
-        hs_norms.append(hs)
-        c_mins.append(float(1.0 + lams.min()))
-        c_maxs.append(float(1.0 + lams.max()))
-    # Q = mu1^{-1} (mu2 - mu1) on the last (largest) block
-    Q_last = Linv.T @ (Linv @ delta)
-    verdict = _trend_verdict(truncs, hs_norms)
+    if truncs[-1] > total_modes:
+        raise ValidationError(f"truncation {truncs[-1]} exceeds available modes {total_modes}")
+    sizes = [2 * n_modes for n_modes in truncs]
+    for n in sizes[:-1]:  # the largest block is checked by _frame
+        _check_square_pair(mu1[:n, :n], tau[:n, :n])
+        _check_square_pair(mu2[:n, :n], tau[:n, :n])
+    m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
+    Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
+    _bounded_frame(m2, t, what="mu2 block")
+    delta = m2 - m1
+    B = Linv @ delta @ Linv.T
+    B = (B + B.T) / 2.0
+    Q = Linv.T @ (Linv @ delta)  # mu1^{-1} (mu2 - mu1) on the largest block
+    if not (np.isfinite(B).all() and np.isfinite(Q).all()):
+        raise ValidationError("mu2 - mu1 overflows the float range in the mu1 geometry")
+    spectra = [np.linalg.eigvalsh(B[:n, :n]) for n in sizes]
+    hs_norms = tuple(math.hypot(*lams) for lams in spectra)
     return EquivalenceReport(
         truncations=tuple(truncs),
-        hs_norms=tuple(hs_norms),
-        c_mins=tuple(c_mins),
-        c_maxs=tuple(c_maxs),
-        verdict=verdict,
-        Q=Q_last,
+        hs_norms=hs_norms,
+        c_mins=tuple(float(1.0 + lams[0]) for lams in spectra),
+        c_maxs=tuple(float(1.0 + lams[-1]) for lams in spectra),
+        verdict=_trend_verdict(truncs, hs_norms),
+        Q=Q,
     )
 
 

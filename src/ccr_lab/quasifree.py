@@ -350,10 +350,10 @@ def gram_positivity(state, elements):
     for the word-moment matrix M_ij = npoint(reverse(u_i) u_j).  M is
     filled in full, one moment per word pair, with no triangle mirrored, so
     that a kernel breaking its exchange relation shows in G.  A G that is
-    not finite (NaN or infinite coefficients, or products that overflow)
-    raises ValidationError.  G must be hermitian within a relative 1e-8; its
-    minimal eigenvalue is compared against -1e-10 times the trace.  Elements
-    above degree 4 are refused.
+    not finite (coefficients past the float range, or products that
+    overflow) raises ValidationError.  G must be hermitian within a
+    relative 1e-8; its minimal eigenvalue is compared against -1e-10 times
+    the trace.  Elements above degree 4 are refused.
     """
     try:
         elems = [AlgebraElement(a.terms, FLOAT) for a in elements]

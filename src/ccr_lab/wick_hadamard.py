@@ -69,6 +69,7 @@ from .errors import (
     call_outside,
 )
 from .minkowski_kernel import KernelParams
+from .quasifree import TwoPointKernel
 
 __all__ = [
     "OrderingKernel",
@@ -111,7 +112,8 @@ class OrderingKernel:
     numbers.  ``pairing`` is the ambient antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
-    1e-12 otherwise.
+    1e-12 otherwise.  A kernel taken from a state by from_state_kernel
+    carries the state's check instead, to 1e-10 of max(1, largest entry).
     """
 
     __slots__ = ("entries", "pairing")
@@ -200,13 +202,16 @@ class OrderingKernel:
 
     @classmethod
     def from_state_kernel(cls, kernel):
-        """Wrap a two-point table exposing generators/value/pairing_form."""
-        entries = {
-            (i, j): kernel.value(i, j)
-            for i in kernel.generators
-            for j in kernel.generators
-        }
-        return cls(entries, kernel.pairing_form())
+        """Wrap a quasifree.TwoPointKernel: its entries become kappa and its
+        pairing_form() the pairing E.  The kernel checked the exchange
+        relation when it was built, to 1e-10 of max(1, largest entry), and
+        that check is the one this kernel carries."""
+        if not isinstance(kernel, TwoPointKernel):
+            raise ValidationError("from_state_kernel expects a quasifree.TwoPointKernel")
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", {k: v for k, v in kernel.entries.items() if v})
+        object.__setattr__(out, "pairing", kernel.pairing_form())
+        return out
 
     def __repr__(self):
         return f"OrderingKernel({len(self.entries)} entries)"
@@ -230,7 +235,7 @@ class NormalOrderedElement(_WordCombination):
 
     @classmethod
     def monomial(cls, word, mode=EXACT, coefficient=1):
-        return cls({tuple(word): coefficient}, mode)
+        return cls({_labels(word): coefficient}, mode)
 
     def __repr__(self):
         body = ", ".join(f"{w}: {c!r}" for w, c in sorted(self.terms.items()))
@@ -240,6 +245,8 @@ class NormalOrderedElement(_WordCombination):
 def _kernel_table(kernel, elements, mode):
     # kappa on the letters the elements use, read once in the scalar mode;
     # float entries raise ScalarModeMismatchError in exact mode
+    if not isinstance(kernel, OrderingKernel):
+        raise ValidationError("the ordering kernel must be an OrderingKernel")
     letters = {g for e in elements for w in e.terms for g in w}
     pairs = [(i, j) for i in letters for j in letters if (i, j) in kernel.entries]
     return {p: coerce(kernel.entries[p], mode) for p in pairs}
@@ -815,7 +822,7 @@ def _second_blocks(w, x, h):
     # symmetric, w(x, y) = w(y, x), so the both-y block equals the both-x one
     # and the mixed block is symmetric
     def f(dx, dy):
-        return float(w(x + dx, x + dy))
+        return as_finite(call_outside("two-point kernel", w, x + dx, x + dy), "kernel value")
 
     zero = np.zeros(4)
     f0 = f(zero, zero)
@@ -869,8 +876,8 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
         raise ValidationError("mass must be >= 0")
     xi = as_finite(xi, "xi")
     step = as_finite(step, "difference step")
-    if step <= 0:
-        raise ValidationError("difference step must be positive")
+    if step <= 0 or (step / 2.0) ** 2 == 0.0:
+        raise ValidationError("difference step must be positive, its square above underflow")
     spacing = getattr(w, "grid_spacing", None)
     if spacing is not None and step < 2.0 * float(spacing):
         raise ResolutionError(
@@ -898,6 +905,8 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
         - (_ETA / 3.0) * kg_diag
     )
     trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])
+    if not (np.isfinite(tensor).all() and math.isfinite(trace)):
+        raise ValidationError("stress tensor overflows: kernel values or step out of range")
     return StressEnergyResult(
         tensor=tensor, trace=trace, kg_diagonal=float(kg_diag), step=step
     )

@@ -540,6 +540,9 @@ def test_pairing_form_json_reads_only_what_to_json_writes(value):
         lambda: element_from_text("nan+0*i*phi(1)", FLOAT),
         lambda: E12.is_weakly_nondegenerate(5),
         lambda: PairingForm({(1, 2): 10**400}).matrix((1, 2)),
+        lambda: AlgebraElement({(1,): 1e200}, FLOAT).scale(1e200),
+        lambda: multiply(*[AlgebraElement({(1,): 1e200}, FLOAT)] * 2),
+        lambda: AlgebraElement({(1,): 1e308}, FLOAT) - AlgebraElement({(1,): -1e308}, FLOAT),
     ],
     ids=[
         "pairing-three-index-key", "pairing-one-index-key", "exact-string", "exact-nan",
@@ -547,7 +550,8 @@ def test_pairing_form_json_reads_only_what_to_json_writes(value):
         "element-nan", "element-imaginary-inf", "scale-nan", "map-pairing", "map-argument",
         "map-overflow-to-nan", "probe-element", "probe-list", "probe-vector", "witness-generators",
         "witness-element", "to-text", "from-text", "text-past-float-range", "text-nan",
-        "nondegenerate-generators", "matrix-past-float-range",
+        "nondegenerate-generators", "matrix-past-float-range", "scale-overflow",
+        "square-overflow", "difference-overflow",
     ],
 )
 def test_ccr_core_boundary_refuses_foreign_input(call):

@@ -375,10 +375,13 @@ def test_compress_standing_wave_and_window_support():
     x = np.arange(n_x) * cfg.spacing
     data = CauchyData(cfg, 40, np.cos(k * x), np.sin(k * x))
     for window in ((20, 40), (30, 40), (50, 62)):
-        # rows where the source rises above roundoff lie in the window
-        rows_peak = np.abs(slice_compress(data, window).values).max(axis=1)
+        # rows where the source rises above roundoff lie in the window, and
+        # the rows before it are exactly zero
+        f = slice_compress(data, window)
+        rows_peak = np.abs(f.values).max(axis=1)
         rows = np.nonzero(rows_peak > 1e-10 * rows_peak.max())[0]
         assert rows[0] >= window[0] - 1 and rows[-1] <= window[1] + 1
+        assert f.support_box()[0] == window[0]
     with pytest.raises(WindowTooThinError):
         slice_compress(data, (30, 33))
     with pytest.raises(ValidationError):

@@ -3,13 +3,18 @@ Fock truncations, and the equivalence probe."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccr_lab import phase_space
 from ccr_lab.errors import (
+    CcrLabError,
     InvalidCovarianceError,
     SpectrumNotGappedError,
     TruncationInsufficientError,
@@ -389,13 +394,75 @@ def test_probe_invalid_first_covariance():
 
 
 def test_probe_checks_every_block_against_the_default_tau():
-    # with no tau given, each block still goes through validate_mu_tau
+    # with no tau given, both covariances still go through validate_mu_tau
     with pytest.raises(InvalidCovarianceError):
         equivalence_probe(np.eye(4), -np.eye(4))
     with pytest.raises(InvalidCovarianceError, match="pair bound"):
         equivalence_probe(np.eye(4), np.eye(4) / 4.0, truncations=[1, 2])
     with pytest.raises(ValidationError, match="shape"):
         equivalence_probe(np.eye(4), np.eye(4), tau=standard_symplectic_form(3))
+
+
+def _block_reference(mu1, mu2, truncations):
+    # per leading block, the eigenvalues of mu1^{-1} (mu2 - mu1) directly
+    out = []
+    for n_modes in truncations:
+        k = 2 * n_modes
+        m1, m2 = mu1[:k, :k], mu2[:k, :k]
+        lams = np.linalg.eigvals(np.linalg.solve(m1, m2 - m1)).real
+        out.append((math.sqrt(np.sum(lams**2)), 1.0 + lams.min(), 1.0 + lams.max()))
+    return out
+
+
+def _assert_matches_blocks(rep, mu1, mu2):
+    want = _block_reference(mu1, mu2, rep.truncations)
+    got = list(zip(rep.hs_norms, rep.c_mins, rep.c_maxs))
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0), (got, want)
+
+
+def test_probe_ladder_matches_per_block_reference_on_seeded_pairs():
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 5):
+        mu1, tau = random_mixed_pair(rng, n)
+        for mu2 in (mu1 + random_mixed_pair(rng, n)[0], 1.5 * mu1):
+            rep = equivalence_probe(mu1, mu2, tau, truncations=range(1, n + 1))
+            _assert_matches_blocks(rep, mu1, mu2)
+
+
+def test_probe_ladder_matches_per_block_reference_on_the_long_chain():
+    A, tau = lattice_energy_form(128, 0.5, 1.0)
+    A2, _ = lattice_energy_form(128, 0.5, 1.7)
+    mu1, mu2 = ground_state_mu(A, tau), ground_state_mu(A2, tau)
+    rep = equivalence_probe(mu1, mu2, tau, truncations=[16, 32, 64, 128])
+    _assert_matches_blocks(rep, mu1, mu2)
+
+
+def test_probe_checks_symmetry_at_each_block_scale():
+    # the asymmetry is above 1e-12 of the first block's largest entry but
+    # below 1e-12 of the whole matrix's, which a later mode makes large
+    mu = np.diag([1.0, 1.0, 1e6, 1e6])
+    mu[0, 1] = 2e-9
+    tau = np.zeros((4, 4))
+    equivalence_probe(mu, mu, tau, truncations=[2])
+    with pytest.raises(ValidationError, match="symmetric"):
+        equivalence_probe(mu, mu, tau, truncations=[1, 2])
+    with pytest.raises(ValidationError, match="symmetric"):
+        equivalence_probe(np.eye(4), mu, tau, truncations=[1, 2])
+
+
+def test_probe_factors_once_and_purity_solves_one_eigenproblem(monkeypatch):
+    frames, spectra = [], []
+    bounded_frame, eigvalsh, eigh = phase_space._bounded_frame, np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(phase_space, "_bounded_frame",
+                        lambda *a, **k: frames.append(1) or bounded_frame(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(len(a)) or eigh(a))
+    mu, tau = random_mixed_pair(np.random.default_rng(47), 4)
+    equivalence_probe(mu, 1.5 * mu, tau, truncations=[1, 2, 3, 4])
+    assert len(frames) == 2 and spectra == [8, 8, 2, 4, 6, 8]
+    spectra.clear()
+    purity(mu, tau)
+    assert spectra == [8]
 
 
 def test_probe_report_json():
@@ -451,6 +518,17 @@ def _fock(cutoff=4):
         lambda: validate_mu_tau(np.zeros((0, 0)), np.zeros((0, 0))),
         lambda: one_particle(np.zeros((0, 0)), np.zeros((0, 0))),
         lambda: purity(np.zeros((0, 0)), np.zeros((0, 0))),
+        lambda: intertwiner(5, one_particle(np.eye(2) / 2.0, TAU1)),
+        lambda: FockRepresentation(5, 2),
+        lambda: _fock().annihilator("ab"),
+        lambda: _fock().annihilator([math.nan]),
+        lambda: _fock().annihilator([1.0, 0.0]),
+        lambda: _fock().sector_projector("a"),
+        lambda: standard_symplectic_form(10**10),
+        lambda: lattice_energy_form(10**12, 1.0, 1.0),
+        lambda: lattice_energy_form(4, 1e-200, 1.0),
+        lambda: validate_mu_tau(1e-320 * np.eye(2), TAU1),
+        lambda: ground_state_mu(1e300 * np.eye(2), 1e-320 * TAU1),
     ],
     ids=[
         "nan-mu",
@@ -487,6 +565,17 @@ def _fock(cutoff=4):
         "validate-empty",
         "one-particle-empty",
         "purity-empty",
+        "intertwiner-not-a-structure",
+        "fock-not-a-structure",
+        "annihilator-string",
+        "annihilator-nan",
+        "annihilator-wrong-length",
+        "sector-projector-string",
+        "mode-count-past-numpy",
+        "sites-past-numpy",
+        "energy-form-overflow",
+        "subnormal-mu",
+        "ground-state-overflow",
     ],
 )
 def test_boundary_inputs_raise_validation_errors(call):
@@ -518,3 +607,152 @@ def test_matrix_entries_refuse_unreadable_matrices(reader, bad):
     # strings and ragged nesting used to leak numpy's ValueError
     with pytest.raises(ValidationError):
         reader(bad)
+
+
+# every name in phase_space.__all__, fed junk matrices, sizes, structures,
+# vectors and ladders, NaN, +-inf and values at the edges of the float range;
+# sizes stay small or past what numpy can hold, never gigabytes
+_specials = st.sampled_from(
+    [math.nan, math.inf, -math.inf, complex(0, math.nan), 1e308, 1e-320, -0.0, 10**400, 2.5, 1j]
+)
+_junk = st.one_of(
+    _specials, st.none(), st.text(max_size=3), st.integers(-3, 9),
+    st.sampled_from([[1, 2], [[1.0, 0.0], [0.0]], [["a", 0], [0, 1]], {"a": 1}, np.eye(3)]),
+)
+_sizes = st.one_of(
+    st.integers(-2, 5), st.sampled_from([10**10, 10**12, 10**400, 2.5, "3", None])
+)
+_reals = st.one_of(
+    st.sampled_from([0.5, 1.0, 0.0, -1.0, 1e-200, 1e200]), _specials, st.none(),
+    st.text(max_size=2),
+)
+
+
+def _spoiled(draw, m):
+    # m itself, m scaled toward the edges of the float range, m with one
+    # entry replaced, cut to a wrong shape, or junk
+    choice = draw(st.integers(0, 5))
+    if choice < 2:
+        return m
+    if choice == 2:
+        return m * draw(st.sampled_from([1e150, 1e300, 1e307, 1e-150, 1e-320, 0.5, -1.0, 0.0]))
+    if choice == 3:
+        out = m.astype(object)
+        out[draw(st.integers(0, len(m) - 1)), 0] = draw(st.one_of(_specials, st.text(max_size=2)))
+        return out.tolist()
+    if choice == 4:
+        return m[:-1] if draw(st.booleans()) else m.astype(complex) + 1e-3j
+    return draw(_junk)
+
+
+def _pair(draw, modes=(1, 2, 3)):
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    maker = draw(st.sampled_from([random_pure_pair, random_mixed_pair]))
+    return maker(rng, draw(st.sampled_from(modes)))
+
+
+def _spoiled_pair(draw):
+    mu, tau = _pair(draw)
+    return _spoiled(draw, mu), _spoiled(draw, tau)
+
+
+def _structure(draw):
+    # structures come from one_particle: dimension 1 or 2, within the Fock guard
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_junk)
+    return one_particle(*_pair(draw, modes=(1,)))
+
+
+def _vector(draw, n=2):
+    good = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    return draw(st.one_of(good, good, st.lists(st.one_of(_specials, st.text(max_size=1)),
+                                                max_size=n + 1), _junk))
+
+
+def _ladder(draw):
+    return draw(st.one_of(st.none(), st.lists(st.integers(-1, 4), max_size=3), _junk))
+
+
+def _probe(draw):
+    mu, tau = _pair(draw)
+    mu2 = mu + _pair(draw, modes=(len(mu) // 2,))[0] if draw(st.booleans()) else 2.0 * mu
+    tau = draw(st.sampled_from([None, tau, tau]))
+    return equivalence_probe(_spoiled(draw, mu), _spoiled(draw, mu2),
+                             tau if tau is None else _spoiled(draw, tau), _ladder(draw))
+
+
+def _energy(draw):
+    A, tau = lattice_energy_form(draw(st.integers(1, 3)), 0.5, draw(st.sampled_from([0.0, 1.0])))
+    if draw(st.booleans()):
+        return ground_state_mu(_spoiled(draw, A))
+    return ground_state_mu(_spoiled(draw, A), _spoiled(draw, tau))
+
+
+def _fock_call(draw):
+    rep = FockRepresentation(_structure(draw), draw(st.one_of(st.integers(0, 7), _sizes)))
+    dim = rep.structure.dim
+    method = draw(st.sampled_from(["annihilator", "creator", "field", "sector_projector",
+                                   "commutator_residual", "vacuum_npoint", "vacuum"]))
+    if method in ("annihilator", "creator"):
+        xi = draw(st.one_of(st.just([0.5 + 0.5j] * dim), st.just([math.nan] * dim)))
+        xi = draw(st.one_of(st.just(xi), st.just(xi * 2), _junk))  # xi * 2: twice the length
+        return getattr(rep, method)(xi)
+    if method == "sector_projector":
+        return rep.sector_projector(draw(st.one_of(st.integers(-1, 7), _sizes)))
+    if method == "commutator_residual":
+        return rep.commutator_residual(_vector(draw), _vector(draw))
+    if method == "vacuum_npoint":
+        return rep.vacuum_npoint(draw(st.one_of(st.lists(st.builds(list, st.just([1.0, 0.5])),
+                                                          max_size=7), _junk)))
+    return rep.field(_vector(draw)) if method == "field" else rep.vacuum()
+
+
+_PS_CALLS = {
+    "standard_symplectic_form": lambda d: standard_symplectic_form(d(_sizes)),
+    "lattice_energy_form": lambda d: lattice_energy_form(d(_sizes), d(_reals), d(_reals)),
+    "validate_mu_tau": lambda d: validate_mu_tau(*_spoiled_pair(d)),
+    "OperatorJ": lambda d: validate_mu_tau(*_spoiled_pair(d)).J,
+    "one_particle": lambda d: one_particle(*_spoiled_pair(d)),
+    "OneParticleStructure": lambda d: one_particle(*_pair(d, modes=(1,))).inner(
+        _vector(d), _vector(d)
+    ),
+    "intertwiner": lambda d: intertwiner(_structure(d), _structure(d)),
+    "purity": lambda d: purity(*_spoiled_pair(d)),
+    "PurityReport": lambda d: purity(*_spoiled_pair(d)).verdict,
+    "ground_state_mu": _energy,
+    "equivalence_probe": _probe,
+    "EquivalenceReport": lambda d: json.loads(_probe(d).to_json()),
+    "FockRepresentation": _fock_call,
+}
+
+
+def _assert_finite(out):
+    if dataclasses.is_dataclass(out):
+        for f in dataclasses.fields(out):
+            _assert_finite(getattr(out, f.name))
+    elif isinstance(out, (list, tuple)):
+        for v in out:
+            _assert_finite(v)
+    elif isinstance(out, dict):
+        _assert_finite(list(out.values()))
+    elif not isinstance(out, str):
+        assert np.isfinite(out).all(), out
+
+
+def test_property_calls_cover_the_phase_space_names():
+    assert set(_PS_CALLS) == set(phase_space.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(_PS_CALLS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_phase_space_raises_only_package_errors(name, data):
+    # a call either raises one of the package's own errors or returns finite
+    # numbers; numpy warnings are silenced, as only escaping exceptions and
+    # non-finite results count here
+    try:
+        with np.errstate(all="ignore"):
+            out = _PS_CALLS[name](data.draw)
+    except CcrLabError:
+        return
+    _assert_finite(out)

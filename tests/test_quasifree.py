@@ -468,18 +468,20 @@ def test_gram_catches_a_kernel_that_breaks_its_exchange_relation():
         gram_positivity(state, family)
 
 
-# the constructor refuses a coefficient that is not finite, so those
-# elements are reached by arithmetic that overflows
-_HUGE = AlgebraElement({(1,): 1e200}, FLOAT).scale(1e200)
+# the constructor and the float arithmetic refuse a coefficient that is not
+# finite, so the first three families are refused while they are built, and
+# the last one, whose products overflow, by the Gram check
+def _huge():
+    return AlgebraElement({(1,): 1e200}, FLOAT).scale(1e200)
 
 
 @pytest.mark.parametrize(
     "family",
     [
-        [_HUGE - _HUGE],
-        [_HUGE],
-        [AlgebraElement({(): -1e200j}, FLOAT).scale(1e200), AlgebraElement.unit(FLOAT)],
-        [AlgebraElement({(1,): 1e200}, FLOAT), AlgebraElement({(2,): 1e200}, FLOAT)],
+        lambda: [_huge() - _huge()],
+        lambda: [_huge()],
+        lambda: [AlgebraElement({(): -1e200j}, FLOAT).scale(1e200), AlgebraElement.unit(FLOAT)],
+        lambda: [AlgebraElement({(1,): 1e200}, FLOAT), AlgebraElement({(2,): 1e200}, FLOAT)],
     ],
     ids=["nan", "inf", "imaginary-inf", "overflowing-products"],
 )
@@ -488,7 +490,7 @@ def test_gram_refuses_a_matrix_that_is_not_finite(family):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="not finite"):
-            gram_positivity(state, family)
+            gram_positivity(state, family())
 
 
 # ------------------------------------------------------ the public boundary

@@ -19,7 +19,6 @@ DEFAULTED = {
     ("AlgebraElement.from_vector", "mode"),
     ("AlgebraElement.generator", "mode"),
     ("DifferenceKernel", "mode"),
-    ("EquivalenceReport", "Q"),
     ("ExactComplex", "im"),
     ("ExactComplex", "re"),
     ("KernelParams", "eps"),
@@ -31,7 +30,6 @@ DEFAULTED = {
     ("NormalOrderedElement", "terms"),
     ("NormalOrderedElement.monomial", "coefficient"),
     ("NormalOrderedElement.monomial", "mode"),
-    ("OneParticleStructure", "reconstruction_residual"),
     ("PairingForm", "entries"),
     ("TwoPointKernel", "generators"),
     ("TwoPointKernel", "pairing"),

@@ -39,7 +39,7 @@ from ccr_lab.errors import (
     ValidationError,
 )
 from ccr_lab.minkowski_kernel import KernelParams
-from ccr_lab.quasifree import TwoPointKernel
+from ccr_lab.quasifree import QuasifreeState, TwoPointKernel
 from ccr_lab.wick_hadamard import (
     DifferenceKernel,
     NormalOrderedElement,
@@ -217,6 +217,34 @@ def test_from_state_kernel_wraps_quasifree_table():
     k = OrderingKernel.from_state_kernel(tp)
     assert k.value(1, 2) == 0.2 + 0.5j
     assert k.pairing.value(1, 2) == pytest.approx(1.0)
+
+
+def test_from_state_kernel_carries_the_state_check():
+    # a skew of 5e-11 in the real part is inside the state's bound, 1e-10 of
+    # the largest entry, but outside the constructor's 1e-12 per pair
+    table = {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.5 + 0.25j, (2, 1): 0.5 + 5e-11 - 0.25j}
+    tp = TwoPointKernel(table)
+    QuasifreeState(tp)
+    k = OrderingKernel.from_state_kernel(tp)
+    assert k.entries == table
+    assert k.pairing.value(1, 2) == 0.5
+    with pytest.raises(OrderingKernelInvalidError):
+        OrderingKernel(table, k.pairing)
+    for junk in (5, None, table, k, QuasifreeState(tp)):
+        with pytest.raises(ValidationError):
+            OrderingKernel.from_state_kernel(junk)
+
+
+def test_symbolic_layer_refuses_foreign_kernels_and_words():
+    n = NormalOrderedElement.monomial((1,))
+    for call in (
+        lambda: normal_order(gen(1), 5),
+        lambda: unorder(n, "x"),
+        lambda: wick_product(n, n, None),
+        lambda: NormalOrderedElement.monomial(5),
+    ):
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_exact_elements_reject_float_kernel():
@@ -1005,12 +1033,11 @@ def test_tensor_layer_refuses_foreign_input(call):
         call()
 
 
-# every tensor name in __all__, fed strings, ragged and wrong-shape arrays,
-# NaN and +-inf, and malformed JSON
-_TENSOR_NAMES = {
-    "WickTensor", "DifferenceKernel", "alpha_map", "word_tensor", "element_to_tensors",
-    "tensors_to_element", "tensor_to_json", "tensor_from_json",
-}
+# every name in __all__ but phi2_H_expectation (in the minkowski_kernel
+# slice): the tensor layer fed strings, ragged and wrong-shape arrays, NaN and
+# +-inf, and malformed JSON; the symbolic layer fed junk kernels, words and
+# elements; the stress tensor fed kernels that raise, return junk or overflow
+_TENSOR_NAMES = set(wick_hadamard.__all__) - {"phi2_H_expectation"}
 _specials = st.sampled_from([math.nan, math.inf, -math.inf, complex(0, math.nan), 0.5, 2])
 _junk_scalars = st.one_of(
     _specials, st.text(max_size=3), st.none(), st.integers(-3, 10), scalars
@@ -1104,8 +1131,104 @@ _TENSOR_CALLS = {
 }
 
 
+_FLOAT_KAPPA = OrderingKernel(
+    {(1, 2): 0.25 + 0.5j, (2, 1): 0.25 - 0.5j}, PairingForm({(1, 2): 1.0})
+)
+_kernels = st.one_of(st.sampled_from([KAPPA, KAPPA, _FLOAT_KAPPA]), _junk)
+_pair_keys = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), st.tuples(_junk_scalars, _junk_scalars),
+    _junk_scalars,
+)
+_pair_tables = st.one_of(st.dictionaries(_pair_keys, _junk_scalars, max_size=3), _junk)
+_pairings = st.one_of(st.just(E4), st.just(PairingForm({(1, 2): 1.0})), _junk)
+_labels = st.one_of(st.integers(0, 5), _junk_scalars)
+_elements = st.builds(
+    AlgebraElement, st.dictionaries(st.one_of(words6, _junk_scalars), _junk_scalars, max_size=3),
+    _modes,
+)
+
+
+def _ordering_kernel(draw):
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        k = OrderingKernel(draw(_pair_tables), draw(_pairings))
+    elif choice == 1:
+        k = OrderingKernel.from_symmetric_part(draw(_pair_tables), draw(_pairings))
+    else:
+        skew = draw(st.sampled_from([5e-11, 1e-9, 0.0]))
+        table = {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.5 + 0.25j, (2, 1): 0.5 + skew - 0.25j}
+        k = OrderingKernel.from_state_kernel(
+            TwoPointKernel(table) if draw(st.booleans()) else draw(_junk)
+        )
+    return k.scalar(draw(_labels), draw(_labels), draw(_modes))
+
+
+def _ordered(draw, junk=True):
+    if junk and draw(st.integers(0, 3)) == 0:
+        return draw(_junk)
+    if draw(st.booleans()):
+        return NormalOrderedElement.monomial(draw(st.one_of(words6, _junk)), draw(_modes),
+                                             draw(_junk_scalars))
+    return NormalOrderedElement(draw(st.dictionaries(words6, scalars, max_size=2)),
+                                draw(st.sampled_from([EXACT, EXACT, FLOAT])))
+
+
+_AXIS = 0.1 * np.arange(-2, 3)
+_EVEN = np.exp(-np.add.outer(np.add.outer(_AXIS**2, _AXIS**2), np.add.outer(_AXIS**2, _AXIS**2)))
+
+
+def _table(draw):
+    values = _EVEN.copy()
+    values[2, 2, 2, 2] = draw(st.sampled_from([1.0, 1e308, math.nan, math.inf]))
+    values = draw(st.one_of(st.just(values), st.just(values[1:]), _junk))
+    table = TwoPointTable(draw(st.one_of(st.just((_AXIS,) * 4), _junk)), values)
+    point = st.one_of(st.just(np.zeros(4)), st.just(np.full(4, 0.15)), st.just([5.0] * 4), _junk)
+    return table(draw(point), draw(point))
+
+
+_stress_kernels = st.sampled_from([
+    lambda x, y: 0.75, lambda x, y: 1 / 0, lambda x, y: "a", lambda x, y: math.nan,
+    lambda x, y: 1e308, lambda x, y: 1j, lambda x, y: float(np.exp(-np.sum((x - y) ** 2))),
+    TwoPointTable((_AXIS,) * 4, _EVEN), None, 3.5,
+])
+_stress_numbers = st.one_of(
+    st.sampled_from([1.0, 0.05, 0.3]),
+    st.sampled_from([0.0, -1.0, 1e-170, 1e-320, 1e300, math.nan, math.inf, "x"]),
+)
+
+
+def _stress(draw):
+    x = draw(st.one_of(st.just(np.zeros(4)), st.just(np.zeros(4)), _junk))
+    return stress_energy(draw(_stress_kernels), x, *(draw(_stress_numbers) for _ in range(3)))
+
+
+_TENSOR_CALLS.update({
+    "OrderingKernel": _ordering_kernel,
+    "NormalOrderedElement": lambda d: _ordered(d, junk=False),
+    "normal_order": lambda d: normal_order(d(st.one_of(_elements, _junk)), d(_kernels)),
+    "unorder": lambda d: unorder(_ordered(d), d(_kernels)),
+    "wick_product": lambda d: wick_product(_ordered(d), _ordered(d), d(_kernels)),
+    "TwoPointTable": _table,
+    "StressEnergyResult": lambda d: _stress(d).tensor,
+    "stress_energy": _stress,
+})
+
+
+def _float_values(t):
+    # the float numbers a result holds; exact values are finite by construction
+    if isinstance(t, wick_hadamard.StressEnergyResult):
+        return [*t.tensor.flat, t.trace, t.kg_diagonal]
+    if isinstance(t, (float, complex, np.ndarray)):
+        return list(np.ravel(t))
+    if isinstance(t, ExactComplex):
+        return []
+    assert t.mode in (EXACT, FLOAT), t
+    values = (t.terms if isinstance(t, (NormalOrderedElement, AlgebraElement)) else t.entries)
+    return list(values.values()) if t.mode == FLOAT else []
+
+
 def test_tensor_property_calls_cover_the_tensor_names():
-    assert set(_TENSOR_CALLS) == _TENSOR_NAMES <= set(wick_hadamard.__all__)
+    assert set(_TENSOR_CALLS) == _TENSOR_NAMES
 
 
 @pytest.mark.parametrize("name", sorted(_TENSOR_CALLS))
@@ -1113,18 +1236,15 @@ def test_tensor_property_calls_cover_the_tensor_names():
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tensor_layer_raises_only_package_errors(name, data):
     # a call either raises one of the package's own errors, never a numpy or
-    # builtin exception, or returns tables in a known mode with finite entries
+    # builtin exception, or returns results in a known mode with finite entries
     try:
         with np.errstate(all="ignore"):
             out = _TENSOR_CALLS[name](data.draw)
     except CcrLabError:
         return
     for t in out.values() if isinstance(out, dict) else [out]:
-        if isinstance(t, str):
-            continue
-        assert t.mode in (EXACT, FLOAT), (name, t)
-        values = (t.terms if isinstance(t, NormalOrderedElement) else t.entries).values()
-        assert t.mode == EXACT or all(map(cmath.isfinite, values)), (name, t)
+        if not isinstance(t, str):
+            assert all(map(cmath.isfinite, _float_values(t))), (name, t)
 
 
 # --------------------------------------------------- coincidence limits
@@ -1367,6 +1487,13 @@ def test_stress_argument_guards():
         stress_energy(lambda x, y: 0.0, np.zeros(4), mass=1.0, step=0.0)
     with pytest.raises(ValidationError):
         stress_energy(3.5, np.zeros(4), mass=1.0)
+    # a kernel that raises, returns junk or NaN, or overflows the stencil, and
+    # a step whose square underflows
+    for w in (lambda x, y: 1 / 0, lambda x, y: "a", lambda x, y: math.nan, lambda x, y: 1e308):
+        with pytest.raises(ValidationError):
+            stress_energy(w, np.zeros(4), mass=1.0)
+    with pytest.raises(ValidationError):
+        stress_energy(lambda x, y: 0.0, np.zeros(4), mass=1.0, step=1e-320)
     for bad in (math.nan, math.inf, "x"):
         for kwargs in ({"mass": bad}, {"mass": 1.0, "xi": bad}, {"mass": 1.0, "step": bad}):
             with pytest.raises(ValidationError):
