@@ -567,12 +567,13 @@ class InducedMap:
             raise ValidationError("parity must be 'preserving' or 'reversing'")
         Emat = E.matrix(gens)
         scale = abs(Emat).max(initial=1.0)
-        transported = mat.T @ Emat @ mat
-        if parity == "preserving":
-            residual = abs(transported - Emat).max(initial=0.0)
-        else:
-            residual = abs(transported + Emat).max(initial=0.0)
-        if not residual <= 1e-9 * scale:  # an overflow to NaN fails too
+        with np.errstate(all="ignore"):  # an overflow to NaN fails the check below
+            transported = mat.T @ Emat @ mat
+            if parity == "preserving":
+                residual = abs(transported - Emat).max(initial=0.0)
+            else:
+                residual = abs(transported + Emat).max(initial=0.0)
+        if not residual <= 1e-9 * scale:
             raise InvalidSymmetryError(
                 f"sigma does not {parity.rstrip('ing')}e E: residual {residual:.3e}"
             )

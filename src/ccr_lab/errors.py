@@ -86,10 +86,6 @@ class ArityError(ValidationError):
 
 # quasifree states
 
-class ParityError(ValidationError):
-    """Pairing enumeration requested for an odd number of slots."""
-
-
 class IncompleteKernelError(ValidationError):
     """Two-point kernel has no entry for a requested index pair."""
 

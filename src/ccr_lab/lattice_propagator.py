@@ -40,8 +40,6 @@ __all__ = [
     "solve_cauchy",
     "extract_cauchy",
     "slice_compress",
-    "save_field",
-    "load_field_values",
 ]
 
 BOUNDARIES = ("periodic", "absorbing-pad")
@@ -62,11 +60,14 @@ class LatticeConfig:
             object.__setattr__(self, name, read(getattr(self, name), name))
         if self.n_x < 4 or self.n_steps < 4:
             raise ValidationError("grid needs at least 4 sites and 4 steps")
-        if self.spacing <= 0 or self.dt <= 0:
-            raise ValidationError("spacing and dt must be positive")
+        # the stencil divides dt^2 by spacing^2: both squares must be floats > 0
+        a2 = self.spacing * self.spacing
+        if not (self.spacing > 0 and self.dt > 0 and 0 < a2 < math.inf
+                and 0 < self.dt * self.dt < math.inf):
+            raise ValidationError("spacing and dt must be positive, with squares in the float range")
         if self.mass < 0:
             raise ValidationError("mass must be non-negative")
-        if self.boundary not in BOUNDARIES:
+        if not (isinstance(self.boundary, str) and self.boundary in BOUNDARIES):
             raise ValidationError(
                 f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
             )
@@ -74,10 +75,9 @@ class LatticeConfig:
             raise ValidationError(
                 f"CFL violated: dt = {self.dt} exceeds spacing = {self.spacing}"
             )
-        # massive leapfrog stability is slightly tighter than bare CFL
-        top = self.dt * math.sqrt(
-            self.mass**2 + 4.0 / (self.spacing * self.spacing)
-        )
+        # massive leapfrog stability is slightly tighter than bare CFL; a
+        # square past the float range reads inf and fails the bound
+        top = self.dt * math.sqrt(self.mass * self.mass + 4.0 / a2)
         if top > 2.0:
             raise ValidationError(
                 f"unstable step: dt*sqrt(m^2 + 4/a^2) = {top:.6g} > 2"
@@ -90,6 +90,7 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
+        _check(LatticeConfig, self.config)
         v = as_finite_array(self.values, "field values").copy()  # frozen below
         if v.shape != (self.config.n_steps, self.config.n_x):
             raise ValidationError(
@@ -113,8 +114,19 @@ class LatticeField:
         return float(np.abs(self.values).max())
 
 
+def _check(kind, x):
+    """x if it is a kind, else ValidationError."""
+    if not isinstance(x, kind):
+        raise ValidationError(f"expected a {kind.__name__}, got {x!r}")
+    return x
+
+
 def _field(config, values):
-    """Wrap an array computed here from validated input, without a copy."""
+    """Wrap an array computed here from validated input, without a copy; an
+    array past the float range, as a large source or grid makes, raises
+    ValidationError."""
+    if not np.isfinite(values).all():
+        raise ValidationError("lattice field overflows the float range")
     values.flags.writeable = False
     field = object.__new__(LatticeField)
     object.__setattr__(field, "config", config)
@@ -132,6 +144,7 @@ class CauchyData:
     dpsi: np.ndarray
 
     def __post_init__(self):
+        _check(LatticeConfig, self.config)
         psi, dpsi = (as_finite_array(a, "Cauchy data") for a in (self.psi, self.dpsi))
         if psi.shape != (self.config.n_x,) or dpsi.shape != (self.config.n_x,):
             raise ValidationError("Cauchy arrays must have one entry per site")
@@ -185,7 +198,7 @@ def _march(psi, step, start, forward, source=None, stop=None):
 def _source_box(f: LatticeField, kinds):
     """Support box of a source, checked to vanish on the first and last rows
     and, on a padded grid, to keep the cones named in `kinds` off the pad."""
-    box = f.support_box()
+    box = _check(LatticeField, f).support_box()
     if box is None:
         return None
     n0, n1, j0, j1 = box
@@ -204,12 +217,20 @@ def _source_box(f: LatticeField, kinds):
     return box
 
 
+def _grid(cfg):
+    # a zero grid; a size numpy cannot hold is refused as input
+    try:
+        return np.zeros((cfg.n_steps, cfg.n_x))
+    except (ValueError, OverflowError, MemoryError):
+        raise ValidationError(f"grid {cfg.n_steps} x {cfg.n_x} is too large") from None
+
+
 def _solution(f: LatticeField, box, which, stop=None):
     """Fundamental solution as an array, marched from the source's first row
     (retarded) or last row (advanced); every row behind that one is zero.
     With `stop` the march ends at that row, and rows past it stay zero."""
     cfg = f.config
-    psi = np.zeros((cfg.n_steps, cfg.n_x))
+    psi = _grid(cfg)
     if box is None:
         return psi
     step, _ = _stencil(cfg)
@@ -221,7 +242,7 @@ def _solution(f: LatticeField, box, which, stop=None):
 def fundamental(f: LatticeField, which="retarded"):
     """Leapfrog fundamental solution with zero data in the far past
     (retarded) or far future (advanced)."""
-    if which not in ("retarded", "advanced"):
+    if not (isinstance(which, str) and which in ("retarded", "advanced")):
         raise ValidationError("which must be 'retarded' or 'advanced'")
     box = _source_box(f, (which,))
     return _field(f.config, _solution(f, box, which))
@@ -244,7 +265,7 @@ def causal_E(f: LatticeField):
 def apply_kg(field: LatticeField):
     """Discrete Klein-Gordon operator on interior rows: the leapfrog step's
     residual over dt^2.  The first and last rows are zero by convention."""
-    return _field(field.config, _kg(field.config, field.values))
+    return _field(_check(LatticeField, field).config, _kg(field.config, field.values))
 
 
 def _kg(config, v, start=1):
@@ -267,10 +288,13 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
     surface: centered Wronskian of the two causal solutions on one
     source-free time slice; slice rows n-1, n, n+1 must carry no source.
     The value is slice independent because the half-step Wronskian is an
-    exact invariant of the leapfrog update away from sources.
+    exact invariant of the leapfrog update away from sources.  A value past
+    the float range raises ValidationError.
     """
-    if f.config != g.config:
+    if _check(LatticeField, f).config != _check(LatticeField, g).config:
         raise ValidationError("fields live on different grids")
+    if not (isinstance(method, str) and method in ("volume", "surface")):
+        raise ValidationError("method must be 'volume' or 'surface'")
     cfg = f.config
     if method == "volume":
         box = _source_box(g, ("advanced", "retarded"))
@@ -280,9 +304,7 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
         # only f's support rows are read, so neither march goes past them
         n0, n1 = support[:2]
         Eg = _causal(g, box, (n0, n1))[n0 : n1 + 1]
-        return float(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg))
-    if method != "surface":
-        raise ValidationError("method must be 'volume' or 'surface'")
+        return as_finite(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg), "pairing")
     boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]
     n = _pick_slice(f, g, slice_index)
     # only rows n-1..n+1 are read, so neither march goes past them
@@ -290,7 +312,7 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
     w = (
         uf[n] * (ug[n + 1] - ug[n - 1]) - ug[n] * (uf[n + 1] - uf[n - 1])
     ).sum() * cfg.spacing / (2.0 * cfg.dt)
-    return float(w)
+    return as_finite(w, "pairing")
 
 
 def _pick_slice(f, g, slice_index):
@@ -321,9 +343,9 @@ def _pick_slice(f, g, slice_index):
 def solve_cauchy(data: CauchyData):
     """March initial data to the whole grid: the second-order Taylor start
     (half a source-free step from the slice, +- dt dpsi), then leapfrog."""
-    cfg = data.config
+    cfg = _check(CauchyData, data).config
     step, _ = _stencil(cfg)
-    psi = np.zeros((cfg.n_steps, cfg.n_x))
+    psi = _grid(cfg)
     n0 = data.slice_index
     psi[n0] = data.psi
     half = 0.5 * step(data.psi, None, np.empty(cfg.n_x))
@@ -340,7 +362,7 @@ def solve_cauchy(data: CauchyData):
 def extract_cauchy(field: LatticeField, slice_index):
     """Read (psi, dpsi) off a solution with the centered time derivative."""
     n = as_index(slice_index, "slice index")
-    cfg = field.config
+    cfg = _check(LatticeField, field).config
     if not 1 <= n <= cfg.n_steps - 2:
         raise ValidationError("need interior slice for the centered derivative")
     psi = field.values[n]
@@ -363,8 +385,12 @@ def slice_compress(data: CauchyData, window):
     original solution exactly up to roundoff, which is verified before
     returning.
     """
-    cfg = data.config
-    n_lo, n_hi = as_index(window[0], "window start"), as_index(window[1], "window end")
+    cfg = _check(CauchyData, data).config
+    try:
+        n_lo, n_hi = window
+    except (TypeError, ValueError):
+        raise ValidationError(f"window must be a pair of time steps, got {window!r}") from None
+    n_lo, n_hi = as_index(n_lo, "window start"), as_index(n_hi, "window end")
     if n_hi - n_lo < 4:
         raise WindowTooThinError(
             f"window [{n_lo}, {n_hi}] has fewer than 4 steps"
@@ -389,18 +415,3 @@ def slice_compress(data: CauchyData, window):
         )
     return f
 
-
-def save_field(field: LatticeField, path):
-    """Write the raw grid as a binary64 row-major array with a shape header."""
-    np.save(path, np.asarray(field.values, dtype=np.float64))
-
-
-def load_field_values(path):
-    """Read a grid written by save_field as a finite float array.  A path
-    np.load cannot open or read without unpickling, or NaN or infinite
-    entries, raise ValidationError."""
-    try:
-        values = np.load(path)
-    except (OSError, TypeError, ValueError, EOFError) as exc:
-        raise ValidationError(f"cannot read field values from {path!r}: {exc}") from None
-    return as_finite_array(values, "field values")

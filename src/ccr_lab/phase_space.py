@@ -12,7 +12,6 @@ omega has covariance diag(omega/2, 1/(2*omega)) on (q, p).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -80,6 +79,21 @@ def _check_square_pair(mu, tau):
     return mu, tau
 
 
+def _finite(values, what):
+    """values, a result computed from finite input, if every entry is
+    finite; otherwise the input is past the float range."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} overflows the float range")
+    return values
+
+
+def _unit_exponent(M):
+    """The even exponent 2j for which 2**(2j) max|M| lies in [1, 4): scaling
+    by it is exact, and so is scaling by its square root."""
+    e = math.frexp(float(np.abs(M).max(initial=0.0)))[1]
+    return -2 * ((e - 1) // 2)
+
+
 def _cholesky_pd(mu, what="mu"):
     try:
         return np.linalg.cholesky(mu)
@@ -123,9 +137,10 @@ def _frame(mu, tau, what="mu"):
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
     L = _cholesky_pd(mu, what)
     Linv = _lower_inverse(L)
-    half = Linv @ (tau / 2.0)
-    Jt = half @ Linv.T
-    # an entry of Jt bounds ||J||_mu from below; NaN from an overflow fails too
+    with np.errstate(all="ignore"):  # NaN from an overflow fails the bound below
+        half = Linv @ (tau / 2.0)
+        Jt = half @ Linv.T
+    # an entry of Jt bounds ||J||_mu from below
     big = float(np.abs(Jt).max())
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
@@ -177,7 +192,9 @@ class OneParticleStructure:
     """Real-linear map K into C^M with <Kx|Ky> = mu(x,y) + (i/2) tau(x,y).
 
     `reconstruction_residual` is max |K^H K - (mu + (i/2) tau)| as measured
-    when one_particle built the structure.
+    when one_particle built the structure.  Construction reads K as a finite
+    complex M x n matrix, mu and tau as finite n x n ones, and requires
+    dim == M.
     """
 
     K: np.ndarray
@@ -185,6 +202,18 @@ class OneParticleStructure:
     tau: np.ndarray
     dim: int
     reconstruction_residual: float
+
+    def __post_init__(self):
+        K = as_finite_array(self.K, "K", dtype=complex)
+        mu, tau = as_finite_array(self.mu, "mu"), as_finite_array(self.tau, "tau")
+        if K.ndim != 2 or K.size == 0 or not mu.shape == tau.shape == (K.shape[1],) * 2:
+            raise ValidationError("K must be a non-empty M x n matrix, mu and tau n x n")
+        if as_index(self.dim, "dim") != K.shape[0]:
+            raise ValidationError(f"dim must be K's row count {K.shape[0]}")
+        residual = as_finite(self.reconstruction_residual, "reconstruction residual")
+        for name, value in (("K", K), ("mu", mu), ("tau", tau), ("dim", K.shape[0]),
+                            ("reconstruction_residual", residual)):
+            object.__setattr__(self, name, value)
 
     def _vector(self, x):
         # x as a finite real phase vector of this structure's length
@@ -194,7 +223,9 @@ class OneParticleStructure:
         return x
 
     def inner(self, x, y):
-        return complex(np.vdot(self.K @ self._vector(x), self.K @ self._vector(y)))
+        with np.errstate(all="ignore"):  # refused below
+            v = np.vdot(self.K @ self._vector(x), self.K @ self._vector(y))
+        return complex(_finite(v, "inner product"))
 
 
 def one_particle(mu, tau):
@@ -235,16 +266,19 @@ def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
     """Unitary V with V K1 = K2 for two structures of the same pair, to 1e-8."""
     if not (isinstance(s1, OneParticleStructure) and isinstance(s2, OneParticleStructure)):
         raise ValidationError("intertwiner expects two OneParticleStructures")
-    if s1.dim != s2.dim:
+    if s1.K.shape != s2.K.shape:
         raise ValidationError("structures have different dimensions")
     K1, K2 = s1.K, s2.K
-    gram = K1 @ K1.conj().T
-    V = K2 @ K1.conj().T @ np.linalg.inv(gram)
-    scale = max(1.0, np.abs(K2).max())
-    if np.abs(V @ K1 - K2).max() > 1e-8 * scale:
-        raise InternalInconsistencyError("intertwiner does not map K1 to K2")
-    if np.abs(V.conj().T @ V - np.eye(s1.dim)).max() > 1e-8:
-        raise InternalInconsistencyError("intertwiner is not unitary")
+    with np.errstate(all="ignore"):  # NaN from an overflow fails the checks below
+        try:
+            V = K2 @ K1.conj().T @ np.linalg.inv(K1 @ K1.conj().T)
+        except np.linalg.LinAlgError:
+            raise ValidationError("K1 does not span its one-particle space") from None
+        scale = max(1.0, np.abs(K2).max())
+        if not np.abs(V @ K1 - K2).max() <= 1e-8 * scale:
+            raise InternalInconsistencyError("intertwiner does not map K1 to K2")
+        if not np.abs(V.conj().T @ V - np.eye(s1.dim)).max() <= 1e-8:
+            raise InternalInconsistencyError("intertwiner is not unitary")
     return V
 
 
@@ -272,16 +306,18 @@ def purity(mu, tau):
     purity condition.
     """
     f = _frame(mu, tau)
-    mu, tau = f.mu, f.tau
-    r_square = float(np.abs(f.J @ f.J + np.eye(len(mu))).max())
+    r_square = float(np.abs(f.J @ f.J + np.eye(len(f.mu))).max())
     pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
     # the generalized problem to a symmetric one is shared with the frame.
-    quarter = 0.25 * tau.T @ np.linalg.solve(mu, tau)
-    B = f.Linv @ quarter @ f.Linv.T
-    if not np.isfinite(B).all():
-        raise ValidationError("tau^T mu^{-1} tau overflows the float range")
+    # B is invariant under (mu, tau, Linv) -> (c mu, c tau, Linv / sqrt(c)),
+    # so it is formed where max|mu| lies in [1, 4), by an exact power of two.
+    e = _unit_exponent(mu)
+    mu, tau, Linv = np.ldexp(mu, e), np.ldexp(tau, e), np.ldexp(f.Linv, -e // 2)
+    with np.errstate(all="ignore"):  # refused below
+        B = Linv @ (0.25 * tau.T @ np.linalg.solve(mu, tau)) @ Linv.T
+    B = _finite(B, "tau^T mu^{-1} tau")
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
     _check_bound(math.sqrt(max(float(lams[-1]), 0.0)))
     r_var = float(np.abs(lams - 1.0).max())
@@ -314,8 +350,11 @@ def ground_state_mu(energy_form, tau=None):
         mu = R V diag(1 / (2 s)) V^T R^T,
 
     i.e. mu = R (G^T G)^{-1/2} R^T / 2, which is independent of the choice
-    of factor R; the normalization is the one under which a pure pair
-    saturates the validation bound.  The s_k are taken as the column norms
+    of factor R and of a scale c > 0 in A -> cA, while T -> cT gives mu / c.
+    A and T are read in units of even powers of two that put their largest
+    entries in [1, 4), which is exact, and mu is scaled back.  The
+    normalization is the one under which a pure pair saturates the
+    validation bound.  The s_k are taken as the column norms
     of G V, which resolve a vanishing frequency to roundoff in G rather than
     to the square root of roundoff in G^T G.  A zero mode (massless periodic
     chain) makes 1/s blow up and is rejected instead, as is any spectrum
@@ -327,8 +366,10 @@ def ground_state_mu(energy_form, tau=None):
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
     A, T = _check_square_pair(A, as_finite_array(tau, "tau"))
-    A = 0.5 * A + 0.5 * A.T  # halved first: entries near the float limit stay finite
-    scale = max(1.0, np.abs(A).max())
+    e = _unit_exponent(T)
+    A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
+    A = (A + A.T) / 2.0
+    scale = np.abs(A).max()
     wA = np.linalg.eigvalsh(A)
     if wA[0] < -1e-10 * scale:
         raise InvalidCovarianceError("energy form must be positive")
@@ -339,10 +380,9 @@ def ground_state_mu(energy_form, tau=None):
         )
     R = np.linalg.cholesky(A)
     G = R.T @ T @ R
-    GtG = G.T @ G
-    if not np.isfinite(GtG).all():
-        raise ValidationError("energy form and tau overflow the float range")
-    _, V = np.linalg.eigh(GtG)
+    with np.errstate(all="ignore"):  # refused below
+        GtG = G.T @ G
+    _, V = np.linalg.eigh(_finite(GtG, "G^T G of the energy form and tau"))
     s = np.linalg.norm(G @ V, axis=0)
     s_max = float(s.max())
     if s_max == 0.0 or float(s.min()) < 1e-10 * s_max:
@@ -350,11 +390,10 @@ def ground_state_mu(energy_form, tau=None):
             "frequency spectrum touches zero; no gapped ground state"
         )
     RV = R @ V
-    mu = (RV / (2.0 * s)) @ RV.T
-    mu = (mu + mu.T) / 2.0
-    if not np.isfinite(mu).all():
-        raise ValidationError("ground-state covariance overflows the float range")
-    return mu
+    with np.errstate(all="ignore"):  # refused below
+        mu = (RV / (2.0 * s)) @ RV.T
+        mu = np.ldexp((mu + mu.T) / 2.0, e)
+    return _finite(mu, "ground-state covariance")
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -374,9 +413,9 @@ def lattice_energy_form(n_sites, spacing, mass):
         raise ValidationError("need at least one site and positive spacing")
     A = _phase_zeros(n, "n_sites")
     S = np.roll(np.eye(n), 1, axis=1)
-    A[:n, :n] = mass * mass * np.eye(n) + (2 * np.eye(n) - S - S.T) / (a * a)
-    if not np.isfinite(A).all():
-        raise ValidationError("energy form overflows: spacing or mass is out of range")
+    with np.errstate(all="ignore"):  # refused below
+        A[:n, :n] = mass * mass * np.eye(n) + (2 * np.eye(n) - S - S.T) / (a * a)
+    _finite(A, "energy form: spacing or mass")
     A[n:, n:] = np.eye(n)
     return A, standard_symplectic_form(n)
 
@@ -427,17 +466,20 @@ class FockRepresentation:
         if xi.shape != (self.structure.dim,):
             raise ValidationError(f"one-particle vector must have length {self.structure.dim}")
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for j, mat in enumerate(self._lower):
-            out += np.conj(xi[j]) * mat
-        return out
+        with np.errstate(all="ignore"):  # refused below
+            for j, mat in enumerate(self._lower):
+                out += np.conj(xi[j]) * mat
+        return _finite(out, "a(xi)")
 
     def creator(self, xi):
         return self.annihilator(xi).conj().T
 
     def field(self, x):
         """Represented field on a real phase vector."""
-        xi = self.structure.K @ self.structure._vector(x)
-        return self.annihilator(xi) + self.creator(xi)
+        with np.errstate(all="ignore"):  # refused below
+            xi = self.structure.K @ self.structure._vector(x)
+            lower = self.annihilator(xi)
+            return _finite(lower + lower.conj().T, "represented field")
 
     def vacuum(self):
         v = np.zeros(self.dim)
@@ -452,12 +494,15 @@ class FockRepresentation:
     def commutator_residual(self, psi, xi):
         """Max deviation of [a(psi), a+(xi)] from <K psi|K xi> I on the
         sector with total occupation <= cutoff - 1."""
-        A = self.annihilator(self.structure.K @ self.structure._vector(psi))
-        Cr = self.creator(self.structure.K @ self.structure._vector(xi))
-        comm = A @ Cr - Cr @ A
-        expected = self.structure.inner(psi, xi) * np.eye(self.dim)
-        P = self.sector_projector(self.cutoff - 1)
-        return float(np.abs(P @ (comm - expected) @ P).max())
+        K, vector = self.structure.K, self.structure._vector
+        with np.errstate(all="ignore"):  # refused below
+            A = self.annihilator(K @ vector(psi))
+            Cr = self.creator(K @ vector(xi))
+            comm = A @ Cr - Cr @ A
+            expected = self.structure.inner(psi, xi) * np.eye(self.dim)
+            P = self.sector_projector(self.cutoff - 1)
+            residual = np.abs(P @ (comm - expected) @ P).max()
+        return float(_finite(residual, "commutator residual"))
 
     def vacuum_npoint(self, vectors):
         """Vacuum expectation of a product of represented fields.
@@ -476,9 +521,10 @@ class FockRepresentation:
                 f"{n}-point at cutoff {self.cutoff}: raise the cutoff"
             )
         v = self.vacuum().astype(complex)
-        for x in reversed(vectors):
-            v = self.field(x) @ v
-        return complex(self.vacuum() @ v)
+        with np.errstate(all="ignore"):  # refused below
+            for x in reversed(vectors):
+                v = self.field(x) @ v
+            return complex(_finite(self.vacuum() @ v, "vacuum expectation"))
 
 
 # ----------------------------------------------------------- equivalence
@@ -491,18 +537,6 @@ class EquivalenceReport:
     c_maxs: tuple
     verdict: str
     Q: np.ndarray = field(repr=False)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "c_min": self.c_mins[-1],
-                "c_max": self.c_maxs[-1],
-                "hs_norms": list(self.hs_norms),
-                "truncations": list(self.truncations),
-                "verdict": self.verdict,
-            },
-            sort_keys=True,
-        )
 
 
 def equivalence_probe(mu1, mu2, tau=None, truncations=None):
@@ -553,11 +587,12 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
     _bounded_frame(m2, t, what="mu2 block")
     delta = m2 - m1
-    B = Linv @ delta @ Linv.T
-    B = (B + B.T) / 2.0
-    Q = Linv.T @ (Linv @ delta)  # mu1^{-1} (mu2 - mu1) on the largest block
-    if not (np.isfinite(B).all() and np.isfinite(Q).all()):
-        raise ValidationError("mu2 - mu1 overflows the float range in the mu1 geometry")
+    with np.errstate(all="ignore"):  # refused below
+        B = Linv @ delta @ Linv.T
+        B = (B + B.T) / 2.0
+        Q = Linv.T @ (Linv @ delta)  # mu1^{-1} (mu2 - mu1) on the largest block
+    what = "mu2 - mu1 in the mu1 geometry"
+    B, Q = _finite(B, what), _finite(Q, what)
     spectra = [np.linalg.eigvalsh(B[:n, :n]) for n in sizes]
     hs_norms = tuple(math.hypot(*lams) for lams in spectra)
     return EquivalenceReport(

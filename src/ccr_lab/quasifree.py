@@ -11,7 +11,6 @@ commutator, so no normal-forming is required first.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -23,9 +22,7 @@ from .errors import (
     DegreeGuardError,
     IncompleteKernelError,
     KernelInconsistencyError,
-    ParityError,
     ValidationError,
-    as_index,
     call_outside,
 )
 
@@ -33,62 +30,17 @@ __all__ = [
     "TwoPointKernel",
     "QuasifreeState",
     "GramReport",
-    "enumerate_pairings",
     "npoint",
     "evaluate",
     "gram_positivity",
-    "npoint_csv",
 ]
 
-PAIRING_GUARD = 16  # enumerate_pairings lists (n-1)!! tuples: 2,027,025 at 16
-# npoint's memoised sum grows like phi**n instead; measured on a dense complex
-# kernel (2-vCPU VM, Python 3.11), one call takes about 0.12 s at n = 22 and
-# 0.4 s at n = 24.
+# npoint's memoised sum grows like phi**n; measured on a dense complex kernel
+# (2-vCPU VM, Python 3.11), one call takes about 0.12 s at n = 22 and 0.4 s
+# at n = 24.
 NPOINT_GUARD = 22
 _GRAM_DEGREE_GUARD = 4
 _KERNEL_TOL = 1e-10  # relative; exchange checks, pair bound, Gram certificate
-
-
-def enumerate_pairings(n):
-    """All perfect matchings of {1, ..., n} as tuples of ascending pairs.
-
-    The order is deterministic: the smallest unmatched label is paired with
-    each larger one in turn, recursively.  Count is (n-1)!!, so n above
-    PAIRING_GUARD raises ValidationError.
-
-    Parameters
-    ----------
-    n : even int
-
-    Returns
-    -------
-    list of pairings; each pairing is a tuple of (a, b) pairs with a < b.
-    """
-    n = as_index(n, "pairing size")
-    if n < 0:
-        raise ValidationError("pairing size must be non-negative")
-    if n % 2:
-        raise ParityError(f"no perfect matchings of an odd set (n={n})")
-    _check_guard(n, PAIRING_GUARD)
-    return _pairings(tuple(range(1, n + 1)))
-
-
-def _check_guard(n, guard):
-    if n > guard:
-        raise ValidationError(f"n={n} exceeds the pairing guard {guard}")
-
-
-def _pairings(labels):
-    if not labels:
-        return [()]
-    first = labels[0]
-    out = []
-    for k in range(1, len(labels)):
-        rest = labels[1:k] + labels[k + 1 :]
-        pair = (first, labels[k])
-        for tail in _pairings(rest):
-            out.append((pair,) + tail)
-    return out
 
 
 class TwoPointKernel:
@@ -281,7 +233,8 @@ def _moment(value, idx):
         return 1.0 + 0.0j
     if n % 2:
         return 0.0 + 0.0j
-    _check_guard(n, NPOINT_GUARD)
+    if n > NPOINT_GUARD:
+        raise ValidationError(f"n={n} exceeds the pairing guard {NPOINT_GUARD}")
     if n == 2:
         # one pair needs no table; this is the commonest call, e.g. every
         # Gram entry of a degree-1 family
@@ -328,17 +281,6 @@ class GramReport:
     psd: bool
     gram: object
     hermiticity_residual: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "verdict": "psd" if self.psd else "not-psd",
-                "min_eigenvalue": self.min_eigenvalue,
-                "threshold": self.threshold,
-                "hermiticity_residual": self.hermiticity_residual,
-            },
-            sort_keys=True,
-        )
 
 
 def gram_positivity(state, elements):
@@ -389,19 +331,3 @@ def gram_positivity(state, elements):
     min_eig = float(eigs[0])
     return GramReport(min_eig, threshold, min_eig >= threshold, G, float(herm))
 
-
-def npoint_csv(state, families):
-    """CSV rows `indices,re,im` for a list of index families; a moment that
-    is not finite raises ValidationError."""
-    value = _lookup(state)
-    try:
-        families = list(families)
-    except TypeError:
-        raise ValidationError(f"families must be an iterable, got {families!r}") from None
-    lines = ["indices,re,im"]
-    for fam in families:
-        idx = _slots(fam)
-        v = _finite(_moment(value, idx), FLOAT)
-        label = " ".join(map(str, idx))
-        lines.append(f"{label},{v.real:.17g},{v.imag:.17g}")
-    return "\n".join(lines) + "\n"

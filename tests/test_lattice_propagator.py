@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccr_lab import lattice_propagator
 from ccr_lab.errors import (
     CausalContaminationError,
+    CcrLabError,
     InvalidSliceError,
     ValidationError,
     WindowTooThinError,
@@ -21,9 +26,7 @@ from ccr_lab.lattice_propagator import (
     causal_E,
     extract_cauchy,
     fundamental,
-    load_field_values,
     pair_E,
-    save_field,
     slice_compress,
     solve_cauchy,
 )
@@ -102,6 +105,76 @@ def _small(**kw):
 def test_lattice_inputs_raise_validation_errors(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def _zero_field():
+    return LatticeField(_small(), np.zeros((6, 8)))
+
+
+def _data(**kw):
+    return CauchyData(_small(n_steps=12, **kw), 6, np.ones(8), np.zeros(8))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LatticeField("x", np.zeros((6, 8))),
+        lambda: CauchyData(None, 2, np.zeros(8), np.zeros(8)),
+        lambda: pair_E(5, 5),
+        lambda: pair_E(_zero_field(), 5),
+        lambda: extract_cauchy(5, 3),
+        lambda: slice_compress(5, (2, 5)),
+        lambda: fundamental(5),
+        lambda: causal_E(None),
+        lambda: apply_kg("f"),
+        lambda: solve_cauchy(5),
+        lambda: LatticeConfig(16, 0.2, 1e-300, 12, 1e300),
+        lambda: _small(spacing=1e-200, dt=1e-201),
+        lambda: _small(spacing=1e200, dt=1e200, mass=0.0),
+        lambda: _small(boundary=np.eye(3)),
+        lambda: fundamental(_zero_field(), np.eye(3)),
+        lambda: pair_E(_zero_field(), _zero_field(), method=np.eye(3)),
+        lambda: slice_compress(_data(), 5),
+        lambda: slice_compress(_data(), (2,)),
+        lambda: slice_compress(_data(), None),
+        lambda: solve_cauchy(CauchyData(_small(n_steps=10**19), 2, np.zeros(8), np.zeros(8))),
+    ],
+    ids=[
+        "field-config", "cauchy-config", "pair-fields", "pair-second-field", "extract-field",
+        "compress-data", "fundamental-field", "causal-field", "kg-field", "solve-data",
+        "mass-squared-overflow", "dt-squared-underflow", "spacing-squared-overflow",
+        "boundary-array", "which-array", "method-array", "window-int", "window-short",
+        "window-none", "grid-past-numpy",
+    ],
+)
+def test_lattice_boundary_refuses_foreign_input(call):
+    # each of these used to leak AttributeError, TypeError, ValueError,
+    # OverflowError or ZeroDivisionError
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, dt",
+    [
+        (lambda f: fundamental(f, "retarded"), 1e100),
+        (causal_E, 1e100),
+        (lambda f: pair_E(f, f), 1e100),
+        (lambda f: pair_E(f, f, method="surface"), 1e100),
+        (apply_kg, 1e-100),
+    ],
+    ids=["fundamental", "causal", "pair-volume", "pair-surface", "kg"],
+)
+def test_results_past_the_float_range_are_refused(call, dt):
+    # a leapfrog step multiplies a source of 1e300 by dt^2 and apply_kg
+    # divides by it, so with dt far from 1 the results leave the float
+    # range.  numpy's overflow warnings are silenced; the refusal is what
+    # counts
+    cfg = LatticeConfig(n_x=16, spacing=2.0 * dt, dt=dt, n_steps=24, mass=0.0)
+    v = np.zeros((24, 16))
+    v[2:4, 6:9] = 1e300
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="float range|finite"):
+        call(LatticeField(cfg, v))
 
 
 def test_lattice_inputs_take_numpy_integers():
@@ -398,7 +471,7 @@ def test_compress_reconstruction_error_small():
     assert np.abs(rec.values - psi.values).max() <= 1e-3 * psi.norm()
 
 
-# ---------------------------------------------------- boundaries and IO
+# ------------------------------------------------------------- boundaries
 
 def test_absorbing_pad_contamination_guard():
     cfg = LatticeConfig(n_x=40, spacing=0.1, dt=0.08, n_steps=60, mass=0.0,
@@ -418,25 +491,156 @@ def test_absorbing_pad_agrees_with_periodic_when_uncontaminated():
     assert np.abs(periodic - fundamental(fa, "retarded").values).max() < 1e-13
 
 
-def test_field_round_trip_binary(tmp_path):
-    cfg = LatticeConfig(n_x=24, spacing=0.2, dt=0.1, n_steps=10, mass=0.3)
-    f = sampled_source(cfg, t0=0.5, x0=2.4, wt=0.2, wx=0.4)
-    p = tmp_path / "field.npy"
-    save_field(f, p)
-    back = np.load(p)
-    assert back.dtype == np.float64
-    assert back.shape == (10, 24)
-    assert np.array_equal(back, f.values)
-    assert np.array_equal(load_field_values(p), f.values)
+# every name in lattice_propagator.__all__, fed junk configs, ragged and NaN
+# values, Cauchy data of the wrong length, junk windows and slice indices,
+# and values at the edges of the float range; grids stay small or past what
+# numpy can hold, never gigabytes
+_specials = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, 1e300, 1e-300, 1e-320, -0.0, 10**400, 2.5, 1j]
+)
+_junk = st.one_of(
+    _specials, st.none(), st.text(max_size=3), st.integers(-3, 9),
+    st.sampled_from([[1, 2], [[1.0, 0.0], [0.0]], [["a", 0], [0, 1]], {"a": 1}, np.eye(3)]),
+)
+_sizes = st.sampled_from([3, 4, 8, 12, 10**19, 10**400, 2.5, "3", None, -1])
+_reals = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-160, 1e-150, 1e150, 1e154, 1e300, "1", None]), _specials
+)
 
 
-def test_load_field_values_refuses_unreadable_files(tmp_path):
-    text = tmp_path / "field.txt"
-    text.write_text("1.0 2.0\n3.0 4.0\n")
-    pickled = tmp_path / "objects.npy"
-    np.save(pickled, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
-    nan = tmp_path / "nan.npy"
-    np.save(nan, np.array([[0.0, math.nan]]))
-    for path in (text, pickled, nan, tmp_path / "missing.npy", 5):
-        with pytest.raises(ValidationError):
-            load_field_values(path)
+def _config(draw):
+    kw = dict(
+        n_x=draw(st.sampled_from([8, 12])), n_steps=draw(st.sampled_from([8, 12, 16])),
+        spacing=0.5, dt=draw(st.sampled_from([0.25, 0.4])),
+        mass=draw(st.sampled_from([0.0, 1.0])),
+        boundary=draw(st.sampled_from(["periodic", "periodic", "absorbing-pad"])),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        key = draw(st.sampled_from(sorted(kw)))
+        kw[key] = draw(_sizes if key in ("n_x", "n_steps") else _junk if key == "boundary"
+                       else _reals)
+    return LatticeConfig(**kw)
+
+
+def _or_junk(draw, make):
+    # make(draw) in five draws of six, else junk in its place
+    return draw(_junk) if draw(st.integers(0, 5)) == 0 else make(draw)
+
+
+def _small_grid(cfg):
+    return isinstance(cfg, LatticeConfig) and cfg.n_steps * cfg.n_x <= 400
+
+
+def _spoiled(draw, v):
+    # v itself, most often, else v scaled toward the edges of the float
+    # range, v with one entry replaced, cut to a wrong or ragged shape, or junk
+    choice = draw(st.integers(0, 9))
+    if choice < 6:
+        return v
+    if choice == 6:
+        return v * draw(st.sampled_from([1e150, 1e300, 1e308, 1e-300, 1e-320, -1.0]))
+    if choice == 7:
+        out = v.astype(object)
+        out[(draw(st.integers(0, len(v) - 1)),) + (0,) * (v.ndim - 1)] = draw(
+            st.one_of(_specials, st.text(max_size=2))
+        )
+        return out.tolist()
+    if choice == 8:
+        return v[:-1] if v.ndim == 1 or draw(st.booleans()) else v.tolist()[:-1] + [[0.0]]
+    return draw(_junk)
+
+
+def _values(draw, cfg):
+    # a source on the config's grid, nonzero in a box that mostly avoids the
+    # first and last rows, then perhaps spoiled
+    if not _small_grid(cfg):
+        return draw(_junk)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    v = np.zeros((cfg.n_steps, cfg.n_x))
+    edge = draw(st.integers(0, 4)) == 0
+    n0 = draw(st.integers(0 if edge else 1, cfg.n_steps - 1 if edge else cfg.n_steps - 2))
+    n1 = draw(st.integers(n0, min(n0 + 2, cfg.n_steps - (1 if edge else 2))))
+    j0 = draw(st.integers(0, cfg.n_x - 1))
+    j1 = draw(st.integers(j0, min(j0 + 3, cfg.n_x - 1)))
+    v[n0 : n1 + 1, j0 : j1 + 1] = rng.normal(size=(n1 - n0 + 1, j1 - j0 + 1))
+    return _spoiled(draw, v)
+
+
+def _lattice_field(draw, cfg=None):
+    cfg = _or_junk(draw, _config) if cfg is None else cfg
+    return LatticeField(cfg, _values(draw, cfg))
+
+
+def _site_array(draw, cfg):
+    if not _small_grid(cfg):
+        return draw(_junk)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return _spoiled(draw, rng.normal(size=cfg.n_x))
+
+
+def _index(draw):
+    return draw(st.one_of(st.integers(-1, 17), st.integers(1, 6), _junk))
+
+
+def _cauchy(draw):
+    cfg = _or_junk(draw, _config)
+    return CauchyData(cfg, _index(draw), _site_array(draw, cfg), _site_array(draw, cfg))
+
+
+def _window(draw):
+    pair = st.tuples(st.integers(1, 4), st.integers(3, 8)).map(lambda p: (p[0], p[0] + p[1]))
+    return draw(st.one_of(pair, pair, pair, st.lists(st.integers(0, 16), max_size=3), _junk))
+
+
+def _word(*words):
+    return lambda draw: _or_junk(draw, lambda d: d(st.sampled_from(words)))
+
+
+def _pair_call(draw):
+    cfg = _or_junk(draw, _config)
+    f, g = (_or_junk(draw, lambda d: _lattice_field(d, cfg)) for _ in range(2))
+    method = _word("volume", "surface")(draw)
+    return pair_E(f, g, method, draw(st.one_of(st.none(), st.integers(-1, 17), _junk)))
+
+
+_LP_CALLS = {
+    "LatticeConfig": _config,
+    "LatticeField": _lattice_field,
+    "CauchyData": _cauchy,
+    "fundamental": lambda d: fundamental(
+        _or_junk(d, _lattice_field), _word("retarded", "advanced")(d)
+    ),
+    "causal_E": lambda d: causal_E(_or_junk(d, _lattice_field)),
+    "apply_kg": lambda d: apply_kg(_or_junk(d, _lattice_field)),
+    "pair_E": _pair_call,
+    "solve_cauchy": lambda d: solve_cauchy(_or_junk(d, _cauchy)),
+    "extract_cauchy": lambda d: extract_cauchy(_or_junk(d, _lattice_field), _index(d)),
+    "slice_compress": lambda d: slice_compress(_or_junk(d, _cauchy), _window(d)),
+}
+
+
+def _assert_finite(out):
+    if dataclasses.is_dataclass(out):
+        for f in dataclasses.fields(out):
+            _assert_finite(getattr(out, f.name))
+    elif not isinstance(out, (str, int)):  # a Python int is exact, of any size
+        assert np.isfinite(out).all(), out
+
+
+def test_property_calls_cover_the_lattice_names():
+    assert set(_LP_CALLS) == set(lattice_propagator.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(_LP_CALLS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_lattice_raises_only_package_errors(name, data):
+    # a call either raises one of the package's own errors or returns finite
+    # numbers; numpy warnings are silenced, as only escaping exceptions and
+    # non-finite results count here
+    try:
+        with np.errstate(all="ignore"):
+            out = _LP_CALLS[name](data.draw)
+    except CcrLabError:
+        return
+    _assert_finite(out)

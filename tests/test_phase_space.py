@@ -4,7 +4,6 @@ Fock truncations, and the equivalence probe."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from ccr_lab.errors import (
 )
 from ccr_lab.phase_space import (
     FockRepresentation,
+    OneParticleStructure,
     equivalence_probe,
     ground_state_mu,
     intertwiner,
@@ -164,6 +164,49 @@ def test_intertwiner_between_equal_inputs():
     assert np.allclose(V.conj().T @ V, np.eye(s1.dim), atol=1e-9)
 
 
+def _direct(**fields):
+    # a structure built field by field, from a valid one's fields by default
+    s = one_particle(np.eye(2) / 2.0, TAU1)
+    return OneParticleStructure(**{**dataclasses.asdict(s), **fields})
+
+
+def test_structure_built_directly_reads_its_fields():
+    s = _direct(K=one_particle(np.eye(2) / 2.0, TAU1).K.tolist(), dim=np.int64(1))
+    assert s.K.dtype == complex and type(s.dim) is int
+    assert FockRepresentation(s, 2).vacuum_npoint([[1.0, 0.0]] * 2) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(K=5, mu=None, tau=None, dim="x"),
+        dict(K=[[math.nan, 0.0]]),
+        dict(K=[[1.0, 0.0, 0.0]]),
+        dict(K=[1.0, 0.0]),
+        dict(K=np.zeros((0, 2))),
+        dict(mu=np.eye(3)),
+        dict(tau=[[0.0, "a"], [0.0, 0.0]]),
+        dict(dim=2),
+        dict(dim=1.0),
+        dict(reconstruction_residual=math.nan),
+    ],
+    ids=["junk", "K-nan", "K-too-wide", "K-vector", "K-empty", "mu-shape", "tau-string",
+         "dim-mismatch", "dim-float", "residual-nan"],
+)
+def test_structure_built_directly_refuses_bad_fields(fields):
+    with pytest.raises(ValidationError):
+        FockRepresentation(_direct(**fields), 2)
+
+
+def test_intertwiner_refuses_structures_it_cannot_relate():
+    s = one_particle(np.eye(2) / 2.0, TAU1)
+    wide = _direct(K=[[1.0, 0.0, 0.0, 0.0]], mu=np.eye(4), tau=np.zeros((4, 4)))  # 4 coordinates
+    flat = _direct(K=[[1.0, 0.0], [1.0, 0.0]], dim=2)  # rank 1 in C^2
+    for a, b in ((s, wide), (flat, flat)):
+        with pytest.raises(ValidationError):
+            intertwiner(a, b)
+
+
 # ----------------------------------------------------------------- purity
 
 def test_purity_closed_form_cases():
@@ -181,6 +224,13 @@ def test_purity_double_check_random_pairs():
         assert purity(mu, tau).pure
         mu, tau = random_mixed_pair(rng, n)
         assert not purity(mu, tau).pure
+
+
+def test_purity_at_the_edges_of_the_float_range():
+    # validate_mu_tau admits both pairs; the verdict is scale invariant
+    assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"
+    assert purity(1e-300 * np.eye(2) / 2.0, 1e-300 * TAU1).verdict == "pure"
+    assert purity(1e300 * np.eye(2) / 2.0, 1e300 * TAU1).verdict == "pure"
 
 
 # -------------------------------------------------------- ground_state_mu
@@ -266,6 +316,20 @@ def test_degenerate_form_has_no_gapped_ground_state():
             ground_state_mu(A, T)
 
 
+def test_ground_state_is_invariant_under_scaling_the_energy_form():
+    A, tau = lattice_energy_form(2, 0.5, 1.0)
+    mu = ground_state_mu(A, tau)
+    for c in (2.0**530, 2.0**-530, 2.0**1000):
+        assert np.array_equal(ground_state_mu(c * A, tau), mu)
+    for c in (1e160, 1e-160):  # c A is rounded, so mu agrees to roundoff
+        assert np.abs(ground_state_mu(c * A, tau) - mu).max() <= 1e-14 * np.abs(mu).max()
+    # tau -> c tau gives mu / c, down to where mu itself leaves the float range
+    assert np.array_equal(ground_state_mu(A, 2.0**-900 * tau), 2.0**900 * mu)
+    assert np.abs(ground_state_mu(np.eye(2), 1e-300 * TAU1) / 0.5e300 - np.eye(2)).max() <= 1e-15
+    with pytest.raises(ValidationError, match="overflows"):
+        ground_state_mu(np.eye(2), 1e-310 * TAU1)
+
+
 def test_ground_state_invariance_under_flow():
     A, tau = lattice_energy_form(4, 1.0, mass=0.8)
     mu = ground_state_mu(A, tau)
@@ -321,6 +385,18 @@ def test_fock_four_point_matches_pairing():
     assert got == pytest.approx(3 * 0.5**2, abs=1e-10)
     with pytest.raises(TruncationInsufficientError):
         rep.vacuum_npoint([e1] * 5)
+
+
+def test_fock_refuses_results_past_the_float_range():
+    # a valid structure of scale 1e150: the four-point value is about 1e600
+    rep = FockRepresentation(one_particle(1e300 * np.eye(2) / 2.0, 1e300 * TAU1), 4)
+    assert rep.vacuum_npoint([[1.0, 0.0]] * 2) == pytest.approx(0.5e300)
+    with pytest.raises(ValidationError, match="overflows"):
+        rep.vacuum_npoint([[1.0, 0.0]] * 4)
+    with pytest.raises(ValidationError):  # K x itself is past the range
+        rep.field([1e200, 0.0])
+    with pytest.raises(ValidationError, match="overflows"):
+        rep.structure.inner([1e200, 0.0], [1e200, 0.0])
 
 
 def test_fock_guards():
@@ -468,9 +544,8 @@ def test_probe_factors_once_and_purity_solves_one_eigenproblem(monkeypatch):
 def test_probe_report_json():
     mu = np.eye(4)
     rep = equivalence_probe(mu, mu, truncations=[1, 2])
-    data = json.loads(rep.to_json())
-    assert data["verdict"] == "bounded-trend"
-    assert data["hs_norms"] == [0.0, 0.0]
+    assert rep.verdict == "bounded-trend"
+    assert rep.hs_norms == (0.0, 0.0)
 
 
 NAN_MU = np.where(np.eye(4, dtype=bool), math.nan, 0.0)
@@ -656,11 +731,21 @@ def _spoiled_pair(draw):
     return _spoiled(draw, mu), _spoiled(draw, tau)
 
 
+def _built(draw):
+    # a structure from one_particle, of dimension 1 or 2 within the Fock
+    # guard, or one built directly from its spoiled fields
+    s = one_particle(*_pair(draw, modes=(1,)))
+    if draw(st.booleans()):
+        return s
+    return OneParticleStructure(
+        K=_spoiled(draw, s.K), mu=_spoiled(draw, s.mu), tau=_spoiled(draw, s.tau),
+        dim=draw(st.one_of(st.just(s.dim), _sizes)),
+        reconstruction_residual=draw(st.one_of(st.just(0.0), _reals)),
+    )
+
+
 def _structure(draw):
-    # structures come from one_particle: dimension 1 or 2, within the Fock guard
-    if draw(st.integers(0, 4)) == 0:
-        return draw(_junk)
-    return one_particle(*_pair(draw, modes=(1,)))
+    return draw(_junk) if draw(st.integers(0, 4)) == 0 else _built(draw)
 
 
 def _vector(draw, n=2):
@@ -707,21 +792,25 @@ def _fock_call(draw):
     return rep.field(_vector(draw)) if method == "field" else rep.vacuum()
 
 
+def _ladder_report(rep):
+    # one verdict of three, next to the ladder's numbers, which are returned
+    assert rep.verdict in ("bounded-trend", "divergent-trend", "inconclusive")
+    return rep.truncations, rep.hs_norms, rep.c_mins, rep.c_maxs
+
+
 _PS_CALLS = {
     "standard_symplectic_form": lambda d: standard_symplectic_form(d(_sizes)),
     "lattice_energy_form": lambda d: lattice_energy_form(d(_sizes), d(_reals), d(_reals)),
     "validate_mu_tau": lambda d: validate_mu_tau(*_spoiled_pair(d)),
     "OperatorJ": lambda d: validate_mu_tau(*_spoiled_pair(d)).J,
     "one_particle": lambda d: one_particle(*_spoiled_pair(d)),
-    "OneParticleStructure": lambda d: one_particle(*_pair(d, modes=(1,))).inner(
-        _vector(d), _vector(d)
-    ),
+    "OneParticleStructure": lambda d: _built(d).inner(_vector(d), _vector(d)),
     "intertwiner": lambda d: intertwiner(_structure(d), _structure(d)),
     "purity": lambda d: purity(*_spoiled_pair(d)),
     "PurityReport": lambda d: purity(*_spoiled_pair(d)).verdict,
     "ground_state_mu": _energy,
     "equivalence_probe": _probe,
-    "EquivalenceReport": lambda d: json.loads(_probe(d).to_json()),
+    "EquivalenceReport": lambda d: _ladder_report(_probe(d)),
     "FockRepresentation": _fock_call,
 }
 
