@@ -36,6 +36,7 @@ from .errors import (
     InvalidSymmetryError,
     ScalarModeMismatchError,
     ValidationError,
+    float_range,
 )
 
 __all__ = [
@@ -170,7 +171,7 @@ def coerce(x, mode):
 
 
 def _finite(x, mode):
-    """coerce(x, mode), refusing a float-mode value that is not finite."""
+    """coerce(x, mode), refusing a non-finite float-mode value (Python arithmetic)."""
     x = coerce(x, mode)
     if mode == FLOAT and not cmath.isfinite(x):
         raise ValidationError(f"scalar {x!r} is not finite")
@@ -248,8 +249,8 @@ class _WordCombination:
     @classmethod
     def _new(cls, terms, mode):
         # internal results: words already canonical, scalars already in
-        # mode, so only the zero coefficients are dropped; a float overflow
-        # is refused
+        # mode, so only the zero coefficients are dropped; an overflow of
+        # Python float arithmetic is refused
         terms = {w: c for w, c in terms.items() if c}
         if mode == FLOAT and not all(map(cmath.isfinite, terms.values())):
             raise ValidationError("a float coefficient overflows: it is not finite")
@@ -567,7 +568,7 @@ class InducedMap:
             raise ValidationError("parity must be 'preserving' or 'reversing'")
         Emat = E.matrix(gens)
         scale = abs(Emat).max(initial=1.0)
-        with np.errstate(all="ignore"):  # an overflow to NaN fails the check below
+        with float_range("sigma^T E sigma"):
             transported = mat.T @ Emat @ mat
             if parity == "preserving":
                 residual = abs(transported - Emat).max(initial=0.0)

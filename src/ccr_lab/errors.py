@@ -1,11 +1,12 @@
 """Exception taxonomy shared by all ccr_lab modules, the three readers of
-outside numbers that raise it, and the one caller of outside callbacks.
+outside numbers and the float_range guard that raise it, and call_outside.
 
 Two exit-relevant base classes: ValidationError means the inputs violate a
 documented precondition (CLI exit 2); NumericalCheckError means the inputs
 were admissible but a numerical consistency check failed (CLI exit 3).
 """
 
+import contextlib
 import math
 import operator
 
@@ -57,6 +58,18 @@ def as_finite_array(values, what, dtype=float):
     if v is None or v.dtype.kind not in kinds or not np.isfinite(v).all():
         raise ValidationError(f"{what} must be an array of finite numbers")
     return v.astype(dtype, copy=False)
+
+
+@contextlib.contextmanager
+def float_range(what):
+    """Numpy overflow, division by zero and invalid values raise ValidationError,
+    underflow aside, whatever the caller set; np.linalg, np.vdot and Python
+    floats are not seen."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(f"{what} overflows the float range") from None
 
 
 def call_outside(what, f, *args):

@@ -27,6 +27,7 @@ from .errors import (
     as_finite,
     as_finite_array,
     as_index,
+    float_range,
 )
 
 __all__ = [
@@ -122,11 +123,7 @@ def _check(kind, x):
 
 
 def _field(config, values):
-    """Wrap an array computed here from validated input, without a copy; an
-    array past the float range, as a large source or grid makes, raises
-    ValidationError."""
-    if not np.isfinite(values).all():
-        raise ValidationError("lattice field overflows the float range")
+    """Wrap an array computed here under float_range, without a copy."""
     values.flags.writeable = False
     field = object.__new__(LatticeField)
     object.__setattr__(field, "config", config)
@@ -234,9 +231,9 @@ def _solution(f: LatticeField, box, which, stop=None):
     if box is None:
         return psi
     step, _ = _stencil(cfg)
-    if which == "retarded":
-        return _march(psi, step, box[0], True, f.values, stop)
-    return _march(psi, step, box[1], False, f.values, stop)
+    start = box[0] if which == "retarded" else box[1]
+    with float_range("lattice field"):
+        return _march(psi, step, start, which == "retarded", f.values, stop)
 
 
 def fundamental(f: LatticeField, which="retarded"):
@@ -252,7 +249,8 @@ def _causal(f: LatticeField, box, rows=(None, None)):
     """Advanced minus retarded solution as an array; with rows = (lo, hi)
     the marches stop once they have filled rows lo..hi."""
     E = _solution(f, box, "advanced", rows[0])
-    E -= _solution(f, box, "retarded", rows[1])
+    with float_range("lattice field"):
+        E -= _solution(f, box, "retarded", rows[1])
     return E
 
 
@@ -272,9 +270,10 @@ def _kg(config, v, start=1):
     # apply_kg's rows from `start` on, as a writable array; rows before stay zero
     step, dt2 = _stencil(config)
     out = np.zeros_like(v)
-    for n in range(start, v.shape[0] - 1):
-        np.subtract(v[n + 1], step(v[n], v[n - 1], out[n]), out=out[n])
-    out /= dt2
+    with float_range("lattice field"):
+        for n in range(start, v.shape[0] - 1):
+            np.subtract(v[n + 1], step(v[n], v[n - 1], out[n]), out=out[n])
+        out /= dt2
     return out
 
 
@@ -296,23 +295,23 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
     if not (isinstance(method, str) and method in ("volume", "surface")):
         raise ValidationError("method must be 'volume' or 'surface'")
     cfg = f.config
-    if method == "volume":
-        box = _source_box(g, ("advanced", "retarded"))
-        support = f.support_box()
-        if support is None:
-            return 0.0
-        # only f's support rows are read, so neither march goes past them
-        n0, n1 = support[:2]
-        Eg = _causal(g, box, (n0, n1))[n0 : n1 + 1]
-        return as_finite(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg), "pairing")
-    boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]
-    n = _pick_slice(f, g, slice_index)
-    # only rows n-1..n+1 are read, so neither march goes past them
-    uf, ug = (_causal(h, box, (n - 1, n + 1)) for h, box in zip((f, g), boxes))
-    w = (
-        uf[n] * (ug[n + 1] - ug[n - 1]) - ug[n] * (uf[n + 1] - uf[n - 1])
-    ).sum() * cfg.spacing / (2.0 * cfg.dt)
-    return as_finite(w, "pairing")
+    with float_range("pairing"):
+        if method == "volume":
+            box = _source_box(g, ("advanced", "retarded"))
+            support = f.support_box()
+            if support is None:
+                return 0.0
+            # only f's support rows are read, so neither march goes past them
+            n0, n1 = support[:2]
+            Eg = _causal(g, box, (n0, n1))[n0 : n1 + 1]
+            return float(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg))
+        boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]
+        n = _pick_slice(f, g, slice_index)
+        # only rows n-1..n+1 are read, so neither march goes past them
+        uf, ug = (_causal(h, box, (n - 1, n + 1)) for h, box in zip((f, g), boxes))
+        return float((
+            uf[n] * (ug[n + 1] - ug[n - 1]) - ug[n] * (uf[n + 1] - uf[n - 1])
+        ).sum() * cfg.spacing / (2.0 * cfg.dt))
 
 
 def _pick_slice(f, g, slice_index):
@@ -348,14 +347,15 @@ def solve_cauchy(data: CauchyData):
     psi = _grid(cfg)
     n0 = data.slice_index
     psi[n0] = data.psi
-    half = 0.5 * step(data.psi, None, np.empty(cfg.n_x))
-    kick = cfg.dt * data.dpsi
-    if n0 + 1 < cfg.n_steps:
-        np.add(half, kick, out=psi[n0 + 1])
-    if n0 >= 1:
-        np.subtract(half, kick, out=psi[n0 - 1])
-    _march(psi, step, n0 + 1, True)
-    _march(psi, step, n0 - 1, False)
+    with float_range("lattice field"):
+        half = 0.5 * step(data.psi, None, np.empty(cfg.n_x))
+        kick = cfg.dt * data.dpsi
+        if n0 + 1 < cfg.n_steps:
+            np.add(half, kick, out=psi[n0 + 1])
+        if n0 >= 1:
+            np.subtract(half, kick, out=psi[n0 - 1])
+        _march(psi, step, n0 + 1, True)
+        _march(psi, step, n0 - 1, False)
     return _field(cfg, psi)
 
 
@@ -365,9 +365,9 @@ def extract_cauchy(field: LatticeField, slice_index):
     cfg = _check(LatticeField, field).config
     if not 1 <= n <= cfg.n_steps - 2:
         raise ValidationError("need interior slice for the centered derivative")
-    psi = field.values[n]
-    dpsi = (field.values[n + 1] - field.values[n - 1]) / (2.0 * cfg.dt)
-    return CauchyData(cfg, n, psi, dpsi)
+    with float_range("Cauchy data"):
+        dpsi = (field.values[n + 1] - field.values[n - 1]) / (2.0 * cfg.dt)
+    return CauchyData(cfg, n, field.values[n], dpsi)
 
 
 def _smoothstep(u):

@@ -44,6 +44,7 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
+    float_range,
 )
 
 __all__ = [
@@ -65,7 +66,7 @@ _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 def _finite(value):
-    """value, refused where it overflowed a float."""
+    """value, refused where Python float arithmetic overflowed it."""
     if not cmath.isfinite(value):
         raise ValidationError("the result overflows a float for these inputs")
     return value
@@ -413,7 +414,7 @@ class MomentumProfile:
         values = as_finite_array(values, "profile values", complex)
         if k.ndim != 1 or k.shape != values.shape or k.size < 4:
             raise ValidationError("profile needs matching 1d grids, >= 4 samples")
-        if k[0] < 0.0 or np.any(np.diff(k) <= 0.0):
+        if k[0] < 0.0 or np.any(k[1:] <= k[:-1]):
             raise ValidationError("momentum grid must be increasing and >= 0")
         self.k = k
         self.values = values
@@ -423,13 +424,12 @@ def momentum_overlap(f: MomentumProfile, g: MomentumProfile) -> complex:
     """integral conj(f) g dk on the shared grid, with a tail-decay guard."""
     if f.k.shape != g.k.shape or not np.allclose(f.k, g.k, rtol=0.0, atol=0.0):
         raise ValidationError("profiles must share one momentum grid")
-    integrand = np.conj(f.values) * g.values
-    mags = np.abs(integrand)
-    peak = mags.max()
-    if peak > 0.0:
-        tail_start = int(0.9 * mags.size)
-        if mags[tail_start:].max() > 1e-8 * peak:
-            raise TailTruncationError(
-                "profile product has not decayed by the end of the grid"
-            )
-    return _finite(complex(_TRAPZ(integrand, f.k)))
+    with float_range("momentum overlap"):
+        integrand = np.conj(f.values) * g.values
+        mags = np.abs(integrand)
+        peak = mags.max()
+        if peak > 0.0:
+            tail_start = int(0.9 * mags.size)
+            if mags[tail_start:].max() > 1e-8 * peak:
+                raise TailTruncationError("profile product has not decayed by the end of the grid")
+        return complex(_TRAPZ(integrand, f.k))

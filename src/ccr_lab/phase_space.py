@@ -27,6 +27,7 @@ from .errors import (
     as_finite,
     as_finite_array,
     as_index,
+    float_range,
 )
 
 __all__ = [
@@ -71,20 +72,11 @@ def _check_square_pair(mu, tau):
         raise ValidationError("mu must be a non-empty square matrix")
     if tau.shape != mu.shape:
         raise ValidationError("tau must match mu's shape")
-    scale = max(1.0, np.abs(mu).max(), np.abs(tau).max())
-    if np.abs(mu - mu.T).max() > 1e-12 * scale:
+    if np.abs(mu - mu.T).max() > 1e-12 * np.abs(mu).max():
         raise ValidationError("mu must be symmetric")
-    if np.abs(tau + tau.T).max() > 1e-12 * scale:
+    if np.abs(tau + tau.T).max() > 1e-12 * np.abs(tau).max():
         raise ValidationError("tau must be antisymmetric")
     return mu, tau
-
-
-def _finite(values, what):
-    """values, a result computed from finite input, if every entry is
-    finite; otherwise the input is past the float range."""
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{what} overflows the float range")
-    return values
 
 
 def _unit_exponent(M):
@@ -136,17 +128,18 @@ def _frame(mu, tau, what="mu"):
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
     L = _cholesky_pd(mu, what)
-    Linv = _lower_inverse(L)
-    with np.errstate(all="ignore"):  # NaN from an overflow fails the bound below
+    with float_range("J of mu and tau"):
+        Linv = _lower_inverse(L)
         half = Linv @ (tau / 2.0)
         Jt = half @ Linv.T
+        J = Linv.T @ half
     # an entry of Jt bounds ||J||_mu from below
     big = float(np.abs(Jt).max())
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
     if np.abs(Jt + Jt.T).max() > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    return _Frame(mu, tau, L, Linv, Linv.T @ half, Jt)
+    return _Frame(mu, tau, L, Linv, J, Jt)
 
 
 def _check_bound(norm):
@@ -223,9 +216,8 @@ class OneParticleStructure:
         return x
 
     def inner(self, x, y):
-        with np.errstate(all="ignore"):  # refused below
-            v = np.vdot(self.K @ self._vector(x), self.K @ self._vector(y))
-        return complex(_finite(v, "inner product"))
+        with float_range("inner product"):
+            return complex((self.K @ self._vector(x)).conj() @ (self.K @ self._vector(y)))
 
 
 def one_particle(mu, tau):
@@ -269,7 +261,7 @@ def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
     if s1.K.shape != s2.K.shape:
         raise ValidationError("structures have different dimensions")
     K1, K2 = s1.K, s2.K
-    with np.errstate(all="ignore"):  # NaN from an overflow fails the checks below
+    with float_range("intertwiner"):
         try:
             V = K2 @ K1.conj().T @ np.linalg.inv(K1 @ K1.conj().T)
         except np.linalg.LinAlgError:
@@ -315,9 +307,10 @@ def purity(mu, tau):
     # so it is formed where max|mu| lies in [1, 4), by an exact power of two.
     e = _unit_exponent(mu)
     mu, tau, Linv = np.ldexp(mu, e), np.ldexp(tau, e), np.ldexp(f.Linv, -e // 2)
-    with np.errstate(all="ignore"):  # refused below
+    with float_range("tau^T mu^{-1} tau"):
         B = Linv @ (0.25 * tau.T @ np.linalg.solve(mu, tau)) @ Linv.T
-    B = _finite(B, "tau^T mu^{-1} tau")
+    if not np.isfinite(B).all():  # np.linalg.solve returns inf unseen by float_range
+        raise ValidationError("tau^T mu^{-1} tau overflows the float range")
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
     _check_bound(math.sqrt(max(float(lams[-1]), 0.0)))
     r_var = float(np.abs(lams - 1.0).max())
@@ -380,9 +373,7 @@ def ground_state_mu(energy_form, tau=None):
         )
     R = np.linalg.cholesky(A)
     G = R.T @ T @ R
-    with np.errstate(all="ignore"):  # refused below
-        GtG = G.T @ G
-    _, V = np.linalg.eigh(_finite(GtG, "G^T G of the energy form and tau"))
+    _, V = np.linalg.eigh(G.T @ G)
     s = np.linalg.norm(G @ V, axis=0)
     s_max = float(s.max())
     if s_max == 0.0 or float(s.min()) < 1e-10 * s_max:
@@ -390,10 +381,9 @@ def ground_state_mu(energy_form, tau=None):
             "frequency spectrum touches zero; no gapped ground state"
         )
     RV = R @ V
-    with np.errstate(all="ignore"):  # refused below
+    with float_range("ground-state covariance"):
         mu = (RV / (2.0 * s)) @ RV.T
-        mu = np.ldexp((mu + mu.T) / 2.0, e)
-    return _finite(mu, "ground-state covariance")
+        return np.ldexp((mu + mu.T) / 2.0, e)
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -413,9 +403,9 @@ def lattice_energy_form(n_sites, spacing, mass):
         raise ValidationError("need at least one site and positive spacing")
     A = _phase_zeros(n, "n_sites")
     S = np.roll(np.eye(n), 1, axis=1)
-    with np.errstate(all="ignore"):  # refused below
-        A[:n, :n] = mass * mass * np.eye(n) + (2 * np.eye(n) - S - S.T) / (a * a)
-    _finite(A, "energy form: spacing or mass")
+    with float_range("energy form: spacing or mass"):
+        # mass enters numpy before it is squared, so its overflow is seen
+        A[:n, :n] = mass * np.eye(n) * mass + (2 * np.eye(n) - S - S.T) / (a * a)
     A[n:, n:] = np.eye(n)
     return A, standard_symplectic_form(n)
 
@@ -465,21 +455,17 @@ class FockRepresentation:
         xi = as_finite_array(xi, "one-particle vector", dtype=complex)
         if xi.shape != (self.structure.dim,):
             raise ValidationError(f"one-particle vector must have length {self.structure.dim}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        with np.errstate(all="ignore"):  # refused below
-            for j, mat in enumerate(self._lower):
-                out += np.conj(xi[j]) * mat
-        return _finite(out, "a(xi)")
+        with float_range("a(xi)"):
+            return sum(np.conj(x) * mat for x, mat in zip(xi, self._lower))
 
     def creator(self, xi):
         return self.annihilator(xi).conj().T
 
     def field(self, x):
         """Represented field on a real phase vector."""
-        with np.errstate(all="ignore"):  # refused below
-            xi = self.structure.K @ self.structure._vector(x)
-            lower = self.annihilator(xi)
-            return _finite(lower + lower.conj().T, "represented field")
+        with float_range("represented field"):
+            lower = self.annihilator(self.structure.K @ self.structure._vector(x))
+            return lower + lower.conj().T
 
     def vacuum(self):
         v = np.zeros(self.dim)
@@ -495,14 +481,13 @@ class FockRepresentation:
         """Max deviation of [a(psi), a+(xi)] from <K psi|K xi> I on the
         sector with total occupation <= cutoff - 1."""
         K, vector = self.structure.K, self.structure._vector
-        with np.errstate(all="ignore"):  # refused below
+        with float_range("commutator residual"):
             A = self.annihilator(K @ vector(psi))
             Cr = self.creator(K @ vector(xi))
             comm = A @ Cr - Cr @ A
             expected = self.structure.inner(psi, xi) * np.eye(self.dim)
             P = self.sector_projector(self.cutoff - 1)
-            residual = np.abs(P @ (comm - expected) @ P).max()
-        return float(_finite(residual, "commutator residual"))
+            return float(np.abs(P @ (comm - expected) @ P).max())
 
     def vacuum_npoint(self, vectors):
         """Vacuum expectation of a product of represented fields.
@@ -521,10 +506,10 @@ class FockRepresentation:
                 f"{n}-point at cutoff {self.cutoff}: raise the cutoff"
             )
         v = self.vacuum().astype(complex)
-        with np.errstate(all="ignore"):  # refused below
+        with float_range("vacuum expectation"):
             for x in reversed(vectors):
                 v = self.field(x) @ v
-            return complex(_finite(self.vacuum() @ v, "vacuum expectation"))
+            return complex(self.vacuum() @ v)
 
 
 # ----------------------------------------------------------- equivalence
@@ -586,13 +571,11 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
     Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
     _bounded_frame(m2, t, what="mu2 block")
-    delta = m2 - m1
-    with np.errstate(all="ignore"):  # refused below
+    with float_range("mu2 - mu1 in the mu1 geometry"):
+        delta = m2 - m1
         B = Linv @ delta @ Linv.T
         B = (B + B.T) / 2.0
         Q = Linv.T @ (Linv @ delta)  # mu1^{-1} (mu2 - mu1) on the largest block
-    what = "mu2 - mu1 in the mu1 geometry"
-    B, Q = _finite(B, what), _finite(Q, what)
     spectra = [np.linalg.eigvalsh(B[:n, :n]) for n in sizes]
     hs_norms = tuple(math.hypot(*lams) for lams in spectra)
     return EquivalenceReport(

@@ -24,6 +24,7 @@ from .errors import (
     KernelInconsistencyError,
     ValidationError,
     call_outside,
+    float_range,
 )
 
 __all__ = [
@@ -311,10 +312,10 @@ def gram_positivity(state, elements):
     k, n = len(words), len(elems)
     A = np.array([[a.terms.get(w, 0) for a in elems] for w in words], complex).reshape(k, n)
     M = np.array([[_moment(value, u[::-1] + v) for v in words] for u in words], complex)
-    with np.errstate(all="ignore"):  # a G that overflows is refused below
+    if not np.isfinite(M).all():  # _moment sums in Python complex arithmetic
+        raise ValidationError("the Gram matrix is not finite: a moment overflows the float range")
+    with float_range("the Gram matrix is not finite: A^H M A"):
         G = A.conj().T @ M.reshape(k, k) @ A
-    if not np.isfinite(G).all():
-        raise ValidationError("the Gram matrix is not finite")
     scale = max(1.0, np.abs(G).max()) if G.size else 1.0
     herm = np.abs(G - G.conj().T).max() if G.size else 0.0
     if herm > 1e-8 * scale:

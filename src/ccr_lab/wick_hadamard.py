@@ -67,6 +67,7 @@ from .errors import (
     as_finite,
     as_finite_array,
     call_outside,
+    float_range,
 )
 from .minkowski_kernel import KernelParams
 from .quasifree import TwoPointKernel
@@ -376,7 +377,7 @@ class _BasisTable:
 
     @classmethod
     def _new(cls, basis, degree, mode, entries):
-        # internal results, keyed and in mode already; a float overflow is refused
+        # internal results, keyed and in mode already; a Python float overflow is refused
         if mode == FLOAT and not all(map(cmath.isfinite, entries.values())):
             raise cls._nonfinite(f"{cls._what} has non-finite entries")
         return object.__new__(cls)._set(basis, degree, mode, entries)
@@ -430,7 +431,8 @@ class _BasisTable:
         c = coerce(c, self.mode)
         if self.mode == FLOAT and not cmath.isfinite(c):
             raise self._nonfinite(f"scale factor {c} is not finite")
-        values = (np.array(list(self.entries.values())) * c).tolist()
+        with float_range(f"scaled {self._what}"):
+            values = (np.array(list(self.entries.values())) * c).tolist()
         return self._new(self.basis, self.degree, self.mode, dict(zip(self.entries, values)))
 
 
@@ -698,7 +700,7 @@ def phi2_H_expectation(params: KernelParams, x=None, perturbation=None) -> float
         x = tuple(x.tolist())
         s = call_outside("perturbation kernel", perturbation, x, x)
         value += as_finite(np.real(s), "perturbation diagonal")
-    return as_finite(value, "coincidence value")
+    return as_finite(value, "coincidence value")  # a Python float sum
 
 
 # point-split stress tensor, flat metric diag(-1, 1, 1, 1)
@@ -820,9 +822,10 @@ class StressEnergyResult:
 def _second_blocks(w, x, h):
     # value, both-x second derivatives, mixed x/y second derivatives; w is
     # symmetric, w(x, y) = w(y, x), so the both-y block equals the both-x one
-    # and the mixed block is symmetric
+    # and the mixed block is symmetric; numpy floats, so float_range sees them
     def f(dx, dy):
-        return as_finite(call_outside("two-point kernel", w, x + dx, x + dy), "kernel value")
+        return np.float64(as_finite(call_outside("two-point kernel", w, x + dx, x + dy),
+                                    "kernel value"))
 
     zero = np.zeros(4)
     f0 = f(zero, zero)
@@ -876,8 +879,8 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
         raise ValidationError("mass must be >= 0")
     xi = as_finite(xi, "xi")
     step = as_finite(step, "difference step")
-    if step <= 0 or (step / 2.0) ** 2 == 0.0:
-        raise ValidationError("difference step must be positive, its square above underflow")
+    if not (step > 0 and (step / 2.0) * (step / 2.0) > 0.0 and 12.0 * step * step < math.inf):
+        raise ValidationError("difference step must be positive, its square in the float range")
     spacing = getattr(w, "grid_spacing", None)
     if spacing is not None and step < 2.0 * float(spacing):
         raise ResolutionError(
@@ -887,26 +890,25 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
     if not callable(w):
         raise ValidationError("w must be callable or a TwoPointTable")
 
-    v_c, xx_c, xy_c = _second_blocks(w, x, step)
-    v_f, xx_f, xy_f = _second_blocks(w, x, step / 2.0)
-    # one Richardson pass on the 4th order stencils
-    value = v_f
-    xx = (16.0 * xx_f - xx_c) / 15.0
-    xy = (16.0 * xy_f - xy_c) / 15.0
+    with float_range("stress tensor"):
+        v_c, xx_c, xy_c = _second_blocks(w, x, step)
+        v_f, xx_f, xy_f = _second_blocks(w, x, step / 2.0)
+        # one Richardson pass on the 4th order stencils
+        value = v_f
+        xx = (16.0 * xx_f - xx_c) / 15.0
+        xy = (16.0 * xy_f - xy_c) / 15.0
 
-    box_x = -xx[0, 0] + xx[1, 1] + xx[2, 2] + xx[3, 3]
-    cross = -xy[0, 0] + xy[1, 1] + xy[2, 2] + xy[3, 3]
-    kg_diag = mass * mass * value - box_x
+        box_x = -xx[0, 0] + xx[1, 1] + xx[2, 2] + xx[3, 3]
+        cross = -xy[0, 0] + xy[1, 1] + xy[2, 2] + xy[3, 3]
+        kg_diag = mass * mass * value - box_x
 
-    tensor = (
-        (1.0 - 2.0 * xi) * xy
-        - 2.0 * xi * xx
-        + _ETA * (2.0 * xi * box_x + (2.0 * xi - 0.5) * cross + 0.5 * mass * mass * value)
-        - (_ETA / 3.0) * kg_diag
-    )
-    trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])
-    if not (np.isfinite(tensor).all() and math.isfinite(trace)):
-        raise ValidationError("stress tensor overflows: kernel values or step out of range")
+        tensor = (
+            (1.0 - 2.0 * xi) * xy
+            - 2.0 * xi * xx
+            + _ETA * (2.0 * xi * box_x + (2.0 * xi - 0.5) * cross + 0.5 * mass * mass * value)
+            - (_ETA / 3.0) * kg_diag
+        )
+        trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])
     return StressEnergyResult(
         tensor=tensor, trace=trace, kg_diagonal=float(kg_diag), step=step
     )

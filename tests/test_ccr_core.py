@@ -662,10 +662,9 @@ def test_property_calls_cover_the_ccr_core_names():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_ccr_core_raises_only_package_errors(name, data):
-    # a call either raises one of the package's own errors or returns; numpy
-    # warnings are silenced, as only escaping exceptions count here
+    # a call either raises one of the package's own errors or returns; a
+    # numpy warning escaping is an error too
     try:
-        with np.errstate(all="ignore"):
-            _CORE_CALLS[name](data.draw)
+        _CORE_CALLS[name](data.draw)
     except CcrLabError:
         pass

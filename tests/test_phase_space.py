@@ -604,6 +604,9 @@ def _fock(cutoff=4):
         lambda: lattice_energy_form(4, 1e-200, 1.0),
         lambda: validate_mu_tau(1e-320 * np.eye(2), TAU1),
         lambda: ground_state_mu(1e300 * np.eye(2), 1e-320 * TAU1),
+        # asymmetric at their own scale, which a tolerance floored at 1 missed
+        lambda: validate_mu_tau(1e-100 * np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros((2, 2))),
+        lambda: ground_state_mu(1e-100 * np.array([[1.0, 0.9], [0.1, 1.0]])),
     ],
     ids=[
         "nan-mu",
@@ -651,6 +654,8 @@ def _fock(cutoff=4):
         "energy-form-overflow",
         "subnormal-mu",
         "ground-state-overflow",
+        "small-asymmetric-mu",
+        "small-asymmetric-energy-form",
     ],
 )
 def test_boundary_inputs_raise_validation_errors(call):
@@ -837,11 +842,9 @@ def test_property_calls_cover_the_phase_space_names():
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_phase_space_raises_only_package_errors(name, data):
     # a call either raises one of the package's own errors or returns finite
-    # numbers; numpy warnings are silenced, as only escaping exceptions and
-    # non-finite results count here
+    # numbers; a numpy warning escaping is an error too
     try:
-        with np.errstate(all="ignore"):
-            out = _PS_CALLS[name](data.draw)
+        out = _PS_CALLS[name](data.draw)
     except CcrLabError:
         return
     _assert_finite(out)

@@ -1,15 +1,22 @@
 """Every numerical check has one fixed bound and every size guard one fixed
 value: no public entry takes a tolerance a caller could loosen, nor a
 max_n that lifts a guard.  The parameters that have a default are pinned as
-well, so that a new option is added on purpose, with this list."""
+well, so that a new option is added on purpose, with this list.  numpy's
+error state is set in one place, the float_range guard, tested here too."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import ccr_lab
+from ccr_lab.errors import ValidationError, float_range
+from ccr_lab.phase_space import purity
 
 ALLOWED = set()
 
@@ -93,3 +100,26 @@ def test_defaulted_parameters_are_listed():
         if param.default is not inspect.Parameter.empty
     }
     assert sorted(defaulted) == sorted(DEFAULTED)
+
+
+def test_numpy_error_state_is_set_only_by_the_float_range_guard():
+    src = pathlib.Path(ccr_lab.__file__).parent
+    sites = {p.name: p.read_text().count("np.errstate") for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in sites.items() if n} == {"errors.py": 1}
+
+
+def test_float_range_refuses_overflow_whatever_the_caller_set():
+    big = np.array([1e200])
+    with pytest.raises(ValidationError, match="^product overflows the float range$"):
+        with float_range("product"):
+            big * big
+    # a caller's own error state does not switch the guard off
+    with np.errstate(all="ignore"), pytest.raises(ValidationError):
+        with float_range("product"):
+            big * big
+    # underflow to zero or to a subnormal is not refused
+    small = np.array([1e-300])
+    with float_range("product"):
+        assert (small * 1e-100)[0] == 0.0
+        assert 0.0 < (small * 1e-10)[0] < 2.3e-308
+    assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"

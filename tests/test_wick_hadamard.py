@@ -1021,11 +1021,12 @@ def test_dense_array_is_built_once_and_read_only():
         lambda: DifferenceKernel.from_orderings(5, 5, GENS),
         lambda: word_tensor((1, 2), GENS, mode="bogus"),
         lambda: tensor_from_json(_listing_with(_EXACT_LISTING, 0, "1/0")),
+        lambda: WickTensor(GENS, np.full((4, 4), 1e200)).scale(1e200),
     ],
     ids=[
         "ragged-tensor", "ragged-difference", "element-to-tensors", "tensors-to-element",
         "tensors-to-element-item", "tensor-to-json", "from-orderings", "word-tensor-mode",
-        "json-zero-denominator",
+        "json-zero-denominator", "scale-overflow",
     ],
 )
 def test_tensor_layer_refuses_foreign_input(call):
@@ -1238,8 +1239,7 @@ def test_tensor_layer_raises_only_package_errors(name, data):
     # a call either raises one of the package's own errors, never a numpy or
     # builtin exception, or returns results in a known mode with finite entries
     try:
-        with np.errstate(all="ignore"):
-            out = _TENSOR_CALLS[name](data.draw)
+        out = _TENSOR_CALLS[name](data.draw)
     except CcrLabError:
         return
     for t in out.values() if isinstance(out, dict) else [out]:
@@ -1488,12 +1488,14 @@ def test_stress_argument_guards():
     with pytest.raises(ValidationError):
         stress_energy(3.5, np.zeros(4), mass=1.0)
     # a kernel that raises, returns junk or NaN, or overflows the stencil, and
-    # a step whose square underflows
+    # a step whose square underflows or overflows
     for w in (lambda x, y: 1 / 0, lambda x, y: "a", lambda x, y: math.nan, lambda x, y: 1e308):
         with pytest.raises(ValidationError):
             stress_energy(w, np.zeros(4), mass=1.0)
     with pytest.raises(ValidationError):
         stress_energy(lambda x, y: 0.0, np.zeros(4), mass=1.0, step=1e-320)
+    with pytest.raises(ValidationError):
+        stress_energy(lambda x, y: 0.75, np.zeros(4), 1.0, 0.3, 1e300)
     for bad in (math.nan, math.inf, "x"):
         for kwargs in ({"mass": bad}, {"mass": 1.0, "xi": bad}, {"mass": 1.0, "step": bad}):
             with pytest.raises(ValidationError):
