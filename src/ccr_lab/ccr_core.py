@@ -31,6 +31,8 @@ import re as _re
 from fractions import Fraction
 from itertools import product as _cartesian
 
+import numpy as np
+
 from .errors import (
     ArityError,
     InvalidSymmetryError,
@@ -401,8 +403,6 @@ class PairingForm:
     def matrix(self, generators):
         """Float matrix of E restricted to an ordered generator list; an entry
         past the float range raises ValidationError."""
-        import numpy as np
-
         gens = _labels(generators)
         try:
             rows = [[float(self.value(p, q)) for q in gens] for p in gens]
@@ -412,8 +412,6 @@ class PairingForm:
 
     def is_weakly_nondegenerate(self, generators):
         """True iff E on the generators has full rank at relative cutoff 1e-10."""
-        import numpy as np
-
         mat = self.matrix(generators)
         if mat.size == 0:
             return True
@@ -549,8 +547,6 @@ class InducedMap:
     """
 
     def __init__(self, sigma, generators, E, parity):
-        import numpy as np
-
         if not isinstance(E, PairingForm):
             raise ValidationError("InducedMap needs a PairingForm")
         gens = list(_labels(generators))

@@ -1,5 +1,6 @@
 """Exception taxonomy shared by all ccr_lab modules, the three readers of
-outside numbers and the float_range guard that raise it, and call_outside.
+outside numbers, the float_range guard and the dense allocator that raise it,
+the asymmetry residual of the symmetry checks, and call_outside.
 
 Two exit-relevant base classes: ValidationError means the inputs violate a
 documented precondition (CLI exit 2); NumericalCheckError means the inputs
@@ -70,6 +71,26 @@ def float_range(what):
             yield
     except FloatingPointError:
         raise ValidationError(f"{what} overflows the float range") from None
+
+
+def dense_zeros(shape, what):
+    """np.zeros(shape); a size numpy cannot hold is bad input and raises
+    ValidationError."""
+    try:
+        return np.zeros(shape)
+    except (ValueError, OverflowError, MemoryError):
+        raise ValidationError(f"{what} is too large for a dense array") from None
+
+
+def asymmetry(M, image):
+    """max|Q - image(Q)| / max|Q| for Q = M / 4, or 0 when Q is all zeros: how
+    far a finite array is from equal to its image (transpose, flip, negation
+    or gather), relative to its own largest entry.  Quartering is exact bar
+    subnormals, so neither the difference nor a complex modulus can
+    overflow."""
+    Q = M / 4.0
+    big = float(np.abs(Q).max(initial=0.0))
+    return float(np.abs(Q - image(Q)).max(initial=0.0)) / big if big else 0.0
 
 
 def call_outside(what, f, *args):

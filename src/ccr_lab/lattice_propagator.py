@@ -27,6 +27,7 @@ from .errors import (
     as_finite,
     as_finite_array,
     as_index,
+    dense_zeros,
     float_range,
 )
 
@@ -214,20 +215,12 @@ def _source_box(f: LatticeField, kinds):
     return box
 
 
-def _grid(cfg):
-    # a zero grid; a size numpy cannot hold is refused as input
-    try:
-        return np.zeros((cfg.n_steps, cfg.n_x))
-    except (ValueError, OverflowError, MemoryError):
-        raise ValidationError(f"grid {cfg.n_steps} x {cfg.n_x} is too large") from None
-
-
 def _solution(f: LatticeField, box, which, stop=None):
     """Fundamental solution as an array, marched from the source's first row
     (retarded) or last row (advanced); every row behind that one is zero.
     With `stop` the march ends at that row, and rows past it stay zero."""
     cfg = f.config
-    psi = _grid(cfg)
+    psi = dense_zeros((cfg.n_steps, cfg.n_x), "lattice grid")
     if box is None:
         return psi
     step, _ = _stencil(cfg)
@@ -344,7 +337,7 @@ def solve_cauchy(data: CauchyData):
     (half a source-free step from the slice, +- dt dpsi), then leapfrog."""
     cfg = _check(CauchyData, data).config
     step, _ = _stencil(cfg)
-    psi = _grid(cfg)
+    psi = dense_zeros((cfg.n_steps, cfg.n_x), "lattice grid")
     n0 = data.slice_index
     psi[n0] = data.psi
     with float_range("lattice field"):

@@ -422,7 +422,7 @@ class MomentumProfile:
 
 def momentum_overlap(f: MomentumProfile, g: MomentumProfile) -> complex:
     """integral conj(f) g dk on the shared grid, with a tail-decay guard."""
-    if f.k.shape != g.k.shape or not np.allclose(f.k, g.k, rtol=0.0, atol=0.0):
+    if not np.array_equal(f.k, g.k):
         raise ValidationError("profiles must share one momentum grid")
     with float_range("momentum overlap"):
         integrand = np.conj(f.values) * g.values

@@ -27,6 +27,8 @@ from .errors import (
     as_finite,
     as_finite_array,
     as_index,
+    asymmetry,
+    dense_zeros,
     float_range,
 )
 
@@ -47,20 +49,12 @@ __all__ = [
 ]
 
 
-def _phase_zeros(n_modes, what):
-    # a zero 2N x 2N matrix; a size numpy cannot hold is refused as input
-    try:
-        return np.zeros((2 * n_modes, 2 * n_modes))
-    except (ValueError, MemoryError):
-        raise ValidationError(f"{what} {n_modes} is too large for a dense matrix") from None
-
-
 def standard_symplectic_form(n_modes):
     """tau matrix [[0, I], [-I, 0]] in (q_1..q_N, p_1..p_N) ordering."""
     n = as_index(n_modes, "mode count")
     if n < 0:
         raise ValidationError("mode count must be >= 0")
-    T = _phase_zeros(n, "mode count")
+    T = dense_zeros((2 * n, 2 * n), "mode count")
     T[:n, n:] = np.eye(n)
     T[n:, :n] = -np.eye(n)
     return T
@@ -72,9 +66,9 @@ def _check_square_pair(mu, tau):
         raise ValidationError("mu must be a non-empty square matrix")
     if tau.shape != mu.shape:
         raise ValidationError("tau must match mu's shape")
-    if np.abs(mu - mu.T).max() > 1e-12 * np.abs(mu).max():
+    if asymmetry(mu, np.transpose) > 1e-12:
         raise ValidationError("mu must be symmetric")
-    if np.abs(tau + tau.T).max() > 1e-12 * np.abs(tau).max():
+    if asymmetry(tau, lambda q: -q.T) > 1e-12:
         raise ValidationError("tau must be antisymmetric")
     return mu, tau
 
@@ -171,10 +165,10 @@ class OperatorJ:
 def validate_mu_tau(mu, tau):
     """Admit a covariance pair and return its J operator.
 
-    Checks mu symmetric positive definite, tau antisymmetric, the
-    mu-antisymmetry of J, and the bound ||J||_mu <= 1 + 1e-9.  The bound is
-    the matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
-    mu(x,x) mu(y,y).
+    Checks mu symmetric positive definite, tau antisymmetric (each to 1e-12
+    of its own largest entry, see errors.asymmetry), the mu-antisymmetry of
+    J, and the bound ||J||_mu <= 1 + 1e-9.  The bound is the matrix form of
+    the requirement that |tau(x,y)|^2 / 4 never exceeds mu(x,x) mu(y,y).
     """
     f, norm = _bounded_frame(mu, tau)
     return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=norm)
@@ -401,7 +395,7 @@ def lattice_energy_form(n_sites, spacing, mass):
     mass = as_finite(mass, "mass")
     if n < 1 or a <= 0:
         raise ValidationError("need at least one site and positive spacing")
-    A = _phase_zeros(n, "n_sites")
+    A = dense_zeros((2 * n, 2 * n), "n_sites")
     S = np.roll(np.eye(n), 1, axis=1)
     with float_range("energy form: spacing or mass"):
         # mass enters numpy before it is squared, so its overflow is seen

@@ -294,9 +294,12 @@ def gram_positivity(state, elements):
     filled in full, one moment per word pair, with no triangle mirrored, so
     that a kernel breaking its exchange relation shows in G.  A G that is
     not finite (coefficients past the float range, or products that
-    overflow) raises ValidationError.  G must be hermitian within a
-    relative 1e-8; its minimal eigenvalue is compared against -1e-10 times
-    the trace.  Elements above degree 4 are refused.
+    overflow, in G or in its symmetrisation and trace) raises
+    ValidationError.  G must be hermitian to 1e-8 of max(1, max|G|): the
+    floor stays because G can cancel far below the scale of its moments
+    and coefficients, and its rounding error does not.  Its minimal
+    eigenvalue is compared against -1e-10 times the trace.  Elements above
+    degree 4 are refused.
     """
     try:
         elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
@@ -316,19 +319,16 @@ def gram_positivity(state, elements):
         raise ValidationError("the Gram matrix is not finite: a moment overflows the float range")
     with float_range("the Gram matrix is not finite: A^H M A"):
         G = A.conj().T @ M.reshape(k, k) @ A
-    scale = max(1.0, np.abs(G).max()) if G.size else 1.0
-    herm = np.abs(G - G.conj().T).max() if G.size else 0.0
-    if herm > 1e-8 * scale:
-        raise KernelInconsistencyError(
-            f"Gram matrix is not hermitian (residual {herm:.3e}); "
-            "the two-point kernel violates its exchange relation"
-        )
-    if n == 0:
-        return GramReport(0.0, 0.0, True, G, float(herm))
-    sym = (G + G.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    trace = float(np.trace(sym).real)
-    threshold = -_KERNEL_TOL * trace
-    min_eig = float(eigs[0])
-    return GramReport(min_eig, threshold, min_eig >= threshold, G, float(herm))
+        herm = float(np.abs(G - G.conj().T).max(initial=0.0))
+        if herm > 1e-8 * max(1.0, np.abs(G).max(initial=0.0)):
+            raise KernelInconsistencyError(
+                f"Gram matrix is not hermitian (residual {herm:.3e}); "
+                "the two-point kernel violates its exchange relation"
+            )
+        if n == 0:
+            return GramReport(0.0, 0.0, True, G, herm)
+        sym = (G + G.conj().T) / 2.0
+        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        threshold = -_KERNEL_TOL * float(np.trace(sym).real)
+    return GramReport(min_eig, threshold, min_eig >= threshold, G, herm)
 

@@ -66,6 +66,7 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
+    asymmetry,
     call_outside,
     float_range,
 )
@@ -110,7 +111,8 @@ class OrderingKernel:
 
     ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
     entries read as zero, and entries that are not exact must be finite
-    numbers.  ``pairing`` is the ambient antisymmetric form E.
+    numbers, their moduli included.  ``pairing`` is the ambient
+    antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
     1e-12 otherwise.  A kernel taken from a state by from_state_kernel
@@ -126,7 +128,7 @@ class OrderingKernel:
         for key, v in _pair_table(table, "ordering-kernel table").items():
             if not is_exact(v):
                 v = coerce(v, FLOAT)
-                if not cmath.isfinite(v):
+                if not math.isfinite(math.hypot(v.real, v.imag)):
                     raise ValidationError(f"ordering-kernel entry {v!r} is not finite")
             if v:
                 entries[key] = v
@@ -153,7 +155,7 @@ class OrderingKernel:
             if mode == EXACT:
                 bad = bool(delta)
             else:
-                bad = abs(delta) > 1e-12 * max(1.0, abs(a), abs(b), abs(e))
+                bad = math.hypot(delta.real, delta.imag) > 1e-12 * max(1.0, abs(a), abs(b), abs(e))
             if bad:
                 raise OrderingKernelInvalidError(
                     f"kappa({i},{j}) - kappa({j},{i}) != i E({i},{j}); "
@@ -365,7 +367,8 @@ class _BasisTable:
             raise ValidationError(
                 f"{self._what} shape {arr.shape} does not match basis size {len(basis)}"
             )
-        self._check_symmetric(arr, mode)
+        heads = np.sort(np.indices(arr.shape).reshape(arr.ndim, arr.size), axis=0)
+        self._check_orbits(arr.reshape(-1), np.ravel_multi_index(heads, arr.shape), mode)
         indices = itertools.combinations_with_replacement(range(len(basis)), arr.ndim)
         self._set(basis, arr.ndim, mode, {idx: arr.item(idx) for idx in indices})
 
@@ -382,17 +385,16 @@ class _BasisTable:
             raise cls._nonfinite(f"{cls._what} has non-finite entries")
         return object.__new__(cls)._set(basis, degree, mode, entries)
 
-    def _check_symmetric(self, arr, mode):
-        # adjacent transpositions generate the full symmetric group
-        if mode == FLOAT:
-            tol = 1e-12 * max(1.0, float(np.abs(arr).max()))
-        for axis in range(arr.ndim - 1):
-            swapped = np.swapaxes(arr, axis, axis + 1)
-            bad = (arr != swapped).any() if mode == EXACT else np.abs(arr - swapped).max() > tol
-            if bad:
-                raise self._asymmetric(
-                    f"{self._what} is not symmetric under slot exchange"
-                )
+    @classmethod
+    def _check_orbits(cls, values, heads, mode):
+        # each entry of a flat table against its orbit's sorted-index entry,
+        # values[heads]: equal in exact mode, to 1e-12 of the largest entry otherwise
+        if mode == EXACT:
+            bad = (values != values[heads]).any()
+        else:
+            bad = asymmetry(values, lambda q: q[heads]) > 1e-12
+        if bad:
+            raise cls._asymmetric(f"{cls._what} is not symmetric under slot exchange")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -627,10 +629,12 @@ def tensor_to_json(w: WickTensor) -> str:
 
 def tensor_from_json(text: str) -> WickTensor:
     """Inverse of tensor_to_json; malformed input raises ValidationError, and
-    an orbit listed in part or whose entries disagree (beyond 1e-12 max(1,
-    |entry|) in float mode) raises InvalidSymmetryError.  Entries must be
-    written as tensor_to_json writes them; any other form, a decimal
-    exponent such as "1e1000000" among them, is refused."""
+    an orbit listed in part or whose entries disagree raises
+    InvalidSymmetryError: in float mode, a listed entry may differ from its
+    orbit's sorted-index entry by 1e-12 of the listing's largest entry, as
+    WickTensor reads a dense array.  Entries must be written as
+    tensor_to_json writes them; any other form, a decimal exponent such as
+    "1e1000000" among them, is refused."""
     try:
         data = json.loads(text)
     except (TypeError, ValueError) as exc:
@@ -658,14 +662,14 @@ def tensor_from_json(text: str) -> WickTensor:
             orbits.setdefault(tuple(sorted(idx)), {})[idx] = _listed_value(re, im, mode)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"malformed tensor json entry: {exc!r}") from None
-    entries = {}
+    entries, values, heads = {}, [], []
     for idx, orbit in orbits.items():
-        v = entries[idx] = orbit.get(idx)
-        if len(orbit) != _orderings(idx) or any(
-            u != v if mode == EXACT else abs(u - v) > 1e-12 * max(1.0, abs(v))
-            for u in orbit.values()
-        ):
-            raise InvalidSymmetryError(f"the entries of orbit {idx} are partial or disagree")
+        if len(orbit) != _orderings(idx):
+            raise InvalidSymmetryError(f"orbit {idx} is listed in part")
+        entries[idx] = orbit.pop(idx)
+        heads += [len(values)] * _orderings(idx)  # the sorted index heads its orbit
+        values += [entries[idx], *orbit.values()]
+    WickTensor._check_orbits(np.array(values, complex if mode == FLOAT else object), heads, mode)
     return WickTensor._new(basis, n, mode, entries)
 
 
@@ -712,11 +716,14 @@ class TwoPointTable:
     """Translation-invariant two-point kernel sampled on a uniform 4-d grid.
 
     Stores samples of W(x - y) on the product of four uniform, strictly
-    increasing axes, each symmetric about zero; W must be even under
-    negation of the separation (that is the kernel symmetry w(x, y) =
-    w(y, x)).  Evaluation interpolates with separable cubic Lagrange
-    polynomials.  ``grid_spacing`` is what stress_energy checks its
-    difference step against.
+    increasing axes (steps equal to 1e-9 of the largest), each symmetric
+    about zero to 1e-9 of its largest entry; W must be even under negation
+    of the separation (that is the kernel symmetry w(x, y) = w(y, x)) to
+    1e-10 of its largest sample.  An axis or a pair of points whose
+    difference leaves the float range is refused, as is an interpolated
+    value that does.  Evaluation interpolates with separable cubic
+    Lagrange polynomials.  ``grid_spacing`` is what stress_energy checks
+    its difference step against.
     """
 
     def __init__(self, axes, values):
@@ -730,22 +737,21 @@ class TwoPointTable:
         for a in axes:
             if a.ndim != 1 or a.size < 4:
                 raise ValidationError("each axis needs at least 4 samples")
-            steps = np.diff(a)
-            if steps.min() <= 0:
-                raise ValidationError("axes must be strictly increasing")
-            if steps.max() - steps.min() > 1e-9 * steps.max():
-                raise ValidationError("axes must be uniform")
-            if np.abs(a + a[::-1]).max() > 1e-9 * max(1.0, np.abs(a).max()):
+            with float_range("separation axis"):
+                steps = np.diff(a)
+                if steps.min() <= 0:
+                    raise ValidationError("axes must be strictly increasing")
+                if steps.max() - steps.min() > 1e-9 * steps.max():
+                    raise ValidationError("axes must be uniform")
+                spacings.append(float(steps.mean()))
+            if asymmetry(a, lambda q: -q[::-1]) > 1e-9:
                 raise ValidationError("axes must be symmetric about zero")
-            spacings.append(float(steps.mean()))
         values = as_finite_array(values, "table values")
         if values.shape != tuple(a.size for a in axes):
             raise ValidationError(
                 f"value array shape {values.shape} does not match the axes"
             )
-        flipped = values[::-1, ::-1, ::-1, ::-1]
-        scale = max(1.0, float(np.abs(values).max()))
-        if np.abs(values - flipped).max() > 1e-10 * scale:
+        if asymmetry(values, lambda q: q[::-1, ::-1, ::-1, ::-1]) > 1e-10:
             raise ValidationError(
                 "table is not even in the separation; the kernel would not be symmetric"
             )
@@ -778,28 +784,22 @@ class TwoPointTable:
         xp, yp = as_finite_array(xp, "point"), as_finite_array(yp, "point")
         if xp.shape != (4,) or yp.shape != (4,):
             raise ValidationError("points must have 4 components")
-        delta = xp - yp
         starts, weights = [], []
-        for d in range(4):
-            i0, w = self._axis_weights(d, delta[d])
-            starts.append(i0)
-            weights.append(w)
+        with float_range("separation"):
+            delta = xp - yp
+            for d in range(4):
+                i0, w = self._axis_weights(d, delta[d])
+                starts.append(i0)
+                weights.append(w)
         block = self.values[
             starts[0] : starts[0] + 4,
             starts[1] : starts[1] + 4,
             starts[2] : starts[2] + 4,
             starts[3] : starts[3] + 4,
         ]
-        return float(
-            np.einsum(
-                "a,b,c,d,abcd->",
-                weights[0],
-                weights[1],
-                weights[2],
-                weights[3],
-                block,
-            )
-        )
+        # einsum reports no overflow to float_range
+        value = np.einsum("a,b,c,d,abcd->", *weights, block)
+        return as_finite(value, "interpolated kernel value")
 
 
 @dataclass(frozen=True)

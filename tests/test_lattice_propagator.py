@@ -540,7 +540,9 @@ def _spoiled(draw, v):
     if choice < 6:
         return v
     if choice == 6:
-        return v * draw(st.sampled_from([1e150, 1e300, 1e308, 1e-300, 1e-320, -1.0]))
+        # in Python floats, whose product past the float range is inf with no warning
+        c = draw(st.sampled_from([1e150, 1e300, 1e308, 1e-300, 1e-320, -1.0]))
+        return np.array([x * c for x in v.ravel().tolist()]).reshape(v.shape)
     if choice == 7:
         out = v.astype(object)
         out[(draw(st.integers(0, len(v) - 1)),) + (0,) * (v.ndim - 1)] = draw(

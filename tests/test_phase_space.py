@@ -607,6 +607,9 @@ def _fock(cutoff=4):
         # asymmetric at their own scale, which a tolerance floored at 1 missed
         lambda: validate_mu_tau(1e-100 * np.array([[1.0, 0.5], [0.1, 1.0]]), np.zeros((2, 2))),
         lambda: ground_state_mu(1e-100 * np.array([[1.0, 0.9], [0.1, 1.0]])),
+        # asymmetric at the float's edge, where a difference of entries overflows
+        lambda: validate_mu_tau([[1.0, 1.7e308], [-1.7e308, 1.0]], np.zeros((2, 2))),
+        lambda: validate_mu_tau(np.eye(2), [[0.0, 1.7e308], [1.7e308, 0.0]]),
     ],
     ids=[
         "nan-mu",
@@ -656,6 +659,8 @@ def _fock(cutoff=4):
         "ground-state-overflow",
         "small-asymmetric-mu",
         "small-asymmetric-energy-form",
+        "edge-asymmetric-mu",
+        "edge-symmetric-tau",
     ],
 )
 def test_boundary_inputs_raise_validation_errors(call):
@@ -709,13 +714,22 @@ _reals = st.one_of(
 
 
 def _spoiled(draw, m):
-    # m itself, m scaled toward the edges of the float range, m with one
-    # entry replaced, cut to a wrong shape, or junk
+    # m itself, m scaled toward the edges of the float range, an array of m's
+    # shape symmetric or antisymmetric at the float's edge or asymmetric at a
+    # small scale, m with one entry replaced, cut to a wrong shape, or junk
     choice = draw(st.integers(0, 5))
     if choice < 2:
         return m
     if choice == 2:
-        return m * draw(st.sampled_from([1e150, 1e300, 1e307, 1e-150, 1e-320, 0.5, -1.0, 0.0]))
+        if draw(st.integers(0, 2)) == 0:
+            ones = np.ones(m.shape)
+            return draw(st.sampled_from([
+                1.7e308 * ones, 1.7e308 * (np.triu(ones) - np.tril(ones, -1)),
+                1e-100 * (m + np.tril(ones, -1)),
+            ]))
+        c = draw(st.sampled_from([1e150, 1e300, 1e307, 1e-150, 1e-320, 0.5, -1.0, 0.0]))
+        # in Python floats, whose product past the float range is inf with no warning
+        return np.array([x * c for x in m.ravel().tolist()]).reshape(m.shape)
     if choice == 3:
         out = m.astype(object)
         out[draw(st.integers(0, len(m) - 1)), 0] = draw(st.one_of(_specials, st.text(max_size=2)))

@@ -446,6 +446,17 @@ def test_gram_refuses_a_matrix_that_is_not_finite(family):
             gram_positivity(state, family())
 
 
+def test_gram_refuses_a_symmetrisation_past_the_float_range():
+    # G = diag(1e308, 1e308) is finite, but its symmetrisation and trace are
+    # not; that is refused, not reported as a NaN eigenvalue
+    state = QuasifreeState(TwoPointKernel({(1, 1): 1, (2, 2): 1, (1, 2): 0, (2, 1): 0}))
+    family = [AlgebraElement({(1,): 1e154}, FLOAT), AlgebraElement({(2,): 1e154j}, FLOAT)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not finite"):
+            gram_positivity(state, family)
+
+
 # ------------------------------------------------------ the public boundary
 
 _BASE = vacuum_mode_kernel([1.0, 0.7])

@@ -4,9 +4,11 @@ point-split stress tensor."""
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -593,11 +595,19 @@ _BAD_ENTRY_TENSOR = json.dumps(
             {(1, 2): math.inf, (2, 1): math.inf}, PairingForm({(1, 2): 1.0})
         ),
         lambda: OrderingKernel({**_HALF_I_FLOAT, (1, 1): "x"}, PairingForm({(1, 2): 1.0})),
+        # finite parts, a modulus past the float range: in an entry, and in
+        # kappa(1, 2) - kappa(2, 1) - i E(1, 2)
+        lambda: OrderingKernel(
+            {(1, 2): complex(1.7e308, 1.7e308), (2, 1): complex(1.7e308, 1.7e308)},
+            PairingForm({}),
+        ),
+        lambda: OrderingKernel({(1, 2): complex(1.2e308, 1.2e308)}, PairingForm({(1, 2): -5e307})),
     ],
     ids=[
         "zero-denominator", "float-text", "junk-word", "pairing-json-key", "pairing-json-list",
         "pairing-nan", "tensor-json-entry", "tensor-json-number", "ordering-kernel-nan",
-        "ordering-kernel-inf", "ordering-kernel-string",
+        "ordering-kernel-inf", "ordering-kernel-string", "ordering-kernel-modulus",
+        "ordering-kernel-difference-modulus",
     ],
 )
 def test_symbolic_parsers_raise_validation_errors(parse):
@@ -673,6 +683,24 @@ def test_difference_kernel_rejects_asymmetry_and_nonfinite():
     nan[1, 1] = complex("nan")
     with pytest.raises(InvalidDifferenceError):
         DifferenceKernel(GENS, nan)
+
+
+@pytest.mark.parametrize(
+    "cls, error", [(WickTensor, InvalidSymmetryError), (DifferenceKernel, InvalidDifferenceError)]
+)
+def test_tables_measure_asymmetry_against_their_own_largest_entry(cls, error):
+    # 1e-12 of the largest entry with no floor at 1, so the 0.1 entry of a
+    # small table is not dropped for its mirror, and no overflow at the
+    # float's edge
+    small = 1e-100 * np.array([[1.0, 0.5], [0.1, 1.0]])
+    edge = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arr in (small, edge):
+            with pytest.raises(error):
+                cls([1, 2], arr)
+        for arr in (small + small.T, np.abs(edge)):
+            assert np.array_equal(cls([1, 2], arr).array, arr)
 
 
 def test_word_tensor_normalization():
@@ -960,15 +988,22 @@ def _listing_with(text, row, value):
 
 
 def test_tensor_json_orbits_must_be_whole_and_agree():
-    # a float orbit entry off by less than 1e-12 max(1, |entry|) is read, and
-    # the entry at the sorted index is the one kept; one off by more is refused
-    for size in (1.0, 1e6):
+    # a float orbit entry off by less than 1e-12 of the listing's largest
+    # entry is read, and the entry at the sorted index is the one kept; one
+    # off by more is refused, at any scale
+    for size in (1e-100, 1.0, 1e6):
         wf = word_tensor((4, 2, 4), GENS, FLOAT).scale(size * (0.25 - 1.5j))
         text, (v,) = tensor_to_json(wf), wf.entries.values()
-        tol = 1e-12 * max(1.0, abs(v))
+        tol = 1e-12 * abs(v)
         assert tensor_from_json(_listing_with(text, 2, v.real + 0.5 * tol)) == wf
         with pytest.raises(InvalidSymmetryError):
             tensor_from_json(_listing_with(text, 2, v.real + 2 * tol))
+    # orbit (0, 1) of a small listing reads 1e-14 and 5e-13: they disagree at
+    # their own scale, and 5e-13 is not dropped
+    small = {"kind": "wick-tensor", "degree": 2, "basis": [1, 2], "mode": FLOAT,
+             "entries": [[[0, 1], 1e-14, 0.0], [[1, 0], 5e-13, 0.0]]}
+    with pytest.raises(InvalidSymmetryError):
+        tensor_from_json(json.dumps(small))
     with pytest.raises(InvalidSymmetryError):
         tensor_from_json(_listing_with(_EXACT_LISTING, 1, "2/7"))
     for text in (_EXACT_LISTING, _FLOAT_LISTING):
@@ -976,6 +1011,46 @@ def test_tensor_json_orbits_must_be_whole_and_agree():
         del data["entries"][1]
         with pytest.raises(InvalidSymmetryError):
             tensor_from_json(json.dumps(data))
+
+
+def test_tensor_json_round_trips_at_the_float_edge():
+    # finite parts whose modulus is past the float range
+    w = WickTensor([1], [complex(1.7e308, 1.7e308)])
+    assert tensor_from_json(tensor_to_json(w)) == w
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_listing_is_admitted_exactly_when_its_dense_array_is(data):
+    # a listing of every index of a float array, symmetric or with one entry
+    # off by a relative 1e-13 to 1e-3, at scales up to the float's edge:
+    # tensor_from_json reads it exactly when WickTensor reads the array, and
+    # both keep the same entries
+    n, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    shape = (n,) * degree
+    arr = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    arr = arr * data.draw(st.sampled_from([1e-300, 1e-100, 1.0, 1e300, 1.7e308]))
+    if data.draw(st.booleans()):
+        # the entrywise maximum over slot orders is symmetric
+        perms = itertools.permutations(range(degree))
+        arr = functools.reduce(np.maximum, (np.transpose(arr, p) for p in perms))
+    arr = np.array(arr)
+    if data.draw(st.booleans()):
+        idx = tuple(data.draw(st.integers(0, n - 1)) for _ in shape)
+        arr[idx] *= 1.0 + data.draw(st.sampled_from([1e-13, 1e-12, 3e-12, 1e-3]))
+    rows = [[list(idx), arr[idx].real, arr[idx].imag] for idx in np.ndindex(*shape)]
+    text = json.dumps({"kind": "wick-tensor", "degree": degree,
+                       "basis": list(range(1, n + 1)), "mode": FLOAT, "entries": rows})
+
+    def read(f):
+        try:
+            return f()
+        except InvalidSymmetryError:
+            return None
+
+    dense = read(lambda: WickTensor(range(1, n + 1), arr, FLOAT))
+    assert read(lambda: tensor_from_json(text)) == dense
 
 
 @pytest.mark.parametrize(
@@ -1074,6 +1149,13 @@ _junk = st.one_of(
     st.builds(word_tensor, words6, st.just(GENS)),
     st.just(_difference(EXACT)),
 )
+# over GENS: symmetric at the float's edge, asymmetric there (its
+# differences overflow), and asymmetric at a small scale
+_EDGE = np.full((len(GENS),) * 2, 1.7e308)
+_edge_arrays = st.sampled_from(
+    [_EDGE, _EDGE * (1.0 + 1.0j), np.triu(_EDGE) - np.tril(_EDGE, -1),
+     1e-100 * (np.eye(len(GENS)) + np.tril(np.ones_like(_EDGE), -1))]
+)
 _arrays = st.one_of(st.just([[1, 2], [3]]), _junk_arrays(), _junk)
 _bases = st.sampled_from(
     [GENS, GENS, GENS, (2, 1), tuple(range(9)), (1, 1), (1.5, 2), "ab", None, [[1, 2], [3]]]
@@ -1106,10 +1188,22 @@ def _mutated_listing(draw):
     return draw(st.sampled_from([text, text[: len(text) // 2], json.dumps([text])]))
 
 
+def _dense(cls, d):
+    # junk, or an edge array over GENS; an admitted float table holds every
+    # entry it was given to 1e-12 of the largest: none is dropped for its mirror
+    edge = d(st.booleans())
+    arr = d(_edge_arrays if edge else _arrays)
+    t = cls(GENS if edge else d(_bases), arr, d(_modes))
+    if t.mode == FLOAT:
+        given = np.asarray(arr).astype(complex) / 4
+        assert np.abs(t.array / 4 - given).max() <= 1e-12 * np.abs(given).max()
+    return t
+
+
 _TENSOR_CALLS = {
-    "WickTensor": lambda d: WickTensor(d(_bases), d(_arrays), d(_modes)),
+    "WickTensor": lambda d: _dense(WickTensor, d),
     "DifferenceKernel": lambda d: (
-        DifferenceKernel(d(_bases), d(_arrays), d(_modes))
+        _dense(DifferenceKernel, d)
         if d(st.booleans())
         else DifferenceKernel.from_orderings(d(st.one_of(_junk, st.just(KAPPA))), KAPPA, d(_bases))
     ),
@@ -1470,9 +1564,22 @@ def test_table_validation():
     ]:
         with pytest.raises(ValidationError):
             TwoPointTable(bad_axes, bad_values)
+    # not even at its own small scale
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValidationError, match="not even"):
+        TwoPointTable((axis,) * 4, 1e-20 * rng.random(good.shape))
+    # an increasing axis whose steps leave the float range
+    edge = np.array([-1.7e308, 1.6e308, 1.7e308, 1.75e308])
+    with pytest.raises(ValidationError, match="float range"):
+        TwoPointTable((edge,) * 4, np.zeros((4,) * 4))
     table = TwoPointTable((axis, axis, axis, axis), good)
     with pytest.raises(ValidationError):
         table(np.array([5.0, 0.0, 0.0, 0.0]), np.zeros(4))
+    # points whose separation, or samples whose interpolation, leave it
+    with pytest.raises(ValidationError, match="float range"):
+        table(np.full(4, 1.7e308), np.full(4, -1.7e308))
+    with pytest.raises(ValidationError):
+        TwoPointTable((axis,) * 4, np.full(good.shape, 1.7e308))(np.full(4, 0.025), np.zeros(4))
     for point in ([math.nan, 0.0, 0.0, 0.0], ["a", 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(ValidationError):
             table(point, np.zeros(4))
