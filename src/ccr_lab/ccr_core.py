@@ -61,80 +61,100 @@ FLOAT = "float"
 
 
 class ExactComplex:
-    """Complex number with Fraction real and imaginary parts.
+    """Complex rational (a + b i) / d, stored as the three ints (a, b, d).
+
+    The stored form is in lowest terms, gcd(a, b, d) = 1, with d > 0, so
+    equal values store equal ints.  One denominator makes a sum or product
+    integer arithmetic and one gcd, where a pair of Fractions takes four
+    Fraction products and two sums, each reduced by its own gcd.  ``re``
+    and ``im`` read the parts back as Fractions.
 
     Immutable; arithmetic never rounds.  Parts that are not finite
     rationals raise ValidationError.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
         try:
-            parts = Fraction(re), Fraction(im)
+            x, y = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (re, im)]
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"parts {re!r}, {im!r} are not finite rationals") from None
-        object.__setattr__(self, "re", parts[0])
-        object.__setattr__(self, "im", parts[1])
+        # over the lcm of two lowest-terms denominators the ints share no factor
+        d = math.lcm(x.denominator, y.denominator)
+        abd = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+        object.__setattr__(self, "_abd", abd)
 
-    @classmethod
-    def _of(cls, re, im):
-        # results of Fraction arithmetic are Fractions already; skip the
-        # re-coercion __init__ would do
-        z = object.__new__(cls)
-        object.__setattr__(z, "re", re)
-        object.__setattr__(z, "im", im)
-        return z
+    @property
+    def re(self):
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def im(self):
+        return Fraction(self._abd[1], self._abd[2])
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
     def __add__(self, other):
-        other = coerce(other, EXACT)
-        return ExactComplex._of(self.re + other.re, self.im + other.im)
+        a, b, d = self._abd
+        c, e, f = coerce(other, EXACT)._abd
+        if d == f:
+            return _exact(a + c, b + e, d)
+        return _exact(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = coerce(other, EXACT)
-        return ExactComplex._of(self.re - other.re, self.im - other.im)
+        return self + -coerce(other, EXACT)
 
     def __rsub__(self, other):
-        return coerce(other, EXACT) - self
+        return -self + other
 
     def __mul__(self, other):
-        other = coerce(other, EXACT)
-        return ExactComplex._of(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._abd
+        c, e, f = coerce(other, EXACT)._abd
+        return _exact(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExactComplex._of(-self.re, -self.im)
+        a, b, d = self._abd
+        return _exact(-a, -b, d)
 
     def conjugate(self):
-        return ExactComplex._of(self.re, -self.im)
+        a, b, d = self._abd
+        return _exact(a, -b, d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._abd[:2] != (0, 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ExactComplex(other)
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._abd == other._abd
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._abd
+        # a real value hashes as the int or Fraction it equals
+        return hash(Fraction(a, d)) if b == 0 else hash(self._abd)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def __repr__(self):
         return f"ExactComplex({self.re!r}, {self.im!r})"
+
+
+def _exact(a, b, d):
+    """ExactComplex (a + b i) / d for ints a, b and d > 0, in lowest terms."""
+    g = math.gcd(a, b, d)
+    z = object.__new__(ExactComplex)
+    object.__setattr__(z, "_abd", (a // g, b // g, d // g))
+    return z
 
 
 _EXACT_TYPES = (ExactComplex, int, Fraction)
@@ -672,7 +692,7 @@ def _listed_value(re, im, mode):
     float mode."""
     parts = _json_scalar(re, "listed part"), _json_scalar(im, "listed part")
     if all(isinstance(x, Fraction if mode == EXACT else float) for x in parts):
-        return ExactComplex._of(*parts) if mode == EXACT else complex(*parts)
+        return ExactComplex(*parts) if mode == EXACT else complex(*parts)
     raise ValidationError(f"listed entry {[re, im]!r} is not a listed {mode} value")
 
 
@@ -680,11 +700,10 @@ def _listed_value(re, im, mode):
 
 def _format_scalar(c):
     if isinstance(c, ExactComplex):
-        re_, im_ = c.re, c.im
-        return (
-            f"{re_.numerator}/{re_.denominator}"
-            f"+{im_.numerator}/{im_.denominator}*i"
-        )
+        # each part in lowest terms, as its Fraction would print
+        a, b, d = c._abd
+        g, h = math.gcd(a, d), math.gcd(b, d)
+        return f"{a // g}/{d // g}+{b // h}/{d // h}*i"
     return f"{c.real!r}+{c.imag!r}*i"
 
 

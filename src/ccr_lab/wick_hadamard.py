@@ -111,7 +111,8 @@ class OrderingKernel:
 
     ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
     entries read as zero, and entries that are not exact must be finite
-    numbers, their moduli included.  ``pairing`` is the ambient
+    numbers, their moduli included; so must exact ones that a float entry
+    or pairing puts in float mode.  ``pairing`` is the ambient
     antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
@@ -155,7 +156,11 @@ class OrderingKernel:
             if mode == EXACT:
                 bad = bool(delta)
             else:
-                bad = math.hypot(delta.real, delta.imag) > 1e-12 * max(1.0, abs(a), abs(b), abs(e))
+                # moduli by hypot, which returns inf where abs() raises
+                scale = max(1.0, *(math.hypot(v.real, v.imag) for v in (a, b, e)))
+                if not math.isfinite(scale):
+                    raise ValidationError(f"ordering-kernel pair ({i}, {j}) overflows the float range")
+                bad = math.hypot(delta.real, delta.imag) > 1e-12 * scale
             if bad:
                 raise OrderingKernelInvalidError(
                     f"kappa({i},{j}) - kappa({j},{i}) != i E({i},{j}); "

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccr_lab import ccr_core
@@ -109,12 +109,26 @@ def test_mode_mismatch_rejected():
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+# numerators up to 1e40 over denominators up to 1e20, next to the small
+# fractions, whose sums often share a denominator
+big_fractions = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**20))
+rationals = st.one_of(fractions, big_fractions)
+big_scalars = st.builds(exact, rationals, rationals)
 exact_operands = st.one_of(
-    scalars, st.integers(min_value=-5, max_value=5), fractions
+    scalars, big_scalars, st.integers(min_value=-5, max_value=5),
+    st.integers(-10**40, 10**40), rationals,
 )
 
 
-@given(fractions, fractions, exact_operands)
+def _or_overflow(f, *args):
+    try:
+        return f(*args)
+    except OverflowError:
+        return OverflowError
+
+
+@given(rationals, rationals, exact_operands)
+@example(Fraction(10**400, 3), Fraction(-1, 10**20), exact(Fraction(7, 10**20), 10**400))
 @settings(max_examples=200, deadline=None)
 def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
     # the operand may be an int or Fraction, coerced to ExactComplex
@@ -125,6 +139,7 @@ def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
         o_re, o_im = Fraction(other), Fraction(0)
     product = (re * o_re - im * o_im, re * o_im + im * o_re)
     cases = [
+        (z, (re, im)),
         (z + other, (re + o_re, im + o_im)),
         (other + z, (re + o_re, im + o_im)),
         (z - other, (re - o_re, im - o_im)),
@@ -138,6 +153,50 @@ def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
         assert type(got) is ExactComplex
         assert type(got.re) is Fraction and type(got.im) is Fraction
         assert (got.re, got.im) == want
+        # a value built from its parts is the same value: equal, same hash,
+        # repr and text form, and complex() rounds each part as float() does
+        built = ExactComplex(*want)
+        assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+        assert bool(got) == any(want)
+        if got:
+            p, q = want
+            assert element_to_text(AlgebraElement({(): got}, mode=EXACT)) == (
+                f"{p.numerator}/{p.denominator}+{q.numerator}/{q.denominator}*i"
+            )
+        assert _or_overflow(complex, got) == _or_overflow(
+            lambda w: complex(float(w[0]), float(w[1])), want
+        )
+
+
+@given(big_scalars, big_scalars, big_scalars)
+@settings(max_examples=200, deadline=None)
+def test_exact_routes_to_one_value_agree(z, w, v):
+    routes = [
+        ((z * w) * v, z * (w * v)),
+        ((z + w) + v, z + (w + v)),
+        (z + w - w, z),
+        (z * (w + v), z * w + z * v),
+        ((z * w).conjugate(), z.conjugate() * w.conjugate()),
+        (z * w - w * z, ExactComplex()),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    # a computed zero is falsy, however it was reached
+    for zero in (z - z, z * 0, z + -z, z * w - w * z, (z + w) * v - z * v - w * v):
+        assert not zero and zero == 0 and hash(zero) == hash(0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0, 1, -7, 10**40, 10**400, Fraction(1, 2), Fraction(-3, 10**20), Fraction(10**400, 3)],
+    ids=["0", "1", "-7", "1e40", "1e400", "1/2", "-3/1e20", "1e400/3"],
+)
+def test_a_real_exact_scalar_hashes_as_the_rational_it_equals(x):
+    # equal values hash equal, so a set or dict key holds one of them
+    z = ExactComplex(x)
+    assert z == x and x == z and hash(z) == hash(x)
+    assert len({z, x}) == 1 and {x: 1}[z] == 1
+    assert ExactComplex(x, 1) != x
 
 
 # ------------------------------------------------------------------ star

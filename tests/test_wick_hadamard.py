@@ -615,6 +615,20 @@ def test_symbolic_parsers_raise_validation_errors(parse):
         parse()
 
 
+def test_ordering_kernel_refuses_an_exact_entry_whose_float_modulus_overflows():
+    # exact parts 1.5e308 are finite floats, but a float pairing puts the
+    # check in float mode, where the entry's modulus is past the float range
+    big = ExactComplex(Fraction(15 * 10**307), Fraction(15 * 10**307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="float range"):
+            OrderingKernel({(1, 2): big}, PairingForm({(1, 2): 0.5}))
+        # against an exact pairing the same entry is checked exactly
+        half_i = ExactComplex(0, Fraction(1, 2))
+        kernel = OrderingKernel({(1, 2): big, (2, 1): big - half_i}, PairingForm({(1, 2): Fraction(1, 2)}))
+        assert kernel.value(1, 2) == big
+
+
 _HALF_I = ExactComplex(0, Fraction(1, 2))
 
 
