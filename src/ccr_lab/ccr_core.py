@@ -22,7 +22,6 @@ themselves are hermitian, so no index decoration is needed.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import numbers
@@ -38,6 +37,7 @@ from .errors import (
     InvalidSymmetryError,
     ScalarModeMismatchError,
     ValidationError,
+    as_finite_complex,
     float_range,
 )
 
@@ -60,7 +60,35 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-class ExactComplex:
+class _Frozen:
+    """Base of the immutable slot classes.  Slots are written once, through
+    object.__setattr__; assigning or deleting one raises AttributeError.  A
+    copy or pickle restores the stored slots as they are, without running
+    the constructor, whose checks may be stricter than the ones a stored
+    value passed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        names = [n for c in type(self).__mro__ for n in c.__dict__.get("__slots__", ())]
+        return _thaw, (type(self), {n: getattr(self, n) for n in names})
+
+
+def _thaw(cls, slots):
+    """An instance of cls holding the given slot values, as stored."""
+    out = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+class ExactComplex(_Frozen):
     """Complex rational (a + b i) / d, stored as the three ints (a, b, d).
 
     The stored form is in lowest terms, gcd(a, b, d) = 1, with d > 0, so
@@ -92,9 +120,6 @@ class ExactComplex:
     @property
     def im(self):
         return Fraction(self._abd[1], self._abd[2])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactComplex is immutable")
 
     def __add__(self, other):
         a, b, d = self._abd
@@ -170,9 +195,10 @@ def coerce(x, mode):
     in float mode.
 
     Exact mode takes only exact scalars (see is_exact) and raises
-    ScalarModeMismatchError for anything else, floats included; float mode
-    takes any number, exact ones too.  Anything that is not a number raises
-    ValidationError.
+    ScalarModeMismatchError for anything else, floats included.  Float mode
+    takes any number, exact ones too, under the one rule for a float
+    scalar (errors.as_finite_complex): its modulus must be a finite float.
+    Anything else raises ValidationError.
     """
     if mode == EXACT:
         if isinstance(x, ExactComplex):
@@ -182,22 +208,7 @@ def coerce(x, mode):
         raise ScalarModeMismatchError(
             f"cannot use {type(x).__name__} in exact-mode arithmetic"
         )
-    if not isinstance(x, str):
-        try:
-            return complex(x)
-        except TypeError:
-            pass
-        except OverflowError:
-            raise ValidationError("scalar is outside the float range") from None
-    raise ValidationError(f"scalar {x!r} is not a number")
-
-
-def _finite(x, mode):
-    """coerce(x, mode), refusing a non-finite float-mode value (Python arithmetic)."""
-    x = coerce(x, mode)
-    if mode == FLOAT and not cmath.isfinite(x):
-        raise ValidationError(f"scalar {x!r} is not finite")
-    return x
+    return as_finite_complex(x, "scalar")
 
 
 def _labels(seq):
@@ -238,7 +249,7 @@ def _word(word):
     return word
 
 
-class _WordCombination:
+class _WordCombination(_Frozen):
     """Immutable finite linear combination of generator words.
 
     terms maps canonical words (tuples of generator indices) to nonzero
@@ -258,7 +269,7 @@ class _WordCombination:
         clean = {}
         for word, coeff in _table(terms, "element terms").items():
             word = self._canonical(word)
-            coeff = _finite(coeff, mode)
+            coeff = coerce(coeff, mode)
             if coeff:
                 total = clean[word] + coeff if word in clean else coeff
                 if total:
@@ -274,15 +285,13 @@ class _WordCombination:
         # mode, so only the zero coefficients are dropped; an overflow of
         # Python float arithmetic is refused
         terms = {w: c for w, c in terms.items() if c}
-        if mode == FLOAT and not all(map(cmath.isfinite, terms.values())):
-            raise ValidationError("a float coefficient overflows: it is not finite")
+        if mode == FLOAT:
+            for c in terms.values():
+                as_finite_complex(c, "a float coefficient")
         out = object.__new__(cls)
         object.__setattr__(out, "terms", terms)
         object.__setattr__(out, "mode", mode)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, mode=EXACT):
@@ -327,7 +336,7 @@ class _WordCombination:
         return self.scale(-1)
 
     def scale(self, c):
-        c = _finite(c, self.mode)
+        c = coerce(c, self.mode)
         return self._new({w: coeff * c for w, coeff in self.terms.items()}, self.mode)
 
     def __bool__(self):
@@ -380,7 +389,7 @@ class AlgebraElement(_WordCombination):
         return f"<AlgebraElement {element_to_text(self)!r} ({self.mode})>"
 
 
-class PairingForm:
+class PairingForm(_Frozen):
     """Antisymmetric real pairing E on generator indices.
 
     Stored triangularly: entries[(i, j)] = E_ij for i < j.  Missing pairs are
@@ -407,9 +416,6 @@ class PairingForm:
             if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairingForm is immutable")
 
     def value(self, i, j):
         """E(i, j), antisymmetric in the arguments."""
@@ -577,8 +583,8 @@ class InducedMap:
             raise ValidationError("sigma must be a matrix of numbers") from None
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValidationError("sigma must be square over the generator list")
-        if not all(z.imag == 0 and math.isfinite(z.real) for row in rows for z in row):
-            raise ValidationError("sigma entries must be finite real numbers")
+        if not all(z.imag == 0 for row in rows for z in row):
+            raise ValidationError("sigma entries must be real numbers")
         mat = np.array([[z.real for z in row] for row in rows])
         if parity not in ("preserving", "reversing"):
             raise ValidationError("parity must be 'preserving' or 'reversing'")

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all ccr_lab modules, the three readers of
+"""Exception taxonomy shared by all ccr_lab modules, the four readers of
 outside numbers, the float_range guard and the dense allocator that raise it,
 the asymmetry residual of the symmetry checks, and call_outside.
 
@@ -45,6 +45,26 @@ def as_finite(x, what):
     except (TypeError, OverflowError):
         pass
     raise ValidationError(f"{what} must be a finite real number, got {x!r}")
+
+
+def as_finite_complex(x, what):
+    """x as a complex whose modulus is a finite float: the one rule for a
+    float-mode Python scalar, so that abs() of one never overflows.  Strings
+    and non-numbers, numbers past the float range, and values whose parts
+    are finite but whose modulus is not, such as complex(1.7e308, 1.7e308),
+    raise ValidationError.  numpy arrays are read by parts instead
+    (as_finite_array), as numpy takes their moduli under float_range."""
+    try:
+        if isinstance(x, str):
+            raise TypeError
+        z = complex(x)
+        if abs(z) < math.inf:  # false for NaN; past the float range abs() raises
+            return z
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} {x!r} is not a number") from None
+    except OverflowError:
+        pass
+    raise ValidationError(f"{what} is not finite: its modulus is outside the float range")
 
 
 def as_finite_array(values, what, dtype=float):

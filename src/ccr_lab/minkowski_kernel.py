@@ -44,6 +44,7 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
+    as_finite_complex,
     float_range,
 )
 
@@ -63,13 +64,6 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-
-
-def _finite(value):
-    """value, refused where Python float arithmetic overflowed it."""
-    if not cmath.isfinite(value):
-        raise ValidationError("the result overflows a float for these inputs")
-    return value
 
 
 def _mass_and_order(m, order):
@@ -135,7 +129,7 @@ class KernelParams:
 
 def sigma_eps(p: SeparationPoint, eps: float) -> complex:
     eps = as_finite(eps, "regulator")
-    return _finite(complex(p.sigma + eps * eps, 2.0 * eps * p.dt))
+    return as_finite_complex(complex(p.sigma + eps * eps, 2.0 * eps * p.dt), "sigma_eps")
 
 
 def _off_cone_sigma(p: SeparationPoint) -> float:
@@ -155,9 +149,7 @@ def _sigma_and_pole(p: SeparationPoint, eps: float):
     refusing a separation where that pole overflows."""
     se = sigma_eps(p, eps) if eps > 0.0 else complex(_off_cone_sigma(p), math.copysign(0.0, p.dt))
     lead = 1.0 / (_FOUR_PI_SQ * se) if se else math.inf
-    if not cmath.isfinite(lead):
-        raise ValidationError("separation so near coincidence that 1/(4 pi^2 sigma) overflows")
-    return se, lead
+    return se, as_finite_complex(lead, "1/(4 pi^2 sigma) at a separation so near coincidence")
 
 
 def omega2_bessel(p: SeparationPoint, params: KernelParams) -> complex:
@@ -172,7 +164,7 @@ def omega2_bessel(p: SeparationPoint, params: KernelParams) -> complex:
         raise ValidationError("the closed form needs a positive mass")
     se, lead = _sigma_and_pole(p, params.eps)
     z = params.m * cmath.sqrt(se)
-    return _finite(lead * (z * k1(z)))
+    return as_finite_complex(lead * (z * k1(z)), "the closed-form kernel")
 
 
 # --------------------------------------------------- Fourier mode pipeline
@@ -265,7 +257,7 @@ def _fourier_checked(p: SeparationPoint, m: float, eps):
                 f"mode integral self-check failed (residual {residual:.3e})",
                 residual=residual,
             )
-    return [_finite(complex(b)) for b in v2]
+    return [as_finite_complex(b, "the mode integral") for b in v2]
 
 
 def _extrapolate_to_zero(xs, ys):
@@ -325,7 +317,7 @@ def hadamard_coefficients(m: float, order: int):
     (m^2/16 pi^2) c_k at t = m^2 sigma/4, so v_k is that term at sigma = 1."""
     m, order = _mass_and_order(m, order)
     v0 = m * m / (4.0 * _FOUR_PI_SQ)
-    return [_finite(v0 * c) for c in _series_head(0.25 * m * m, order)]
+    return [as_finite(v0 * c, "Hadamard coefficient") for c in _series_head(0.25 * m * m, order)]
 
 
 def _log_series(m: float, s: float, order: int) -> float:
@@ -353,7 +345,8 @@ def hadamard_H(p: SeparationPoint, params: KernelParams) -> complex:
     _check_window(p.sigma, params.lam)
     se, lead = _sigma_and_pole(p, params.eps)
     log_term = cmath.log(se) - 2.0 * math.log(params.lam)
-    return _finite(lead + _log_series(params.m, p.sigma, params.order) * log_term)
+    H = lead + _log_series(params.m, p.sigma, params.order) * log_term
+    return as_finite_complex(H, "the parametrix")
 
 
 def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
@@ -386,7 +379,8 @@ def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
     log_t = complex(math.log(abs(t)) if t else 0.0,
                     0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
     log_lam = 2.0 * math.log(0.5 * m * params.lam)
-    return _finite(m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum))
+    w = m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum)
+    return as_finite_complex(w, "the remainder")
 
 
 def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float) -> complex:
@@ -398,7 +392,8 @@ def lambda_shift_delta(p: SeparationPoint, params: KernelParams, lam_new: float)
         raise ValidationError("length scale must be > 0")
     _check_window(p.sigma, params.lam)
     shift = 2.0 * (math.log(params.lam) - math.log(lam_new))
-    return _finite(complex(-_log_series(params.m, p.sigma, params.order) * shift))
+    delta = -_log_series(params.m, p.sigma, params.order) * shift
+    return as_finite_complex(delta, "the lam shift")
 
 
 # ------------------------------------------------ one-particle product

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, _finite, _labels, _pair_table, coerce
+from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _pair_table, coerce
 from .errors import (
     DegreeGuardError,
     IncompleteKernelError,
@@ -55,7 +55,7 @@ class TwoPointKernel:
       and a declared generator list covers every label of a table
       (otherwise ValidationError; a list wider than the table raises
       IncompleteKernelError);
-    * every entry is finite, its modulus included (otherwise
+    * every entry is a float scalar, read by coerce's rule (otherwise
       ValidationError);
     * the real part is symmetric and the imaginary part antisymmetric
       (equivalently, the kernel differs from its transpose by i times a real
@@ -87,11 +87,6 @@ class TwoPointKernel:
         self._verify(pairing)
 
     def _verify(self, pairing):
-        for (i, j), v in self.entries.items():
-            if not math.isfinite(math.hypot(v.real, v.imag)):
-                raise ValidationError(
-                    f"two-point kernel entry ({i},{j}) = {v!r} is not finite"
-                )
         scale = max([abs(v) for v in self.entries.values()], default=0.0)
         tol = _KERNEL_TOL * max(scale, 1.0)
         for i in self.generators:
@@ -208,7 +203,7 @@ def npoint(state, indices):
     ValidationError, as do a state that is not a QuasifreeState, an even n
     above NPOINT_GUARD and a moment that overflows.
     """
-    return _finite(_moment(_lookup(state), _slots(indices)), FLOAT)
+    return coerce(_moment(_lookup(state), _slots(indices)), FLOAT)
 
 
 def _lookup(state):
@@ -272,7 +267,7 @@ def evaluate(state, element: AlgebraElement):
     total = 0.0 + 0.0j
     for word, coeff in element.terms.items():
         total += coerce(coeff, FLOAT) * _moment(value, word)
-    return _finite(total, FLOAT)
+    return coerce(total, FLOAT)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ waves in this signature.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -49,6 +48,7 @@ from .ccr_core import (
     PairingForm,
     _accumulate,
     _contract,
+    _Frozen,
     _labels,
     _listed_value,
     _pair_table,
@@ -66,6 +66,7 @@ from .errors import (
     ValidationError,
     as_finite,
     as_finite_array,
+    as_finite_complex,
     asymmetry,
     call_outside,
     float_range,
@@ -106,14 +107,13 @@ def _mode_of(*values):
     return EXACT if all(map(is_exact, values)) else FLOAT
 
 
-class OrderingKernel:
+class OrderingKernel(_Frozen):
     """Reference contraction table for normal ordering.
 
     ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
-    entries read as zero, and entries that are not exact must be finite
-    numbers, their moduli included; so must exact ones that a float entry
-    or pairing puts in float mode.  ``pairing`` is the ambient
-    antisymmetric form E.
+    entries read as zero, and entries that are not exact are float scalars,
+    read by coerce's rule, as are exact ones that a float entry or pairing
+    puts in float mode.  ``pairing`` is the ambient antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
     1e-12 otherwise.  A kernel taken from a state by from_state_kernel
@@ -129,16 +129,11 @@ class OrderingKernel:
         for key, v in _pair_table(table, "ordering-kernel table").items():
             if not is_exact(v):
                 v = coerce(v, FLOAT)
-                if not math.isfinite(math.hypot(v.real, v.imag)):
-                    raise ValidationError(f"ordering-kernel entry {v!r} is not finite")
             if v:
                 entries[key] = v
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "pairing", pairing)
         self._check_antisymmetric_part()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderingKernel is immutable")
 
     def _check_antisymmetric_part(self):
         seen = set()
@@ -156,10 +151,9 @@ class OrderingKernel:
             if mode == EXACT:
                 bad = bool(delta)
             else:
-                # moduli by hypot, which returns inf where abs() raises
-                scale = max(1.0, *(math.hypot(v.real, v.imag) for v in (a, b, e)))
-                if not math.isfinite(scale):
-                    raise ValidationError(f"ordering-kernel pair ({i}, {j}) overflows the float range")
+                # a, b and e were read with finite moduli, delta may not have
+                # one: hypot returns inf where abs() raises
+                scale = max(1.0, abs(a), abs(b), abs(e))
                 bad = math.hypot(delta.real, delta.imag) > 1e-12 * scale
             if bad:
                 raise OrderingKernelInvalidError(
@@ -326,18 +320,19 @@ def _basis(labels):
     return basis
 
 
-class _BasisTable:
+class _BasisTable(_Frozen):
     """Immutable symmetric table over a basis of 1 to 8 distinct labels.
 
     Each of the ``degree`` slots runs over ``basis`` and the table is
     symmetric under slot exchange, so ``entries`` holds only {sorted tuple
-    of basis positions: nonzero value}, ExactComplex in exact mode and
-    complex in float mode.  The constructor reads a dense array (a ``mode``
-    of None means exact for object dtype) with finite float entries,
-    symmetric to 1e-12 of its largest entry or exactly in exact mode.
-    ``array`` is the dense table, built once from the entries and
-    read-only.  Subclasses set the allowed ranks, the name used in messages
-    and the errors for a table that is not symmetric or not finite.
+    of basis positions: nonzero value}, ExactComplex in exact mode and, in
+    float mode, complex values that pass coerce's float-scalar rule.  The
+    constructor reads a dense array (a ``mode`` of None means exact for
+    object dtype) with finite float entries, symmetric to 1e-12 of its
+    largest entry or exactly in exact mode.  ``array`` is the dense table,
+    built once from the entries and read-only.  Subclasses set the allowed
+    ranks, the name used in messages and the errors for a table that is not
+    symmetric or not finite.
     """
 
     __slots__ = ("basis", "degree", "mode", "entries", "_array")
@@ -378,16 +373,22 @@ class _BasisTable:
         self._set(basis, arr.ndim, mode, {idx: arr.item(idx) for idx in indices})
 
     def _set(self, basis, degree, mode, entries):
-        values = (basis, degree, mode, {idx: v for idx, v in entries.items() if v}, None)
-        for name, value in zip(_BasisTable.__slots__, values):
+        # the one writer: entries read from an array and entries computed
+        # internally obey the same float-scalar rule
+        entries = {idx: v for idx, v in entries.items() if v}
+        if mode == FLOAT:
+            try:
+                for v in entries.values():
+                    as_finite_complex(v, self._what)
+            except ValidationError as exc:
+                raise self._nonfinite(*exc.args) from None
+        for name, value in zip(_BasisTable.__slots__, (basis, degree, mode, entries, None)):
             object.__setattr__(self, name, value)
         return self
 
     @classmethod
     def _new(cls, basis, degree, mode, entries):
-        # internal results, keyed and in mode already; a Python float overflow is refused
-        if mode == FLOAT and not all(map(cmath.isfinite, entries.values())):
-            raise cls._nonfinite(f"{cls._what} has non-finite entries")
+        # internal results, keyed and in mode already
         return object.__new__(cls)._set(basis, degree, mode, entries)
 
     @classmethod
@@ -401,8 +402,10 @@ class _BasisTable:
         if bad:
             raise cls._asymmetric(f"{cls._what} is not symmetric under slot exchange")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):
+        # the dense array is a cache, restored unbuilt
+        thaw, (cls, slots) = super().__reduce__()
+        return thaw, (cls, {**slots, "_array": None})
 
     @property
     def array(self):
@@ -433,11 +436,8 @@ class _BasisTable:
         return self._combine(other, operator.sub)
 
     def scale(self, c):
-        # through numpy, whose complex product rounds unlike Python's; a float
-        # factor that is not finite is refused even with no entry to spoil
+        # through numpy, whose complex product rounds unlike Python's
         c = coerce(c, self.mode)
-        if self.mode == FLOAT and not cmath.isfinite(c):
-            raise self._nonfinite(f"scale factor {c} is not finite")
         with float_range(f"scaled {self._what}"):
             values = (np.array(list(self.entries.values())) * c).tolist()
         return self._new(self.basis, self.degree, self.mode, dict(zip(self.entries, values)))

@@ -2,7 +2,9 @@
 value: no public entry takes a tolerance a caller could loosen, nor a
 max_n that lifts a guard.  The parameters that have a default are pinned as
 well, so that a new option is added on purpose, with this list.  numpy's
-error state is set in one place, the float_range guard, tested here too."""
+error state is set in one place, the float_range guard, and a float Python
+scalar is read for finiteness in one place, errors.as_finite_complex; both
+are tested here too."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +109,25 @@ def test_numpy_error_state_is_set_only_by_the_float_range_guard():
     src = pathlib.Path(ccr_lab.__file__).parent
     sites = {p.name: p.read_text().count("np.errstate") for p in sorted(src.glob("*.py"))}
     assert {name: n for name, n in sites.items() if n} == {"errors.py": 1}
+
+
+def test_a_float_scalar_is_read_for_finiteness_in_one_place():
+    # cmath.isfinite tests the parts, not the modulus.  The reader takes the
+    # modulus with abs(), which raises past the float range; hypot, which
+    # returns inf there, reads one modulus only: that of a difference of two
+    # read values in OrderingKernel
+    src = pathlib.Path(ccr_lab.__file__).parent
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    def files_with(needle):
+        return [name for name, text in texts.items() if needle in text]
+
+    assert files_with("cmath.isfinite") == files_with("def _finite(") == []
+    assert files_with("def as_finite_complex(") == ["errors.py"]
+    moduli = re.compile(r"math\.hypot\((\w+)\.real, \1\.imag\)")
+    sites = {name: moduli.findall(text) for name, text in texts.items()}
+    assert {name: found for name, found in sites.items() if found} == {
+        "wick_hadamard.py": ["delta"]
+    }
 
 
 def test_float_range_refuses_overflow_whatever_the_caller_set():

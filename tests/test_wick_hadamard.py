@@ -4,10 +4,12 @@ point-split stress tensor."""
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import itertools
 import json
 import math
+import pickle
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +43,7 @@ from ccr_lab.errors import (
     ValidationError,
 )
 from ccr_lab.minkowski_kernel import KernelParams
-from ccr_lab.quasifree import QuasifreeState, TwoPointKernel
+from ccr_lab.quasifree import QuasifreeState, TwoPointKernel, evaluate
 from ccr_lab.wick_hadamard import (
     DifferenceKernel,
     NormalOrderedElement,
@@ -1028,9 +1030,127 @@ def test_tensor_json_orbits_must_be_whole_and_agree():
 
 
 def test_tensor_json_round_trips_at_the_float_edge():
-    # finite parts whose modulus is past the float range
-    w = WickTensor([1], [complex(1.7e308, 1.7e308)])
+    # modulus 1.697e308 is a float; finite parts whose modulus is past the
+    # float range are refused, in the listing as in the array
+    w = WickTensor([1], [complex(1.2e308, 1.2e308)])
     assert tensor_from_json(tensor_to_json(w)) == w
+    text = tensor_to_json(w).replace("1.2e+308", "1.7e+308")
+    assert text.count("1.7e+308") == 2
+    with pytest.raises(ValidationError, match="float range"):
+        tensor_from_json(text)
+
+
+def _exact_parts(c):
+    return ExactComplex(Fraction(c.real), Fraction(c.imag))
+
+
+def _listing(c):
+    return json.dumps({"kind": "wick-tensor", "degree": 1, "basis": [1], "mode": FLOAT,
+                       "entries": [[[0], c.real, c.imag]]})
+
+
+_UNIT_STATE = QuasifreeState(TwoPointKernel({(1, 1): 1.0}))
+
+# every public entry of a float-mode Python scalar
+_FLOAT_SCALAR_ENTRIES = {
+    "element": lambda c: AlgebraElement({(1,): c}, FLOAT),
+    "ordered-element": lambda c: NormalOrderedElement({(1,): c}, FLOAT),
+    "element-scale": lambda c: AlgebraElement.generator(1, FLOAT).scale(c),
+    "ordered-scale": lambda c: NormalOrderedElement.monomial((1,), FLOAT).scale(c),
+    "element-sum": lambda c: (
+        AlgebraElement({(1,): c.real}, FLOAT) + AlgebraElement({(1,): 1j * c.imag}, FLOAT)
+    ),
+    "element-text": lambda c: element_from_text(f"{c.real!r}+{c.imag!r}*i*phi(1)", FLOAT),
+    "two-point-kernel": lambda c: TwoPointKernel(
+        {(1, 1): 0, (2, 2): 0, (1, 2): c, (2, 1): c.conjugate()}
+    ),
+    "ordering-kernel": lambda c: OrderingKernel({(1, 2): c, (2, 1): c}, PairingForm({})),
+    # an exact entry that the float pairing puts in float mode
+    "ordering-kernel-exact-entry": lambda c: OrderingKernel(
+        {(1, 2): _exact_parts(c), (2, 1): _exact_parts(c) - ExactComplex(0, Fraction(1, 2))},
+        PairingForm({(1, 2): 0.5}),
+    ),
+    "tensor": lambda c: WickTensor([1], [c]),
+    "tensor-json": lambda c: tensor_from_json(_listing(c)),
+    "tensor-scale": lambda c: WickTensor([1], [1.0]).scale(c),
+    "tensor-sum": lambda c: WickTensor([1], [c.real]) + WickTensor([1], [1j * c.imag]),
+    "difference-kernel": lambda c: DifferenceKernel([1], [[c]]),
+    "evaluate": lambda c: evaluate(_UNIT_STATE, AlgebraElement({(): _exact_parts(c)})),
+}
+
+_NUMPY_ODD_TAIL = pytest.mark.xfail(
+    strict=True,
+    raises=ValidationError,
+    reason="numpy's complex product by a broadcast factor pads an odd-length tail with a "
+    "lane whose product overflows once |re| + |im| of the factor does; float_range refuses it",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_NUMPY_ODD_TAIL if name == "tensor-scale" else ())
+        for name in _FLOAT_SCALAR_ENTRIES
+    ],
+)
+def test_a_float_scalar_with_a_finite_modulus_is_admitted(name):
+    # finite parts, modulus 1.697e308
+    _FLOAT_SCALAR_ENTRIES[name](complex(1.2e308, 1.2e308))
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_SCALAR_ENTRIES))
+def test_a_float_scalar_whose_modulus_overflows_is_refused(name):
+    # finite parts, modulus 2.4e308; evaluate's exact coefficient has parts
+    # 1.5e308 and modulus 2.1e308
+    c = complex(1.5e308, 1.5e308) if name == "evaluate" else complex(1.7e308, 1.7e308)
+    with pytest.raises(ValidationError, match="float range"):
+        _FLOAT_SCALAR_ENTRIES[name](c)
+
+
+def _state_kernel_outside_the_constructor_bound():
+    # the state's exchange check holds to 1e-10, the constructor's does not
+    kernel = OrderingKernel.from_state_kernel(
+        TwoPointKernel({(1, 1): 1.0, (2, 2): 1.0, (1, 2): 1e-11 + 0.5j, (2, 1): -0.5j})
+    )
+    with pytest.raises(OrderingKernelInvalidError):
+        OrderingKernel(kernel.entries, kernel.pairing)
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExactComplex(Fraction(1, 3), -2),
+        lambda: AlgebraElement({(2, 1): exact(1, 1)}),
+        lambda: AlgebraElement({(2, 1): 0.5j}, FLOAT),
+        lambda: NormalOrderedElement({(1, 2): exact(0, 3)}),
+        lambda: PairingForm({(1, 2): Fraction(1, 2), (2, 3): 0.25}),
+        _state_kernel_outside_the_constructor_bound,
+        lambda: word_tensor((1, 2), GENS),
+        lambda: DifferenceKernel([1, 2], [[1.0, 2.0], [2.0, 0.5]]),
+    ],
+    ids=["scalar", "element", "float-element", "ordered-element", "pairing", "ordering-kernel",
+         "tensor", "difference-kernel"],
+)
+def test_immutable_values_copy_and_pickle_as_stored(make):
+    value = make()
+    if isinstance(value, WickTensor):
+        value.array  # the cached dense array is not carried over
+    cls, stored = value.__reduce__()[1]
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin.__reduce__()[1] == (cls, stored)
+        if cls.__eq__ is not object.__eq__:
+            assert twin == value
+        if cls.__hash__ not in (None, object.__hash__):
+            assert hash(twin) == hash(value)
+        if isinstance(value, WickTensor):
+            assert twin._array is None and np.array_equal(twin.array, value.array)
+    for name in stored:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, None)
+    assert value.__reduce__()[1] == (cls, stored)
 
 
 @given(data=st.data())
