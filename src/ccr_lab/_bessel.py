@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -48,37 +49,42 @@ def _contour_rules():
     return arc, tail
 
 
-def _series_sums(t, split=-1, terms=None):
+# k(k+1) and psi_k = psi(k+1) + psi(k+2) for the terms _series_sums can
+# reach, psi_k built by psi(n+1) = psi(n) + 1/n from psi(1) + psi(2)
+_SERIES_TERMS = 60
+_KK1 = [k * (k + 1) for k in range(_SERIES_TERMS)]
+_PSI = list(itertools.accumulate(
+    (1.0 / k + 1.0 / (k + 1) for k in range(1, _SERIES_TERMS)),
+    initial=1.0 - 2.0 * _EULER_GAMMA,
+))
+
+
+def _series_sums(t, split=-1):
     # partial sums of c_k = t^k / (k! (k+1)!) over k <= split and over
     # k > split, and the full sum of psi_k c_k, where psi_k = psi(k+1) +
-    # psi(k+2) and psi(n+1) = -gamma + H_n; runs until both full sums have
-    # converged.  Given a list `terms`, it appends c_0..c_split there and
-    # stops after them instead, however small they are.
-    c = 1.0
+    # psi(k+2) and psi(n+1) = -gamma + H_n.  The head is summed whole; the
+    # rest runs until both full sums have converged.
+    c, k_sum = 1.0, _PSI[0]
     head, tail = (c, 0.0) if split >= 0 else (0.0, c)
-    psi_sum = 1.0 - 2.0 * _EULER_GAMMA  # psi(1) + psi(2)
-    k_sum = c * psi_sum
-    for k in range(1, 60 if terms is None else split + 2):
-        if terms is not None:
-            terms.append(c)
-        c *= t / (k * (k + 1))
-        psi_sum += 1.0 / k + 1.0 / (k + 1)  # psi(n+1) = psi(n) + 1/n
-        term = c * psi_sum
-        if k <= split:
-            head += c
-        else:
-            tail += c
+    for k in range(1, split + 1):
+        c *= t / _KK1[k]
+        head += c
+        k_sum += c * _PSI[k]
+    for k in range(max(split, 0) + 1, _SERIES_TERMS):
+        c *= t / _KK1[k]
+        tail += c
+        term = c * _PSI[k]
         k_sum += term
-        if (abs(c) < 1e-18 * abs(head + tail) and abs(term) < 1e-18 * abs(k_sum)
-                and terms is None):
+        if abs(c) < 1e-18 * abs(head + tail) and abs(term) < 1e-18 * abs(k_sum):
             break
     return head, tail, k_sum
 
 
 def _series_head(t, n):
     """[c_0, ..., c_n] of the series in _series_sums."""
-    terms = []
-    _series_sums(t, n, terms)
+    terms = [1.0]
+    for k in range(1, n + 1):
+        terms.append(terms[-1] * (t / _KK1[k]))
     return terms
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 import re as _re
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .errors import (
     InvalidSymmetryError,
     ScalarModeMismatchError,
     ValidationError,
+    as_finite,
     as_finite_complex,
     float_range,
 )
@@ -394,8 +394,9 @@ class PairingForm(_Frozen):
 
     Stored triangularly: entries[(i, j)] = E_ij for i < j.  Missing pairs are
     zero.  Entry values may be Fraction/int (usable in both scalar modes) or
-    finite real floats (float mode only); anything else, or a key that is
-    not an index pair, raises ValidationError.
+    finite reals, read as floats by errors.as_finite (float mode only);
+    anything else, or a key that is not an index pair, raises
+    ValidationError.
     """
 
     __slots__ = ("entries",)
@@ -403,10 +404,8 @@ class PairingForm(_Frozen):
     def __init__(self, entries=None):
         clean = {}
         for (i, j), v in _pair_table(entries, "pairing entries").items():
-            if not isinstance(v, numbers.Real) or not (is_exact(v) or math.isfinite(v)):
-                raise ValidationError(
-                    f"pairing entry ({i},{j}) = {v!r} is not a finite real number"
-                )
+            if not isinstance(v, (int, Fraction)):
+                v = as_finite(v, f"pairing entry ({i},{j})")
             if i == j:
                 if v:
                     raise ValidationError("diagonal pairing entries must vanish")
@@ -681,16 +680,31 @@ _RATIONAL = _re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def _json_scalar(x, what):
     """A real scalar of "ccr-lab/1" JSON: a "p" or "p/q" string reads as a
-    Fraction, a finite number (not a bool) as a float; any other form,
-    "1e1000000" among them, raises ValidationError."""
+    Fraction, a number (not a bool) as a float through errors.as_finite; any
+    other form, "1e1000000" among them, raises ValidationError."""
     try:
         if isinstance(x, str) and _RATIONAL.fullmatch(x):
             return Fraction(x)
-        if isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x):
-            return float(x)
-    except (ValueError, ZeroDivisionError, OverflowError):
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return as_finite(x, what)
+    except (ValidationError, ValueError, ZeroDivisionError):
         pass
     raise ValidationError(f"{what} {x!r} is not a listed scalar")
+
+
+def _reduced_parts(z):
+    """The real and imaginary parts of an ExactComplex, each as the
+    (numerator, denominator) pair in lowest terms that its Fraction holds,
+    read from the stored ints."""
+    a, b, d = z._abd
+    g, h = math.gcd(a, d), math.gcd(b, d)
+    return (a // g, d // g), (b // h, d // h)
+
+
+def _listed_parts(z):
+    """[re, im] of an ExactComplex as its listing writes them, each the
+    string str(Fraction) gives: "p", or "p/q" in lowest terms."""
+    return [str(p) if q == 1 else f"{p}/{q}" for p, q in _reduced_parts(z)]
 
 
 def _listed_value(re, im, mode):
@@ -706,10 +720,8 @@ def _listed_value(re, im, mode):
 
 def _format_scalar(c):
     if isinstance(c, ExactComplex):
-        # each part in lowest terms, as its Fraction would print
-        a, b, d = c._abd
-        g, h = math.gcd(a, d), math.gcd(b, d)
-        return f"{a // g}/{d // g}+{b // h}/{d // h}*i"
+        (p, q), (r, s) = _reduced_parts(c)
+        return f"{p}/{q}+{r}/{s}*i"
     return f"{c.real!r}+{c.imag!r}*i"
 
 

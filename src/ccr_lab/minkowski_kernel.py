@@ -8,14 +8,18 @@ one-particle scalar product of radially sampled momentum profiles.
 
 The mode integral's nodes do not depend on the regulator, so one pass over
 them gives the integral at every rung of the regulator ladder that the eps
--> 0 extrapolation needs.  The parametrix, its coefficients, the lam-shift
-and the remainder read one series, (m^2/16 pi^2) c_k with c_k =
-t^k/(k! (k+1)!) at t = m^2 sigma/4 (_bessel._series_sums): the first three
-sum its head k <= N.  Near coincidence the remainder sums all of it, the
-1/sigma poles of kernel and parametrix cancelled term by term, so it keeps
-full precision where their difference would lose it (see remainder_w).  A
-value that overflows a float, such as 1/(4 pi^2 sigma) at a subnormal
-sigma, is refused with ValidationError, not returned as inf.
+-> 0 extrapolation needs.  One node set per separation serves both head
+cutoffs of the self-check and both +-r components (_fourier_pair): one
+sin(kr) head per cutoff, and the four rotated tails as one array.
+
+The parametrix, its coefficients, the lam-shift and the remainder read one
+series, (m^2/16 pi^2) c_k with c_k = t^k/(k! (k+1)!) at t = m^2 sigma/4
+(_bessel._series_sums): the first three sum its head k <= N.  Near
+coincidence the remainder sums all of it, the 1/sigma poles of kernel and
+parametrix cancelled term by term, so it keeps full precision where their
+difference would lose it (see remainder_w).  A value that overflows a
+float, such as 1/(4 pi^2 sigma) at a subnormal sigma, is refused with
+ValidationError, not returned as inf.
 
 Conventions.  Separations are reduced by translation and rotation symmetry
 to a time difference dt and a spatial modulus r >= 0.  The causal square is
@@ -89,8 +93,10 @@ class SeparationPoint:
         dt, r = as_finite(self.dt, "dt"), as_finite(self.r, "r")
         if not math.isfinite(r * r - dt * dt):
             raise ValidationError("dt**2 or r**2 overflows, so sigma would be NaN")
-        if self.r < 0.0:
+        if r < 0.0:
             raise ValidationError("spatial separation modulus must be >= 0")
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "r", r)
 
     @property
     def sigma(self) -> float:
@@ -174,18 +180,9 @@ _LAG = np.polynomial.laguerre.laggauss(60)
 _MAX_HEAD_PANELS = 800
 
 
-def _mode_integral(rho, dt, m, eps, k0, power):
-    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk
-    for every regulator in the sequence `eps`, in one pass.
-
-    Power 1 is the integrand of the +-r components; power 2 at rho = 0 is
-    their r -> 0 limit, k sin(kr)/r -> k^2.  Head on [0, k0] by composite
-    Gauss-Legendre with panel density tied to the total phase range; tail
-    rotated into the complex k plane along the direction where the phase
-    decays, with Gauss-Laguerre nodes.  No node depends on the regulator, so
-    the undamped integrand is computed once and contracted with the damping
-    exp(-eps k) of each rung.
-    """
+def _head_nodes(rho, dt, k0):
+    """Composite Gauss-Legendre nodes and weights on [0, k0], with panel
+    density tied to the total phase range."""
     turns = k0 * (abs(rho) + abs(dt)) / (2.0 * math.pi)
     if not turns <= _MAX_HEAD_PANELS - 4:  # an infinite phase range fails too
         raise QuadratureFailureError(
@@ -193,12 +190,13 @@ def _mode_integral(rho, dt, m, eps, k0, power):
             residual=float("inf"),
         )
     n_panels = int(math.ceil(turns)) + 4
-    k, wts = _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
-    omega = np.sqrt(k * k + m * m)
-    head = np.exp(-np.outer(eps, k)) @ (
-        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega))
-    )
+    return _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
 
+
+def _tail_direction(rho, dt, m, k0):
+    """Sign c and rate gamma of the tail's rotation into the complex k plane,
+    k = k0 + i c u/gamma, the direction where the phase decays; a
+    stationary point beyond k0 is refused."""
     omega0 = math.sqrt(k0 * k0 + m * m)
     beta0 = rho - dt * k0 / omega0
     beta_inf = rho - dt
@@ -208,12 +206,37 @@ def _mode_integral(rho, dt, m, eps, k0, power):
             residual=float("inf"),
         )
     c = 1.0 if beta0 > 0 else -1.0
-    gamma = min(abs(beta0), abs(beta_inf))
+    return c, min(abs(beta0), abs(beta_inf))
+
+
+def _tail_nodes(k0, c, gamma, m):
+    """Gauss-Laguerre nodes kk = k0 + i c u/gamma of a rotated tail, their
+    weights times e^u, and omega at the nodes.  k0, c and gamma may be
+    (n, 1) arrays, one row per tail."""
     u, wl = _LAG
-    s = u / gamma
-    kk = k0 + 1j * c * s
-    om = np.sqrt(kk * kk + m * m)
-    vals = wl * np.exp(u) * kk**power / om * np.exp(1j * (kk * rho - dt * om))
+    kk = k0 + 1j * c * (u / gamma)
+    return kk, wl * np.exp(u), np.sqrt(kk * kk + m * m)
+
+
+def _mode_integral(rho, dt, m, eps, k0, power):
+    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk
+    for every regulator in the sequence `eps`, in one pass.
+
+    Power 1 is the integrand of the +-r components; power 2 at rho = 0 is
+    their r -> 0 limit, k sin(kr)/r -> k^2.  Head on [0, k0] by composite
+    Gauss-Legendre (_head_nodes); tail rotated into the complex k plane
+    (_tail_direction).  No node depends on the regulator, so the undamped
+    integrand is computed once and contracted with the damping exp(-eps k)
+    of each rung.
+    """
+    k, wts = _head_nodes(rho, dt, k0)
+    omega = np.sqrt(k * k + m * m)
+    head = np.exp(-np.outer(eps, k)) @ (
+        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega))
+    )
+    c, gamma = _tail_direction(rho, dt, m, k0)
+    kk, wl, om = _tail_nodes(k0, c, gamma, m)
+    vals = wl * kk**power / om * np.exp(1j * (kk * rho - dt * om))
     tail = np.exp(-np.outer(eps, kk)) @ vals
     return head + 1j * c * tail / gamma
 
@@ -230,24 +253,45 @@ def _head_cutoff(p: SeparationPoint, m: float) -> float:
     return k0
 
 
-def _fourier_once(p: SeparationPoint, m: float, eps, k0: float):
+def _fourier_pair(p: SeparationPoint, m: float, eps, cutoffs):
+    """The kernel at each regulator of `eps`, once for each head cutoff.
+
+    At r > 0 it is (I(r) - I(-r)) / (2i 4 pi^2 r) with I the power-1 mode
+    integral, evaluated on one node set: the +-r heads share their nodes,
+    so each cutoff's head integrates k sin(kr)/omega exp(-i dt omega), and
+    the four rotated tails (two cutoffs, +-r) are one (4, 60) array.
+    """
     if p.r < 1e-9:
         if p.dt == 0.0:
             raise QuadratureFailureError(
                 "coincidence point has no convergent mode integral", residual=float("inf")
             )
-        return _mode_integral(0.0, p.dt, m, eps, k0, 2) / _FOUR_PI_SQ
-    plus = _mode_integral(p.r, p.dt, m, eps, k0, 1)
-    minus = _mode_integral(-p.r, p.dt, m, eps, k0, 1)
-    return (plus - minus) / (2j) / (_FOUR_PI_SQ * p.r)
+        return [_mode_integral(0.0, p.dt, m, eps, k0, 2) / _FOUR_PI_SQ for k0 in cutoffs]
+    r, dt = p.r, p.dt
+    eps = np.asarray(eps, dtype=float)
+    heads, tails = [], []  # tails: (k0, rho, c, gamma), two per cutoff
+    for k0 in cutoffs:  # refusals in the order of the per-component passes
+        heads.append(_head_nodes(r, dt, k0))
+        for rho in (r, -r):
+            tails.append((k0, rho, *_tail_direction(rho, dt, m, k0)))
+    out = []
+    for k, wts in heads:
+        omega = np.sqrt(k * k + m * m)
+        vals = wts * k / omega * np.sin(k * r) * np.exp(-1j * dt * omega)
+        out.append(np.exp(-np.outer(eps, k)) @ vals)
+    k0, rho, c, gamma = (np.array(col)[:, None] for col in zip(*tails))
+    kk, wl, om = _tail_nodes(k0, c, gamma, m)
+    vals = wl * kk / om * np.exp(1j * (kk * rho - dt * om))
+    tail = (np.exp(-eps[:, None, None] * kk) * vals).sum(axis=-1) * (1j * c / gamma).T
+    sin_tail = (tail[:, 0::2] - tail[:, 1::2]) / 2j
+    return [(h + t) / (_FOUR_PI_SQ * r) for h, t in zip(out, sin_tail.T)]
 
 
 def _fourier_checked(p: SeparationPoint, m: float, eps):
     """The kernel at each regulator of the ladder `eps`, from two head
     cutoffs; the rungs are self-checked in ladder order."""
     k0 = _head_cutoff(p, m)
-    v1 = _fourier_once(p, m, eps, k0)
-    v2 = _fourier_once(p, m, eps, 1.37 * k0 + 1.0)
+    v1, v2 = _fourier_pair(p, m, eps, (k0, 1.37 * k0 + 1.0))
     floor = 1e-2 * max(m * m, 1.0) / _FOUR_PI_SQ
     for a, b in zip(v1, v2):
         scale = max(abs(b), floor)
@@ -283,7 +327,7 @@ def omega2_fourier(p: SeparationPoint, params: KernelParams) -> complex:
     m = params.m
     if params.eps > 0.0:
         return _fourier_checked(p, m, [params.eps])[0]
-    span = p.r + abs(p.dt)  # at span = 0, _fourier_once refuses the coincidence point
+    span = p.r + abs(p.dt)  # at span = 0, _fourier_pair refuses the coincidence point
     ladder = [f * span for f in (3e-3, 1e-3, 3e-4, 1e-4, 3e-5)]
     values = _fourier_checked(p, m, ladder)
     full = _extrapolate_to_zero(ladder, values)
@@ -375,11 +419,12 @@ def remainder_w(p: SeparationPoint, params: KernelParams) -> complex:
     _check_window(s, params.lam)
     t = 0.25 * m * m * s
     head, tail, psi_sum = _series_sums(t, params.order)
-    # where t underflows to 0 so does every term of tail
-    log_t = complex(math.log(abs(t)) if t else 0.0,
-                    0.0 if s > 0.0 else math.copysign(math.pi, p.dt))
+    # L = log|t| + i side; where t underflows to 0 so does every term of tail
+    log_t = math.log(abs(t)) if t else 0.0
+    side = 0.0 if s > 0.0 else math.copysign(math.pi, p.dt)
     log_lam = 2.0 * math.log(0.5 * m * params.lam)
-    w = m * m / (4.0 * _FOUR_PI_SQ) * (head * log_lam + tail * log_t - psi_sum)
+    pre = m * m / (4.0 * _FOUR_PI_SQ)
+    w = complex(pre * (head * log_lam + tail * log_t - psi_sum), pre * (tail * side))
     return as_finite_complex(w, "the remainder")
 
 

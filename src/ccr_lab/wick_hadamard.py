@@ -50,6 +50,7 @@ from .ccr_core import (
     _contract,
     _Frozen,
     _labels,
+    _listed_parts,
     _listed_value,
     _pair_table,
     _WordCombination,
@@ -624,7 +625,7 @@ def tensor_to_json(w: WickTensor) -> str:
         raise ValidationError("tensor_to_json expects a WickTensor")
     rows = []
     for idx, v in w.entries.items():
-        value = [str(v.re), str(v.im)] if w.mode == EXACT else [v.real, v.imag]
+        value = _listed_parts(v) if w.mode == EXACT else [v.real, v.imag]
         rows.extend([list(perm), *value] for perm in set(itertools.permutations(idx)))
     rows.sort(key=operator.itemgetter(0))
     data = {"schema": "ccr-lab/1", "kind": "wick-tensor", "degree": w.degree,

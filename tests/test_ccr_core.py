@@ -546,6 +546,21 @@ def test_pairing_form_refuses_entries_that_are_not_a_mapping():
         PairingForm(5)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, -math.inf, np.float64(math.inf), 1j, "0.5", None,
+     ExactComplex(0, 1), ExactComplex(Fraction(1, 2))],
+    ids=["nan", "-inf", "numpy-inf", "complex", "string", "none",
+         "exact-imaginary", "exact-real"],
+)
+def test_pairing_form_reads_a_float_entry_through_as_finite(value):
+    with pytest.raises(ValidationError, match=r"^pairing entry \(1,2\) must be a finite real"):
+        PairingForm({(1, 2): value})
+    # a numpy float is read as the Python float it equals
+    E = PairingForm({(2, 1): np.float64(0.25)})
+    assert type(E.value(1, 2)) is float and E.value(1, 2) == -0.25
+
+
 def test_weak_nondegeneracy_report():
     assert E_TWO_BLOCKS.is_weakly_nondegenerate((1, 2, 3, 4))
     assert not E12.is_weakly_nondegenerate((1, 2, 3))

@@ -14,6 +14,7 @@ from ccr_lab import lattice_propagator
 from ccr_lab.errors import (
     CausalContaminationError,
     CcrLabError,
+    InternalInconsistencyError,
     InvalidSliceError,
     ValidationError,
     WindowTooThinError,
@@ -31,7 +32,7 @@ from ccr_lab.lattice_propagator import (
     solve_cauchy,
 )
 
-from oracles import dalembert_retarded, lattice_dispersion
+from oracles import dalembert_retarded, lattice_dispersion, leapfrog_dispersion_residual
 
 
 def smooth_bump(u):
@@ -310,6 +311,55 @@ def test_stencil_matches_dense_operator(boundary):
     assert np.array_equal(causal_E(f).values, adv - ret)
 
 
+# ------------------------------------------------- the operator in blocks
+
+def _plane_wave(cfg, mode):
+    """An exact solution of the leapfrog scheme: cos(omega t) times a
+    spatial mode, omega the root of the discrete dispersion relation.  On a
+    periodic grid the mode is cos(k x); on a padded one it is sin(k (j+1) a)
+    with k (n_x+1) a a multiple of pi, so it vanishes at the zero neighbours
+    past both ends."""
+    a, N = cfg.spacing, cfg.n_x
+    j = np.arange(N)
+    if cfg.boundary == "periodic":
+        k = 2.0 * math.pi * mode / (N * a)
+        profile = np.cos(k * a * j)
+    else:
+        k = math.pi * mode / ((N + 1) * a)
+        profile = np.sin(k * a * (j + 1))
+    rate = math.sqrt(cfg.mass**2 + (2.0 / a * math.sin(k * a / 2.0)) ** 2)
+    omega = 2.0 / cfg.dt * math.asin(cfg.dt * rate / 2.0)
+    t = np.arange(cfg.n_steps) * cfg.dt
+    return omega, k, np.outer(np.cos(omega * t), profile)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+@pytest.mark.parametrize("n_steps", [9, 77])
+def test_apply_kg_annihilates_an_exact_discrete_plane_wave(boundary, n_steps):
+    # 7 and 75 interior rows: one short block, and blocks of 32 whose last
+    # one overlaps the block before it
+    cfg = LatticeConfig(n_x=50, spacing=0.3, dt=0.2, n_steps=n_steps, mass=0.9,
+                        boundary=boundary)
+    omega, k, wave = _plane_wave(cfg, 4)
+    scale = 4.0 / cfg.dt**2 + 4.0 / cfg.spacing**2 + cfg.mass**2
+    assert abs(leapfrog_dispersion_residual(omega, k, cfg.mass, cfg.spacing, cfg.dt)) <= 1e-13 * scale
+    kv = apply_kg(LatticeField(cfg, wave)).values
+    assert np.abs(kv[1:-1]).max() <= 1e-13 * scale
+    assert not kv[0].any() and not kv[-1].any()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+def test_apply_kg_in_blocks_equals_the_step_row_by_row(boundary):
+    # the block form makes the single-row step's operations in its order
+    cfg = LatticeConfig(n_x=37, spacing=0.5, dt=0.3, n_steps=71, mass=0.8, boundary=boundary)
+    v = np.random.default_rng(7).normal(size=(cfg.n_steps, cfg.n_x))
+    step, dt2 = lattice_propagator._stencil(cfg)
+    want = np.zeros_like(v)
+    for n in range(1, cfg.n_steps - 1):
+        want[n] = (v[n + 1] - step(v[n], v[n - 1], np.empty(cfg.n_x))) / dt2
+    assert np.array_equal(apply_kg(LatticeField(cfg, v)).values, want)
+
+
 # ------------------------------------------------------------- causal map
 
 def test_causal_E_of_zero_and_of_image_of_kg():
@@ -471,6 +521,24 @@ def test_compress_reconstruction_error_small():
     psi = solve_cauchy(data)
     rec = causal_E(fsrc)
     assert np.abs(rec.values - psi.values).max() <= 1e-3 * psi.norm()
+
+
+def test_compress_reconstruction_check_fires(monkeypatch):
+    # negative control: a source off by 1e-6 in one entry no longer
+    # reproduces the solution, and the round-trip check refuses it
+    cfg = LatticeConfig(n_x=40, spacing=0.25, dt=0.2, n_steps=60, mass=0.8)
+    rng = np.random.default_rng(4)
+    data = CauchyData(cfg, 30, rng.normal(size=40), rng.normal(size=40))
+    kg = lattice_propagator._kg
+
+    def perturbed(config, v, start=1):
+        out = kg(config, v, start)
+        out[start + 2, 5] += 1e-6 * np.abs(out).max()
+        return out
+
+    monkeypatch.setattr(lattice_propagator, "_kg", perturbed)
+    with pytest.raises(InternalInconsistencyError, match="failed to reproduce"):
+        slice_compress(data, (12, 26))
 
 
 # ------------------------------------------------------------- boundaries

@@ -238,6 +238,87 @@ def test_regulator_ladder_matches_per_rung_integrals(dt, r):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _closed_form(p, m):
+    """(m^2/4 pi^2) K1(z)/z at z = m sqrt(sigma) from mpmath, the timelike
+    root on the side given by the sign of dt."""
+    sigma = p.r * p.r - p.dt * p.dt
+    if sigma > 0:
+        root = complex(math.sqrt(sigma), 0.0)
+    else:
+        root = complex(0.0, math.copysign(math.sqrt(-sigma), p.dt))
+    z = m * root
+    return m * m / (4.0 * math.pi**2) * mp_k1(z) / z
+
+
+@pytest.mark.parametrize(
+    "m, dt, r", [(1.0, 0.3, 0.7), (1.0, -0.9, 0.2), (10.0, 0.05, 0.7), (0.1, 0.9, 0.7)]
+)
+def test_batched_fourier_path_matches_the_closed_form(m, dt, r):
+    # both cutoffs and both +-r components on one node set per separation,
+    # at points of the short-separation grid (m in {1e-3, 0.1, 1, 10}, dt in
+    # {0, +-0.003, +-0.05, +-0.3, +-0.9}, r in {0.001, 0.02, 0.2, 0.7}) where
+    # the two heads have different panel counts, checked against mpmath
+    # rather than against the Bessel pipeline
+    p = SeparationPoint(dt, r)
+    k0 = mk._head_cutoff(p, m)
+    panels = [mk._head_nodes(r, dt, k)[0].size for k in (k0, 1.37 * k0 + 1.0)]
+    assert panels[0] < panels[1]
+    want = _closed_form(p, m)
+    assert abs(omega2_fourier(p, KernelParams(m=m)) - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("dt, r", [(0.0, 1.0000001e-9), (5e-10, 1.0000001e-9), (-4e-10, 1.5e-9)])
+def test_fourier_path_just_above_the_origin_branch(dt, r):
+    # r >= 1e-9 takes the +-r split, near coincidence as well; the kernel
+    # there is about 1/(4 pi^2 sigma), some 1e16
+    p = SeparationPoint(dt, r)
+    want = _closed_form(p, 1.0)
+    assert abs(omega2_fourier(p, M1) - want) <= 1e-9 * abs(want)
+
+
+def test_fourier_self_check_fires_on_a_grid_point():
+    # m = 1e-3, dt = 0, r = 0.2: the two cutoffs disagree by 4.2e-9, past
+    # the bound of 1e-9 of the kernel (about 0.63), so the point is refused
+    # rather than answered
+    p = SeparationPoint(0.0, 0.2)
+    with pytest.raises(QuadratureFailureError, match="self-check failed") as exc:
+        omega2_fourier(p, KernelParams(m=1e-3))
+    assert exc.value.residual > 1e-9 * abs(_closed_form(p, 1e-3))
+
+
+def test_fourier_self_check_negative_control(monkeypatch):
+    # a first-cutoff value off by 1e-8 of itself fails the cross-check
+    pair = mk._fourier_pair
+
+    def skewed(p, m, eps, cutoffs):
+        v1, v2 = pair(p, m, eps, cutoffs)
+        return v1 * (1.0 + 1e-8), v2
+
+    p = SeparationPoint(0.3, 0.7)
+    omega2_fourier(p, M1)
+    monkeypatch.setattr(mk, "_fourier_pair", skewed)
+    with pytest.raises(QuadratureFailureError, match="self-check failed"):
+        omega2_fourier(p, M1)
+
+
+def test_fourier_extrapolation_negative_control(monkeypatch):
+    # a largest rung off by 10% of itself moves the full extrapolant, which
+    # reads it with weight about 2e-5, and not the trimmed one, which drops
+    # it: they part by more than the 1e-7 bound and the value is refused
+    checked = mk._fourier_checked
+
+    def kinked(p, m, eps):
+        values = checked(p, m, eps)
+        return [values[0] * 1.1] + values[1:]
+
+    p = SeparationPoint(-0.9, 0.2)
+    omega2_fourier(p, M1)
+    monkeypatch.setattr(mk, "_fourier_checked", kinked)
+    with pytest.raises(QuadratureFailureError, match="did not settle") as exc:
+        omega2_fourier(p, M1)
+    assert exc.value.residual > 0.0
+
+
 def test_kg_equation_residual_spacelike():
     # radial wave operator, second-order central differences
     params = M1

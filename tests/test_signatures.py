@@ -3,8 +3,8 @@ value: no public entry takes a tolerance a caller could loosen, nor a
 max_n that lifts a guard.  The parameters that have a default are pinned as
 well, so that a new option is added on purpose, with this list.  numpy's
 error state is set in one place, the float_range guard, and a float Python
-scalar is read for finiteness in one place, errors.as_finite_complex; both
-are tested here too."""
+scalar is read for finiteness in one place, errors.as_finite_complex, or
+errors.as_finite for a real one; these are tested here too."""
 
 from __future__ import annotations
 
@@ -111,13 +111,17 @@ def test_numpy_error_state_is_set_only_by_the_float_range_guard():
     assert {name: n for name, n in sites.items() if n} == {"errors.py": 1}
 
 
+def _source_texts():
+    src = pathlib.Path(ccr_lab.__file__).parent
+    return {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+
+
 def test_a_float_scalar_is_read_for_finiteness_in_one_place():
     # cmath.isfinite tests the parts, not the modulus.  The reader takes the
     # modulus with abs(), which raises past the float range; hypot, which
     # returns inf there, reads one modulus only: that of a difference of two
     # read values in OrderingKernel
-    src = pathlib.Path(ccr_lab.__file__).parent
-    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    texts = _source_texts()
     def files_with(needle):
         return [name for name, text in texts.items() if needle in text]
 
@@ -127,6 +131,19 @@ def test_a_float_scalar_is_read_for_finiteness_in_one_place():
     sites = {name: moduli.findall(text) for name, text in texts.items()}
     assert {name: found for name, found in sites.items() if found} == {
         "wick_hadamard.py": ["delta"]
+    }
+
+
+def test_a_real_scalar_is_read_for_finiteness_in_one_place():
+    # errors.as_finite is the one reader of a finite real; the other
+    # math.isfinite tests SeparationPoint's sigma, a value computed from two
+    # read ones, and numbers.Real no longer stands in for a reader
+    texts = _source_texts()
+    assert [name for name, text in texts.items() if "def as_finite(" in text] == ["errors.py"]
+    assert [name for name, text in texts.items() if "numbers.Real" in text] == []
+    sites = {name: text.count("math.isfinite(") for name, text in texts.items()}
+    assert {name: n for name, n in sites.items() if n} == {
+        "errors.py": 1, "minkowski_kernel.py": 1
     }
 
 

@@ -997,6 +997,20 @@ def test_tensor_json_listing_is_pinned():
     assert w.entries == {(0, 1, 1): exact(Fraction(1, 7), Fraction(-1, 3))}
 
 
+@pytest.mark.parametrize(
+    "re, im",
+    [(0, 1), (Fraction(-6, 3), 0), (Fraction(5, 10), -7), (Fraction(-22, 7), Fraction(3, 14))],
+)
+def test_exact_listing_prints_each_part_as_its_fraction(re, im):
+    # the parts are printed from the stored ints, as str(Fraction) would:
+    # "p" for a whole number, zero included, else "p/q" in lowest terms
+    w = word_tensor((2, 1, 2), GENS).scale(exact(re, im))
+    (v,) = w.entries.values()
+    rows = json.loads(tensor_to_json(w))["entries"]
+    assert len(rows) == 3 and all(row[1:] == [str(v.re), str(v.im)] for row in rows)
+    assert tensor_from_json(tensor_to_json(w)) == w
+
+
 def _listing_with(text, row, value):
     data = json.loads(text)
     data["entries"][row][1] = value
