@@ -6,11 +6,12 @@ radial Fourier mode integral), the short-distance parametrix with its
 closed-form coefficients, the smooth remainder after subtraction, and the
 one-particle scalar product of radially sampled momentum profiles.
 
-The mode integral's nodes do not depend on the regulator, so one pass over
-them gives the integral at every rung of the regulator ladder that the eps
--> 0 extrapolation needs.  One node set per separation serves both head
-cutoffs of the self-check and both +-r components (_fourier_pair): one
-sin(kr) head per cutoff, and the four rotated tails as one array.
+One routine, _fourier_pair, is the mode integral at every separation but
+coincidence, on one node set per separation that serves both head cutoffs
+of the self-check and every rung of the regulator ladder the eps -> 0
+extrapolation needs.  Timelike separations with r <= |dt|/4, r = 0
+included, give the e^(+-ikr) components one shared tail; elsewhere each
+takes its own.
 
 The parametrix, its coefficients, the lam-shift and the remainder read one
 series, (m^2/16 pi^2) c_k with c_k = t^k/(k! (k+1)!) at t = m^2 sigma/4
@@ -177,6 +178,7 @@ def omega2_bessel(p: SeparationPoint, params: KernelParams) -> complex:
 
 _GL24 = np.polynomial.legendre.leggauss(24)
 _LAG = np.polynomial.laguerre.laggauss(60)
+_LAG = _LAG[0], _LAG[1] * np.exp(_LAG[0])  # weights for f(u) du, not f(u) e^-u du
 _MAX_HEAD_PANELS = 800
 
 
@@ -190,55 +192,14 @@ def _head_nodes(rho, dt, k0):
             residual=float("inf"),
         )
     n_panels = int(math.ceil(turns)) + 4
-    return _panels(np.linspace(0.0, k0, n_panels + 1), _GL24)
+    return _panels(k0 / n_panels * np.arange(n_panels + 1.0), _GL24)
 
 
-def _tail_direction(rho, dt, m, k0):
-    """Sign c and rate gamma of the tail's rotation into the complex k plane,
-    k = k0 + i c u/gamma, the direction where the phase decays; a
-    stationary point beyond k0 is refused."""
-    omega0 = math.sqrt(k0 * k0 + m * m)
-    beta0 = rho - dt * k0 / omega0
-    beta_inf = rho - dt
-    if beta0 == 0.0 or beta_inf == 0.0 or (beta0 > 0) != (beta_inf > 0):
-        raise QuadratureFailureError(
-            "phase has a stationary point beyond the head cutoff",
-            residual=float("inf"),
-        )
-    c = 1.0 if beta0 > 0 else -1.0
-    return c, min(abs(beta0), abs(beta_inf))
-
-
-def _tail_nodes(k0, c, gamma, m):
-    """Gauss-Laguerre nodes kk = k0 + i c u/gamma of a rotated tail, their
-    weights times e^u, and omega at the nodes.  k0, c and gamma may be
-    (n, 1) arrays, one row per tail."""
-    u, wl = _LAG
-    kk = k0 + 1j * c * (u / gamma)
-    return kk, wl * np.exp(u), np.sqrt(kk * kk + m * m)
-
-
-def _mode_integral(rho, dt, m, eps, k0, power):
-    """integral_0^inf  k^power/omega * exp(i(k rho - dt omega) - eps k)  dk
-    for every regulator in the sequence `eps`, in one pass.
-
-    Power 1 is the integrand of the +-r components; power 2 at rho = 0 is
-    their r -> 0 limit, k sin(kr)/r -> k^2.  Head on [0, k0] by composite
-    Gauss-Legendre (_head_nodes); tail rotated into the complex k plane
-    (_tail_direction).  No node depends on the regulator, so the undamped
-    integrand is computed once and contracted with the damping exp(-eps k)
-    of each rung.
-    """
-    k, wts = _head_nodes(rho, dt, k0)
-    omega = np.sqrt(k * k + m * m)
-    head = np.exp(-np.outer(eps, k)) @ (
-        wts * k**power / omega * np.exp(1j * (k * rho - dt * omega))
-    )
-    c, gamma = _tail_direction(rho, dt, m, k0)
-    kk, wl, om = _tail_nodes(k0, c, gamma, m)
-    vals = wl * kk**power / om * np.exp(1j * (kk * rho - dt * om))
-    tail = np.exp(-np.outer(eps, kk)) @ vals
-    return head + 1j * c * tail / gamma
+def _sin_over_r(k, r, k_max):
+    """sin(kr)/r on the node array k, whose moduli are at most k_max, or its
+    limit k where k_max r < 1e-8: there the two agree to roundoff, and at a
+    tiny r the product kr would lose its digits."""
+    return k if k_max * r < 1e-8 else np.sin(k * r) / r
 
 
 def _head_cutoff(p: SeparationPoint, m: float) -> float:
@@ -254,37 +215,63 @@ def _head_cutoff(p: SeparationPoint, m: float) -> float:
 
 
 def _fourier_pair(p: SeparationPoint, m: float, eps, cutoffs):
-    """The kernel at each regulator of `eps`, once for each head cutoff.
+    """The kernel at each regulator of `eps`, once for each head cutoff k0:
+    (1/4 pi^2) integral_0^inf k sin(kr)/(r omega) exp(-i dt omega - eps k) dk.
 
-    At r > 0 it is (I(r) - I(-r)) / (2i 4 pi^2 r) with I the power-1 mode
-    integral, evaluated on one node set: the +-r heads share their nodes,
-    so each cutoff's head integrates k sin(kr)/omega exp(-i dt omega), and
-    the four rotated tails (two cutoffs, +-r) are one (4, 60) array.
+    The head [0, k0] is composite Gauss-Legendre (_head_nodes).  The tail is
+    rotated into the complex plane, k = k0 + i c u/gamma, in the direction c
+    where the phase decays and at the rate gamma of its slower end, and
+    integrated by 60-node Gauss-Laguerre in u; a stationary point beyond k0
+    is refused.  On a timelike separation with r <= |dt|/4, r = 0 included,
+    the e^(+-ikr) components rotate alike at nearly one rate, so they share
+    the tail of r = 0 (the slower decays like e^(-(1-b)u), b <= 0.26) and
+    sin(kr)/r is formed on its nodes, where the difference of two tails
+    would cancel.  Elsewhere, spacelike or near the cone, each component
+    e^(ik rho), rho = +-r, takes its own tail, weighted 1/(2i rho).  On each
+    head array and on the shared tail, sin(kr)/r is its limit k where every
+    |kr| is below 1e-8 (_sin_over_r).  No node depends on the regulator: the
+    undamped integrand is computed once and contracted with each rung's
+    damping exp(-eps k).  A value past the float range is refused.
     """
-    if p.r < 1e-9:
-        if p.dt == 0.0:
-            raise QuadratureFailureError(
-                "coincidence point has no convergent mode integral", residual=float("inf")
-            )
-        return [_mode_integral(0.0, p.dt, m, eps, k0, 2) / _FOUR_PI_SQ for k0 in cutoffs]
     r, dt = p.r, p.dt
+    if r == 0.0 and dt == 0.0:
+        raise QuadratureFailureError(
+            "coincidence point has no convergent mode integral", residual=float("inf")
+        )
     eps = np.asarray(eps, dtype=float)
-    heads, tails = [], []  # tails: (k0, rho, c, gamma), two per cutoff
-    for k0 in cutoffs:  # refusals in the order of the per-component passes
-        heads.append(_head_nodes(r, dt, k0))
-        for rho in (r, -r):
-            tails.append((k0, rho, *_tail_direction(rho, dt, m, k0)))
-    out = []
-    for k, wts in heads:
-        omega = np.sqrt(k * k + m * m)
-        vals = wts * k / omega * np.sin(k * r) * np.exp(-1j * dt * omega)
-        out.append(np.exp(-np.outer(eps, k)) @ vals)
-    k0, rho, c, gamma = (np.array(col)[:, None] for col in zip(*tails))
-    kk, wl, om = _tail_nodes(k0, c, gamma, m)
-    vals = wl * kk / om * np.exp(1j * (kk * rho - dt * om))
-    tail = (np.exp(-eps[:, None, None] * kk) * vals).sum(axis=-1) * (1j * c / gamma).T
-    sin_tail = (tail[:, 0::2] - tail[:, 1::2]) / 2j
-    return [(h + t) / (_FOUR_PI_SQ * r) for h, t in zip(out, sin_tail.T)]
+    shared = 4.0 * r <= abs(dt)
+    heads, tails = [], []  # tails: (k0, rho, i c/gamma), one per cutoff and rho
+    for k0 in cutoffs:  # a head refused before its tails
+        heads.append((k0, *_head_nodes(r, dt, k0)))
+        omega0 = math.sqrt(k0 * k0 + m * m)
+        for rho in (0.0,) if shared else (r, -r):
+            beta0, beta_inf = rho - dt * k0 / omega0, rho - dt
+            if beta0 == 0.0 or beta_inf == 0.0 or (beta0 > 0) != (beta_inf > 0):
+                raise QuadratureFailureError(
+                    "phase has a stationary point beyond the head cutoff",
+                    residual=float("inf"),
+                )
+            gamma = min(abs(beta0), abs(beta_inf))
+            tails.append((k0, rho, 1j * math.copysign(1.0, beta0) / gamma))
+    with float_range("the mode integral"):
+        out = []
+        for k0, k, wts in heads:
+            omega = np.sqrt(k * k + m * m)
+            vals = wts * k * _sin_over_r(k, r, k0) / omega * np.exp(-1j * dt * omega)
+            out.append(np.exp(-eps[:, None] * k) @ vals)
+        k0, rho, dk = (np.array(col)[:, None] for col in zip(*tails))
+        u, wl = _LAG
+        kk = k0 + dk * u  # dk is the Jacobian dk/du
+        om = np.sqrt(kk * kk + m * m)
+        if shared:  # |k| grows along each row
+            sin_r = _sin_over_r(kk, r, abs(kk[:, -1]).max())
+            vals = kk * sin_r / om * np.exp(-1j * dt * om) * dk
+        else:  # e^(ik rho)/(2i rho), summed over rho = +-r, is sin(kr)/r
+            vals = dk / (2j * rho) * kk / om * np.exp(1j * (kk * rho - dt * om))
+        tail = (np.exp(-eps[:, None, None] * kk) * (wl * vals)).sum(axis=-1)
+        if not shared:
+            tail = tail[:, 0::2] + tail[:, 1::2]
+        return [(h + t) / _FOUR_PI_SQ for h, t in zip(out, tail.T)]
 
 
 def _fourier_checked(p: SeparationPoint, m: float, eps):
@@ -317,7 +304,9 @@ def _extrapolate_to_zero(xs, ys):
 
 
 def omega2_fourier(p: SeparationPoint, params: KernelParams) -> complex:
-    """Radial mode-integral evaluation of the vacuum kernel.
+    """Radial mode-integral evaluation of the vacuum kernel, at every
+    separation but coincidence (_fourier_pair), self-checked against a
+    second head cutoff.
 
     A positive `eps` in the parameters gives the single damped integral at
     that regulator.  At eps = 0 a decreasing regulator ladder is evaluated

@@ -868,7 +868,7 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
     unprimed/primed derivatives acting on the first/second slot,
 
         (1 - 2 xi) d_a d'_b  -  2 xi d_a d_b
-        + g_ab (2 xi box_x + (2 xi - 1/2) g^{cd} d_c d'_d + m^2 / 2)
+        + g_ab (2 xi box_x + (2 xi - 1/2) g^{cd} d_c d'_d - m^2 / 2)
         - (1/3) g_ab (m^2 - box_x)
 
     The Einstein-tensor term of the curved-space operator vanishes here; the
@@ -911,7 +911,7 @@ def stress_energy(w, x, mass, xi=0.0, step=0.05) -> StressEnergyResult:
         tensor = (
             (1.0 - 2.0 * xi) * xy
             - 2.0 * xi * xx
-            + _ETA * (2.0 * xi * box_x + (2.0 * xi - 0.5) * cross + 0.5 * mass * mass * value)
+            + _ETA * (2.0 * xi * box_x + (2.0 * xi - 0.5) * cross - 0.5 * mass * mass * value)
             - (_ETA / 3.0) * kg_diag
         )
         trace = float(-tensor[0, 0] + tensor[1, 1] + tensor[2, 2] + tensor[3, 3])

@@ -383,6 +383,48 @@ def commutator_radial_oracle(m, r, dt):
     return -value / (2.0 * math.pi**2 * r)
 
 
+# ------------------------------------------------------------ thermal state
+
+def thermal_smooth_kernel(beta, m):
+    """Smooth part W_beta - W_0 of the thermal (KMS) two-point function at
+    inverse temperature beta, as a callable w(x, y) of two 4-points:
+    (1/2 pi^2) int k^2 n(omega)/omega cos(omega dt) sin(kr)/(kr) dk with
+    n = 1/(e^(beta omega) - 1), by 400-node Gauss-Legendre on [0, 40/beta],
+    past which n is below e^-40."""
+    u, wts = np.polynomial.legendre.leggauss(400)
+    half = 20.0 / beta
+    k = half * (u + 1.0)
+    omega = np.sqrt(k * k + m * m)
+    weight = half * wts * k * k / (omega * np.expm1(beta * omega)) / (2.0 * math.pi**2)
+
+    def w(x, y):
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        r = math.sqrt(d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+        return float(weight @ (np.cos(omega * d[0]) * np.sinc(k * r / math.pi)))
+
+    return w
+
+
+def bose_energy_density_and_pressure(beta, m):
+    """rho = (1/2 pi^2) int k^2 omega n dk and p = (1/6 pi^2) int k^4/omega n dk
+    of the free thermal gas, n = 1/(e^(beta omega) - 1), by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        beta, m = mpmath.mpf(beta), mpmath.mpf(m)
+
+        def bose(f):
+            def integrand(k):
+                omega = mpmath.sqrt(k * k + m * m)
+                return f(k, omega) / mpmath.expm1(beta * omega)
+
+            return mpmath.quad(integrand, [0, 1 / beta, mpmath.inf])
+
+        rho = bose(lambda k, omega: k**2 * omega) / (2 * mpmath.pi**2)
+        p = bose(lambda k, omega: k**4 / omega) / (6 * mpmath.pi**2)
+        return float(rho), float(p)
+
+
 # ------------------------------------------------------------- microlocal
 
 def minkowski_sq(k):

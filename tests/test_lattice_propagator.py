@@ -158,6 +158,18 @@ def test_lattice_boundary_refuses_foreign_input(call):
         call()
 
 
+def test_pair_E_refuses_fields_it_cannot_pair():
+    f16, f17 = (LatticeField(_small(n_steps=n), np.zeros((n, 8))) for n in (16, 17))
+    with pytest.raises(ValidationError, match="fields live on different grids"):
+        pair_E(f16, f17)
+    # a source on every interior row leaves no slice n with rows n-1..n+1 free
+    v = np.zeros((16, 8))
+    v[1:-1, 3] = 1.0
+    f = LatticeField(_small(n_steps=16), v)
+    with pytest.raises(InvalidSliceError, match="no source-free slice exists on this grid"):
+        pair_E(f, f, method="surface")
+
+
 @pytest.mark.parametrize(
     "call, dt",
     [

@@ -64,6 +64,11 @@ def test_params_guards():
         KernelParams(m=-1.0)
     with pytest.raises(ValidationError):
         KernelParams(m=1.0, eps=0.5, lam=1.0)
+    with pytest.raises(ValidationError, match="regulator must be >= 0"):
+        KernelParams(eps=-1e-3)
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="length scale must be > 0"):
+            KernelParams(lam=lam)
     assert KernelParams(m=2.0).lam == 0.5
 
 
@@ -202,40 +207,56 @@ def test_coincidence_mode_integral_fails_loudly_with_regulator():
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 @pytest.mark.parametrize("dt", [1.5, 0.7, -2.2])
 def test_origin_mode_integral_matches_small_r(dt, eps):
-    # r = 0 integrates k^2/omega; r = 1e-5 takes the +-r sine split of k/omega
+    # both share the tail of r = 0; r = 0 takes the limit k of sin(kr)/r on
+    # every node array, r = 1e-5 forms the sine
     params = KernelParams(m=1.0, eps=eps)
     origin = omega2_fourier(SeparationPoint(dt, 0.0), params)
     near = omega2_fourier(SeparationPoint(dt, 1e-5), params)
     assert abs(origin - near) <= 1e-8 * abs(near)
 
 
-def _per_rung(rho, dt, m, eps, k0, power):
-    # the mode integral at one regulator with the damping inside the
-    # integrand, on the same nodes: the loop the batched ladder replaced
-    n_panels = int(math.ceil(k0 * (abs(rho) + abs(dt)) / (2.0 * math.pi))) + 4
+def _per_rung(p, m, eps, k0):
+    # the kernel at one regulator and one head cutoff, with the damping
+    # inside the integrand, on the nodes of _fourier_pair and one tail at a
+    # time: the loop the batched ladder replaced
+    r, dt = p.r, p.dt
+    n_panels = int(math.ceil(k0 * (r + abs(dt)) / (2.0 * math.pi))) + 4
     k, w = _panels(np.linspace(0.0, k0, n_panels + 1), mk._GL24)
     om = np.sqrt(k * k + m * m)
-    head = np.sum(w * k**power / om * np.exp(1j * (k * rho - dt * om) - eps * k))
-    beta0 = rho - dt * k0 / math.sqrt(k0 * k0 + m * m)
-    c = math.copysign(1.0, beta0)
-    gamma = min(abs(beta0), abs(rho - dt))
-    u, wl = mk._LAG
-    kk = k0 + 1j * c * u / gamma
-    om = np.sqrt(kk * kk + m * m)
-    vals = kk**power / om * np.exp(1j * (kk * rho - dt * om) - eps * kk)
-    return head + 1j * c * np.sum(wl * np.exp(u) * vals) / gamma
+    sin_r = k if k0 * r < 1e-8 else np.sin(k * r) / r
+    total = np.sum(w * k * sin_r / om * np.exp(-1j * dt * om - eps * k))
+    u, wl = np.polynomial.laguerre.laggauss(60)
+    shared = 4.0 * r <= abs(dt)
+    for rho in (0.0,) if shared else (r, -r):
+        beta0 = rho - dt * k0 / math.sqrt(k0 * k0 + m * m)
+        c = math.copysign(1.0, beta0)
+        gamma = min(abs(beta0), abs(rho - dt))
+        kk = k0 + 1j * c * u / gamma
+        om = np.sqrt(kk * kk + m * m)
+        if shared:
+            sin_r = kk if abs(kk[-1]) * r < 1e-8 else np.sin(kk * r) / r
+            f = kk * sin_r / om * np.exp(-1j * dt * om - eps * kk)
+        else:
+            f = kk / om * np.exp(1j * (kk * rho - dt * om) - eps * kk) / (2j * rho)
+        total += 1j * c / gamma * np.sum(wl * np.exp(u) * f)
+    return total / (4.0 * math.pi**2)
 
 
-@pytest.mark.parametrize("dt, r", [(0.5, 1.2), (2.0, 0.5), (1.5, 0.0), (-2.2, 2.8)])
+@pytest.mark.parametrize(
+    "dt, r",
+    [(0.5, 1.2), (2.0, 0.5), (1.5, 0.0), (-2.2, 2.8), (1.0, 0.3), (-1.5, 1e-7), (1e-8, 1e-11)],
+)
 def test_regulator_ladder_matches_per_rung_integrals(dt, r):
+    # split tails (spacelike, and timelike with r > |dt|/4) and the shared
+    # tail (r <= |dt|/4: the sine formed on its nodes, the limit k at r = 0,
+    # and at 1e-11 on the heads only), both cutoffs of each
     p = SeparationPoint(dt, r)
     ladder = np.array([3e-3, 1e-3, 3e-4, 1e-4, 3e-5]) * (r + abs(dt))
     for m in (0.0, 1.3):
-        for k0 in (mk._head_cutoff(p, m), 1.37 * mk._head_cutoff(p, m) + 1.0):
-            for rho, power in ((r, 1), (-r, 1)) if r else ((0.0, 2),):
-                got = mk._mode_integral(rho, dt, m, ladder, k0, power)
-                want = np.array([_per_rung(rho, dt, m, e, k0, power) for e in ladder])
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        cutoffs = (mk._head_cutoff(p, m), 1.37 * mk._head_cutoff(p, m) + 1.0)
+        for k0, got in zip(cutoffs, mk._fourier_pair(p, m, ladder, cutoffs)):
+            want = np.array([_per_rung(p, m, e, k0) for e in ladder])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _closed_form(p, m):
@@ -267,13 +288,42 @@ def test_batched_fourier_path_matches_the_closed_form(m, dt, r):
     assert abs(omega2_fourier(p, KernelParams(m=m)) - want) <= 1e-9 * abs(want)
 
 
-@pytest.mark.parametrize("dt, r", [(0.0, 1.0000001e-9), (5e-10, 1.0000001e-9), (-4e-10, 1.5e-9)])
-def test_fourier_path_just_above_the_origin_branch(dt, r):
-    # r >= 1e-9 takes the +-r split, near coincidence as well; the kernel
-    # there is about 1/(4 pi^2 sigma), some 1e16
+@pytest.mark.parametrize(
+    "dt, r",
+    [
+        (0.0, 1.0000001e-9), (5e-10, 1.0000001e-9), (-4e-10, 1.5e-9), (5e-10, 9.99e-10),
+        (2e-9, 9e-10), (1e-8, 1e-10), (1e-8, 1e-11), (1.5, 1e-7), (1.5, 1e-6),
+    ],
+)
+def test_fourier_path_near_coincidence_matches_mpmath(dt, r):
+    # near coincidence the kernel is about 1/(4 pi^2 sigma), up to 1e17 here;
+    # timelike points with r <= |dt|/4 share the tail of r = 0, where the
+    # +-r split would cancel and be refused, and the sine is formed on every
+    # node array where some |kr| reaches 1e-8: at (1e-8, 1e-11) the heads
+    # take the limit k, the tail (|k| up to about 180/|dt|) does not
     p = SeparationPoint(dt, r)
     want = _closed_form(p, 1.0)
     assert abs(omega2_fourier(p, M1) - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("dt", [1.0, -2.0])
+def test_fourier_path_on_both_sides_of_the_shared_tail_boundary(m, dt):
+    # r = |dt|/4 (1 -+ 1e-7): the shared tail just below, the split tails
+    # just above, both against mpmath
+    for r in (0.2499999 * abs(dt), 0.2500001 * abs(dt)):
+        p = SeparationPoint(dt, r)
+        want = _closed_form(p, m)
+        assert abs(omega2_fourier(p, KernelParams(m=m)) - want) <= 1e-9 * abs(want)
+
+
+def test_a_subnormal_radius_gives_the_r_zero_value():
+    # 5e-324 forms no k r, whose digits would be lost: every node array
+    # takes the limit k, as at r = 0
+    origin = omega2_fourier(SeparationPoint(1.0, 0.0), M1)
+    near = omega2_fourier(SeparationPoint(1.0, 5e-324), M1)
+    assert abs(near - origin) <= 1e-15 * abs(origin)
+    assert abs(near - _closed_form(SeparationPoint(1.0, 0.0), 1.0)) <= 1e-9 * abs(origin)
 
 
 def test_fourier_self_check_fires_on_a_grid_point():
@@ -474,6 +524,14 @@ def test_float_range_edges_refuse_or_stay_finite():
         # the series branch never forms the pole: w is its coincidence value
         w = remainder_w(tiny, params)
         assert w == pytest.approx(coincidence_remainder(1.0, lam), rel=1e-12)
+    # a mode integral past the float range, split (spacelike) or shared
+    # (timelike, r <= |dt|/4) tails alike, is refused without a numpy warning
+    for dt, r in ((0.0, 1e-155), (0.0, 5e-324), (1e-155, 0.0), (1e-300, 5e-324)):
+        with pytest.raises(ValidationError, match="mode integral overflows"):
+            omega2_fourier(SeparationPoint(dt, r), M1)
+    # while a kernel of 2.5e298, on the shared tail, is still answered
+    edge = SeparationPoint(1e-150, 1e-152)
+    assert omega2_fourier(edge, M1) == pytest.approx(omega2_bessel(edge, M1), rel=1e-9)
     # sigma = 5e-324: t = m^2 sigma/4 underflows to 0
     assert remainder_w(SeparationPoint(0.0, 2.3e-162), M1) == pytest.approx(
         coincidence_remainder(1.0, 1.0), rel=1e-12
@@ -619,8 +677,9 @@ def _point(draw):
 
 
 def _params(draw):
-    lam = draw(st.one_of(st.none(), _sizes))
-    eps = draw(st.integers(0, 3).flatmap(lambda i: _sizes if i == 3 else st.just(0.0)))
+    # signed, so that the sign checks are drawn too
+    lam = draw(st.one_of(st.none(), _numbers))
+    eps = draw(st.integers(0, 3).flatmap(lambda i: _numbers if i == 3 else st.just(0.0)))
     return KernelParams(m=draw(_sizes), eps=eps, lam=lam, order=draw(_orders))
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ccr_lab import phase_space
 from ccr_lab.errors import (
     CcrLabError,
+    InternalInconsistencyError,
     InvalidCovarianceError,
     SpectrumNotGappedError,
     TruncationInsufficientError,
@@ -231,6 +232,38 @@ def test_purity_at_the_edges_of_the_float_range():
     assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"
     assert purity(1e-300 * np.eye(2) / 2.0, 1e-300 * TAU1).verdict == "pure"
     assert purity(1e300 * np.eye(2) / 2.0, 1e300 * TAU1).verdict == "pure"
+
+
+def test_one_particle_reconstruction_check_negative_control(monkeypatch):
+    # a Cholesky factor off by 1e-8 of itself builds a K whose K^H K is
+    # (1 + 1e-8)^2 mu + (i/2) tau: past the 1e-11 bound, on a valid pair
+    mu, tau = random_pure_pair(np.random.default_rng(23), 2)
+    one_particle(mu, tau)
+    frame = phase_space._frame
+
+    def skewed(*args):
+        f = frame(*args)
+        return f._replace(L=f.L * (1.0 + 1e-8))
+
+    monkeypatch.setattr(phase_space, "_frame", skewed)
+    with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
+        one_particle(mu, tau)
+
+
+def test_purity_agreement_check_negative_control(monkeypatch):
+    # a frame's J off by 1e-3 of itself fails test A (|J^2 + I| = 2e-3)
+    # while test B, which reads mu and tau, still finds the pair pure
+    mu, tau = np.eye(2) / 2.0, TAU1
+    assert purity(mu, tau).pure
+    frame = phase_space._frame
+
+    def skewed(*args):
+        f = frame(*args)
+        return f._replace(J=f.J * (1.0 + 1e-3))
+
+    monkeypatch.setattr(phase_space, "_frame", skewed)
+    with pytest.raises(InternalInconsistencyError, match="purity checks disagree"):
+        purity(mu, tau)
 
 
 # -------------------------------------------------------- ground_state_mu

@@ -446,6 +446,16 @@ def test_gram_refuses_a_matrix_that_is_not_finite(family):
             gram_positivity(state, family())
 
 
+def test_gram_refuses_a_moment_past_the_float_range():
+    # every kernel entry 1e200: the moment of star(a) a = phi2 phi1 phi1 phi2
+    # sums products of two entries, each 1e400
+    state = QuasifreeState(TwoPointKernel({(i, j): 1e200 for i in (1, 2) for j in (1, 2)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="a moment overflows the float range"):
+            gram_positivity(state, [AlgebraElement({(1, 2): 1.0}, FLOAT)])
+
+
 def test_gram_refuses_a_symmetrisation_past_the_float_range():
     # G = diag(1e308, 1e308) is finite, but its symmetrisation and trace are
     # not; that is refused, not reported as a NaN eigenvalue

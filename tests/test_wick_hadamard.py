@@ -64,10 +64,12 @@ from ccr_lab.wick_hadamard import (
 )
 
 from oracles import (
+    bose_energy_density_and_pressure,
     coincidence_remainder,
     hadamard_v_coefficients,
     hermite_alpha_coeff,
     normal_order_oracle,
+    thermal_smooth_kernel,
     unorder_oracle,
 )
 
@@ -1563,7 +1565,7 @@ def test_constant_kernel_closed_form():
     c = 0.75
     m = 1.4
     res = stress_energy(lambda x, y: c, np.zeros(4), mass=m, xi=0.0)
-    expect = ETA * (m * m * c / 6.0)
+    expect = -ETA * (5.0 * m * m * c / 6.0)
     assert np.abs(res.tensor - expect).max() < 1e-10
     # xi drops out when all derivatives vanish
     res_xi = stress_energy(lambda x, y: c, np.zeros(4), mass=m, xi=0.17)
@@ -1586,10 +1588,33 @@ def test_gaussian_kernel_closed_form():
 
     m = 1.0
     res = stress_energy(w, np.array([0.3, -0.1, 0.7, 0.0]), mass=m, xi=0.0, step=0.04)
-    expect = 2.0 * np.eye(4) - ETA * (19.0 / 6.0)
+    expect = 2.0 * np.eye(4) - ETA * (25.0 / 6.0)
     assert np.abs(res.tensor - expect).max() < 1e-6
     assert res.kg_diagonal == pytest.approx(5.0, abs=1e-6)
-    assert res.trace == pytest.approx(-52.0 / 6.0, abs=1e-5)
+    assert res.trace == pytest.approx(-76.0 / 6.0, abs=1e-5)
+
+
+def test_bose_integrals_reach_stefan_boltzmann():
+    for beta in (1.0, 2.0):
+        rho, p = bose_energy_density_and_pressure(beta, 0.0)
+        assert rho == pytest.approx(math.pi**2 / (30.0 * beta**4), rel=1e-14)
+        assert p == pytest.approx(rho / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("beta, m", [(1.0, 0.5), (2.0, 1.3), (1.0, 0.0)])
+def test_thermal_state_gives_the_bose_energy_density_and_pressure(beta, m):
+    # the smooth part of the KMS kernel is a Klein-Gordon solution in each
+    # slot, so at xi = 0 the tensor is the perfect fluid diag(rho, p, p, p)
+    # of the Bose integrals (Stefan-Boltzmann at m = 0); at m > 0 the mass
+    # term -g_ab m^2/2 is what makes T_00 rho and not rho - m^2 <phi^2>
+    rho, p = bose_energy_density_and_pressure(beta, m)
+    res = stress_energy(thermal_smooth_kernel(beta, m), np.zeros(4), mass=m, xi=0.0)
+    assert res.tensor[0, 0] == pytest.approx(rho, rel=1e-6)
+    for i in (1, 2, 3):
+        assert res.tensor[i, i] == pytest.approx(p, rel=1e-6)
+    assert np.abs(res.tensor - np.diag(np.diag(res.tensor))).max() <= 1e-6 * rho
+    assert abs(res.trace - (3.0 * p - rho)) <= 1e-6 * rho
+    assert abs(res.kg_diagonal) <= 1e-6 * rho
 
 
 def test_translation_invariant_kernel_has_constant_tensor():
