@@ -299,12 +299,21 @@ def purity(mu, tau):
     # the generalized problem to a symmetric one is shared with the frame.
     # B is invariant under (mu, tau, Linv) -> (c mu, c tau, Linv / sqrt(c)),
     # so it is formed where max|mu| lies in [1, 4), by an exact power of two.
+    # The scaling is exact unless an entry leaves the float range.  Past its
+    # top float_range refuses; lost below it, entries can leave a mu whose
+    # inverse is not finite, and np.linalg.solve, unseen by float_range,
+    # then returns inf or raises LinAlgError on a zero pivot.
     e = _unit_exponent(mu)
-    mu, tau, Linv = np.ldexp(mu, e), np.ldexp(tau, e), np.ldexp(f.Linv, -e // 2)
     with float_range("tau^T mu^{-1} tau"):
-        B = Linv @ (0.25 * tau.T @ np.linalg.solve(mu, tau)) @ Linv.T
-    if not np.isfinite(B).all():  # np.linalg.solve returns inf unseen by float_range
-        raise ValidationError("tau^T mu^{-1} tau overflows the float range")
+        mu, tau, Linv = np.ldexp(mu, e), np.ldexp(tau, e), np.ldexp(f.Linv, -e // 2)
+        try:
+            X = np.linalg.solve(mu, tau)
+            finite = np.isfinite(X).all()
+        except np.linalg.LinAlgError:
+            finite = False
+        if not finite:
+            raise ValidationError("tau^T mu^{-1} tau overflows the float range")
+        B = Linv @ (0.25 * tau.T @ X) @ Linv.T
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
     _check_bound(math.sqrt(max(float(lams[-1]), 0.0)))
     r_var = float(np.abs(lams - 1.0).max())

@@ -4,9 +4,14 @@ A state here is determined by its two-point kernel; higher moments come from
 the pairing expansion, odd moments vanish.  The even moment on n slots is the
 hafnian of the slot-ordered two-point matrix, computed by a memoised pairing
 recursion over sets of free slots in O(n * phi**n) operations (phi the golden
-ratio), not by listing the (n-1)!! pairings.  Evaluation works on elements in
-any word order because the kernel's antisymmetric part carries the
-commutator, so no normal-forming is required first.
+ratio), not by listing the (n-1)!! pairings.  That recursion, _pairing_sum,
+is written once: npoint and evaluate run it on scalar pair weights, and the
+Gram certificate runs it once per block of moments of one slot count, on
+arrays of pair weights gathered from a dense table of the kernel, so that a
+family's word moments cost a few numpy operations per block rather than a
+Python call each.  Evaluation works on elements in any word order because
+the kernel's antisymmetric part carries the commutator, so no normal-forming
+is required first.
 """
 
 from __future__ import annotations
@@ -203,27 +208,27 @@ def npoint(state, indices):
     ValidationError, as do a state that is not a QuasifreeState, an even n
     above NPOINT_GUARD and a moment that overflows.
     """
-    return coerce(_moment(_lookup(state), _slots(indices)), FLOAT)
+    return coerce(_moment(_kernel_of(state), _slots(indices)), FLOAT)
 
 
-def _lookup(state):
-    """The kernel lookup of a quasifree state, else ValidationError."""
+def _kernel_of(state):
+    """The kernel of a quasifree state, else ValidationError."""
     if not isinstance(state, QuasifreeState):
         raise ValidationError(f"expected a QuasifreeState, got {state!r}")
-    return state.kernel._get
+    return state.kernel
 
 
 def _slots(indices):
     try:
-        return [operator.index(i) for i in indices]
+        return list(map(operator.index, indices))
     except TypeError:
         raise ValidationError(
             f"npoint needs an iterable of integer slot labels, got {indices!r}"
         ) from None
 
 
-def _moment(value, idx):
-    """npoint on slot labels read already, through the kernel lookup value."""
+def _moment(kernel, idx):
+    """npoint on slot labels read already."""
     n = len(idx)
     if n == 0:
         return 1.0 + 0.0j
@@ -234,15 +239,29 @@ def _moment(value, idx):
     if n == 2:
         # one pair needs no table; this is the commonest call, e.g. every
         # Gram entry of a degree-1 family
-        return value(idx[0], idx[1])
-    # Slots are bits.  rows[1 << a] lists (1 << b, omega2(idx[a], idx[b]))
-    # for every b > a; `layer` maps each set of free slots to the sum, over
-    # every way of reaching it, of the products of the pairs chosen so far,
-    # starting from slot 0 paired with each other slot.
-    rows = {
-        1 << a: [(1 << b, value(idx[a], idx[b])) for b in range(a + 1, n)]
-        for a in range(n - 1)
-    }
+        return kernel._get(idx[0], idx[1])
+    entries = kernel.entries
+    try:
+        rows = {
+            1 << a: [(1 << b, entries[idx[a], idx[b]]) for b in range(a + 1, n)]
+            for a in range(n - 1)
+        }
+    except KeyError as absent:  # the first absent pair, in the order of rows
+        kernel._get(*absent.args[0])  # raises IncompleteKernelError
+    return _pairing_sum(rows, n)
+
+
+def _pairing_sum(rows, n):
+    """The sum over the perfect matchings of n >= 2 slots of the products of
+    their pair weights: the one pairing recursion.
+
+    Slots are bits.  rows[1 << a] lists (1 << b, w_ab) for every b > a, in
+    that order; a weight is a complex scalar, or an array holding one such
+    weight per moment when many moments of one length are summed at once.
+    `layer` maps each set of free slots to the sum, over every way of
+    reaching it, of the products of the pairs chosen so far, starting from
+    slot 0 paired with each other slot.
+    """
     layer = {((1 << n) - 2) ^ bit: w for bit, w in rows[1]}
     for _ in range(n // 2 - 1):
         nxt = {}
@@ -261,12 +280,12 @@ def _moment(value, idx):
 def evaluate(state, element: AlgebraElement):
     """Linear extension of the moments to a full algebra element; a value
     that is not finite raises ValidationError."""
-    value = _lookup(state)
+    kernel = _kernel_of(state)
     if not isinstance(element, AlgebraElement):
         raise ValidationError(f"evaluate expects an AlgebraElement, got {element!r}")
     total = 0.0 + 0.0j
     for word, coeff in element.terms.items():
-        total += coerce(coeff, FLOAT) * _moment(value, word)
+        total += coerce(coeff, FLOAT) * _moment(kernel, word)
     return coerce(total, FLOAT)
 
 
@@ -287,33 +306,41 @@ def gram_positivity(state, elements):
     matrix of its coefficients, a_j = sum_i A_ij u_i, that is G = A^H M A
     for the word-moment matrix M_ij = npoint(reverse(u_i) u_j).  M is
     filled in full, one moment per word pair, with no triangle mirrored, so
-    that a kernel breaking its exchange relation shows in G.  A G that is
-    not finite (coefficients past the float range, or products that
-    overflow, in G or in its symmetrisation and trace) raises
-    ValidationError.  G must be hermitian to 1e-8 of max(1, max|G|): the
-    floor stays because G can cancel far below the scale of its moments
-    and coefficients, and its rounding error does not.  Its minimal
-    eigenvalue is compared against -1e-10 times the trace.  Elements above
-    degree 4 are refused.
+    that a kernel breaking its exchange relation shows in G.  The moments
+    are summed in blocks, one per pair of word lengths (see _word_moments):
+    the pairing recursion runs once per block on arrays of pair weights, so
+    the cost per moment is numpy's, not one Python call's.  A pair the
+    kernel lacks raises IncompleteKernelError, as npoint would for the
+    first such moment in row-major order.
+
+    Elements must be AlgebraElements (exact ones are read in float mode);
+    anything else, such as a normal-ordered element, raises ValidationError.
+    A moment past the float range, or a G that is not finite (coefficients
+    past the float range, or products that overflow, in G or in its
+    symmetrisation and trace) raises ValidationError.  G must be hermitian
+    to 1e-8 of max(1, max|G|): the floor stays because G can cancel far
+    below the scale of its moments and coefficients, and its rounding error
+    does not.  Its minimal eigenvalue is compared against -1e-10 times the
+    trace.  Elements above degree 4 are refused.
     """
     try:
-        elems = [AlgebraElement(a.terms, FLOAT) for a in elements]
-    except (TypeError, AttributeError):
+        elems = list(elements)
+    except TypeError:
         raise ValidationError("elements must be an iterable of algebra elements") from None
     for a in elems:
+        if not isinstance(a, AlgebraElement):
+            raise ValidationError(f"gram_positivity expects AlgebraElements, got {a!r}")
         if a.degree > _GRAM_DEGREE_GUARD:
             raise DegreeGuardError(
                 f"family contains degree {a.degree} > guard {_GRAM_DEGREE_GUARD}"
             )
-    value = _lookup(state)
+    elems = [a if a.mode == FLOAT else AlgebraElement(a.terms, FLOAT) for a in elems]
     words = list(dict.fromkeys(w for a in elems for w in a.terms))
     k, n = len(words), len(elems)
     A = np.array([[a.terms.get(w, 0) for a in elems] for w in words], complex).reshape(k, n)
-    M = np.array([[_moment(value, u[::-1] + v) for v in words] for u in words], complex)
-    if not np.isfinite(M).all():  # _moment sums in Python complex arithmetic
-        raise ValidationError("the Gram matrix is not finite: a moment overflows the float range")
+    M = _word_moments(_kernel_of(state), words)
     with float_range("the Gram matrix is not finite: A^H M A"):
-        G = A.conj().T @ M.reshape(k, k) @ A
+        G = A.conj().T @ M @ A
         herm = float(np.abs(G - G.conj().T).max(initial=0.0))
         if herm > 1e-8 * max(1.0, np.abs(G).max(initial=0.0)):
             raise KernelInconsistencyError(
@@ -327,3 +354,76 @@ def gram_positivity(state, elements):
         threshold = -_KERNEL_TOL * float(np.trace(sym).real)
     return GramReport(min_eig, threshold, min_eig >= threshold, G, herm)
 
+
+# word pairs per block step: bounds the pair-weight arrays of an 8-slot
+# block to about 7 MB whatever the family's size
+_BLOCK_CELLS = 1 << 14
+
+
+def _word_moments(kernel, words):
+    """M[u, v] = npoint(reverse(words[u]) + words[v]) for every pair of
+    distinct words, each computed on its own, by blocks of the word pairs
+    of lengths (p, q): 0 for p + q odd, 1 for the empty word's own pair, and
+    otherwise one _pairing_sum on the pair weights of the block's moments
+    (see _blocks), gathered from a dense table of the kernel's entries with
+    NaN for an absent pair.  The table is built on each call, as entries
+    can change after construction.
+    """
+    labels = sorted({i for w in words for i in w})
+    where = {i: x for x, i in enumerate(labels)}
+    get = kernel.entries.get
+    table = np.array([[get((i, j), np.nan) for j in labels] for i in labels], complex)
+    table = table.reshape(len(labels), len(labels))
+    groups = {}
+    for x, w in enumerate(words):
+        groups.setdefault(len(w), []).append(x)
+    slots = {
+        p: np.array([[where[i] for i in words[x]] for x in xs], int).reshape(len(xs), p)
+        for p, xs in groups.items()
+    }
+    absent = np.isnan(table)
+    if absent.any():
+        firsts = []  # the first word pair of each step that needs an absent pair
+        for us, vs, n, left, right in _blocks(groups, slots):
+            cells = np.flatnonzero(absent[left, right].any(axis=0))
+            if cells.size:
+                r, c = divmod(int(cells[0]), len(vs))
+                firsts.append((us[r], vs[c]))
+        if firsts:
+            u, v = min(firsts)
+            _moment(kernel, words[u][::-1] + words[v])  # raises, as npoint would
+    M = np.zeros((len(words), len(words)), complex)
+    for x in groups.get(0, ()):
+        M[x, x] = 1.0
+    with float_range("the Gram matrix is not finite: a moment"):
+        for us, vs, n, left, right in _blocks(groups, slots):
+            weights = iter(table[left, right])
+            rows = {
+                1 << a: [(1 << b, next(weights)) for b in range(a + 1, n)]
+                for a in range(n - 1)
+            }
+            M[np.ix_(us, vs)] = _pairing_sum(rows, n).reshape(len(us), len(vs))
+    return M
+
+
+def _blocks(groups, slots):
+    """The blocks of _word_moments with p + q even and positive, in steps
+    of at most _BLOCK_CELLS word pairs taken in row-major order.  A step
+    gives its row and column word numbers, the slot count n = p + q, and,
+    for each pair of slots a < b in row-major order, the table positions of
+    the two slots' labels: one column per word pair, whose slots are
+    reverse(u) then v, built by broadcasting."""
+    for p, us in groups.items():
+        for q, vs in groups.items():
+            n = p + q
+            if n % 2 or not n:
+                continue
+            a, b = np.triu_indices(n, 1)
+            step = max(1, _BLOCK_CELLS // len(vs))
+            for lo in range(0, len(us), step):
+                part = us[lo : lo + step]
+                shape = (len(part), len(vs))
+                head = np.broadcast_to(slots[p][lo : lo + step, None, ::-1], shape + (p,))
+                tail = np.broadcast_to(slots[q][None], shape + (q,))
+                S = np.concatenate([head, tail], axis=2).reshape(-1, n).T
+                yield part, vs, n, S[a], S[b]

@@ -234,6 +234,45 @@ def test_purity_at_the_edges_of_the_float_range():
     assert purity(1e300 * np.eye(2) / 2.0, 1e300 * TAU1).verdict == "pure"
 
 
+# validate_mu_tau admits each pair, but scaled to max|mu| in [1, 4) the first
+# loses its small eigenvalue below the float range and the second is singular
+# at working precision, so np.linalg.solve meets a zero pivot; the third
+# overflows while its Cholesky inverse is scaled.  Each is refused with
+# ValidationError, not LinAlgError or a RuntimeWarning.
+_NEAR_SINGULAR_MU = np.array([
+    [7.1943437380553370e-19, -1.7084594178432713e-18],
+    [-1.7084594178432713e-18, 4.0571227740729871e-18],
+])
+
+
+@pytest.mark.parametrize(
+    "mu, tau",
+    [
+        (np.diag([1e300, 1e-300]), np.zeros((2, 2))),
+        (_NEAR_SINGULAR_MU, 4.2138477380441937e-26 * TAU1),
+        (np.diag([1e308, 1e-320]), np.zeros((2, 2))),
+    ],
+    ids=["lost-eigenvalue", "zero-pivot", "scaled-inverse-overflow"],
+)
+def test_purity_refuses_a_covariance_whose_scaled_inverse_is_not_finite(mu, tau):
+    validate_mu_tau(mu, tau)
+    refusal = r"^tau\^T mu\^\{-1\} tau overflows the float range$"
+    with pytest.raises(ValidationError, match=refusal):
+        purity(mu, tau)
+
+
+def test_frame_refuses_a_j_that_is_not_mu_antisymmetric():
+    # tau's diagonal entry, 1e-13 of its largest, passes tau's own 1e-12
+    # antisymmetry check; in the frame of mu = diag(1, 1e-12) it becomes
+    # Jt[1, 1] = tau[1, 1] / (2 mu[1, 1]) = 5e-8, past the 1e-8 bound, while
+    # every entry of Jt stays below 1
+    t = 1e-6
+    tau = np.array([[0.0, t], [-t, 1e-13 * t]])
+    for entry in (validate_mu_tau, one_particle, purity):
+        with pytest.raises(InvalidCovarianceError, match="^J is not mu-antisymmetric$"):
+            entry(np.diag([1.0, 1e-12]), tau)
+
+
 def test_one_particle_reconstruction_check_negative_control(monkeypatch):
     # a Cholesky factor off by 1e-8 of itself builds a K whose K^H K is
     # (1 + 1e-8)^2 mu + (i/2) tau: past the 1e-11 bound, on a valid pair
@@ -500,6 +539,11 @@ def test_probe_invalid_first_covariance():
     tau = standard_symplectic_form(2)
     with pytest.raises(InvalidCovarianceError):
         equivalence_probe(-np.eye(4), np.eye(4), tau, truncations=[2])
+
+
+def test_probe_refuses_a_truncation_past_the_mode_count():
+    with pytest.raises(ValidationError, match="^truncation 3 exceeds available modes 2$"):
+        equivalence_probe(np.eye(4), np.eye(4), truncations=[1, 3])
 
 
 def test_probe_checks_every_block_against_the_default_tau():

@@ -29,6 +29,7 @@ from ccr_lab.quasifree import (
     gram_positivity,
     npoint,
 )
+from ccr_lab.wick_hadamard import NormalOrderedElement
 
 from oracles import double_factorial, wick_moment
 
@@ -284,8 +285,11 @@ def test_hermiticity_of_evaluation():
 # ------------------------------------------------------------ positivity
 
 def test_gram_refuses_a_family_that_is_not_a_list_of_elements():
+    # a normal-ordered element has .terms too, but :phi1 phi2: is not the
+    # product phi1 phi2; evaluate refuses it as well
     state = QuasifreeState(vacuum_mode_kernel([1.0]))
-    for family in (5, [5]):
+    wick = NormalOrderedElement({(1, 2): 1.0}, FLOAT)
+    for family in (5, [5], [wick], [AlgebraElement.unit(FLOAT), wick]):
         with pytest.raises(ValidationError):
             gram_positivity(state, family)
 
@@ -419,6 +423,84 @@ def test_gram_catches_a_kernel_that_breaks_its_exchange_relation():
     family = [AlgebraElement.generator(g, mode=FLOAT) for g in (1, 2, 3)]
     with pytest.raises(KernelInconsistencyError, match="not hermitian"):
         gram_positivity(state, family)
+
+
+# ------------------------------------------- the block-built moment matrix
+
+def _word_family(rng, gens, per_length):
+    """Distinct words of length 0 to 4 over gens, each as its own float
+    monomial: A is the identity, so the Gram matrix is the word-moment
+    matrix M itself."""
+    words = [()] + [
+        tuple(int(g) for g in rng.choice(gens, size=p))
+        for p in (1, 2, 3, 4)
+        for _ in range(per_length)
+    ]
+    words = list(dict.fromkeys(words))
+    return words, [AlgebraElement({w: 1.0}, FLOAT) for w in words]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_block_moments_match_the_pairing_oracle(seed):
+    # moments of 0 to 8 slots, against the listed pairings of each entry
+    state = dense_state(6, seed=seed)
+    value = state.kernel.value
+    words, family = _word_family(np.random.default_rng(300 + seed), range(1, 7), 6)
+    M = gram_positivity(state, family).gram
+    for r, u in enumerate(words):
+        for c, v in enumerate(words):
+            slots = list(u[::-1] + v)
+            if len(slots) % 2:
+                assert M[r, c] == 0
+                continue
+            expected = complex(wick_moment(slots, value))
+            scale = wick_moment(slots, lambda i, j: abs(value(i, j)))
+            assert abs(M[r, c] - expected) <= 1e-14 * scale, (u, v)
+    assert M[0, 0] == 1
+
+
+def test_block_steps_do_not_change_the_moments(monkeypatch):
+    # blocks cut into steps of a few word pairs give the same matrix, bit
+    # for bit, as blocks taken whole
+    state = dense_state(6, seed=5)
+    _, family = _word_family(np.random.default_rng(7), range(1, 7), 5)
+    whole = gram_positivity(state, family).gram
+    for cells in (1, 7):
+        monkeypatch.setattr(quasifree, "_BLOCK_CELLS", cells)
+        assert np.array_equal(gram_positivity(state, family).gram, whole)
+
+
+@pytest.mark.parametrize("cells", [quasifree._BLOCK_CELLS, 1])
+def test_block_path_names_the_first_absent_pair_as_npoint_does(monkeypatch, cells):
+    # label 9 is outside the kernel.  In row-major order the first entry
+    # that needs it is (u0, u1), whose slots 1 2 9 3 reach (1, 9) first;
+    # (u1, u0), (u1, u1) and the 2-slot entries of u3 need it too
+    monkeypatch.setattr(quasifree, "_BLOCK_CELLS", cells)
+    state = dense_state(4, seed=2)
+    family = [AlgebraElement({w: 1.0}, FLOAT) for w in ((2, 1), (9, 3), (4,), (9,))]
+    with pytest.raises(IncompleteKernelError) as scalar:
+        npoint(state, [1, 2, 9, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteKernelError) as block:
+            gram_positivity(state, family)
+    assert str(block.value) == str(scalar.value) == "two-point kernel has no entry for (1, 9)"
+
+
+def test_block_path_refuses_an_overflow_only_an_eight_slot_moment_reaches():
+    # every entry 1e100: a 6-slot moment sums 15 products of three entries,
+    # 1.5e301, and the 8-slot moment of star(a) a, a = phi1 phi2 phi1 phi2,
+    # 105 products of four, each 1e400
+    state = QuasifreeState(TwoPointKernel({(i, j): 1e100 for i in (1, 2) for j in (1, 2)}))
+    short = [AlgebraElement({(1,): 1.0}, FLOAT), AlgebraElement({(1, 2, 1): 1.0}, FLOAT)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gram_positivity(state, short).gram[1, 1] == pytest.approx(1.5e301, rel=1e-15)
+        with pytest.raises(
+            ValidationError,
+            match="^the Gram matrix is not finite: a moment overflows the float range$",
+        ):
+            gram_positivity(state, short + [AlgebraElement({(1, 2, 1, 2): 1.0}, FLOAT)])
 
 
 # the constructor and the float arithmetic refuse a coefficient that is not

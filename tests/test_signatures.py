@@ -4,7 +4,8 @@ max_n that lifts a guard.  The parameters that have a default are pinned as
 well, so that a new option is added on purpose, with this list.  numpy's
 error state is set in one place, the float_range guard, and a float Python
 scalar is read for finiteness in one place, errors.as_finite_complex, or
-errors.as_finite for a real one; these are tested here too."""
+errors.as_finite for a real one; the pairing sum over sets of free slots is
+written once; these are tested here too."""
 
 from __future__ import annotations
 
@@ -132,6 +133,14 @@ def test_a_float_scalar_is_read_for_finiteness_in_one_place():
     assert {name: found for name, found in sites.items() if found} == {
         "wick_hadamard.py": ["delta"]
     }
+
+
+def test_one_pairing_recursion():
+    # quasifree._pairing_sum walks the sets of free slots for a single
+    # moment and for a block of moments alike; its lowest-slot step is the
+    # one in src/
+    sites = {name: text.count("free & -free") for name, text in _source_texts().items()}
+    assert {name: n for name, n in sites.items() if n} == {"quasifree.py": 1}
 
 
 def test_a_real_scalar_is_read_for_finiteness_in_one_place():
