@@ -7,17 +7,16 @@ recursion over sets of free slots in O(n * phi**n) operations (phi the golden
 ratio), not by listing the (n-1)!! pairings.  That recursion, _pairing_sum,
 is written once: npoint and evaluate run it on scalar pair weights, and the
 Gram certificate runs it once per block of moments of one slot count, on
-arrays of pair weights gathered from a dense table of the kernel, so that a
-family's word moments cost a few numpy operations per block rather than a
-Python call each.  Evaluation works on elements in any word order because
-the kernel's antisymmetric part carries the commutator, so no normal-forming
-is required first.
+arrays of pair weights gathered by broadcasting from a dense table of the
+kernel, so that a family's word moments cost a few numpy operations per
+block rather than a Python call each.  Evaluation works on elements in any word order because the kernel's
+antisymmetric part carries the commutator, so no normal-forming is required
+first.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +207,7 @@ def npoint(state, indices):
     ValidationError, as do a state that is not a QuasifreeState, an even n
     above NPOINT_GUARD and a moment that overflows.
     """
-    return coerce(_moment(_kernel_of(state), _slots(indices)), FLOAT)
+    return coerce(_moment(_kernel_of(state), _labels(indices)), FLOAT)
 
 
 def _kernel_of(state):
@@ -216,15 +215,6 @@ def _kernel_of(state):
     if not isinstance(state, QuasifreeState):
         raise ValidationError(f"expected a QuasifreeState, got {state!r}")
     return state.kernel
-
-
-def _slots(indices):
-    try:
-        return list(map(operator.index, indices))
-    except TypeError:
-        raise ValidationError(
-            f"npoint needs an iterable of integer slot labels, got {indices!r}"
-        ) from None
 
 
 def _moment(kernel, idx):
@@ -237,8 +227,8 @@ def _moment(kernel, idx):
     if n > NPOINT_GUARD:
         raise ValidationError(f"n={n} exceeds the pairing guard {NPOINT_GUARD}")
     if n == 2:
-        # one pair needs no table; this is the commonest call, e.g. every
-        # Gram entry of a degree-1 family
+        # one pair needs no table: 2-slot moments of npoint and evaluate
+        # (Gram entries are summed by _word_moments instead)
         return kernel._get(idx[0], idx[1])
     entries = kernel.entries
     try:
@@ -256,8 +246,9 @@ def _pairing_sum(rows, n):
     their pair weights: the one pairing recursion.
 
     Slots are bits.  rows[1 << a] lists (1 << b, w_ab) for every b > a, in
-    that order; a weight is a complex scalar, or an array holding one such
-    weight per moment when many moments of one length are summed at once.
+    that order; a weight is a complex scalar, or an array of such weights,
+    one per moment, when a block of moments is summed at once: arrays of
+    shapes (rows, 1), (1, cols) and (rows, cols) broadcast to the block.
     `layer` maps each set of free slots to the sum, over every way of
     reaching it, of the products of the pairs chosen so far, starting from
     slot 0 paired with each other slot.
@@ -309,9 +300,10 @@ def gram_positivity(state, elements):
     that a kernel breaking its exchange relation shows in G.  The moments
     are summed in blocks, one per pair of word lengths (see _word_moments):
     the pairing recursion runs once per block on arrays of pair weights, so
-    the cost per moment is numpy's, not one Python call's.  A pair the
-    kernel lacks raises IncompleteKernelError, as npoint would for the
-    first such moment in row-major order.
+    the cost per moment is numpy's, not one Python call's.  A label outside
+    the kernel's generators raises IncompleteKernelError, as npoint would
+    for the first moment that needs it in row-major order; so does a pair
+    removed from the kernel's entries after construction.
 
     Elements must be AlgebraElements (exact ones are read in float mode);
     anything else, such as a normal-ordered element, raises ValidationError.
@@ -363,16 +355,26 @@ _BLOCK_CELLS = 1 << 14
 def _word_moments(kernel, words):
     """M[u, v] = npoint(reverse(words[u]) + words[v]) for every pair of
     distinct words, each computed on its own, by blocks of the word pairs
-    of lengths (p, q): 0 for p + q odd, 1 for the empty word's own pair, and
-    otherwise one _pairing_sum on the pair weights of the block's moments
-    (see _blocks), gathered from a dense table of the kernel's entries with
-    NaN for an absent pair.  The table is built on each call, as entries
-    can change after construction.
+    of lengths (p, q): 0 for p + q odd, 1 for the empty word's own pair,
+    and otherwise one _pairing_sum per step of at most _BLOCK_CELLS word
+    pairs in row-major order.  Slot a's table positions at[a] are a column
+    over the step's rows for a letter of reverse(u) and a row over its
+    columns for a letter of v, so table[at[a], at[b]] broadcasts to the
+    pair's weights and the sum to the step's block (one row or column when
+    the block holds the empty word).  A label outside the kernel's
+    generators raises first, as npoint would for the first moment needing
+    it in row-major order.  The table is read through the kernel's lookup
+    on each call, as entries can change after construction.
     """
     labels = sorted({i for w in words for i in w})
+    outside = set(labels).difference(kernel.generators)
+    if outside:
+        for u in words:
+            for v in words:
+                if not (len(u) + len(v)) % 2 and outside.intersection(u + v):
+                    _moment(kernel, u[::-1] + v)  # raises, as npoint would
     where = {i: x for x, i in enumerate(labels)}
-    get = kernel.entries.get
-    table = np.array([[get((i, j), np.nan) for j in labels] for i in labels], complex)
+    table = np.array([[kernel._get(i, j) for j in labels] for i in labels], complex)
     table = table.reshape(len(labels), len(labels))
     groups = {}
     for x, w in enumerate(words):
@@ -381,49 +383,21 @@ def _word_moments(kernel, words):
         p: np.array([[where[i] for i in words[x]] for x in xs], int).reshape(len(xs), p)
         for p, xs in groups.items()
     }
-    absent = np.isnan(table)
-    if absent.any():
-        firsts = []  # the first word pair of each step that needs an absent pair
-        for us, vs, n, left, right in _blocks(groups, slots):
-            cells = np.flatnonzero(absent[left, right].any(axis=0))
-            if cells.size:
-                r, c = divmod(int(cells[0]), len(vs))
-                firsts.append((us[r], vs[c]))
-        if firsts:
-            u, v = min(firsts)
-            _moment(kernel, words[u][::-1] + words[v])  # raises, as npoint would
     M = np.zeros((len(words), len(words)), complex)
     for x in groups.get(0, ()):
         M[x, x] = 1.0
     with float_range("the Gram matrix is not finite: a moment"):
-        for us, vs, n, left, right in _blocks(groups, slots):
-            weights = iter(table[left, right])
-            rows = {
-                1 << a: [(1 << b, next(weights)) for b in range(a + 1, n)]
-                for a in range(n - 1)
-            }
-            M[np.ix_(us, vs)] = _pairing_sum(rows, n).reshape(len(us), len(vs))
+        for p, us in groups.items():
+            for q, vs in groups.items():
+                n = p + q
+                if n % 2 or not n:
+                    continue
+                step = max(1, _BLOCK_CELLS // len(vs))
+                for lo in range(0, len(us), step):
+                    at = [*slots[p][lo : lo + step, ::-1].T[..., None], *slots[q].T[:, None]]
+                    rows = {
+                        1 << a: [(1 << b, table[at[a], at[b]]) for b in range(a + 1, n)]
+                        for a in range(n - 1)
+                    }
+                    M[np.ix_(us[lo : lo + step], vs)] = _pairing_sum(rows, n)
     return M
-
-
-def _blocks(groups, slots):
-    """The blocks of _word_moments with p + q even and positive, in steps
-    of at most _BLOCK_CELLS word pairs taken in row-major order.  A step
-    gives its row and column word numbers, the slot count n = p + q, and,
-    for each pair of slots a < b in row-major order, the table positions of
-    the two slots' labels: one column per word pair, whose slots are
-    reverse(u) then v, built by broadcasting."""
-    for p, us in groups.items():
-        for q, vs in groups.items():
-            n = p + q
-            if n % 2 or not n:
-                continue
-            a, b = np.triu_indices(n, 1)
-            step = max(1, _BLOCK_CELLS // len(vs))
-            for lo in range(0, len(us), step):
-                part = us[lo : lo + step]
-                shape = (len(part), len(vs))
-                head = np.broadcast_to(slots[p][lo : lo + step, None, ::-1], shape + (p,))
-                tail = np.broadcast_to(slots[q][None], shape + (q,))
-                S = np.concatenate([head, tail], axis=2).reshape(-1, n).T
-                yield part, vs, n, S[a], S[b]

@@ -498,11 +498,26 @@ class DifferenceKernel(_BasisTable):
         """Symmetric part of kappa_new - kappa_old over ``basis``.
 
         This is the difference that alpha_map needs to re-expand
-        kernel_old-ordered monomials in the kernel_new basis.
+        kernel_old-ordered monomials in the kernel_new basis.  It is the
+        whole difference only when the kernels share their pairing E on the
+        basis: exactly where both entries are rational, to 1e-12 of
+        max(1, |E|) otherwise.  Kernels whose pairings differ raise
+        OrderingKernelInvalidError, as (i/2)(E_new - E_old) would be lost.
         """
         if not all(isinstance(k, OrderingKernel) for k in (kernel_new, kernel_old)):
             raise ValidationError("from_orderings expects two OrderingKernels")
         basis = _basis(basis)
+        for a, i in enumerate(basis):
+            for j in basis[a + 1 :]:
+                pair = [k.pairing.value(i, j) for k in (kernel_new, kernel_old)]
+                new, old = map(Fraction, pair)  # exact, as PairingForm floats are finite
+                exactly = _mode_of(*pair) == EXACT
+                tol = 0 if exactly else Fraction(1e-12) * max(1, abs(new), abs(old))
+                if abs(new - old) > tol:
+                    raise OrderingKernelInvalidError(
+                        f"the kernels' pairings differ at E({i},{j}): {pair[0]!r} vs "
+                        f"{pair[1]!r}; kappa_new - kappa_old is not symmetric"
+                    )
         mode = _mode_of(
             *(k.value(i, j) for k in (kernel_new, kernel_old) for i in basis for j in basis)
         )

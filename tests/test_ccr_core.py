@@ -412,6 +412,14 @@ def test_non_symmetry_is_rejected():
         InducedMap([[1, 0], [0, -1]], (1, 2), E12, "preserving")
 
 
+def test_induced_map_refuses_an_unknown_parity_and_a_generator_off_its_span():
+    with pytest.raises(ValidationError, match="^parity must be 'preserving' or 'reversing'$"):
+        InducedMap([[1, 0], [0, 1]], (1, 2), E12, "sideways")
+    alpha = InducedMap([[1, 0], [0, 1]], (1, 2), E12, "preserving")
+    with pytest.raises(ValidationError, match="^generator 3 outside the map's span$"):
+        alpha(word(1, 3))
+
+
 # ------------------------------------------------------ simplicity probes
 
 @pytest.mark.parametrize(
@@ -476,6 +484,12 @@ def test_witness_search_finds_nonzero_probe():
         probes, value = found
         assert value
         assert simplicity_probe(a, probes, E_TWO_BLOCKS) == value
+
+
+def test_no_simplicity_witness_under_a_degenerate_pairing():
+    # E vanishes on generator 3, so every probe commutator of phi3 phi3 is 0
+    assert find_simplicity_witness(word(3, 3), E12, generators=(1, 2, 3)) is None
+    assert find_simplicity_witness(word(1, 2), PairingForm(), generators=(1, 2)) is None
 
 
 # ---------------------------------------------------------- serialization

@@ -115,6 +115,12 @@ def test_separations_and_params_reject_non_finite_numbers(bad):
         omega2_fourier(SeparationPoint(bad, 1.0), M1)
 
 
+@pytest.mark.parametrize("lam_new", [0.0, -0.5, -1e-300])
+def test_lambda_shift_refuses_a_length_scale_that_is_not_positive(lam_new):
+    with pytest.raises(ValidationError, match="^length scale must be > 0$"):
+        lambda_shift_delta(SeparationPoint(0.3, 1.0), M1, lam_new)
+
+
 # --------------------------------------------------------- closed form
 
 def test_equal_time_matches_k1_directly():

@@ -520,6 +520,15 @@ def test_probe_rank_one_perturbation_bounded():
     assert rep.verdict == "bounded-trend"
 
 
+def test_probe_reads_a_slope_between_the_thresholds_as_inconclusive():
+    # mu2 - mu1 = diag(0.1, 0.1, 0.06, 0.06): hs grows from sqrt(0.02) to
+    # sqrt(0.0272) over one doubling, a slope of 0.22, between 0.1 and 0.4
+    mu2 = np.diag([1.1, 1.1, 1.06, 1.06])
+    rep = equivalence_probe(np.eye(4), mu2, standard_symplectic_form(2), truncations=[1, 2])
+    assert rep.hs_norms == pytest.approx((math.sqrt(0.02), math.sqrt(0.0272)), rel=1e-12)
+    assert rep.verdict == "inconclusive"
+
+
 def test_probe_swap_symmetry_within_constants():
     rng = np.random.default_rng(41)
     mu1, tau = random_mixed_pair(rng, 3)

@@ -119,6 +119,18 @@ def test_missing_entry_raises():
         npoint(state, [1] * 9 + [2])
 
 
+def test_kernel_callback_passes_a_package_error_through_unchanged():
+    # call_outside wraps a callback's own failure, but not a package error
+    err = IncompleteKernelError("no such pair")
+
+    def callback(i, j):
+        raise err
+
+    with pytest.raises(IncompleteKernelError) as got:
+        TwoPointKernel(callback, generators=[1, 2])
+    assert got.value is err
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -234,7 +246,7 @@ def test_npoint_guard():
 )
 def test_npoint_rejects_non_integer_labels(indices):
     state = QuasifreeState(vacuum_mode_kernel([1.0]))
-    with pytest.raises(ValidationError, match="integer slot labels"):
+    with pytest.raises(ValidationError, match="generator labels must be integers"):
         npoint(state, indices)
 
 
@@ -485,6 +497,20 @@ def test_block_path_names_the_first_absent_pair_as_npoint_does(monkeypatch, cell
         with pytest.raises(IncompleteKernelError) as block:
             gram_positivity(state, family)
     assert str(block.value) == str(scalar.value) == "two-point kernel has no entry for (1, 9)"
+
+
+def test_block_path_refuses_an_entry_removed_after_construction():
+    # every label is a generator, but (3, 1) is gone from the entries.  No
+    # moment of the family needs it, yet the kernel no longer holds every
+    # pair of its generators: the table, read through the kernel's lookup,
+    # names the pair rather than leaking a KeyError or a NaN
+    state = dense_state(4, seed=2)
+    del state.kernel.entries[(3, 1)]
+    family = [AlgebraElement({w: 1.0}, FLOAT) for w in ((2, 1), (3,), (4, 4))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteKernelError, match=r"^two-point kernel has no entry for \(3, 1\)$"):
+            gram_positivity(state, family)
 
 
 def test_block_path_refuses_an_overflow_only_an_eight_slot_moment_reaches():

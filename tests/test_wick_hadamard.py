@@ -1259,6 +1259,158 @@ def test_tensor_layer_refuses_foreign_input(call):
         call()
 
 
+def _listing_field(key, value, text=_EXACT_LISTING):
+    data = json.loads(text)
+    data[key] = value
+    return json.dumps(data)
+
+
+_OTHER_BASIS = (1, 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: OrderingKernel.from_symmetric_part({(1, 2): 1, (2, 1): 2}, E4),
+            ValidationError,
+            r"symmetric part disagrees with itself at \(2, 1\)",
+        ),
+        (
+            lambda: word_tensor((1, 2), GENS) + word_tensor((1, 2), _OTHER_BASIS),
+            ValidationError,
+            "cannot combine coefficient tensors of different bases or ranks",
+        ),
+        (
+            lambda: word_tensor((1,), GENS) - word_tensor((1, 2), GENS),
+            ValidationError,
+            "cannot combine coefficient tensors of different bases or ranks",
+        ),
+        (
+            lambda: _difference(EXACT) - _difference(FLOAT),
+            ScalarModeMismatchError,
+            "cannot mix exact and float difference tables",
+        ),
+        (
+            lambda: word_tensor((1,), GENS) + word_tensor((1,), GENS, FLOAT),
+            ScalarModeMismatchError,
+            "cannot mix exact and float coefficient tensors",
+        ),
+        (
+            lambda: alpha_map(_difference(EXACT), word_tensor((1, 2), _OTHER_BASIS)),
+            ValidationError,
+            "difference table and tensor bases differ",
+        ),
+        (
+            lambda: alpha_map(_difference(FLOAT), word_tensor((1, 2), GENS)),
+            ScalarModeMismatchError,
+            "cannot mix float difference with exact tensor",
+        ),
+        (
+            lambda: word_tensor((1,) * 7, GENS),
+            ValidationError,
+            "word length 7 exceeds tensor degree guard 6",
+        ),
+        (
+            lambda: tensors_to_element([word_tensor((1,), GENS), word_tensor((1,), GENS, FLOAT)]),
+            ScalarModeMismatchError,
+            "mixed scalar modes in tensor list",
+        ),
+        (
+            lambda: tensor_from_json(_listing_field("kind", "difference")),
+            ValidationError,
+            "unexpected kind 'difference'",
+        ),
+        (
+            lambda: tensor_from_json(_listing_field("mode", "complex")),
+            ValidationError,
+            "unknown scalar mode 'complex'",
+        ),
+        (
+            lambda: tensor_from_json(_listing_field("degree", 7)),
+            ValidationError,
+            "degree 7 is outside the tensor guard",
+        ),
+        (
+            lambda: tensor_from_json(_listing_field("entries", [[[0, 1, 4], "1", "0"]])),
+            ValidationError,
+            r"entry index \(0, 1, 4\) is out of range",
+        ),
+        (
+            lambda: phi2_H_expectation(1.0),
+            ValidationError,
+            "phi2_H_expectation expects KernelParams",
+        ),
+        (
+            lambda: TwoPointTable((np.arange(-1.0, 2.0),) * 4, np.ones((3, 3, 3, 3))),
+            ValidationError,
+            "each axis needs at least 4 samples",
+        ),
+        (
+            lambda: TwoPointTable((np.arange(1.5, -2.0, -1.0),) * 4, np.ones((4, 4, 4, 4))),
+            ValidationError,
+            "axes must be strictly increasing",
+        ),
+    ],
+    ids=[
+        "symmetric-part-twice", "add-bases", "sub-ranks", "sub-modes", "add-modes",
+        "alpha-bases", "alpha-modes", "word-degree", "resum-modes", "json-kind",
+        "json-mode", "json-degree", "json-index", "phi2-params", "table-short-axis",
+        "table-decreasing-axis",
+    ],
+)
+def test_tensor_layer_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_tensor_and_difference_subtraction_are_entrywise():
+    a, b = _tensor_sum(ALPHA_SUMS["degree-4"], EXACT), word_tensor((1, 2, 3, 3), GENS)
+    assert (a - b) + b == a
+    assert (a - a).is_zero()
+    d, e = _difference(FLOAT), _difference(FLOAT, support=(1, 2))
+    assert np.array_equal((d - e).matrix, d.matrix - e.matrix)
+
+
+def _kernel_with_pairing(e12):
+    # one symmetric part, with E(1, 2) = e12
+    symmetric = {(1, 1): 1, (1, 2): Fraction(1, 4)}
+    return OrderingKernel.from_symmetric_part(symmetric, PairingForm({(1, 2): e12}))
+
+
+def test_difference_of_kernels_with_different_pairings_is_refused():
+    # unorder(:phi1 phi2:) is phi1 phi2 - i/2 under E(1, 2) = 1 and
+    # phi1 phi2 - 3i/2 under E(1, 2) = 3, while the symmetric parts agree:
+    # no symmetric difference table maps one ordering onto the other
+    k1, k3 = _kernel_with_pairing(1), _kernel_with_pairing(3)
+    noe = NormalOrderedElement.monomial((1, 2))
+    assert unorder(noe, k1) != unorder(noe, k3)
+    for new, old in ((k1, k3), (k3, k1)):
+        with pytest.raises(
+            OrderingKernelInvalidError, match=r"^the kernels' pairings differ at E\(1,2\): "
+        ):
+            DifferenceKernel.from_orderings(new, old, (1, 2))
+    # float pairings are refused beyond 1e-12 of max(1, |E|), at any scale
+    for e in (1.0, 1e6, 1e-6):
+        far = _kernel_with_pairing(e + 3e-12 * max(1.0, e))
+        with pytest.raises(OrderingKernelInvalidError):
+            DifferenceKernel.from_orderings(_kernel_with_pairing(e), far, (1, 2))
+    # a basis without the pair where the pairings differ is admitted
+    assert DifferenceKernel.from_orderings(k1, k3, (1, 3)).entries == {}
+
+
+def test_difference_of_kernels_with_equal_pairings_in_two_forms_is_accepted():
+    # E(1, 2) = 1/3 exactly and as the nearest float: the same pairing
+    exact_e, float_e = _kernel_with_pairing(Fraction(1, 3)), _kernel_with_pairing(1 / 3)
+    for new, old in ((exact_e, float_e), (float_e, exact_e)):
+        d = DifferenceKernel.from_orderings(new, old, (1, 2))
+        assert d.mode == FLOAT
+        assert np.abs(d.matrix).max() <= 1e-16
+    for e in (1.0, 1e6, 1e-6):
+        near = _kernel_with_pairing(e + 1e-13 * max(1.0, e))
+        DifferenceKernel.from_orderings(near, _kernel_with_pairing(Fraction(e)), (1, 2))
+
+
 # every name in __all__ but phi2_H_expectation (in the minkowski_kernel
 # slice): the tensor layer fed strings, ragged and wrong-shape arrays, NaN and
 # +-inf, and malformed JSON; the symbolic layer fed junk kernels, words and
