@@ -108,8 +108,13 @@ class _Frame(NamedTuple):
     tau: np.ndarray
     L: np.ndarray  # Cholesky factor, mu = L L^T
     Linv: np.ndarray
-    J: np.ndarray  # mu^{-1} tau / 2
+    half: np.ndarray  # L^{-1} tau / 2, the left factor of Jt and the right one of J
     Jt: np.ndarray  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
+
+    @property
+    def J(self):  # mu^{-1} tau / 2 = L^{-T} half, formed only where it is read
+        with float_range("J of mu and tau"):
+            return self.Linv.T @ self.half
 
 
 def _frame(mu, tau, what="mu"):
@@ -118,7 +123,7 @@ def _frame(mu, tau, what="mu"):
     Raises unless mu is symmetric positive definite, tau antisymmetric, every
     entry of Jt at most 1 + 1e-9 and J mu-antisymmetric (Jt antisymmetric).
     The bound ||J||_mu <= 1 is left to the caller, which reads it off
-    whichever spectrum of Jt it computes.
+    whichever spectrum of Jt it computes or probes it by a factorization.
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
     L = _cholesky_pd(mu, what)
@@ -126,14 +131,13 @@ def _frame(mu, tau, what="mu"):
         Linv = _lower_inverse(L)
         half = Linv @ (tau / 2.0)
         Jt = half @ Linv.T
-        J = Linv.T @ half
     # an entry of Jt bounds ||J||_mu from below
     big = float(np.abs(Jt).max())
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
     if np.abs(Jt + Jt.T).max() > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    return _Frame(mu, tau, L, Linv, J, Jt)
+    return _Frame(mu, tau, L, Linv, half, Jt)
 
 
 def _check_bound(norm):
@@ -144,12 +148,20 @@ def _check_bound(norm):
     return norm
 
 
+def _norm(Jt):
+    """||J||_mu = ||Jt||_2, from the largest eigenvalue of Jt^T Jt."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(Jt.T @ Jt)[-1]), 0.0))
+
+
 def _bounded_frame(mu, tau, what="mu"):
-    """The frame of (mu, tau) and ||J||_mu = ||Jt||_2, from the largest
-    eigenvalue of Jt^T Jt; raises if the norm exceeds 1 + 1e-9."""
+    """The frame of (mu, tau); raises if ||J||_mu exceeds 1 + 1e-9.  A Cholesky
+    probe of (1 + 1e-9)^2 I - Jt^T Jt decides; the spectrum only names a refusal."""
     f = _frame(mu, tau, what)
-    top = float(np.linalg.eigvalsh(f.Jt.T @ f.Jt)[-1])
-    return f, _check_bound(math.sqrt(max(top, 0.0)))
+    try:
+        np.linalg.cholesky((1.0 + 1e-9) ** 2 * np.eye(len(f.Jt)) - f.Jt.T @ f.Jt)
+    except np.linalg.LinAlgError:
+        _check_bound(_norm(f.Jt))
+    return f
 
 
 @dataclass(frozen=True)
@@ -170,8 +182,8 @@ def validate_mu_tau(mu, tau):
     J, and the bound ||J||_mu <= 1 + 1e-9.  The bound is the matrix form of
     the requirement that |tau(x,y)|^2 / 4 never exceeds mu(x,x) mu(y,y).
     """
-    f, norm = _bounded_frame(mu, tau)
-    return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=norm)
+    f = _frame(mu, tau)
+    return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=_check_bound(_norm(f.Jt)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +242,8 @@ def one_particle(mu, tau):
     w, U = np.linalg.eigh(np.eye(len(Jt)) + 1j * Jt)
     norm = _check_bound(float(np.abs(w - 1.0).max()))
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
-    K = (np.sqrt(w[keep])[:, None] * U[:, keep].conj().T) @ f.L.T
+    C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
+    K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
     target = f.mu + 0.5j * f.tau
     resid = float(np.abs(K.conj().T @ K - target).max())
     if resid > 1e-11 * max(1.0, np.abs(target).max()):
@@ -282,7 +295,8 @@ class PurityReport:
 def purity(mu, tau):
     """Two independent purity tests that must agree.
 
-    Test A: J^2 = -I within 1e-10.  Test B: the variational
+    Test A: J^2 = -I within 1e-10, with J formed from the frame's
+    L^{-1} tau / 2 as L^{-T} (L^{-1} tau / 2).  Test B: the variational
     characterization, which reduces to the generalized eigenproblem
     (1/4) tau^T mu^{-1} tau v = lambda mu v having all lambda equal to 1
     within 1e-8; the sup over the Rayleigh quotient is attained there.
@@ -292,20 +306,22 @@ def purity(mu, tau):
     purity condition.
     """
     f = _frame(mu, tau)
-    r_square = float(np.abs(f.J @ f.J + np.eye(len(f.mu))).max())
+    J = f.J  # one product; each read of the property forms J again
+    r_square = float(np.abs(J @ J + np.eye(len(f.mu))).max())
     pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
     # the generalized problem to a symmetric one is shared with the frame.
-    # B is invariant under (mu, tau, Linv) -> (c mu, c tau, Linv / sqrt(c)),
-    # so it is formed where max|mu| lies in [1, 4), by an exact power of two.
-    # The scaling is exact unless an entry leaves the float range.  Past its
-    # top float_range refuses; lost below it, entries can leave a mu whose
-    # inverse is not finite, and np.linalg.solve, unseen by float_range,
-    # then returns inf or raises LinAlgError on a zero pivot.
-    e = _unit_exponent(mu)
+    # B is invariant under the congruence (mu, tau, Linv) -> (D mu D, D tau D,
+    # Linv D^{-1}), so it is formed with D the diagonal of powers of two that
+    # put each mu_ii in [1, 4).  Then |mu_ij| < 4 and the pair bound keeps
+    # tau's entries below 8; entries lost below the float range can still
+    # leave a mu whose inverse is not finite, and np.linalg.solve, unseen by
+    # float_range, then returns inf or raises LinAlgError on a zero pivot.
+    k = -((np.frexp(np.diag(f.mu))[1] - 1) // 2)
     with float_range("tau^T mu^{-1} tau"):
-        mu, tau, Linv = np.ldexp(mu, e), np.ldexp(tau, e), np.ldexp(f.Linv, -e // 2)
+        mu, tau = (np.ldexp(m, k[:, None] + k) for m in (f.mu, f.tau))
+        Linv = np.ldexp(f.Linv, -k)
         try:
             X = np.linalg.solve(mu, tau)
             finite = np.isfinite(X).all()
@@ -354,7 +370,8 @@ def ground_state_mu(energy_form, tau=None):
     of G V, which resolve a vanishing frequency to roundoff in G rather than
     to the square root of roundoff in G^T G.  A zero mode (massless periodic
     chain) makes 1/s blow up and is rejected instead, as is any spectrum
-    with min s < 1e-10 max s.
+    with min s < 1e-10 max s.  A Cholesky factorization of A - 1e-12 max|A| I
+    decides A's positivity; A's spectrum only names a refusal.
     """
     A = as_finite_array(energy_form, "energy form")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
@@ -366,14 +383,17 @@ def ground_state_mu(energy_form, tau=None):
     A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
     A = (A + A.T) / 2.0
     scale = np.abs(A).max()
-    wA = np.linalg.eigvalsh(A)
-    if wA[0] < -1e-10 * scale:
-        raise InvalidCovarianceError("energy form must be positive")
-    if wA[0] <= 1e-12 * scale:
-        # zero-energy direction: the frequency spectrum touches zero
-        raise SpectrumNotGappedError(
-            "energy form has a null direction; no gapped ground state"
-        )
+    try:
+        np.linalg.cholesky(A - 1e-12 * scale * np.eye(len(A)))
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(A)[0]
+        if lam < -1e-10 * scale:
+            raise InvalidCovarianceError("energy form must be positive") from None
+        if lam <= 1e-12 * scale:
+            # zero-energy direction: the frequency spectrum touches zero
+            raise SpectrumNotGappedError(
+                "energy form has a null direction; no gapped ground state"
+            ) from None
     R = np.linalg.cholesky(A)
     G = R.T @ T @ R
     _, V = np.linalg.eigh(G.T @ G)
@@ -383,10 +403,9 @@ def ground_state_mu(energy_form, tau=None):
         raise SpectrumNotGappedError(
             "frequency spectrum touches zero; no gapped ground state"
         )
-    RV = R @ V
     with float_range("ground-state covariance"):
-        mu = (RV / (2.0 * s)) @ RV.T
-        return np.ldexp((mu + mu.T) / 2.0, e)
+        X = (R @ V) / np.sqrt(2.0 * s)
+        return np.ldexp(X @ X.T, e)  # a symmetric product: mu is exactly symmetric
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -541,9 +560,10 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     flat (or at most 1e-12 throughout) reads bounded, anything else
     inconclusive.  tau defaults to the standard block form.  Both
     covariances must pass validate_mu_tau on the largest block, factored
-    once: L is lower triangular, so each leading block of L^{-1} and of
-    B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own, and only the
-    symmetry checks, scaled to each block, run per block.
+    once, with a Cholesky factorization deciding the pair bound (a spectrum
+    only names a refusal): L is lower triangular, so each leading block of
+    L^{-1} and of B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own,
+    and only the symmetry checks, scaled to each block, run per block.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -572,13 +592,13 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         _check_square_pair(mu1[:n, :n], tau[:n, :n])
         _check_square_pair(mu2[:n, :n], tau[:n, :n])
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
-    Linv = _bounded_frame(m1, t, what="mu1 block")[0].Linv
+    Linv = _bounded_frame(m1, t, what="mu1 block").Linv
     _bounded_frame(m2, t, what="mu2 block")
     with float_range("mu2 - mu1 in the mu1 geometry"):
-        delta = m2 - m1
-        B = Linv @ delta @ Linv.T
+        D = Linv @ (m2 - m1)
+        B = D @ Linv.T
         B = (B + B.T) / 2.0
-        Q = Linv.T @ (Linv @ delta)  # mu1^{-1} (mu2 - mu1) on the largest block
+        Q = Linv.T @ D  # mu1^{-1} (mu2 - mu1) on the largest block
     spectra = [np.linalg.eigvalsh(B[:n, :n]) for n in sizes]
     hs_norms = tuple(math.hypot(*lams) for lams in spectra)
     return EquivalenceReport(

@@ -437,10 +437,12 @@ class _BasisTable(_Frozen):
         return self._combine(other, operator.sub)
 
     def scale(self, c):
-        # through numpy, whose complex product rounds unlike Python's
-        c = coerce(c, self.mode)
+        # through numpy, whose complex product rounds unlike Python's; its
+        # product with an odd-length array can flag an overflow in a padding
+        # lane at the float's edge, so an int 0 makes the length even
+        c, values = coerce(c, self.mode), list(self.entries.values())
         with float_range(f"scaled {self._what}"):
-            values = (np.array(list(self.entries.values())) * c).tolist()
+            values = (np.array(values + [0] * (len(values) % 2)) * c).tolist()[: len(values)]
         return self._new(self.basis, self.degree, self.mode, dict(zip(self.entries, values)))
 
 

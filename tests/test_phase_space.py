@@ -228,17 +228,22 @@ def test_purity_double_check_random_pairs():
 
 
 def test_purity_at_the_edges_of_the_float_range():
-    # validate_mu_tau admits both pairs; the verdict is scale invariant
-    assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"
+    # validate_mu_tau admits every pair; the verdict is invariant under a
+    # congruence by powers of two, which puts each mu_ii in [1, 4), so a
+    # diagonal spanning more than the float range keeps both entries
+    zero = np.zeros((2, 2))
+    assert purity(1e-320 * np.eye(2), zero).verdict == "mixed"
     assert purity(1e-300 * np.eye(2) / 2.0, 1e-300 * TAU1).verdict == "pure"
     assert purity(1e300 * np.eye(2) / 2.0, 1e300 * TAU1).verdict == "pure"
+    for mu in (np.diag([1e300, 1e-300]), np.diag([1e308, 1e-320])):
+        validate_mu_tau(mu, zero)
+        assert purity(mu, zero).verdict == "mixed"
+    assert purity(np.diag([1e150, 1e-150]) / 2.0, TAU1).verdict == "pure"
 
 
-# validate_mu_tau admits each pair, but scaled to max|mu| in [1, 4) the first
-# loses its small eigenvalue below the float range and the second is singular
-# at working precision, so np.linalg.solve meets a zero pivot; the third
-# overflows while its Cholesky inverse is scaled.  Each is refused with
-# ValidationError, not LinAlgError or a RuntimeWarning.
+# validate_mu_tau admits the pair, but it is singular at working precision,
+# so np.linalg.solve meets a zero pivot.  It is refused with ValidationError,
+# not LinAlgError or a RuntimeWarning.
 _NEAR_SINGULAR_MU = np.array([
     [7.1943437380553370e-19, -1.7084594178432713e-18],
     [-1.7084594178432713e-18, 4.0571227740729871e-18],
@@ -246,13 +251,7 @@ _NEAR_SINGULAR_MU = np.array([
 
 
 @pytest.mark.parametrize(
-    "mu, tau",
-    [
-        (np.diag([1e300, 1e-300]), np.zeros((2, 2))),
-        (_NEAR_SINGULAR_MU, 4.2138477380441937e-26 * TAU1),
-        (np.diag([1e308, 1e-320]), np.zeros((2, 2))),
-    ],
-    ids=["lost-eigenvalue", "zero-pivot", "scaled-inverse-overflow"],
+    "mu, tau", [(_NEAR_SINGULAR_MU, 4.2138477380441937e-26 * TAU1)], ids=["zero-pivot"]
 )
 def test_purity_refuses_a_covariance_whose_scaled_inverse_is_not_finite(mu, tau):
     validate_mu_tau(mu, tau)
@@ -290,15 +289,16 @@ def test_one_particle_reconstruction_check_negative_control(monkeypatch):
 
 
 def test_purity_agreement_check_negative_control(monkeypatch):
-    # a frame's J off by 1e-3 of itself fails test A (|J^2 + I| = 2e-3)
-    # while test B, which reads mu and tau, still finds the pair pure
+    # a frame's half off by 1e-3 of itself skews J = L^{-T} half by the same
+    # factor, up to rounding, and fails test A (|J^2 + I| = 2e-3) while
+    # test B, which reads mu and tau, still finds the pair pure
     mu, tau = np.eye(2) / 2.0, TAU1
     assert purity(mu, tau).pure
     frame = phase_space._frame
 
     def skewed(*args):
         f = frame(*args)
-        return f._replace(J=f.J * (1.0 + 1e-3))
+        return f._replace(half=f.half * (1.0 + 1e-3))
 
     monkeypatch.setattr(phase_space, "_frame", skewed)
     with pytest.raises(InternalInconsistencyError, match="purity checks disagree"):
@@ -386,6 +386,33 @@ def test_degenerate_form_has_no_gapped_ground_state():
     for T in (tau, Q.T @ tau @ Q):
         with pytest.raises(SpectrumNotGappedError):
             ground_state_mu(A, T)
+
+
+# the positivity check is a Cholesky probe of A - 1e-12 I (max|A| = 1); its
+# refusals name the smallest eigenvalue's band as the spectrum did
+@pytest.mark.parametrize(
+    "lam, refusal",
+    [(-2e-10, "must be positive")]
+    + [(lam, "null direction") for lam in (-5e-11, 0.0, 5e-13, 9e-13)]
+    + [(lam, None) for lam in (1.1e-12, 2e-12, 1e-11)],
+)
+def test_ground_state_positivity_probe_at_its_thresholds(lam, refusal):
+    A, tau = np.diag([1.0, lam, 1.0, 1.0]), standard_symplectic_form(2)
+    if refusal is None:
+        assert np.isfinite(ground_state_mu(A, tau)).all()
+        return
+    error = InvalidCovarianceError if refusal == "must be positive" else SpectrumNotGappedError
+    with pytest.raises(error, match=refusal):
+        ground_state_mu(A, tau)
+
+
+def test_admitted_ground_state_solves_one_eigenproblem(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh"))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    ground_state_mu(*lattice_energy_form(8, 0.5, 1.0))
+    assert calls == ["eigh"]
 
 
 def test_ground_state_is_invariant_under_scaling_the_energy_form():
@@ -544,6 +571,21 @@ def test_probe_swap_symmetry_within_constants():
     assert np.abs(r12.Q - Q).max() <= 1e-10 * np.abs(Q).max()
 
 
+@pytest.mark.parametrize("excess, norm", [(2e-9, r"1\.000000002"), (0.5e-9, None)])
+def test_probe_pair_bound_on_either_covariance(excess, norm):
+    # tau scaled by 1 + excess puts ||J||_mu of the pure mu at 1 + excess;
+    # 2 mu stays far inside the bound
+    mu, tau = random_pure_pair(np.random.default_rng(7), 3)
+    tau = tau * (1.0 + excess)
+    for mu1, mu2 in ((mu, 2.0 * mu), (2.0 * mu, mu)):
+        if norm is None:
+            equivalence_probe(mu1, mu2, tau)
+            continue
+        refusal = rf"^\|J\|_mu = {norm} exceeds 1: the pair bound fails$"
+        with pytest.raises(InvalidCovarianceError, match=refusal):
+            equivalence_probe(mu1, mu2, tau)
+
+
 def test_probe_invalid_first_covariance():
     tau = standard_symplectic_form(2)
     with pytest.raises(InvalidCovarianceError):
@@ -621,7 +663,9 @@ def test_probe_factors_once_and_purity_solves_one_eigenproblem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(len(a)) or eigh(a))
     mu, tau = random_mixed_pair(np.random.default_rng(47), 4)
     equivalence_probe(mu, 1.5 * mu, tau, truncations=[1, 2, 3, 4])
-    assert len(frames) == 2 and spectra == [8, 8, 2, 4, 6, 8]
+    # the pair bound of each frame is a Cholesky probe; only the ladder's
+    # blocks are eigensolved
+    assert len(frames) == 2 and spectra == [2, 4, 6, 8]
     spectra.clear()
     purity(mu, tau)
     assert spectra == [8]

@@ -1094,21 +1094,7 @@ _FLOAT_SCALAR_ENTRIES = {
     "evaluate": lambda c: evaluate(_UNIT_STATE, AlgebraElement({(): _exact_parts(c)})),
 }
 
-_NUMPY_ODD_TAIL = pytest.mark.xfail(
-    strict=True,
-    raises=ValidationError,
-    reason="numpy's complex product by a broadcast factor pads an odd-length tail with a "
-    "lane whose product overflows once |re| + |im| of the factor does; float_range refuses it",
-)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=_NUMPY_ODD_TAIL if name == "tensor-scale" else ())
-        for name in _FLOAT_SCALAR_ENTRIES
-    ],
-)
+@pytest.mark.parametrize("name", list(_FLOAT_SCALAR_ENTRIES))
 def test_a_float_scalar_with_a_finite_modulus_is_admitted(name):
     # finite parts, modulus 1.697e308
     _FLOAT_SCALAR_ENTRIES[name](complex(1.2e308, 1.2e308))
