@@ -228,17 +228,24 @@ def test_purity_double_check_random_pairs():
 
 
 def test_purity_at_the_edges_of_the_float_range():
-    # validate_mu_tau admits every pair; the verdict is invariant under a
-    # congruence by powers of two, which puts each mu_ii in [1, 4), so a
-    # diagonal spanning more than the float range keeps both entries
-    zero = np.zeros((2, 2))
-    assert purity(1e-320 * np.eye(2), zero).verdict == "mixed"
+    # validate_mu_tau admits every pair; the verdict is scale invariant
+    assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"
     assert purity(1e-300 * np.eye(2) / 2.0, 1e-300 * TAU1).verdict == "pure"
     assert purity(1e300 * np.eye(2) / 2.0, 1e300 * TAU1).verdict == "pure"
-    for mu in (np.diag([1e300, 1e-300]), np.diag([1e308, 1e-320])):
-        validate_mu_tau(mu, zero)
-        assert purity(mu, zero).verdict == "mixed"
     assert purity(np.diag([1e150, 1e-150]) / 2.0, TAU1).verdict == "pure"
+
+
+# the verdict is invariant under a congruence by powers of two, which puts
+# each mu_ii in [1, 4), so a diagonal spanning more than the float range
+# keeps both entries
+@pytest.mark.parametrize(
+    "mu", [np.diag([1e300, 1e-300]), np.diag([1e308, 1e-320])],
+    ids=["1e300-1e-300", "1e308-1e-320"],
+)
+def test_purity_admits_a_diagonal_wider_than_the_float_range(mu):
+    zero = np.zeros((2, 2))
+    validate_mu_tau(mu, zero)
+    assert purity(mu, zero).verdict == "mixed"
 
 
 # validate_mu_tau admits the pair, but it is singular at working precision,
