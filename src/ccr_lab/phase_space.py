@@ -153,13 +153,20 @@ def _norm(Jt):
     return math.sqrt(max(float(np.linalg.eigvalsh(Jt.T @ Jt)[-1]), 0.0))
 
 
+def _positive(M):
+    """Whether the symmetric matrix M is positive definite, by a Cholesky probe."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _bounded_frame(mu, tau, what="mu"):
     """The frame of (mu, tau); raises if ||J||_mu exceeds 1 + 1e-9.  A Cholesky
-    probe of (1 + 1e-9)^2 I - Jt^T Jt decides; the spectrum only names a refusal."""
+    probe decides; the spectrum only names a refusal."""
     f = _frame(mu, tau, what)
-    try:
-        np.linalg.cholesky((1.0 + 1e-9) ** 2 * np.eye(len(f.Jt)) - f.Jt.T @ f.Jt)
-    except np.linalg.LinAlgError:
+    if not _positive((1.0 + 1e-9) ** 2 * np.eye(len(f.Jt)) - f.Jt.T @ f.Jt):
         _check_bound(_norm(f.Jt))
     return f
 
@@ -227,26 +234,43 @@ class OneParticleStructure:
 
 
 def one_particle(mu, tau):
-    """Spectral construction of a one-particle structure for (mu, tau).
+    """One-particle structure for (mu, tau), with K^H K = L (I + i Jt) L^T.
 
-    In the mu-orthonormal frame the hermitian matrix I + i J has spectrum in
-    [0, 2]; its eigenspaces above 1e-10 times the top eigenvalue carry the
+    Frame route: if tau[:N, :N] = 0, as in the (q, p) ordering, so is Jt's
+    block (L is lower triangular), and for a pure pair the first N rows of
+    I + i Jt span the range of the rank-N projector (I + i Jt) / 2.  Then
+    K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when Cholesky
+    probes put every singular value of Jt in [1 - 2e-10, 1 + 1e-9] and K
+    meets the residual bound below; every other pair takes the spectral route.
+
+    Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
+    its eigenspaces above 1e-10 times the top eigenvalue carry the
     representation.  Pure directions contribute one dimension per mode, mixed
     directions two (the doubling that keeps the complex span dense).  The
-    spectrum of i J is +-||J||_mu at its ends, so the pair bound is read off
+    spectrum of i Jt is +-||J||_mu at its ends, so the pair bound is read off
     the same eigenvalues.  K^H K must reproduce mu + (i/2) tau within 1e-11
     relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
     Jt = (f.Jt - f.Jt.T) / 2.0
-    w, U = np.linalg.eigh(np.eye(len(Jt)) + 1j * Jt)
+    n, eye = len(Jt) // 2, np.eye(len(Jt))
+    target = f.mu + 0.5j * f.tau
+    tol = 1e-11 * max(1.0, np.abs(target).max())
+    if not f.tau[:n, :n].any():
+        G = Jt.T @ Jt
+        if _positive((1.0 + 1e-9) ** 2 * eye - G) and _positive(G - (1.0 - 4e-10) * eye):
+            K = f.L.T[:n] + 1j * f.half[:n]
+            resid = float(np.abs(K.conj().T @ K - target).max())
+            if resid <= tol:
+                return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
+                                            reconstruction_residual=resid)
+    w, U = np.linalg.eigh(eye + 1j * Jt)
     norm = _check_bound(float(np.abs(w - 1.0).max()))
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
     K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
-    target = f.mu + 0.5j * f.tau
     resid = float(np.abs(K.conj().T @ K - target).max())
-    if resid > 1e-11 * max(1.0, np.abs(target).max()):
+    if resid > tol:
         if w.min() < -1e-12:
             # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
             # has no one-particle structure, so the input is at fault
@@ -383,17 +407,13 @@ def ground_state_mu(energy_form, tau=None):
     A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
     A = (A + A.T) / 2.0
     scale = np.abs(A).max()
-    try:
-        np.linalg.cholesky(A - 1e-12 * scale * np.eye(len(A)))
-    except np.linalg.LinAlgError:
+    if not _positive(A - 1e-12 * scale * np.eye(len(A))):
         lam = np.linalg.eigvalsh(A)[0]
         if lam < -1e-10 * scale:
-            raise InvalidCovarianceError("energy form must be positive") from None
+            raise InvalidCovarianceError("energy form must be positive")
         if lam <= 1e-12 * scale:
             # zero-energy direction: the frequency spectrum touches zero
-            raise SpectrumNotGappedError(
-                "energy form has a null direction; no gapped ground state"
-            ) from None
+            raise SpectrumNotGappedError("energy form has a null direction; no gapped ground state")
     R = np.linalg.cholesky(A)
     G = R.T @ T @ R
     _, V = np.linalg.eigh(G.T @ G)

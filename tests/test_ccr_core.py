@@ -226,6 +226,37 @@ def test_star_is_anti_linear(a, c):
     assert star(a.scale(c)) == star(a).scale(c.conjugate())
 
 
+# ------------------------------------------------ AlgebraElement methods
+
+def test_algebra_element_methods_match_the_module_functions():
+    for mode, coeff, c in ((EXACT, exact(1, -2), exact(0, 3)), (FLOAT, 1 - 2j, 3j)):
+        a = AlgebraElement({(1, 2): coeff, (3,): 2, (): 1}, mode=mode)
+        assert a.star() == star(a)
+        assert a * c == a.scale(c)
+        assert a * 2 == 2 * a == a + a
+        assert Fraction(1, 2) * a == a.scale(Fraction(1, 2))
+        assert a * a == multiply(a, a)
+    assert 3j * AlgebraElement({(1,): 1}, mode=FLOAT) == AlgebraElement({(1,): 3j}, mode=FLOAT)
+
+
+def test_is_zero_on_elements_that_cancel():
+    a = word(1, 2) + word(2, 1).scale(exact(0, 1))
+    assert not a.is_zero()
+    assert (a - a).is_zero() and (a + a * -1).is_zero()
+    assert AlgebraElement({(1,): exact(0)}, mode=EXACT).is_zero()
+    assert AlgebraElement.zero(mode=FLOAT).is_zero()
+
+
+def test_reprs_and_foreign_comparisons():
+    a = word(1, 2)
+    assert repr(a) == "<AlgebraElement '1/1+0/1*i*phi(1)phi(2)' (exact)>"
+    assert repr(E12) == "PairingForm({(1, 2): Fraction(1, 1)})"
+    # comparing with a foreign type defers to it, and so comes out unequal
+    for value, foreign in ((exact(1), "1"), (exact(1), 1.0), (E12, {(1, 2): 1})):
+        assert type(value).__eq__(value, foreign) is NotImplemented
+        assert value != foreign
+
+
 # ----------------------------------------------------------- normal form
 
 def test_single_swap():

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,10 +38,12 @@ from ccr_lab.phase_space import (
 from oracles import (
     ho_ground_covariance,
     lattice_ground_covariance,
+    qfirst_pure_pair,
     random_mixed_pair,
     random_pure_pair,
     rank1_hs_norm,
     standard_symplectic,
+    wick_moment,
 )
 
 TAU1 = standard_symplectic(1)
@@ -208,6 +212,179 @@ def test_intertwiner_refuses_structures_it_cannot_relate():
             intertwiner(a, b)
 
 
+# ------------------------------------------------ one_particle's frame route
+
+def _qfirst(n, squeeze=1.0):
+    rng = np.random.default_rng(100 * n + round(math.log10(squeeze)))
+    return qfirst_pure_pair(rng, n, squeeze)
+
+
+def _interleaved(n):
+    # positions of (q_1, p_1, q_2, p_2, ...) in the (q_1..q_N, p_1..p_N) order
+    return np.ravel(np.column_stack([np.arange(n), np.arange(n) + n]))
+
+
+def _spy(monkeypatch):
+    # the names of the np.linalg factorizations called, in order
+    calls = []
+    for name in ("eigh", "cholesky"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, name=name, real=real: calls.append(name) or real(a))
+    return calls
+
+
+def _within_contract(K, mu, tau):
+    target = mu + 0.5j * tau
+    return np.abs(K.conj().T @ K - target).max() <= 1e-11 * max(1.0, np.abs(target).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("squeeze", [1.0, 1e2])
+def test_frame_route_reproduces_a_qfirst_pure_pair(n, squeeze, monkeypatch):
+    mu, tau = _qfirst(n, squeeze)
+    calls = _spy(monkeypatch)
+    s = one_particle(mu, tau)
+    assert "eigh" not in calls and s.dim == n
+    assert _within_contract(s.K, mu, tau)
+    bound = 1e-11 * max(1.0, np.abs(mu).max())
+    rng = np.random.default_rng(n)
+    for x, y in rng.normal(size=(10, 2, 2 * n)):
+        want = x @ mu @ y + 0.5j * (x @ tau @ y)
+        assert abs(s.inner(x, y) - want) <= bound * np.abs(x).sum() * np.abs(y).sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_frame_route_is_unitarily_equivalent_to_the_spectral_route(n, monkeypatch):
+    # the same state in the order (q_1, p_1, q_2, p_2, ...) has tau[:n, :n] != 0
+    # and takes the spectral route; its K, with columns put back in the
+    # (q, p) order, is a structure of the same pair
+    mu, tau = _qfirst(n)
+    order = _interleaved(n)
+    calls = _spy(monkeypatch)
+    frame = one_particle(mu, tau)
+    spectral = one_particle(mu[np.ix_(order, order)], tau[np.ix_(order, order)])
+    assert calls.count("eigh") == 1 and frame.dim == spectral.dim == n
+    back = OneParticleStructure(K=spectral.K[:, np.argsort(order)], mu=mu, tau=tau, dim=n,
+                                reconstruction_residual=spectral.reconstruction_residual)
+    V = intertwiner(frame, back)
+    assert np.abs(V.conj().T @ V - np.eye(n)).max() <= 1e-12
+    assert np.abs(V @ frame.K - back.K).max() <= 1e-12 * np.abs(back.K).max()
+    if n > 2:
+        return
+    reps = [FockRepresentation(s, cutoff=4) for s in (frame, back)]
+    basis = np.eye(2 * n)
+    omega = lambda i, j: mu[i, j] + 0.5j * tau[i, j]  # noqa: E731
+    for word in ((0, 3), (1, 2, 2, 0), (3, 3, 1, 2)):
+        want = wick_moment(word, omega)
+        got = [rep.vacuum_npoint(basis[list(word)]) for rep in reps]
+        assert got == [pytest.approx(want, rel=1e-10, abs=1e-12)] * 2
+
+
+def test_frame_route_solves_no_eigenproblem(monkeypatch):
+    mu, tau = lattice_ground_covariance(8, 0.5, 1.0), standard_symplectic_form(8)
+    calls = _spy(monkeypatch)
+    assert one_particle(mu, tau).dim == 8 and "eigh" not in calls
+    # a mixed pair passes the zero-block test but not the purity probe
+    calls.clear()
+    assert one_particle(1.5 * mu, tau).dim == 16 and calls.count("eigh") == 1
+    # a pair with tau[:N, :N] != 0 is not probed: the frame's factor is the
+    # only Cholesky factorization
+    calls.clear()
+    order = _interleaved(8)
+    assert one_particle(mu[np.ix_(order, order)], tau[np.ix_(order, order)]).dim == 8
+    assert calls == ["cholesky", "eigh"]
+
+
+# mu (1 + 3e-10) has every singular value of Jt below 1 - 2e-10, which the
+# spectral route's keep rule reads as mixed.  On the sheared pair of seed 14
+# the frame K of mu (1 + 1e-9) would meet the residual bound with dim 1, so
+# the purity probe alone keeps that pair off the frame route.
+@pytest.mark.parametrize(
+    "seed, n, scale",
+    [(100 * n, n, scale) for scale in (1.5, 1.0 + 3e-10) for n in (1, 3, 8)]
+    + [(14, 1, 1.0 + 1e-9)],
+)
+def test_mixed_qfirst_pair_takes_the_spectral_route(seed, n, scale):
+    mu, tau = qfirst_pure_pair(np.random.default_rng(seed), n)
+    s = one_particle(scale * mu, tau)
+    assert s.dim == 2 * n and _within_contract(s.K, scale * mu, tau)
+
+
+# on the squeezed pair of seed 35 the frame K of mu / (1 + 1.5e-9) would meet
+# the residual bound, so the bound probe alone keeps it off the frame route
+@pytest.mark.parametrize(
+    "seed, n, squeeze, excess",
+    [(100 * n, n, 1.0, 2e-9) for n in (1, 3, 8)] + [(35, 3, 1e2, 1.5e-9)],
+)
+def test_qfirst_pair_past_the_bound_is_refused(seed, n, squeeze, excess):
+    mu, tau = qfirst_pure_pair(np.random.default_rng(seed), n, squeeze)
+    with pytest.raises(InvalidCovarianceError, match="pair bound"):
+        one_particle(mu / (1.0 + excess), tau)
+
+
+@pytest.mark.parametrize("excess", [1e-10, 5e-10])
+@pytest.mark.parametrize(
+    "mu, tau",
+    [(np.eye(6) / 2.0, standard_symplectic_form(3)),
+     (lattice_ground_covariance(16, 0.5, 1.0), standard_symplectic_form(16))],
+    ids=["oscillators", "chain"],
+)
+def test_frame_route_refuses_a_qfirst_pair_above_one(mu, tau, excess):
+    # mu / (1 + d) moves the frame K's K^H K off mu + (i/2) tau by 0.3 d (chain)
+    # to 2 d (oscillators) times max|mu|, past the 1e-11 bound, so the pair
+    # falls through to the spectral route and its refusal
+    validate_mu_tau(mu / (1.0 + excess), tau)
+    with pytest.raises(InvalidCovarianceError, match=r"\|J\|_mu"):
+        one_particle(mu / (1.0 + excess), tau)
+
+
+def test_frame_route_reconstruction_check_negative_control(monkeypatch):
+    # a Cholesky factor off by 1e-8 of itself fails the residual bound on both
+    # routes, so the frame route falls through and the spectral route raises
+    mu, tau = _qfirst(2)
+    frame = phase_space._frame
+
+    def skewed(*args):
+        f = frame(*args)
+        return f._replace(L=f.L * (1.0 + 1e-8))
+
+    monkeypatch.setattr(phase_space, "_frame", skewed)
+    with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
+        one_particle(mu, tau)
+
+
+def _exact_residual(K, mu, tau):
+    # max |K^H K - (mu + (i/2) tau)| at 40 digits
+    with mpmath.workdps(40):
+        D = mpmath.matrix(K.tolist()).H * mpmath.matrix(K.tolist()) - mpmath.matrix(
+            (mu + 0.5j * tau).tolist())
+        return float(max(abs(d) for d in D))
+
+
+# Pairs the spectral route refuses as "no one-particle structure reproduces
+# the pair" and the frame route admits, its K meeting the 1e-11 bound:
+# a pure pair with cond(mu) about 7.5e9, where the complex eigensolver's
+# roundoff reads ||J||_mu past 1, and a pair inside the bound's 1e-9 slack
+# (||J||_mu = 1 + 5e-10) whose frame K misses only entries far below max|mu|.
+@pytest.mark.parametrize(
+    "seed, n, squeeze, excess", [(2002, 2, 1e2, 0.0), (1000, 1, 1.0, 5e-10)],
+    ids=["ill-conditioned", "inside-the-slack"],
+)
+def test_frame_route_admits_pairs_the_spectral_route_refuses(seed, n, squeeze, excess,
+                                                             monkeypatch):
+    mu, tau = qfirst_pure_pair(np.random.default_rng(seed), n, squeeze)
+    mu = mu / (1.0 + excess)
+    s = one_particle(mu, tau)
+    assert s.dim == n
+    exact = _exact_residual(s.K, mu, tau)
+    assert exact <= 1e-11 * max(1.0, np.abs(mu).max())
+    assert abs(s.reconstruction_residual - exact) <= 1e-15 * max(1.0, np.abs(mu).max())
+    monkeypatch.setattr(phase_space, "_positive", lambda M: False)  # no frame route
+    with pytest.raises(InvalidCovarianceError, match="no one-particle structure reproduces"):
+        one_particle(mu, tau)
+
+
 # ----------------------------------------------------------------- purity
 
 def test_purity_closed_form_cases():
@@ -277,6 +454,20 @@ def test_frame_refuses_a_j_that_is_not_mu_antisymmetric():
     for entry in (validate_mu_tau, one_particle, purity):
         with pytest.raises(InvalidCovarianceError, match="^J is not mu-antisymmetric$"):
             entry(np.diag([1.0, 1e-12]), tau)
+
+
+def test_pair_past_the_bound_on_a_near_singular_mu_is_refused():
+    # mu's eigenvalues are 1 and about 1e-17, so a float eigensolver cannot
+    # read det mu; taken exactly as given, det mu = 1.03e-17 and the 2 x 2
+    # closed form ||J||_mu^2 = tau_12^2 / (4 det mu) = 1.276 puts the pair
+    # past the bound.  Rounded in the frame, Jt is not antisymmetric either.
+    a, b, c = 0.47548810835705707, 0.4993988057335385, 0.5245118916429428
+    t = 7.265657890607472e-09
+    norm_sq = Fraction(t) ** 2 / (4 * (Fraction(a) * Fraction(c) - Fraction(b) ** 2))
+    assert norm_sq > Fraction(5, 4)
+    for entry in (validate_mu_tau, one_particle, purity):
+        with pytest.raises(InvalidCovarianceError, match="^J is not mu-antisymmetric$"):
+            entry(np.array([[a, b], [b, c]]), t * TAU1)
 
 
 def test_one_particle_reconstruction_check_negative_control(monkeypatch):

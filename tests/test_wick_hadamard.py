@@ -1358,6 +1358,23 @@ def test_tensor_and_difference_subtraction_are_entrywise():
     assert np.array_equal((d - e).matrix, d.matrix - e.matrix)
 
 
+def test_tables_defer_to_foreign_operands():
+    t, d = word_tensor((1, 2), GENS), _difference(EXACT)
+    for table, foreign in ((t, 1), (t, d), (d, t)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(TypeError):
+                op(table, foreign)
+    assert WickTensor.__eq__(t, "t") is NotImplemented and t != "t"
+    assert repr(KAPPA) == f"OrderingKernel({len(KAPPA.entries)} entries)"
+
+
+def test_ordered_monomials_that_coincide_cancel_on_construction():
+    # :phi1 phi2: and :phi2 phi1: are one ordered monomial
+    noe = NormalOrderedElement({(1, 2): 1, (2, 1): -1, (3,): 2})
+    assert noe.terms == {(3,): ONE * 2}
+    assert not NormalOrderedElement({(2, 1): exact(0, 1), (1, 2): exact(0, -1)}, mode=EXACT)
+
+
 def _kernel_with_pairing(e12):
     # one symmetric part, with E(1, 2) = e12
     symmetric = {(1, 1): 1, (1, 2): Fraction(1, 4)}
