@@ -18,6 +18,12 @@ floats.
 That is phi(2)phi(1) = phi(1)phi(2) - i, the single-swap case of the
 relation.  Star reverses words and conjugates coefficients; the generators
 themselves are hermitian, so no index decoration is needed.
+
+An ordering kernel (OrderingKernel) is a contraction table kappa with
+antisymmetric part (i/2)E; normal_form orders against kappa(l, g) = i E(l, g)
+for l > g, wick_hadamard against any other.  A quasifree state's two-point
+function omega has antisymmetric part (i/2)E for E = 2 Im omega, so its
+table is one: quasifree.TwoPointKernel is the subclass with the state's check.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import numpy as np
 from .errors import (
     ArityError,
     InvalidSymmetryError,
+    OrderingKernelInvalidError,
     ScalarModeMismatchError,
     ValidationError,
     as_finite,
@@ -122,8 +129,12 @@ class ExactComplex(_Frozen):
         return Fraction(self._abd[1], self._abd[2])
 
     def __add__(self, other):
+        if not isinstance(other, ExactComplex):
+            if isinstance(other, _WordCombination):
+                return NotImplemented  # an element's own scalar rule decides
+            other = coerce(other, EXACT)
         a, b, d = self._abd
-        c, e, f = coerce(other, EXACT)._abd
+        c, e, f = other._abd
         if d == f:
             return _exact(a + c, b + e, d)
         return _exact(a * f + c * d, b * f + e * d, d * f)
@@ -131,14 +142,20 @@ class ExactComplex(_Frozen):
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _WordCombination):
+            return NotImplemented
         return self + -coerce(other, EXACT)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
+        if not isinstance(other, ExactComplex):
+            if isinstance(other, _WordCombination):
+                return NotImplemented
+            other = coerce(other, EXACT)
         a, b, d = self._abd
-        c, e, f = coerce(other, EXACT)._abd
+        c, e, f = other._abd
         return _exact(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -469,6 +486,110 @@ class PairingForm(_Frozen):
 
     def __repr__(self):
         return f"PairingForm({self.entries!r})"
+
+
+_I = ExactComplex(0, 1)
+
+
+def _mode_of(*values):
+    # exact arithmetic when every value allows it, float otherwise
+    return EXACT if all(map(is_exact, values)) else FLOAT
+
+
+class OrderingKernel(_Frozen):
+    """Reference contraction table for normal ordering.
+
+    ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
+    entries read as zero, and entries that are not exact are float scalars,
+    read by coerce's rule, as are exact ones that a float entry or pairing
+    puts in float mode.  ``pairing`` is the ambient antisymmetric form E.
+    The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
+    pair seen in either structure, exactly for rational entries and to
+    1e-12 otherwise.  quasifree.TwoPointKernel, the one subclass, carries
+    the state's check instead, to 1e-10 of max(1, largest entry).
+    """
+
+    __slots__ = ("entries", "pairing")
+
+    def __init__(self, table, pairing):
+        if not isinstance(pairing, PairingForm):
+            raise ValidationError("pairing must be a PairingForm")
+        entries = {}
+        for key, v in _pair_table(table, "ordering-kernel table").items():
+            if not is_exact(v):
+                v = coerce(v, FLOAT)
+            if v:
+                entries[key] = v
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "pairing", pairing)
+        # the antisymmetric part, on every pair seen in either structure
+        seen = {(min(p), max(p)) for p in entries if p[0] != p[1]}
+        for (i, j) in sorted(seen.union(pairing.entries)):
+            a, b, e = self.value(i, j), self.value(j, i), pairing.value(i, j)
+            mode = _mode_of(a, b, e)
+            a, b, e = (coerce(v, mode) for v in (a, b, e))
+            delta = a - b - e * coerce(_I, mode)
+            if mode == EXACT:
+                bad = bool(delta)
+            else:
+                # a, b and e were read with finite moduli, delta may not have
+                # one: hypot returns inf where abs() raises
+                scale = max(1.0, abs(a), abs(b), abs(e))
+                bad = math.hypot(delta.real, delta.imag) > 1e-12 * scale
+            if bad:
+                raise OrderingKernelInvalidError(
+                    f"kappa({i},{j}) - kappa({j},{i}) != i E({i},{j}); "
+                    "commutators would depend on the ordering kernel"
+                )
+
+    def value(self, i, j):
+        """kappa(i, j) as stored; absent, zero (a state kernel raises instead)."""
+        return self._get(*_labels((i, j)))
+
+    def _get(self, i, j):
+        return self.entries.get((i, j), 0)
+
+    def scalar(self, i, j, mode):
+        """kappa(i, j) coerced to the requested scalar mode; float entries
+        raise ScalarModeMismatchError in exact mode."""
+        return coerce(self.value(i, j), mode)
+
+    @classmethod
+    def from_symmetric_part(cls, symmetric, pairing):
+        """Build kappa = S + (i/2)E from a symmetric table S.
+
+        S entries may be given for one orientation only; the mirror is
+        filled in.  Rational S and E entries produce an exact kernel.
+        """
+        if not isinstance(pairing, PairingForm):
+            raise ValidationError("pairing must be a PairingForm")
+        sym = {}
+        for key, v in _pair_table(symmetric, "symmetric part").items():
+            rkey = key[::-1]
+            if rkey in sym and sym[rkey] != v:
+                raise ValidationError(f"symmetric part disagrees with itself at {key}")
+            sym[key] = v
+            sym[rkey] = v
+        gens = sorted({g for pair in [*sym, *pairing.entries] for g in pair})
+        half_i = _I * Fraction(1, 2)
+        entries = {}
+        for i, j in _cartesian(gens, repeat=2):
+            s, e = sym.get((i, j), 0), pairing.value(i, j)
+            mode = _mode_of(s, e)
+            entries[(i, j)] = coerce(s, mode) + coerce(e, mode) * coerce(half_i, mode)
+        return OrderingKernel(entries, pairing)  # not cls: a state kernel is built otherwise
+
+    @classmethod
+    def from_state_kernel(cls, kernel):
+        """A quasifree.TwoPointKernel as it is: kappa = omega, E = 2 Im omega,
+        and the state's check it passed when built.  This module cannot import
+        quasifree, so the state kernel is known by its type: the one subclass."""
+        if type(kernel) is OrderingKernel or not isinstance(kernel, OrderingKernel):
+            raise ValidationError("from_state_kernel expects a quasifree.TwoPointKernel")
+        return kernel
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.entries)} entries)"
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

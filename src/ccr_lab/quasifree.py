@@ -21,7 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccr_core import FLOAT, AlgebraElement, PairingForm, _labels, _pair_table, coerce
+from .ccr_core import (
+    FLOAT,
+    AlgebraElement,
+    OrderingKernel,
+    PairingForm,
+    _labels,
+    _pair_table,
+    coerce,
+)
 from .errors import (
     DegreeGuardError,
     IncompleteKernelError,
@@ -48,26 +56,34 @@ _GRAM_DEGREE_GUARD = 4
 _KERNEL_TOL = 1e-10  # relative; exchange checks, pair bound, Gram certificate
 
 
-class TwoPointKernel:
-    """Complex two-point table over a finite generator set.
+class TwoPointKernel(OrderingKernel):
+    """Complex two-point table over a finite generator set: the ordering
+    kernel kappa = omega, with pairing E = 2 Im omega formed at construction.
 
     Accepts either a dict over ordered index pairs or a callable plus a
     generator list; the callable is tabulated once at construction.  The
     construction checks, to 1e-10 relative to max(1, largest entry):
 
-    * generator labels are integers, keys index pairs and entries numbers,
-      and a declared generator list covers every label of a table
+    * generator labels are distinct integers, keys index pairs and entries
+      numbers, and a declared generator list covers every label of a table
       (otherwise ValidationError; a list wider than the table raises
       IncompleteKernelError);
-    * every entry is a float scalar, read by coerce's rule (otherwise
-      ValidationError);
+    * every entry is a float scalar, read by coerce's rule, and so is every
+      entry of E (otherwise ValidationError);
     * the real part is symmetric and the imaginary part antisymmetric
       (equivalently, the kernel differs from its transpose by i times a real
       antisymmetric form);
     * the diagonal is real and non-negative;
     * if an expected pairing form is supplied, twice the imaginary part
       reproduces it entry for entry.
+
+    These stand in for OrderingKernel's 1e-12 check.  Where a plain kernel
+    reads an absent pair as zero, value and scalar raise IncompleteKernelError
+    on a label outside the generators.  Immutable; ``entries`` is a plain
+    dict, which pickles.
     """
+
+    __slots__ = ("generators",)
 
     def __init__(self, table, generators=None, pairing=None):
         if pairing is not None and not isinstance(pairing, PairingForm):
@@ -86,21 +102,23 @@ class TwoPointKernel:
             if not labels <= set(gens):
                 missing = sorted(labels - set(gens))
                 raise ValidationError(f"generator list misses labels {missing} of the table")
-        self.generators = gens
-        self.entries = {pair: coerce(v, FLOAT) for pair, v in raw.items()}
+        if len(set(gens)) != len(gens):
+            raise ValidationError("generator labels must be distinct")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "entries", {pair: coerce(v, FLOAT) for pair, v in raw.items()})
         self._verify(pairing)
+        E = {(i, j): 2.0 * self._get(i, j).imag for a, i in enumerate(gens) for j in gens[a + 1 :]}
+        object.__setattr__(self, "pairing", PairingForm(E))
 
     def _verify(self, pairing):
         scale = max([abs(v) for v in self.entries.values()], default=0.0)
         tol = _KERNEL_TOL * max(scale, 1.0)
         for i in self.generators:
             for j in self.generators:
-                a = self._get(i, j)
-                b = self._get(j, i)
+                a, b = self._get(i, j), self._get(j, i)
                 if abs(a.real - b.real) > tol:
                     raise KernelInconsistencyError(
-                        f"real part not symmetric at ({i},{j}): "
-                        f"{a.real!r} vs {b.real!r}"
+                        f"real part not symmetric at ({i},{j}): {a.real!r} vs {b.real!r}"
                     )
                 if abs(a.imag + b.imag) > tol:
                     raise KernelInconsistencyError(
@@ -123,26 +141,7 @@ class TwoPointKernel:
         try:
             return self.entries[(i, j)]
         except KeyError:
-            raise IncompleteKernelError(
-                f"two-point kernel has no entry for ({i}, {j})"
-            ) from None
-
-    def value(self, i, j):
-        """omega_2(i, j)."""
-        return self._get(*_labels((i, j)))
-
-    def pairing_value(self, i, j):
-        """The antisymmetric form recovered as twice the imaginary part."""
-        return 2.0 * self.value(i, j).imag
-
-    def pairing_form(self):
-        entries = {}
-        for a, i in enumerate(self.generators):
-            for j in self.generators[a + 1 :]:
-                v = self.pairing_value(i, j)
-                if v:
-                    entries[(i, j)] = v
-        return PairingForm(entries)
+            raise IncompleteKernelError(f"two-point kernel has no entry for ({i}, {j})") from None
 
 
 class QuasifreeState:

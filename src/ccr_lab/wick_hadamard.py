@@ -6,7 +6,8 @@ generator pair.  Its antisymmetric part must equal (i/2)E for the ambient
 pairing form E; under that constraint the ordered monomials
 :phi(i1)...phi(in): are symmetric in their arguments, so sorted words are
 canonical labels, and commutators come out the same for every admissible
-kappa.
+kappa.  OrderingKernel lives beside PairingForm in ccr_core and is
+re-exported here; a quasifree state's TwoPointKernel is one.
 
 normal_order, unorder, wick_product and alpha_map are each a sum over
 partial matchings of letters, weighted by kappa, -kappa, kappa across the
@@ -44,18 +45,16 @@ from .ccr_core import (
     EXACT,
     FLOAT,
     AlgebraElement,
-    ExactComplex,
-    PairingForm,
+    OrderingKernel,
     _accumulate,
     _contract,
     _Frozen,
     _labels,
     _listed_parts,
     _listed_value,
-    _pair_table,
+    _mode_of,
     _WordCombination,
     coerce,
-    is_exact,
 )
 from .errors import (
     DegreeGuardError,
@@ -73,7 +72,6 @@ from .errors import (
     float_range,
 )
 from .minkowski_kernel import KernelParams
-from .quasifree import TwoPointKernel
 
 __all__ = [
     "OrderingKernel",
@@ -98,126 +96,6 @@ __all__ = [
 _WICK_DEGREE_GUARD = 4
 _TENSOR_DEGREE_GUARD = 6
 _BASIS_GUARD = 8
-
-
-_I = ExactComplex(0, 1)
-
-
-def _mode_of(*values):
-    # exact arithmetic when every value allows it, float otherwise
-    return EXACT if all(map(is_exact, values)) else FLOAT
-
-
-class OrderingKernel(_Frozen):
-    """Reference contraction table for normal ordering.
-
-    ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
-    entries read as zero, and entries that are not exact are float scalars,
-    read by coerce's rule, as are exact ones that a float entry or pairing
-    puts in float mode.  ``pairing`` is the ambient antisymmetric form E.
-    The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
-    pair seen in either structure, exactly for rational entries and to
-    1e-12 otherwise.  A kernel taken from a state by from_state_kernel
-    carries the state's check instead, to 1e-10 of max(1, largest entry).
-    """
-
-    __slots__ = ("entries", "pairing")
-
-    def __init__(self, table, pairing):
-        if not isinstance(pairing, PairingForm):
-            raise ValidationError("pairing must be a PairingForm")
-        entries = {}
-        for key, v in _pair_table(table, "ordering-kernel table").items():
-            if not is_exact(v):
-                v = coerce(v, FLOAT)
-            if v:
-                entries[key] = v
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "pairing", pairing)
-        self._check_antisymmetric_part()
-
-    def _check_antisymmetric_part(self):
-        seen = set()
-        for (i, j) in self.entries:
-            seen.add((min(i, j), max(i, j)))
-        for (i, j) in self.pairing.entries:
-            seen.add((i, j))
-        for (i, j) in sorted(seen):
-            if i == j:
-                continue
-            a, b, e = self.value(i, j), self.value(j, i), self.pairing.value(i, j)
-            mode = _mode_of(a, b, e)
-            a, b, e = (coerce(v, mode) for v in (a, b, e))
-            delta = a - b - e * coerce(_I, mode)
-            if mode == EXACT:
-                bad = bool(delta)
-            else:
-                # a, b and e were read with finite moduli, delta may not have
-                # one: hypot returns inf where abs() raises
-                scale = max(1.0, abs(a), abs(b), abs(e))
-                bad = math.hypot(delta.real, delta.imag) > 1e-12 * scale
-            if bad:
-                raise OrderingKernelInvalidError(
-                    f"kappa({i},{j}) - kappa({j},{i}) != i E({i},{j}); "
-                    "commutators would depend on the ordering kernel"
-                )
-
-    def value(self, i, j):
-        """kappa(i, j) as stored, zero when absent."""
-        return self.entries.get(_labels((i, j)), 0)
-
-    def scalar(self, i, j, mode):
-        """kappa(i, j) coerced to the requested scalar mode; float entries
-        raise ScalarModeMismatchError in exact mode."""
-        return coerce(self.value(i, j), mode)
-
-    @classmethod
-    def from_symmetric_part(cls, symmetric, pairing):
-        """Build kappa = S + (i/2)E from a symmetric table S.
-
-        S entries may be given for one orientation only; the mirror is
-        filled in.  Rational S and E entries produce an exact kernel.
-        """
-        if not isinstance(pairing, PairingForm):
-            raise ValidationError("pairing must be a PairingForm")
-        sym = {}
-        for key, v in _pair_table(symmetric, "symmetric part").items():
-            rkey = key[::-1]
-            if rkey in sym and sym[rkey] != v:
-                raise ValidationError(
-                    f"symmetric part disagrees with itself at {key}"
-                )
-            sym[key] = v
-            sym[rkey] = v
-        gens = sorted(
-            {g for pair in sym for g in pair}
-            | {g for pair in pairing.entries for g in pair}
-        )
-        half_i = _I * Fraction(1, 2)
-        entries = {}
-        for i in gens:
-            for j in gens:
-                s = sym.get((i, j), 0)
-                e = pairing.value(i, j)
-                mode = _mode_of(s, e)
-                entries[(i, j)] = coerce(s, mode) + coerce(e, mode) * coerce(half_i, mode)
-        return cls(entries, pairing)
-
-    @classmethod
-    def from_state_kernel(cls, kernel):
-        """Wrap a quasifree.TwoPointKernel: its entries become kappa and its
-        pairing_form() the pairing E.  The kernel checked the exchange
-        relation when it was built, to 1e-10 of max(1, largest entry), and
-        that check is the one this kernel carries."""
-        if not isinstance(kernel, TwoPointKernel):
-            raise ValidationError("from_state_kernel expects a quasifree.TwoPointKernel")
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", {k: v for k, v in kernel.entries.items() if v})
-        object.__setattr__(out, "pairing", kernel.pairing_form())
-        return out
-
-    def __repr__(self):
-        return f"OrderingKernel({len(self.entries)} entries)"
 
 
 class NormalOrderedElement(_WordCombination):
@@ -247,11 +125,12 @@ class NormalOrderedElement(_WordCombination):
 
 def _kernel_table(kernel, elements, mode):
     # kappa on the letters the elements use, read once in the scalar mode;
-    # float entries raise ScalarModeMismatchError in exact mode
+    # float entries raise ScalarModeMismatchError in exact mode, and the zero
+    # entries a state kernel stores are left out, as they contract to nothing
     if not isinstance(kernel, OrderingKernel):
         raise ValidationError("the ordering kernel must be an OrderingKernel")
     letters = {g for e in elements for w in e.terms for g in w}
-    pairs = [(i, j) for i in letters for j in letters if (i, j) in kernel.entries]
+    pairs = [(i, j) for i in letters for j in letters if kernel.entries.get((i, j))]
     return {p: coerce(kernel.entries[p], mode) for p in pairs}
 
 

@@ -36,6 +36,7 @@ from ccr_lab.errors import (
     ScalarModeMismatchError,
     ValidationError,
 )
+from ccr_lab.wick_hadamard import NormalOrderedElement
 
 from oracles import normal_order_oracle
 
@@ -237,6 +238,40 @@ def test_algebra_element_methods_match_the_module_functions():
         assert Fraction(1, 2) * a == a.scale(Fraction(1, 2))
         assert a * a == multiply(a, a)
     assert 3j * AlgebraElement({(1,): 1}, mode=FLOAT) == AlgebraElement({(1,): 3j}, mode=FLOAT)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_exact_scalars_defer_to_elements(mode):
+    # ExactComplex leaves an element operand to the element's own rule, so
+    # an exact scalar combines with an element exactly as an int does
+    two = ExactComplex(2)
+    a = AlgebraElement({(1, 2): 1, (): 3}, mode)
+    assert two * a == a * two == 2 * a == a.scale(2)
+    n = NormalOrderedElement({(1, 2): 1}, mode)
+    for element in (a, n):
+        for op in ("__add__", "__sub__", "__mul__", "__radd__", "__rmul__"):
+            assert getattr(two, op)(element) is NotImplemented
+        for x in (2, two):
+            for combine in (
+                lambda: x + element, lambda: element + x, lambda: x - element,
+                lambda: element - x,
+            ):
+                with pytest.raises(TypeError, match="unsupported operand"):
+                    combine()
+    for x in (2, two):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            x * n
+
+
+def test_exact_scalars_still_refuse_foreign_scalars():
+    two = ExactComplex(2)
+    for x in ("2", 1.5, 1.5j, None):
+        for combine in (
+            lambda: two + x, lambda: x + two, lambda: two - x, lambda: two * x, lambda: x * two,
+        ):
+            with pytest.raises(ScalarModeMismatchError, match="in exact-mode arithmetic"):
+                combine()
+    assert two - Fraction(1, 2) == 3 - ExactComplex(Fraction(3, 2)) == ExactComplex(Fraction(3, 2))
 
 
 def test_is_zero_on_elements_that_cancel():

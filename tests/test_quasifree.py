@@ -69,9 +69,9 @@ def test_kernel_invariant_checks():
 
 def test_kernel_pairing_recovery():
     k = vacuum_mode_kernel([2.0])
-    assert k.pairing_value(1, 2) == pytest.approx(1.0)
-    assert k.pairing_value(2, 1) == pytest.approx(-1.0)
-    E = k.pairing_form()
+    assert k.pairing.value(1, 2) == pytest.approx(1.0)
+    assert k.pairing.value(2, 1) == pytest.approx(-1.0)
+    E = k.pairing
     assert E.value(1, 2) == pytest.approx(1.0)
 
 
@@ -92,6 +92,24 @@ def test_declared_generators_cover_every_label_of_the_table():
         TwoPointKernel(table, generators=[1])
     with pytest.raises(IncompleteKernelError):
         TwoPointKernel({(1, 1): 1.0}, generators=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwoPointKernel({(1, 1): 1 + 1e-12j}, generators=[1, 1]),
+        lambda: TwoPointKernel(
+            {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.5j, (2, 1): -0.5j}, generators=[2, 1, 2]
+        ),
+        lambda: TwoPointKernel(_BASE.value, generators=[1, 2, 1]),
+    ],
+    ids=["table-of-one-label", "table", "callback"],
+)
+def test_repeated_generator_labels_are_refused(build):
+    # a repeated label would pair a generator with itself in E = 2 Im omega
+    with pytest.raises(ValidationError, match="generator labels must be distinct") as caught:
+        build()
+    assert caught.type is ValidationError
 
 
 @pytest.mark.parametrize(
@@ -274,7 +292,7 @@ def test_commutator_expectation_is_the_pairing():
 
 def test_evaluation_is_representation_independent():
     state = QuasifreeState(vacuum_mode_kernel([1.0, 2.0]))
-    E = state.kernel.pairing_form()
+    E = state.kernel.pairing
     a = AlgebraElement(
         {(2, 1, 3, 1): 0.5 + 1.0j, (4, 3, 2): 2.0 + 0.0j, (1,): 1.0j},
         mode=FLOAT,
@@ -645,7 +663,7 @@ _keys = st.integers(0, 5).flatmap(
     )
 )
 _pairings = st.sampled_from(
-    [None, None, _BASE.pairing_form(), PairingForm({(1, 2): 10**400}), 5, "E"]
+    [None, None, _BASE.pairing, PairingForm({(1, 2): 10**400}), 5, "E"]
 )
 _gen_lists = st.one_of(
     st.none(), st.lists(st.integers(0, 5), max_size=4), st.sampled_from([[1.5], "ab", 5]),

@@ -121,7 +121,7 @@ def test_a_float_scalar_is_read_for_finiteness_in_one_place():
     # cmath.isfinite tests the parts, not the modulus.  The reader takes the
     # modulus with abs(), which raises past the float range; hypot, which
     # returns inf there, reads one modulus only: that of a difference of two
-    # read values in OrderingKernel
+    # read values in OrderingKernel, which lives in ccr_core
     texts = _source_texts()
     def files_with(needle):
         return [name for name, text in texts.items() if needle in text]
@@ -131,7 +131,7 @@ def test_a_float_scalar_is_read_for_finiteness_in_one_place():
     moduli = re.compile(r"math\.hypot\((\w+)\.real, \1\.imag\)")
     sites = {name: moduli.findall(text) for name, text in texts.items()}
     assert {name: found for name, found in sites.items() if found} == {
-        "wick_hadamard.py": ["delta"]
+        "ccr_core.py": ["delta"]
     }
 
 

@@ -35,6 +35,7 @@ from ccr_lab import wick_hadamard
 from ccr_lab.errors import (
     CcrLabError,
     DegreeGuardError,
+    IncompleteKernelError,
     InvalidDifferenceError,
     InvalidSymmetryError,
     OrderingKernelInvalidError,
@@ -236,9 +237,80 @@ def test_from_state_kernel_carries_the_state_check():
     assert k.pairing.value(1, 2) == 0.5
     with pytest.raises(OrderingKernelInvalidError):
         OrderingKernel(table, k.pairing)
-    for junk in (5, None, table, k, QuasifreeState(tp)):
+    plain = OrderingKernel.from_symmetric_part({}, k.pairing)
+    for junk in (5, None, table, plain, QuasifreeState(tp)):
         with pytest.raises(ValidationError):
             OrderingKernel.from_state_kernel(junk)
+
+
+def _dyadic_state_kernel():
+    # omega = S + (i/2) E with dyadic S and E, so Re omega and 2 Im omega are
+    # read back exactly; omega(2, 4) and omega(4, 2) are stored zeros
+    S = {(1, 1): 1.0, (2, 2): 0.75, (3, 3): 1.5, (4, 4): 1.0, (1, 2): 0.25, (1, 3): -0.125,
+         (1, 4): 0.5, (2, 3): 0.375, (3, 4): -0.25}
+    E = {(1, 2): 0.5, (1, 3): -0.25, (2, 3): 1.0, (3, 4): 0.75}
+    table = {}
+    for i, j in itertools.product(range(1, 5), repeat=2):
+        s, e = S.get((min(i, j), max(i, j)), 0.0), E.get((i, j), -E.get((j, i), 0.0))
+        table[(i, j)] = complex(s, e / 2)
+    tp = TwoPointKernel(table)
+    QuasifreeState(tp)
+    sym = {key: v.real for key, v in tp.entries.items()}
+    return tp, OrderingKernel.from_symmetric_part(sym, tp.pairing)
+
+
+def test_a_state_kernel_is_its_own_ordering_kernel():
+    tp, plain = _dyadic_state_kernel()
+    assert issubclass(TwoPointKernel, OrderingKernel) and "OrderingKernel" in wick_hadamard.__all__
+    assert OrderingKernel.from_state_kernel(tp) is tp
+    assert repr(tp) == "TwoPointKernel(16 entries)"
+    # the two kernels are equal exactly: the state's table without its
+    # stored zeros, and the one pairing E = 2 Im omega
+    assert tp.entries[(2, 4)] == tp.entries[(4, 2)] == 0
+    assert {key: v for key, v in tp.entries.items() if v} == plain.entries
+    assert plain.pairing is tp.pairing
+    assert tp.pairing == PairingForm({(1, 2): 0.5, (1, 3): -0.25, (2, 3): 1.0, (3, 4): 0.75})
+    # from_symmetric_part makes a plain kernel, whichever class it is read from
+    assert type(TwoPointKernel.from_symmetric_part({}, tp.pairing)) is OrderingKernel
+
+
+def test_ordering_against_a_state_kernel_reads_it_as_its_plain_twin():
+    tp, plain = _dyadic_state_kernel()
+    other = OrderingKernel.from_symmetric_part({(1, 1): 0.5, (2, 4): -0.25}, tp.pairing)
+    words = [(2, 4), (4, 2, 4), (1, 2, 3, 4), (4, 3, 2, 1), (3, 1, 3, 2)]
+    for w in words:
+        a = AlgebraElement({w: 1.5 - 0.25j, (): 2.0}, FLOAT)
+        assert normal_order(a, tp) == normal_order(a, plain)
+        n = NormalOrderedElement({w: 0.5 + 0.5j}, FLOAT)
+        assert unorder(n, tp) == unorder(n, plain)
+        for v in words:
+            m = NormalOrderedElement.monomial(v, FLOAT)
+            assert wick_product(n, m, tp) == wick_product(n, m, plain)
+    for basis in ([1, 2, 3, 4], [4, 2]):
+        for pair in ((tp, other), (other, tp), (tp, tp)):
+            twin = [plain if k is tp else k for k in pair]
+            d, e = (DifferenceKernel.from_orderings(*ks, basis) for ks in (pair, twin))
+            assert (d.basis, d.mode, d.entries) == (e.basis, e.mode, e.entries)
+    # stored zeros contract to nothing, so an exact element whose letters
+    # meet only those is ordered exactly; a float entry refuses exact mode
+    zero_row = TwoPointKernel({(1, 1): 1.0, (1, 2): 0.0, (2, 1): 0.0, (2, 2): 0.0})
+    assert unorder(NormalOrderedElement.monomial((2, 2)), zero_row) == AlgebraElement({(2, 2): 1})
+    assert normal_order(AlgebraElement({(2, 2): 1}), zero_row).terms == {(2, 2): 1}
+    with pytest.raises(ScalarModeMismatchError, match="exact-mode"):
+        unorder(NormalOrderedElement.monomial((1, 2)), zero_row)
+
+
+def test_a_state_kernel_refuses_a_label_outside_its_generators():
+    # a plain kernel reads an absent pair as zero; a state kernel, even one
+    # taken through from_state_kernel, raises IncompleteKernelError instead
+    tp, plain = _dyadic_state_kernel()
+    assert plain.value(5, 1) == plain.scalar(5, 5, FLOAT) == 0
+    for read in (tp.value, lambda i, j: tp.scalar(i, j, FLOAT)):
+        with pytest.raises(IncompleteKernelError, match=r"no entry for \(5, 1\)"):
+            read(5, 1)
+    with pytest.raises(IncompleteKernelError, match="no entry for"):
+        DifferenceKernel.from_orderings(OrderingKernel.from_state_kernel(tp), plain, [1, 5])
+    DifferenceKernel.from_orderings(plain, plain, [1, 5])
 
 
 def test_symbolic_layer_refuses_foreign_kernels_and_words():
@@ -657,6 +729,18 @@ def test_value_reads_labels_as_integers(table):
 
 
 # ------------------------------------------------ tensors over the basis
+
+def test_tensor_readers_name_what_they_refuse():
+    # three refusals that only the property tests' random draws reached
+    with pytest.raises(ValidationError, match="has non-numeric entries"):
+        WickTensor([1], ["x"])
+    with pytest.raises(ValidationError, match="generator 3 outside the basis"):
+        element_to_tensors(NormalOrderedElement.monomial((1, 3)), [1, 2])
+    listing = {"kind": "wick-tensor", "degree": 1, "basis": [1], "mode": FLOAT,
+               "entries": [[[0], 1.0]]}
+    with pytest.raises(ValidationError, match="malformed tensor json entry"):
+        tensor_from_json(json.dumps(listing))
+
 
 def test_wick_tensor_validation():
     bad = np.zeros((4, 4), dtype=complex)
@@ -1097,6 +1181,12 @@ _FLOAT_SCALAR_ENTRIES = {
 @pytest.mark.parametrize("name", list(_FLOAT_SCALAR_ENTRIES))
 def test_a_float_scalar_with_a_finite_modulus_is_admitted(name):
     # finite parts, modulus 1.697e308
+    if name == "two-point-kernel":
+        # the entry is admitted, but its pairing E = 2 Im omega = 2.4e308 is
+        # not a float: such a table is no ordering kernel, and no state kernel
+        with pytest.raises(ValidationError, match=r"pairing entry \(1,2\) must be a finite"):
+            _FLOAT_SCALAR_ENTRIES[name](complex(1.2e308, 1.2e308))
+        return
     _FLOAT_SCALAR_ENTRIES[name](complex(1.2e308, 1.2e308))
 
 
@@ -1130,9 +1220,11 @@ def _state_kernel_outside_the_constructor_bound():
         _state_kernel_outside_the_constructor_bound,
         lambda: word_tensor((1, 2), GENS),
         lambda: DifferenceKernel([1, 2], [[1.0, 2.0], [2.0, 0.5]]),
+        lambda: TwoPointKernel({(1, 1): 2.0, (2, 2): 1.0, (1, 2): 0.5j, (2, 1): -0.5j}, [2, 1]),
+        lambda: OrderingKernel.from_symmetric_part({(1, 2): 1}, PairingForm({(1, 2): 2})),
     ],
     ids=["scalar", "element", "float-element", "ordered-element", "pairing", "ordering-kernel",
-         "tensor", "difference-kernel"],
+         "tensor", "difference-kernel", "two-point-kernel", "plain-ordering-kernel"],
 )
 def test_immutable_values_copy_and_pickle_as_stored(make):
     value = make()
