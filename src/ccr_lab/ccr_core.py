@@ -147,7 +147,9 @@ class ExactComplex(_Frozen):
         return self + -coerce(other, EXACT)
 
     def __rsub__(self, other):
-        return -self + other
+        if isinstance(other, _WordCombination):
+            return NotImplemented
+        return coerce(other, EXACT) + -self
 
     def __mul__(self, other):
         if not isinstance(other, ExactComplex):

@@ -396,6 +396,14 @@ def ground_state_mu(energy_form, tau=None):
     chain) makes 1/s blow up and is rejected instead, as is any spectrum
     with min s < 1e-10 max s.  A Cholesky factorization of A - 1e-12 max|A| I
     decides A's positivity; A's spectrum only names a refusal.
+
+    Split route: if A[:N, N:], T[:N, :N] and T[N:, N:] are all zero, as for
+    lattice_energy_form, R = blockdiag(Rq, Rp) and G = [[0, C], [D, 0]] with
+    C = Rq^T T[:N, N:] Rp and D = Rp^T T[N:, :N] Rq, so G^T G =
+    blockdiag(D^T D, C^T C): each block gets its own N x N eigenproblem and
+    positivity probe, and mu's q-p blocks are exact zeros.  Mapping one
+    block's eigenvectors to the other's by C^T U / s instead loses about
+    three digits; the tests pin the split route to the general one at 1e-12.
     """
     A = as_finite_array(energy_form, "energy form")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
@@ -407,25 +415,39 @@ def ground_state_mu(energy_form, tau=None):
     A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
     A = (A + A.T) / 2.0
     scale = np.abs(A).max()
-    if not _positive(A - 1e-12 * scale * np.eye(len(A))):
+    n = len(A) // 2
+    if A[:n, n:].any() or T[:n, :n].any() or T[n:, n:].any():
+        parts = (slice(None),)
+    else:  # q-p split: A = blockdiag(A_qq, A_pp), G^T G block diagonal too
+        parts = (slice(None, n), slice(n, None))
+    eye = np.eye(len(A) // len(parts))
+    if not all(_positive(A[k, k] - 1e-12 * scale * eye) for k in parts):
         lam = np.linalg.eigvalsh(A)[0]
         if lam < -1e-10 * scale:
             raise InvalidCovarianceError("energy form must be positive")
         if lam <= 1e-12 * scale:
             # zero-energy direction: the frequency spectrum touches zero
             raise SpectrumNotGappedError("energy form has a null direction; no gapped ground state")
-    R = np.linalg.cholesky(A)
-    G = R.T @ T @ R
-    _, V = np.linalg.eigh(G.T @ G)
-    s = np.linalg.norm(G @ V, axis=0)
+    Rs = [np.linalg.cholesky(A[k, k]) for k in parts]
+    spectra = []
+    # G's column block k is nonzero only in row block j: the other block
+    # when split, the whole of G otherwise
+    for k, j, R, Rj in zip(parts, parts[::-1], Rs, Rs[::-1]):
+        G = Rj.T @ T[j, k] @ R
+        _, V = np.linalg.eigh(G.T @ G)
+        spectra.append((k, R, V, np.linalg.norm(G @ V, axis=0)))
+    s = np.concatenate([sk for *_, sk in spectra])
     s_max = float(s.max())
     if s_max == 0.0 or float(s.min()) < 1e-10 * s_max:
         raise SpectrumNotGappedError(
             "frequency spectrum touches zero; no gapped ground state"
         )
     with float_range("ground-state covariance"):
-        X = (R @ V) / np.sqrt(2.0 * s)
-        return np.ldexp(X @ X.T, e)  # a symmetric product: mu is exactly symmetric
+        mu = np.zeros_like(A)
+        for k, R, V, sk in spectra:
+            X = (R @ V) / np.sqrt(2.0 * sk)
+            mu[k, k] = X @ X.T  # a symmetric product: mu is exactly symmetric
+        return np.ldexp(mu, e)
 
 
 def lattice_energy_form(n_sites, spacing, mass):

@@ -130,7 +130,7 @@ def _or_overflow(f, *args):
 
 @given(rationals, rationals, exact_operands)
 @example(Fraction(10**400, 3), Fraction(-1, 10**20), exact(Fraction(7, 10**20), 10**400))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
     # the operand may be an int or Fraction, coerced to ExactComplex
     z = ExactComplex(re, im)
@@ -170,7 +170,7 @@ def test_exact_arithmetic_is_fraction_arithmetic(re, im, other):
 
 
 @given(big_scalars, big_scalars, big_scalars)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_exact_routes_to_one_value_agree(z, w, v):
     routes = [
         ((z * w) * v, z * (w * v)),
@@ -210,19 +210,19 @@ def test_star_reverses_and_conjugates():
 
 
 @given(elements)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_star_is_an_involution(a):
     assert star(star(a)) == a
 
 
 @given(elements, elements)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_star_is_anti_multiplicative(a, b):
     assert star(multiply(a, b)) == multiply(star(b), star(a))
 
 
 @given(elements, scalars)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_star_is_anti_linear(a, c):
     assert star(a.scale(c)) == star(a).scale(c.conjugate())
 
@@ -261,6 +261,17 @@ def test_exact_scalars_defer_to_elements(mode):
     for x in (2, two):
         with pytest.raises(TypeError, match="unsupported operand"):
             x * n
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_element_minus_exact_scalar_names_the_subtraction(mode):
+    # __rsub__ defers to the element as __sub__ does, so the refusal names
+    # the operator written, not the addition it used to be rewritten into
+    two = ExactComplex(2)
+    for element in (AlgebraElement.generator(1, mode), NormalOrderedElement({(1,): 1}, mode)):
+        assert two.__rsub__(element) is NotImplemented
+        with pytest.raises(TypeError, match=r"for -: '\w+' and 'ExactComplex'"):
+            element - two
 
 
 def test_exact_scalars_still_refuse_foreign_scalars():
@@ -326,14 +337,14 @@ def test_normal_form_output_is_sorted():
 
 
 @given(elements)
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_normal_form_is_idempotent(a):
     once = normal_form(a, E_TWO_BLOCKS)
     assert normal_form(once, E_TWO_BLOCKS) == once
 
 
 @given(elements, elements)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_normal_form_respects_products(a, b):
     lhs = normal_form(multiply(a, b), E_TWO_BLOCKS)
     rhs = normal_form(
@@ -344,7 +355,7 @@ def test_normal_form_respects_products(a, b):
 
 
 @given(elements)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_normal_form_commutes_with_star(a):
     # the pairing is real, so rewriting before or after star must agree
     lhs = normal_form(star(a), E_TWO_BLOCKS)
@@ -372,7 +383,7 @@ def _e_entry(i, j):
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_rewriting_lowers_degree_by_two(w):
     # swapping one adjacent pair changes the element by terms of degree
     # len(w) - 2 at most
@@ -567,7 +578,7 @@ def test_known_text_form():
 
 
 @given(elements)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_text_round_trip_exact(a):
     assert element_from_text(element_to_text(a), mode=EXACT) == a
 

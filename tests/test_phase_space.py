@@ -605,12 +605,67 @@ def test_ground_state_positivity_probe_at_its_thresholds(lam, refusal):
 
 
 def test_admitted_ground_state_solves_one_eigenproblem(monkeypatch):
+    # one per diagonal block of G^T G: a q-p split form has
+    # G^T G = blockdiag(D^T D, C^T C), two N x N eigenproblems; the same form
+    # interleaved is coupled, one 2N x 2N.  Admission takes no spectrum of A
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh"))
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
-    ground_state_mu(*lattice_energy_form(8, 0.5, 1.0))
-    assert calls == ["eigh"]
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(("eigh", a.shape)) or eigh(a))
+    A, tau = lattice_energy_form(8, 0.5, 1.0)
+    ground_state_mu(A, tau)
+    assert calls == [("eigh", (8, 8))] * 2
+    calls.clear()
+    order = _interleaved(8)
+    ground_state_mu(A[np.ix_(order, order)], tau[np.ix_(order, order)])
+    assert calls == [("eigh", (16, 16))]
+
+
+def _split_form(n, seed):
+    # energy form blockdiag(V, W) with V, W random SPD and tau's only blocks
+    # a random invertible T_qp and -T_qp^T, in the (q, p) ordering
+    rng = np.random.default_rng(seed)
+    V, W = (M @ M.T / n + np.eye(n) for M in rng.normal(size=(2, n, n)))
+    Q1, Q2 = (np.linalg.qr(M)[0] for M in rng.normal(size=(2, n, n)))
+    T_qp = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=n)) @ Q2
+    zero = np.zeros((n, n))
+    return np.block([[V, zero], [zero, W]]), np.block([[zero, T_qp], [-T_qp.T, zero]])
+
+
+@pytest.mark.parametrize("form", [
+    lambda: _split_form(3, 41), lambda: _split_form(8, 42), lambda: _split_form(40, 43),
+    lambda: lattice_energy_form(128, 0.1, 0.01),
+], ids=["split-3", "split-8", "split-40", "lattice-128"])
+def test_split_route_agrees_with_the_general_route(form):
+    # the interleaved ordering P^T (.) P couples q and p in the matrix layout,
+    # so the same form takes the general route there
+    A, tau = form()
+    n = len(A) // 2
+    order = _interleaved(n)
+    mu = ground_state_mu(A, tau)
+    general = ground_state_mu(A[np.ix_(order, order)], tau[np.ix_(order, order)])
+    assert np.array_equal(mu, mu.T) and not mu[:n, n:].any()
+    scale = np.abs(mu).max()
+    assert np.abs(mu[np.ix_(order, order)] - general).max() <= 1e-12 * scale
+    if n == 128:
+        want = lattice_ground_covariance(128, 0.1, 0.01)
+        assert np.abs(mu - want).max() <= 1e-12 * scale
+
+
+def test_split_route_refusals():
+    # each refusal of the general route, met on a q-p split form
+    A, tau = _split_form(4, 44)
+    negative = A.copy()
+    negative[5, 5] = -1.0  # an indefinite p block
+    with pytest.raises(InvalidCovarianceError, match="must be positive"):
+        ground_state_mu(negative, tau)
+    T_qp = tau[:4, 4:].copy()
+    T_qp[:, 0] = T_qp[:, 1]  # a singular T_qp leaves a mode at zero frequency
+    zero = np.zeros((4, 4))
+    with pytest.raises(SpectrumNotGappedError, match="frequency spectrum touches zero"):
+        ground_state_mu(A, np.block([[zero, T_qp], [-T_qp.T, zero]]))
+    with pytest.raises(SpectrumNotGappedError, match="null direction"):
+        ground_state_mu(*lattice_energy_form(6, 0.5, mass=0.0))
 
 
 def test_ground_state_is_invariant_under_scaling_the_energy_form():

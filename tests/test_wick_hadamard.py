@@ -374,7 +374,7 @@ def test_ordered_monomial_is_permutation_symmetric():
 
 
 @given(words6, exact_kernels())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_normal_order_matches_matching_oracle(word, kernel):
     a = AlgebraElement({word: ONE}, EXACT)
     got = normal_order(a, kernel)
@@ -382,7 +382,7 @@ def test_normal_order_matches_matching_oracle(word, kernel):
 
 
 @given(words6, exact_kernels())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_unorder_matches_inverse_oracle(word, kernel):
     sorted_word = tuple(sorted(word))
     got = unorder(NormalOrderedElement.monomial(sorted_word), kernel)
@@ -392,21 +392,21 @@ def test_unorder_matches_inverse_oracle(word, kernel):
 
 
 @given(elements6, exact_kernels())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_round_trip_from_algebra(a, kernel):
     noe = normal_order(a, kernel)
     assert unorder(noe, kernel) == normal_form(a, kernel.pairing)
 
 
 @given(st.dictionaries(words6, scalars, max_size=3), exact_kernels())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_round_trip_from_ordered_basis(terms, kernel):
     noe = NormalOrderedElement(terms, EXACT)
     assert normal_order(unorder(noe, kernel), kernel) == noe
 
 
 @given(words6, float_kernels())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_float_normal_order_matches_matching_oracle(word, kernel):
     got = normal_order(AlgebraElement({word: 1.0}, FLOAT), kernel)
     want = normal_order_oracle(word, kappa_fn(kernel, FLOAT), 1.0)
@@ -415,7 +415,7 @@ def test_float_normal_order_matches_matching_oracle(word, kernel):
 
 
 @given(words6, float_kernels())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_float_unorder_matches_inverse_oracle(word, kernel):
     sorted_word = tuple(sorted(word))
     got = unorder(NormalOrderedElement({sorted_word: 1.0}, FLOAT), kernel)
@@ -510,7 +510,7 @@ sorted_words4 = words4.map(lambda w: tuple(sorted(w)))
 
 
 @given(sorted_words4, sorted_words4, exact_kernels())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_wick_product_matches_cross_contractions(wa, wb, kernel):
     # words up to the degree guard
     got = wick_product(
@@ -526,7 +526,7 @@ def test_wick_product_matches_cross_contractions(wa, wb, kernel):
     st.dictionaries(sorted_words4, scalars, min_size=2, max_size=3),
     exact_kernels(),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_wick_product_is_bilinear(a_terms, b_terms, kernel):
     got = wick_product(
         NormalOrderedElement(a_terms, EXACT), NormalOrderedElement(b_terms, EXACT), kernel
@@ -540,7 +540,7 @@ def test_wick_product_is_bilinear(a_terms, b_terms, kernel):
 
 
 @given(sorted_words4, sorted_words4, float_kernels())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_float_wick_product_matches_cross_contractions(wa, wb, kernel):
     a, b = (NormalOrderedElement({w: 1.0}, FLOAT) for w in (wa, wb))
     got = wick_product(a, b, kernel)
@@ -550,7 +550,7 @@ def test_float_wick_product_matches_cross_contractions(wa, wb, kernel):
 
 
 @given(exact_kernels(), exact_kernels())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_commutator_is_kernel_independent(k1, k2):
     # both kernels share E4, so commutators must agree after unordering
     f = NormalOrderedElement.monomial((1,))
@@ -832,7 +832,7 @@ def test_word_tensor_at_the_guards_round_trips(mode):
 
 
 @given(st.dictionaries(words4, scalars, max_size=3))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_tensor_element_round_trip(terms):
     noe = NormalOrderedElement(terms, EXACT)
     parts = element_to_tensors(noe, GENS)
@@ -882,7 +882,7 @@ def test_alpha_pair_example():
 
 
 @given(difference_tables(), difference_tables(), words4, scalars)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_alpha_composition_law(d1, d2, word, c):
     w = word_tensor(word, GENS).scale(c)
     once = alpha_map(d1, w)
@@ -1016,7 +1016,7 @@ def test_alpha_leaves_out_vanishing_pieces(mode):
 
 
 @given(difference_tables(real_only=True), words4, scalars)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_alpha_commutes_with_star_for_real_difference(d, word, c):
     w = word_tensor(word, GENS).scale(c)
     starred = alpha_map(d, w.star())
@@ -1027,7 +1027,7 @@ def test_alpha_commutes_with_star_for_real_difference(d, word, c):
 
 
 @given(exact_kernels(), exact_kernels(), words4)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_ordering_change_equals_alpha(k_old, k_new, word):
     sorted_word = tuple(sorted(word))
     noe = NormalOrderedElement.monomial(sorted_word)
