@@ -95,6 +95,20 @@ def _thaw(cls, slots):
     return out
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose every edit raises TypeError; it copies and pickles by its items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the table is read-only: it was fixed when built")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class ExactComplex(_Frozen):
     """Complex rational (a + b i) / d, stored as the three ints (a, b, d).
 
@@ -411,11 +425,11 @@ class AlgebraElement(_WordCombination):
 class PairingForm(_Frozen):
     """Antisymmetric real pairing E on generator indices.
 
-    Stored triangularly: entries[(i, j)] = E_ij for i < j.  Missing pairs are
-    zero.  Entry values may be Fraction/int (usable in both scalar modes) or
-    finite reals, read as floats by errors.as_finite (float mode only);
-    anything else, or a key that is not an index pair, raises
-    ValidationError.
+    Stored triangularly and read-only: entries[(i, j)] = E_ij for i < j.
+    Missing pairs are zero.  Entry values may be Fraction/int (usable in
+    both scalar modes) or finite reals, read as floats by errors.as_finite
+    (float mode only); anything else, or a key that is not an index pair,
+    raises ValidationError.
     """
 
     __slots__ = ("entries",)
@@ -433,7 +447,7 @@ class PairingForm(_Frozen):
                 i, j, v = j, i, -v
             if v:
                 clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", _ReadOnlyDict(clean))
 
     def value(self, i, j):
         """E(i, j), antisymmetric in the arguments."""
@@ -504,7 +518,8 @@ class OrderingKernel(_Frozen):
     ``table`` maps ordered generator pairs (i, j) to kappa(i, j); missing
     entries read as zero, and entries that are not exact are float scalars,
     read by coerce's rule, as are exact ones that a float entry or pairing
-    puts in float mode.  ``pairing`` is the ambient antisymmetric form E.
+    puts in float mode, and are stored read-only in ``entries``, which
+    copies and pickles.  ``pairing`` is the ambient antisymmetric form E.
     The constructor enforces kappa(i, j) - kappa(j, i) = i E(i, j) on every
     pair seen in either structure, exactly for rational entries and to
     1e-12 otherwise.  quasifree.TwoPointKernel, the one subclass, carries
@@ -522,7 +537,7 @@ class OrderingKernel(_Frozen):
                 v = coerce(v, FLOAT)
             if v:
                 entries[key] = v
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _ReadOnlyDict(entries))
         object.__setattr__(self, "pairing", pairing)
         # the antisymmetric part, on every pair seen in either structure
         seen = {(min(p), max(p)) for p in entries if p[0] != p[1]}

@@ -155,7 +155,9 @@ class InvalidCovarianceError(ValidationError):
 
 
 class InternalInconsistencyError(NumericalCheckError):
-    """Two independent purity checks disagree."""
+    """A result misses its own defining relation on validated input: the
+    one_particle, intertwiner and purity (two tests disagree) checks of
+    phase_space, and lattice_propagator's window compression."""
 
 
 class SpectrumNotGappedError(ValidationError):

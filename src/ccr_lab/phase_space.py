@@ -80,13 +80,6 @@ def _unit_exponent(M):
     return -2 * ((e - 1) // 2)
 
 
-def _cholesky_pd(mu, what="mu"):
-    try:
-        return np.linalg.cholesky(mu)
-    except np.linalg.LinAlgError:
-        raise InvalidCovarianceError(f"{what} is not positive definite") from None
-
-
 def _lower_inverse(L):
     # inverse of a lower-triangular matrix by 2 x 2 blocks; numpy has no
     # triangular solver, and its general inv costs about 7x more at n = 256
@@ -110,23 +103,23 @@ class _Frame(NamedTuple):
     Linv: np.ndarray
     half: np.ndarray  # L^{-1} tau / 2, the left factor of Jt and the right one of J
     Jt: np.ndarray  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
-
-    @property
-    def J(self):  # mu^{-1} tau / 2 = L^{-T} half, formed only where it is read
-        with float_range("J of mu and tau"):
-            return self.Linv.T @ self.half
+    G: np.ndarray  # Jt^T Jt, whose largest eigenvalue is ||J||_mu^2
 
 
 def _frame(mu, tau, what="mu"):
-    """Read a covariance pair once and build its mu-orthonormal frame.
+    """Admit a covariance pair, the one admission of this module: read the
+    pair once and build its mu-orthonormal frame.
 
     Raises unless mu is symmetric positive definite, tau antisymmetric, every
-    entry of Jt at most 1 + 1e-9 and J mu-antisymmetric (Jt antisymmetric).
-    The bound ||J||_mu <= 1 is left to the caller, which reads it off
-    whichever spectrum of Jt it computes or probes it by a factorization.
+    entry of Jt at most 1 + 1e-9, J mu-antisymmetric (Jt antisymmetric) and
+    ||J||_mu <= 1 + 1e-9: a Cholesky probe of (1 + 1e-9)^2 I - G decides
+    the pair bound, and G's spectrum only names a refusal.
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
-    L = _cholesky_pd(mu, what)
+    try:
+        L = np.linalg.cholesky(mu)
+    except np.linalg.LinAlgError:
+        raise InvalidCovarianceError(f"{what} is not positive definite") from None
     with float_range("J of mu and tau"):
         Linv = _lower_inverse(L)
         half = Linv @ (tau / 2.0)
@@ -137,20 +130,17 @@ def _frame(mu, tau, what="mu"):
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
     if np.abs(Jt + Jt.T).max() > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    return _Frame(mu, tau, L, Linv, half, Jt)
+    G = Jt.T @ Jt
+    if not _positive((1.0 + 1e-9) ** 2 * np.eye(len(G)) - G):
+        norm = _norm(G)
+        if norm > 1.0 + 1e-9:
+            raise InvalidCovarianceError(f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails")
+    return _Frame(mu, tau, L, Linv, half, Jt, G)
 
 
-def _check_bound(norm):
-    if norm > 1.0 + 1e-9:
-        raise InvalidCovarianceError(
-            f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails"
-        )
-    return norm
-
-
-def _norm(Jt):
-    """||J||_mu = ||Jt||_2, from the largest eigenvalue of Jt^T Jt."""
-    return math.sqrt(max(float(np.linalg.eigvalsh(Jt.T @ Jt)[-1]), 0.0))
+def _norm(G):
+    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
 
 
 def _positive(M):
@@ -160,15 +150,6 @@ def _positive(M):
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _bounded_frame(mu, tau, what="mu"):
-    """The frame of (mu, tau); raises if ||J||_mu exceeds 1 + 1e-9.  A Cholesky
-    probe decides; the spectrum only names a refusal."""
-    f = _frame(mu, tau, what)
-    if not _positive((1.0 + 1e-9) ** 2 * np.eye(len(f.Jt)) - f.Jt.T @ f.Jt):
-        _check_bound(_norm(f.Jt))
-    return f
 
 
 @dataclass(frozen=True)
@@ -186,11 +167,14 @@ def validate_mu_tau(mu, tau):
 
     Checks mu symmetric positive definite, tau antisymmetric (each to 1e-12
     of its own largest entry, see errors.asymmetry), the mu-antisymmetry of
-    J, and the bound ||J||_mu <= 1 + 1e-9.  The bound is the matrix form of
-    the requirement that |tau(x,y)|^2 / 4 never exceeds mu(x,x) mu(y,y).
+    J, and the bound ||J||_mu <= 1 + 1e-9, all in _frame.  The bound is the
+    matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
+    mu(x,x) mu(y,y).
     """
     f = _frame(mu, tau)
-    return OperatorJ(J=f.J, mu=f.mu, tau=f.tau, mu_norm=_check_bound(_norm(f.Jt)))
+    with float_range("J of mu and tau"):
+        J = f.Linv.T @ f.half  # mu^{-1} tau / 2
+    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G))
 
 
 @dataclass(frozen=True)
@@ -239,33 +223,29 @@ def one_particle(mu, tau):
     Frame route: if tau[:N, :N] = 0, as in the (q, p) ordering, so is Jt's
     block (L is lower triangular), and for a pure pair the first N rows of
     I + i Jt span the range of the rank-N projector (I + i Jt) / 2.  Then
-    K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when Cholesky
-    probes put every singular value of Jt in [1 - 2e-10, 1 + 1e-9] and K
-    meets the residual bound below; every other pair takes the spectral route.
+    K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when a Cholesky
+    probe of the frame's G puts every singular value of Jt at or above
+    1 - 2e-10 and K meets the residual bound below; every other pair takes
+    the spectral route.
 
     Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
     its eigenspaces above 1e-10 times the top eigenvalue carry the
     representation.  Pure directions contribute one dimension per mode, mixed
     directions two (the doubling that keeps the complex span dense).  The
-    spectrum of i Jt is +-||J||_mu at its ends, so the pair bound is read off
-    the same eigenvalues.  K^H K must reproduce mu + (i/2) tau within 1e-11
-    relative to max(1, largest entry).
+    spectrum of i Jt is +-||J||_mu at its ends.  K^H K must reproduce
+    mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
-    Jt = (f.Jt - f.Jt.T) / 2.0
-    n, eye = len(Jt) // 2, np.eye(len(Jt))
+    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt))
     target = f.mu + 0.5j * f.tau
     tol = 1e-11 * max(1.0, np.abs(target).max())
-    if not f.tau[:n, :n].any():
-        G = Jt.T @ Jt
-        if _positive((1.0 + 1e-9) ** 2 * eye - G) and _positive(G - (1.0 - 4e-10) * eye):
-            K = f.L.T[:n] + 1j * f.half[:n]
-            resid = float(np.abs(K.conj().T @ K - target).max())
-            if resid <= tol:
-                return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
-                                            reconstruction_residual=resid)
-    w, U = np.linalg.eigh(eye + 1j * Jt)
-    norm = _check_bound(float(np.abs(w - 1.0).max()))
+    if not f.tau[:n, :n].any() and _positive(f.G - (1.0 - 4e-10) * eye):
+        K = f.L.T[:n] + 1j * f.half[:n]
+        resid = float(np.abs(K.conj().T @ K - target).max())
+        if resid <= tol:
+            return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
+                                        reconstruction_residual=resid)
+    w, U = np.linalg.eigh(eye + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
     K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
@@ -275,7 +255,7 @@ def one_particle(mu, tau):
             # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
             # has no one-particle structure, so the input is at fault
             raise InvalidCovarianceError(
-                f"|J|_mu = {norm:.12g} exceeds 1: no one-particle structure "
+                f"|J|_mu = {np.abs(w - 1.0).max():.12g} exceeds 1: no one-particle structure "
                 f"reproduces the pair (residual {resid:.3e})"
             )
         raise InternalInconsistencyError(
@@ -319,19 +299,16 @@ class PurityReport:
 def purity(mu, tau):
     """Two independent purity tests that must agree.
 
-    Test A: J^2 = -I within 1e-10, with J formed from the frame's
-    L^{-1} tau / 2 as L^{-T} (L^{-1} tau / 2).  Test B: the variational
-    characterization, which reduces to the generalized eigenproblem
-    (1/4) tau^T mu^{-1} tau v = lambda mu v having all lambda equal to 1
-    within 1e-8; the sup over the Rayleigh quotient is attained there.
-    Reduced by the Cholesky factor, test B's matrix is Jt^T Jt, so the pair
-    bound ||J||_mu <= 1 + 1e-9 is read off its largest eigenvalue before the
-    tests are compared.  Disagreement raises, since both express the same
-    purity condition.
+    Test A: J^2 = -I within 1e-10, read in the mu-frame as Jt^2 = -I
+    (J = L^{-T} Jt L^T), where the entries have unit scale rather than
+    growing with cond(mu).  Test B: the variational characterization, which
+    reduces to the generalized eigenproblem (1/4) tau^T mu^{-1} tau v =
+    lambda mu v having all lambda equal to 1 within 1e-8; the sup over the
+    Rayleigh quotient is attained there.  _frame has decided the pair bound.
+    Disagreement raises, since both express the same purity condition.
     """
     f = _frame(mu, tau)
-    J = f.J  # one product; each read of the property forms J again
-    r_square = float(np.abs(J @ J + np.eye(len(f.mu))).max())
+    r_square = float(np.abs(f.Jt @ f.Jt + np.eye(len(f.mu))).max())
     pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
@@ -355,7 +332,6 @@ def purity(mu, tau):
             raise ValidationError("tau^T mu^{-1} tau overflows the float range")
         B = Linv @ (0.25 * tau.T @ X) @ Linv.T
     lams = np.linalg.eigvalsh((B + B.T) / 2.0)
-    _check_bound(math.sqrt(max(float(lams[-1]), 0.0)))
     r_var = float(np.abs(lams - 1.0).max())
     pure_b = r_var <= 1e-8
 
@@ -601,9 +577,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     is reported: hs growing at least like N^0.4 reads divergent, essentially
     flat (or at most 1e-12 throughout) reads bounded, anything else
     inconclusive.  tau defaults to the standard block form.  Both
-    covariances must pass validate_mu_tau on the largest block, factored
-    once, with a Cholesky factorization deciding the pair bound (a spectrum
-    only names a refusal): L is lower triangular, so each leading block of
+    covariances must pass validate_mu_tau's checks on the largest block,
+    factored once: L is lower triangular, so each leading block of
     L^{-1} and of B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own,
     and only the symmetry checks, scaled to each block, run per block.
     """
@@ -634,8 +609,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         _check_square_pair(mu1[:n, :n], tau[:n, :n])
         _check_square_pair(mu2[:n, :n], tau[:n, :n])
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
-    Linv = _bounded_frame(m1, t, what="mu1 block").Linv
-    _bounded_frame(m2, t, what="mu2 block")
+    Linv = _frame(m1, t, what="mu1 block").Linv
+    _frame(m2, t, what="mu2 block")
     with float_range("mu2 - mu1 in the mu1 geometry"):
         D = Linv @ (m2 - m1)
         B = D @ Linv.T

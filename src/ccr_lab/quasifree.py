@@ -28,6 +28,7 @@ from .ccr_core import (
     PairingForm,
     _labels,
     _pair_table,
+    _ReadOnlyDict,
     coerce,
 )
 from .errors import (
@@ -79,8 +80,8 @@ class TwoPointKernel(OrderingKernel):
 
     These stand in for OrderingKernel's 1e-12 check.  Where a plain kernel
     reads an absent pair as zero, value and scalar raise IncompleteKernelError
-    on a label outside the generators.  Immutable; ``entries`` is a plain
-    dict, which pickles.
+    on a label outside the generators.  Immutable; ``entries`` is read-only,
+    as every ordering kernel's is, so ``pairing`` cannot go stale.
     """
 
     __slots__ = ("generators",)
@@ -105,7 +106,8 @@ class TwoPointKernel(OrderingKernel):
         if len(set(gens)) != len(gens):
             raise ValidationError("generator labels must be distinct")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "entries", {pair: coerce(v, FLOAT) for pair, v in raw.items()})
+        entries = _ReadOnlyDict({pair: coerce(v, FLOAT) for pair, v in raw.items()})
+        object.__setattr__(self, "entries", entries)
         self._verify(pairing)
         E = {(i, j): 2.0 * self._get(i, j).imag for a, i in enumerate(gens) for j in gens[a + 1 :]}
         object.__setattr__(self, "pairing", PairingForm(E))
@@ -301,8 +303,7 @@ def gram_positivity(state, elements):
     the pairing recursion runs once per block on arrays of pair weights, so
     the cost per moment is numpy's, not one Python call's.  A label outside
     the kernel's generators raises IncompleteKernelError, as npoint would
-    for the first moment that needs it in row-major order; so does a pair
-    removed from the kernel's entries after construction.
+    for the first moment that needs it in row-major order.
 
     Elements must be AlgebraElements (exact ones are read in float mode);
     anything else, such as a normal-ordered element, raises ValidationError.
@@ -362,8 +363,8 @@ def _word_moments(kernel, words):
     pair's weights and the sum to the step's block (one row or column when
     the block holds the empty word).  A label outside the kernel's
     generators raises first, as npoint would for the first moment needing
-    it in row-major order.  The table is read through the kernel's lookup
-    on each call, as entries can change after construction.
+    it in row-major order.  The table is read through the kernel's lookup,
+    which names an absent pair.
     """
     labels = sorted({i for w in words for i in w})
     outside = set(labels).difference(kernel.generators)

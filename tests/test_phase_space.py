@@ -120,6 +120,51 @@ def test_one_particle_refuses_admitted_pair_above_one(excess):
     assert one_particle(mu / (1.0 + 1e-13), tau).dim == 3
 
 
+def _pure_pair(kind, seed):
+    # a pure pair of 1 to 4 modes: q-first, the same pair interleaved, or random
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    if kind == "random":
+        return random_pure_pair(rng, n)
+    mu, tau = qfirst_pure_pair(rng, n, float(10 ** rng.uniform(0, 2)))
+    if kind == "interleaved":
+        order = _interleaved(n)
+        return mu[np.ix_(order, order)], tau[np.ix_(order, order)]
+    return mu, tau
+
+
+def _refuses_the_pair_bound(call):
+    try:
+        call()
+    except CcrLabError as exc:
+        return isinstance(exc, InvalidCovarianceError) and "the pair bound fails" in str(exc)
+    return False
+
+
+# mu / (1 + e) puts ||J||_mu of a pure pair at 1 + e.  At e = 1e-9 these
+# pairs lie within roundoff of the bound, where separate computations of it
+# (a Cholesky probe, eigvalsh, a complex eigh) disagree; one admission,
+# _frame's, decides it for every entry
+@pytest.mark.parametrize("excess", [5e-10, 1e-9, 2e-9])
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("qfirst", 9), ("qfirst", 51), ("qfirst", 92), ("interleaved", 9),
+     ("interleaved", 56), ("random", 24), ("random", 54)],
+)
+def test_every_entry_admits_the_same_pairs(kind, seed, excess):
+    mu, tau = _pure_pair(kind, seed)
+    mu = mu / (1.0 + excess)
+    calls = [
+        lambda: validate_mu_tau(mu, tau),
+        lambda: one_particle(mu, tau),
+        lambda: purity(mu, tau),
+        lambda: equivalence_probe(mu, 2.0 * mu, tau),
+        lambda: equivalence_probe(2.0 * mu, mu, tau),
+    ]
+    refused = [_refuses_the_pair_bound(call) for call in calls]
+    assert refused in ([True] * 5, [False] * 5)
+
+
 # ------------------------------------------------------------ one_particle
 
 def test_pure_single_mode_structure():
@@ -288,12 +333,12 @@ def test_frame_route_solves_no_eigenproblem(monkeypatch):
     # a mixed pair passes the zero-block test but not the purity probe
     calls.clear()
     assert one_particle(1.5 * mu, tau).dim == 16 and calls.count("eigh") == 1
-    # a pair with tau[:N, :N] != 0 is not probed: the frame's factor is the
-    # only Cholesky factorization
+    # a pair with tau[:N, :N] != 0 is not probed for purity: the frame's
+    # factor and its pair-bound probe are the only Cholesky factorizations
     calls.clear()
     order = _interleaved(8)
     assert one_particle(mu[np.ix_(order, order)], tau[np.ix_(order, order)]).dim == 8
-    assert calls == ["cholesky", "eigh"]
+    assert calls == ["cholesky", "cholesky", "eigh"]
 
 
 # mu (1 + 3e-10) has every singular value of Jt below 1 - 2e-10, which the
@@ -404,6 +449,17 @@ def test_purity_double_check_random_pairs():
         assert not purity(mu, tau).pure
 
 
+def test_purity_reads_an_ill_conditioned_pure_pair_as_pure():
+    # cond(mu) = 2.6e8: formed as mu^{-1} tau / 2, J^2 + I carried 1.8e-10
+    # of roundoff, past test A's 1e-10, while test B read the pair as pure;
+    # in the mu-frame, Jt^2 + I keeps unit scale
+    rng = np.random.default_rng(29)
+    n = int(rng.integers(1, 5))
+    mu, tau = qfirst_pure_pair(rng, n, float(10 ** rng.uniform(0, 3)))
+    rep = purity(mu, tau)
+    assert rep.pure and rep.j_square_residual <= 1e-11
+
+
 def test_purity_at_the_edges_of_the_float_range():
     # validate_mu_tau admits every pair; the verdict is scale invariant
     assert purity(1e-320 * np.eye(2), np.zeros((2, 2))).verdict == "mixed"
@@ -487,16 +543,15 @@ def test_one_particle_reconstruction_check_negative_control(monkeypatch):
 
 
 def test_purity_agreement_check_negative_control(monkeypatch):
-    # a frame's half off by 1e-3 of itself skews J = L^{-T} half by the same
-    # factor, up to rounding, and fails test A (|J^2 + I| = 2e-3) while
-    # test B, which reads mu and tau, still finds the pair pure
+    # a frame's Jt off by 1e-3 of itself fails test A (|Jt^2 + I| = 2e-3)
+    # while test B, which reads mu and tau, still finds the pair pure
     mu, tau = np.eye(2) / 2.0, TAU1
     assert purity(mu, tau).pure
     frame = phase_space._frame
 
     def skewed(*args):
         f = frame(*args)
-        return f._replace(half=f.half * (1.0 + 1e-3))
+        return f._replace(Jt=f.Jt * (1.0 + 1e-3))
 
     monkeypatch.setattr(phase_space, "_frame", skewed)
     with pytest.raises(InternalInconsistencyError, match="purity checks disagree"):
@@ -909,9 +964,8 @@ def test_probe_checks_symmetry_at_each_block_scale():
 
 def test_probe_factors_once_and_purity_solves_one_eigenproblem(monkeypatch):
     frames, spectra = [], []
-    bounded_frame, eigvalsh, eigh = phase_space._bounded_frame, np.linalg.eigvalsh, np.linalg.eigh
-    monkeypatch.setattr(phase_space, "_bounded_frame",
-                        lambda *a, **k: frames.append(1) or bounded_frame(*a, **k))
+    frame, eigvalsh, eigh = phase_space._frame, np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(phase_space, "_frame", lambda *a, **k: frames.append(1) or frame(*a, **k))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(len(a)) or eigvalsh(a))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(len(a)) or eigh(a))
     mu, tau = random_mixed_pair(np.random.default_rng(47), 4)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import copy
+import itertools
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -12,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccr_lab import quasifree
-from ccr_lab.ccr_core import FLOAT, AlgebraElement, PairingForm, normal_form, star
+from ccr_lab import ccr_core, quasifree
+from ccr_lab.ccr_core import FLOAT, AlgebraElement, OrderingKernel, PairingForm, normal_form, star
 from ccr_lab.errors import (
     CcrLabError,
     DegreeGuardError,
@@ -443,16 +446,53 @@ def test_gram_family_outside_the_kernel_raises():
         _gram_by_products(state, family)
 
 
+def _restored(kernel, entries):
+    # the kernel's slots with its table replaced, restored as a copy or a
+    # pickle restores them: past the constructor and its checks
+    return ccr_core._thaw(type(kernel), {
+        "generators": kernel.generators, "pairing": kernel.pairing,
+        "entries": ccr_core._ReadOnlyDict(entries),
+    })
+
+
 def test_gram_catches_a_kernel_that_breaks_its_exchange_relation():
-    # one off-diagonal entry changed after construction: omega(1, 2) and
+    # one off-diagonal entry changed past the constructor: omega(1, 2) and
     # omega(2, 1) no longer differ by i E only, and the Gram matrix, with
     # its word-moment matrix filled in full, is not hermitian
     kernel = vacuum_mode_kernel([1.0, 0.7])
-    state = QuasifreeState(kernel)
-    kernel.entries[(1, 2)] += 0.3
+    edited = dict(kernel.entries)
+    edited[(1, 2)] += 0.3
+    state = QuasifreeState(_restored(kernel, edited))
     family = [AlgebraElement.generator(g, mode=FLOAT) for g in (1, 2, 3)]
     with pytest.raises(KernelInconsistencyError, match="not hermitian"):
         gram_positivity(state, family)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: vacuum_mode_kernel([1.0, 0.7]),
+     lambda: OrderingKernel.from_symmetric_part({(1, 2): 1}, PairingForm({(1, 2): 2}))],
+    ids=["state-kernel", "ordering-kernel"],
+)
+def test_a_kernel_table_refuses_edits(make):
+    # the table and the pairing are fixed when the kernel is built, so the
+    # exchange relation checked then cannot go stale; copies and pickles
+    # are read-only too
+    kernel = make()
+    before, pairing = dict(kernel.entries), dict(kernel.pairing.entries)
+    edits = [
+        lambda t: t.__setitem__((1, 2), 0.3), lambda t: t.__delitem__((1, 2)),
+        lambda t: t.pop((1, 2)), lambda t: t.popitem(), lambda t: t.clear(),
+        lambda t: t.setdefault((2, 2), 1.0), lambda t: t.update({(1, 2): 0.3}),
+        lambda t: t.__ior__({(1, 2): 0.3}),
+    ]
+    for twin in (kernel, copy.deepcopy(kernel), pickle.loads(pickle.dumps(kernel))):
+        assert twin.entries == before and twin.pairing.entries == pairing
+        for table, edit in itertools.product((twin.entries, twin.pairing.entries), edits):
+            with pytest.raises(TypeError, match="read-only"):
+                edit(table)
+    assert kernel.entries == before and kernel.pairing.entries == pairing
+    assert kernel.value(1, 2) == before[(1, 2)]
 
 
 # ------------------------------------------- the block-built moment matrix
@@ -517,13 +557,15 @@ def test_block_path_names_the_first_absent_pair_as_npoint_does(monkeypatch, cell
     assert str(block.value) == str(scalar.value) == "two-point kernel has no entry for (1, 9)"
 
 
-def test_block_path_refuses_an_entry_removed_after_construction():
-    # every label is a generator, but (3, 1) is gone from the entries.  No
-    # moment of the family needs it, yet the kernel no longer holds every
-    # pair of its generators: the table, read through the kernel's lookup,
-    # names the pair rather than leaking a KeyError or a NaN
-    state = dense_state(4, seed=2)
-    del state.kernel.entries[(3, 1)]
+def test_block_path_refuses_a_kernel_restored_without_an_entry():
+    # every label is a generator, but (3, 1) is gone from the restored
+    # entries.  No moment of the family needs it, yet the kernel does not
+    # hold every pair of its generators: the table, read through the
+    # kernel's lookup, names the pair rather than leaking a KeyError or a NaN
+    kernel = dense_state(4, seed=2).kernel
+    state = QuasifreeState(_restored(kernel, {
+        pair: v for pair, v in kernel.entries.items() if pair != (3, 1)
+    }))
     family = [AlgebraElement({w: 1.0}, FLOAT) for w in ((2, 1), (3,), (4, 4))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -143,6 +143,17 @@ def test_one_pairing_recursion():
     assert {name: n for name, n in sites.items() if n} == {"quasifree.py": 1}
 
 
+def test_the_pair_bound_is_decided_in_one_place():
+    # phase_space._frame admits every covariance pair: its Cholesky probe of
+    # (1 + 1e-9)^2 I - Jt^T Jt is the one test of ||J||_mu <= 1 + 1e-9, and
+    # no entry keeps a bound check of its own
+    texts = _source_texts()
+    for gone in ("_bounded_frame", "_cholesky_pd", "_check_bound"):
+        assert [name for name, text in texts.items() if gone in text] == []
+    sites = {name: text.count("(1.0 + 1e-9) ** 2") for name, text in texts.items()}
+    assert {name: n for name, n in sites.items() if n} == {"phase_space.py": 1}
+
+
 def test_a_real_scalar_is_read_for_finiteness_in_one_place():
     # errors.as_finite is the one reader of a finite real; the other
     # math.isfinite tests SeparationPoint's sigma, a value computed from two
