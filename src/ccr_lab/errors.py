@@ -107,7 +107,22 @@ def asymmetry(M, image):
     far a finite array is from equal to its image (transpose, flip, negation
     or gather), relative to its own largest entry.  Quartering is exact bar
     subnormals, so neither the difference nor a complex modulus can
-    overflow."""
+    overflow.
+
+    A real array below 2**1022 in every entry is read unquartered, in one
+    difference: the image moves and negates entries, so a difference of at
+    least 2**-960 is four times Q's, exactly, and the ratio is the same
+    float (entries that quartering rounds differ by less than 2**-964).
+    Every other array, and a difference in (0, 2**-960), is quartered."""
+    if not np.iscomplexobj(M):
+        big = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+        if big < 2.0**1022:
+            d = M - image(M)
+            gap = max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))
+            if gap == 0.0:
+                return 0.0
+            if gap >= 2.0**-960:
+                return gap / big
     Q = M / 4.0
     big = float(np.abs(Q).max(initial=0.0))
     return float(np.abs(Q - image(Q)).max(initial=0.0)) / big if big else 0.0

@@ -96,6 +96,20 @@ def _lower_inverse(L):
     return out
 
 
+def _parts(S, T):
+    """The diagonal blocks a pair (S, T) runs on: its q and p halves when the
+    dimension is even, both off-diagonal blocks of S are exact zeros and so
+    are both diagonal blocks of T (a q-p split pair, as in the (q, p)
+    ordering of a lattice form or its ground state), else the whole matrix.
+    Both blocks of S are read because cholesky reads only one triangle and
+    a symmetric input is symmetric only to 1e-12."""
+    n, odd = divmod(len(S), 2)
+    q, p = slice(None, n), slice(n, None)
+    if odd or S[q, p].any() or S[p, q].any() or T[q, q].any() or T[p, p].any():
+        return (slice(None),)
+    return q, p
+
+
 class _Frame(NamedTuple):
     mu: np.ndarray
     tau: np.ndarray
@@ -104,6 +118,7 @@ class _Frame(NamedTuple):
     half: np.ndarray  # L^{-1} tau / 2, the left factor of Jt and the right one of J
     Jt: np.ndarray  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
     G: np.ndarray  # Jt^T Jt, whose largest eigenvalue is ||J||_mu^2
+    parts: tuple  # the diagonal blocks of mu, L, Linv and G (see _parts)
 
 
 def _frame(mu, tau, what="mu"):
@@ -114,33 +129,50 @@ def _frame(mu, tau, what="mu"):
     entry of Jt at most 1 + 1e-9, J mu-antisymmetric (Jt antisymmetric) and
     ||J||_mu <= 1 + 1e-9: a Cholesky probe of (1 + 1e-9)^2 I - G decides
     the pair bound, and G's spectrum only names a refusal.
+
+    The frame runs on the blocks of _parts.  For a q-p split pair, mu =
+    blockdiag(mu_qq, mu_pp) and tau has only its q-p blocks, so L, L^{-1}
+    and G are block diagonal and half and Jt have only the blocks [k, j]
+    with j the other half: each diagonal block gets its own Cholesky factor,
+    inverse and bound probe, and the other blocks stay exact zeros.  Any
+    other pair is one block, the whole matrix.
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
+    parts = _parts(mu, tau)
+    blocks = list(zip(parts, parts[::-1]))  # [k, j]: the nonzero blocks of half and Jt
+    L, Linv, half, Jt, G = (np.zeros(mu.shape) for _ in range(5))
     try:
-        L = np.linalg.cholesky(mu)
+        for k in parts:
+            L[k, k] = np.linalg.cholesky(mu[k, k])
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError(f"{what} is not positive definite") from None
     with float_range("J of mu and tau"):
-        Linv = _lower_inverse(L)
-        half = Linv @ (tau / 2.0)
-        Jt = half @ Linv.T
+        for k in parts:
+            Linv[k, k] = _lower_inverse(L[k, k])
+        for k, j in blocks:
+            half[k, j] = Linv[k, k] @ (tau[k, j] / 2.0)
+            Jt[k, j] = half[k, j] @ Linv[j, j].T
     # an entry of Jt bounds ||J||_mu from below
-    big = float(np.abs(Jt).max())
+    big = max(float(np.abs(Jt[k, j]).max()) for k, j in blocks)
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
-    if np.abs(Jt + Jt.T).max() > 1e-8:
+    if max(np.abs(Jt[k, j] + Jt[j, k].T).max() for k, j in blocks) > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    G = Jt.T @ Jt
-    if not _positive((1.0 + 1e-9) ** 2 * np.eye(len(G)) - G):
-        norm = _norm(G)
+    for k, j in blocks:
+        G[j, j] = Jt[k, j].T @ Jt[k, j]
+    eye = np.eye(len(mu) // len(parts))
+    if not all(_positive((1.0 + 1e-9) ** 2 * eye - G[k, k]) for k in parts):
+        norm = _norm(G, parts)
         if norm > 1.0 + 1e-9:
             raise InvalidCovarianceError(f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails")
-    return _Frame(mu, tau, L, Linv, half, Jt, G)
+    return _Frame(mu, tau, L, Linv, half, Jt, G, parts)
 
 
-def _norm(G):
-    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
-    return math.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0))
+def _norm(G, parts):
+    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt over
+    its diagonal blocks."""
+    top = max(float(np.linalg.eigvalsh(G[k, k])[-1]) for k in parts)
+    return math.sqrt(max(top, 0.0))
 
 
 def _positive(M):
@@ -174,7 +206,7 @@ def validate_mu_tau(mu, tau):
     f = _frame(mu, tau)
     with float_range("J of mu and tau"):
         J = f.Linv.T @ f.half  # mu^{-1} tau / 2
-    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G))
+    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G, f.parts))
 
 
 @dataclass(frozen=True)
@@ -224,9 +256,10 @@ def one_particle(mu, tau):
     block (L is lower triangular), and for a pure pair the first N rows of
     I + i Jt span the range of the rank-N projector (I + i Jt) / 2.  Then
     K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when a Cholesky
-    probe of the frame's G puts every singular value of Jt at or above
-    1 - 2e-10 and K meets the residual bound below; every other pair takes
-    the spectral route.
+    probe of the frame's G, one per diagonal block of a q-p split frame
+    (see _frame), puts every singular value of Jt at or above 1 - 2e-10 and
+    K meets the residual bound below; every other pair takes the spectral
+    route.
 
     Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
     its eigenspaces above 1e-10 times the top eigenvalue carry the
@@ -236,16 +269,17 @@ def one_particle(mu, tau):
     mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
-    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt))
+    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt) // len(f.parts))
     target = f.mu + 0.5j * f.tau
     tol = 1e-11 * max(1.0, np.abs(target).max())
-    if not f.tau[:n, :n].any() and _positive(f.G - (1.0 - 4e-10) * eye):
+    if not f.tau[:n, :n].any() and all(_positive(f.G[k, k] - (1.0 - 4e-10) * eye)
+                                       for k in f.parts):
         K = f.L.T[:n] + 1j * f.half[:n]
         resid = float(np.abs(K.conj().T @ K - target).max())
         if resid <= tol:
             return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
                                         reconstruction_residual=resid)
-    w, U = np.linalg.eigh(eye + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
+    w, U = np.linalg.eigh(np.eye(2 * n) + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
     K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
@@ -306,9 +340,14 @@ def purity(mu, tau):
     lambda mu v having all lambda equal to 1 within 1e-8; the sup over the
     Rayleigh quotient is attained there.  _frame has decided the pair bound.
     Disagreement raises, since both express the same purity condition.
+    On a q-p split frame (see _frame) Jt^2 and B are block diagonal, so
+    each test runs per diagonal block: one product for A, and one solve,
+    one congruence and one spectrum for B.
     """
     f = _frame(mu, tau)
-    r_square = float(np.abs(f.Jt @ f.Jt + np.eye(len(f.mu))).max())
+    blocks = list(zip(f.parts, f.parts[::-1]))
+    eye = np.eye(len(f.mu) // len(f.parts))
+    r_square = max(float(np.abs(f.Jt[k, j] @ f.Jt[j, k] + eye).max()) for k, j in blocks)
     pure_a = r_square <= 1e-10
 
     # Test B solves with mu itself; only the Cholesky factor that reduces
@@ -319,19 +358,21 @@ def purity(mu, tau):
     # tau's entries below 8; entries lost below the float range can still
     # leave a mu whose inverse is not finite, and np.linalg.solve, unseen by
     # float_range, then returns inf or raises LinAlgError on a zero pivot.
-    k = -((np.frexp(np.diag(f.mu))[1] - 1) // 2)
+    e = -((np.frexp(np.diag(f.mu))[1] - 1) // 2)
+    Bs = []
     with float_range("tau^T mu^{-1} tau"):
-        mu, tau = (np.ldexp(m, k[:, None] + k) for m in (f.mu, f.tau))
-        Linv = np.ldexp(f.Linv, -k)
-        try:
-            X = np.linalg.solve(mu, tau)
-            finite = np.isfinite(X).all()
-        except np.linalg.LinAlgError:
-            finite = False
-        if not finite:
-            raise ValidationError("tau^T mu^{-1} tau overflows the float range")
-        B = Linv @ (0.25 * tau.T @ X) @ Linv.T
-    lams = np.linalg.eigvalsh((B + B.T) / 2.0)
+        mu, tau = (np.ldexp(m, e[:, None] + e) for m in (f.mu, f.tau))
+        Linv = np.ldexp(f.Linv, -e)
+        for k, j in blocks:
+            try:
+                X = np.linalg.solve(mu[k, k], tau[k, j])
+                finite = np.isfinite(X).all()
+            except np.linalg.LinAlgError:
+                finite = False
+            if not finite:
+                raise ValidationError("tau^T mu^{-1} tau overflows the float range")
+            Bs.append(Linv[j, j] @ (0.25 * tau[k, j].T @ X) @ Linv[j, j].T)
+    lams = np.concatenate([np.linalg.eigvalsh((B + B.T) / 2.0) for B in Bs])
     r_var = float(np.abs(lams - 1.0).max())
     pure_b = r_var <= 1e-8
 
@@ -373,11 +414,12 @@ def ground_state_mu(energy_form, tau=None):
     with min s < 1e-10 max s.  A Cholesky factorization of A - 1e-12 max|A| I
     decides A's positivity; A's spectrum only names a refusal.
 
-    Split route: if A[:N, N:], T[:N, :N] and T[N:, N:] are all zero, as for
-    lattice_energy_form, R = blockdiag(Rq, Rp) and G = [[0, C], [D, 0]] with
-    C = Rq^T T[:N, N:] Rp and D = Rp^T T[N:, :N] Rq, so G^T G =
-    blockdiag(D^T D, C^T C): each block gets its own N x N eigenproblem and
-    positivity probe, and mu's q-p blocks are exact zeros.  Mapping one
+    Split route: _parts, which decides the same for _frame, reads (A, T)
+    as q-p split when A's off-diagonal blocks and T's diagonal blocks are
+    all zero, as for lattice_energy_form.  Then R = blockdiag(Rq, Rp),
+    G = [[0, C], [D, 0]] with C = Rq^T T[:N, N:] Rp and D = Rp^T T[N:, :N]
+    Rq, so G^T G = blockdiag(D^T D, C^T C): each block gets its own N x N
+    eigenproblem and positivity probe, and mu's q-p blocks are exact zeros.  Mapping one
     block's eigenvectors to the other's by C^T U / s instead loses about
     three digits; the tests pin the split route to the general one at 1e-12.
     """
@@ -391,11 +433,7 @@ def ground_state_mu(energy_form, tau=None):
     A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
     A = (A + A.T) / 2.0
     scale = np.abs(A).max()
-    n = len(A) // 2
-    if A[:n, n:].any() or T[:n, :n].any() or T[n:, n:].any():
-        parts = (slice(None),)
-    else:  # q-p split: A = blockdiag(A_qq, A_pp), G^T G block diagonal too
-        parts = (slice(None, n), slice(n, None))
+    parts = _parts(A, T)  # q-p split: A = blockdiag(A_qq, A_pp), G^T G block diagonal too
     eye = np.eye(len(A) // len(parts))
     if not all(_positive(A[k, k] - 1e-12 * scale * eye) for k in parts):
         lam = np.linalg.eigvalsh(A)[0]
@@ -581,6 +619,9 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     factored once: L is lower triangular, so each leading block of
     L^{-1} and of B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own,
     and only the symmetry checks, scaled to each block, run per block.
+    When both frames are q-p split (see _frame), mu2 - mu1, B and Q are
+    block diagonal and formed per block, and a rung's spectrum is the union
+    of the spectra of each diagonal block's leading part.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -609,14 +650,23 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         _check_square_pair(mu1[:n, :n], tau[:n, :n])
         _check_square_pair(mu2[:n, :n], tau[:n, :n])
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
-    Linv = _frame(m1, t, what="mu1 block").Linv
-    _frame(m2, t, what="mu2 block")
+    f1 = _frame(m1, t, what="mu1 block")
+    Linv, parts = f1.Linv, f1.parts
+    del f1  # of the first frame only Linv is read: free the rest before the second
+    if _frame(m2, t, what="mu2 block").parts != parts:
+        parts = (slice(None),)
+    Q, Bs = np.zeros(m1.shape), []
     with float_range("mu2 - mu1 in the mu1 geometry"):
-        D = Linv @ (m2 - m1)
-        B = D @ Linv.T
-        B = (B + B.T) / 2.0
-        Q = Linv.T @ D  # mu1^{-1} (mu2 - mu1) on the largest block
-    spectra = [np.linalg.eigvalsh(B[:n, :n]) for n in sizes]
+        for k in parts:
+            D = Linv[k, k] @ (m2[k, k] - m1[k, k])
+            B = D @ Linv[k, k].T
+            Bs.append((B + B.T) / 2.0)
+            Q[k, k] = Linv[k, k].T @ D  # mu1^{-1} (mu2 - mu1) on the largest block
+    spectra = [
+        np.sort(np.concatenate([np.linalg.eigvalsh(B[:m, :m])
+                                for k, B in zip(parts, Bs) if (m := n - (k.start or 0)) > 0]))
+        for n in sizes
+    ]
     hs_norms = tuple(math.hypot(*lams) for lams in spectra)
     return EquivalenceReport(
         truncations=tuple(truncs),

@@ -229,21 +229,23 @@ def random_mixed_pair(rng, n_modes, d_min=1.2, d_max=3.0):
     return R.T @ D @ R / 2.0, R.T @ tau0 @ R
 
 
-def qfirst_pure_pair(rng, n_modes, squeeze=1.0):
+def qfirst_pure_pair(rng, n_modes, squeeze=1.0, shear=True):
     """Random pure (mu, tau) in the (q_1..q_N, p_1..p_N) ordering.
 
     tau = [[0, I], [-I, 0]] and mu = S S^T / 2, where S is the product of the
     symplectic blocks [[A, 0], [0, A^{-T}]], [[I, B], [0, I]] and
     [[I, 0], [C, I]] with B, C symmetric; each preserves tau, so the pair is
     the oscillator ground state (I/2, tau) carried by S.  A's singular values
-    run geometrically from 1 to `squeeze`.
+    run geometrically from 1 to `squeeze`.  With shear=False, B = C = 0 (the
+    same draws are made), so mu = blockdiag(A A^T, (A A^T)^{-1}) / 2 is q-p
+    split.
     """
     n = n_modes
     eye, zero = np.eye(n), np.zeros((n, n))
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
     A = q1 @ np.diag(np.geomspace(1.0, squeeze, n)) @ q2
-    B, C = (m + m.T for m in rng.normal(size=(2, n, n)) / 2.0)
+    B, C = (m + m.T for m in rng.normal(size=(2, n, n)) / 2.0 * shear)
     S = (
         np.block([[A, zero], [zero, np.linalg.inv(A).T]])
         @ np.block([[eye, B], [zero, eye]])

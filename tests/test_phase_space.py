@@ -21,6 +21,7 @@ from ccr_lab.errors import (
     SpectrumNotGappedError,
     TruncationInsufficientError,
     ValidationError,
+    asymmetry,
 )
 from ccr_lab.phase_space import (
     FockRepresentation,
@@ -77,6 +78,41 @@ def test_shape_and_symmetry_validation():
         validate_mu_tau(np.array([[1.0, 0.5], [0.0, 1.0]]), TAU1)
     with pytest.raises(InvalidCovarianceError):
         validate_mu_tau(-np.eye(2), TAU1)
+
+
+def _quartered_asymmetry(M, image):
+    # errors.asymmetry as it reads every array: on Q = M / 4, six passes
+    Q = M / 4.0
+    big = float(np.abs(Q).max(initial=0.0))
+    return float(np.abs(Q - image(Q)).max(initial=0.0)) / big if big else 0.0
+
+
+def _edge_arrays():
+    tiny, rng = 2.0**-1074, np.random.default_rng(61)
+    yield np.zeros((3, 3))
+    yield np.zeros((0, 0))
+    yield np.array([[1e308, -1e308], [1e308, 1e308]])
+    yield np.array([[1e308, 1.0], [-1e308, 1e-320]])
+    yield np.array([[2.0**1022, 1.0], [3.0, 2.0**1022]])
+    yield np.array([[5 * tiny, 3 * tiny], [tiny, 0.0]])
+    yield np.array([[1.0, 2.0**-1020], [2.0**-1021 + 2.0**-1073, 1.0]])  # quartering rounds
+    for gap in (2.0**-960, 2.0**-960 * (1 - 2.0**-53), 2.0**-959):
+        yield np.array([[1.0, gap], [0.0, 1.0]])
+    yield np.array([[1e308 + 1e308j, 1.0], [1e-320j, -1e308]])
+    yield np.array([[1.0 + 2.0**-1020 * 1j, 1.0], [3.0 * tiny, 1j]])
+    for exponents in ((-1080, 1023), (-1074, -950), (1000, 1023)):
+        yield np.where(rng.random((4, 4)) < 0.3, 0.0,
+                       np.ldexp(rng.normal(size=(4, 4)), rng.integers(*exponents, size=(4, 4))))
+
+
+@pytest.mark.parametrize("image", [np.transpose, lambda q: -q.T, lambda q: q[::-1, ::-1],
+                                   lambda q: q[np.roll(np.arange(len(q)), 1)]],
+                         ids=["transpose", "antisymmetric", "flip", "gather"])
+def test_asymmetry_is_byte_equal_to_the_quartered_reading(image):
+    # a real array within 2**1022 is read in one unquartered difference; the
+    # value is the same float as the quartered formula's on every array
+    for M in _edge_arrays():
+        assert asymmetry(M, image).hex() == _quartered_asymmetry(M, image).hex(), M
 
 
 def _svd_mu_norm(mu, tau):
@@ -945,7 +981,9 @@ def test_probe_ladder_matches_per_block_reference_on_the_long_chain():
     A, tau = lattice_energy_form(128, 0.5, 1.0)
     A2, _ = lattice_energy_form(128, 0.5, 1.7)
     mu1, mu2 = ground_state_mu(A, tau), ground_state_mu(A2, tau)
-    rep = equivalence_probe(mu1, mu2, tau, truncations=[16, 32, 64, 128])
+    # on the split route a rung of at most 64 modes is the q block's leading
+    # block; 96 modes take the q block and the p block's leading block
+    rep = equivalence_probe(mu1, mu2, tau, truncations=[16, 32, 64, 96, 128])
     _assert_matches_blocks(rep, mu1, mu2)
 
 
@@ -983,6 +1021,160 @@ def test_probe_report_json():
     rep = equivalence_probe(mu, mu, truncations=[1, 2])
     assert rep.verdict == "bounded-trend"
     assert rep.hs_norms == (0.0, 0.0)
+
+
+# ------------------------------------------------------ the q-p split frame
+
+def _split_pairs():
+    # q-p split pairs (mu = blockdiag(mu_qq, mu_pp), tau with only its q-p
+    # blocks), each with a second covariance of the same tau for the probe
+    chain = lattice_ground_covariance(16, 0.5, 1.0)
+    heavier = lattice_ground_covariance(16, 0.5, 1.7)
+    pure, other = (qfirst_pure_pair(np.random.default_rng(seed), 5, 3.0, shear=False)
+                   for seed in (51, 52))
+    return {
+        "chain": (chain, standard_symplectic_form(16), heavier),
+        "qfirst-pure": (*pure, other[0]),
+        "qfirst-mixed": (1.5 * pure[0], pure[1], 2.0 * other[0]),
+    }
+
+
+def _permuted(M, order):
+    return M[np.ix_(order, order)]
+
+
+def _close(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("name", ["chain", "qfirst-pure", "qfirst-mixed"])
+def test_split_frame_agrees_with_the_whole_matrix_route(name):
+    # the interleaved ordering couples q and p in the matrix layout, so the
+    # same pair takes the one-block route there; results are put back
+    mu, tau, mu2 = _split_pairs()[name]
+    n = len(mu) // 2
+    order = _interleaved(n)
+    back = np.argsort(order)
+    whole = [_permuted(m, order) for m in (mu, tau, mu2)]
+    assert len(phase_space._parts(mu, tau)) == 2
+    assert len(phase_space._parts(*whole[:2])) == 1
+
+    split_j, whole_j = validate_mu_tau(mu, tau), validate_mu_tau(*whole[:2])
+    assert _close(split_j.J, _permuted(whole_j.J, back))
+    assert _close(split_j.mu_norm, whole_j.mu_norm)
+
+    s, w = one_particle(mu, tau), one_particle(*whole[:2])
+    bound = 1e-11 * max(1.0, np.abs(mu + 0.5j * tau).max())
+    assert s.dim == w.dim and max(s.reconstruction_residual, w.reconstruction_residual) <= bound
+    w = OneParticleStructure(K=w.K[:, back], mu=mu, tau=tau, dim=w.dim,
+                             reconstruction_residual=w.reconstruction_residual)
+    V = intertwiner(s, w)
+    assert np.abs(V.conj().T @ V - np.eye(s.dim)).max() <= 1e-12
+
+    s, w = purity(mu, tau), purity(*whole[:2])
+    assert s.verdict == w.verdict == ("mixed" if "mixed" in name else "pure")
+    assert _close(s.j_square_residual, w.j_square_residual)
+    assert _close(s.variational_residual, w.variational_residual)
+
+    s = equivalence_probe(mu, mu2, tau)
+    w = equivalence_probe(whole[0], whole[2], whole[1])
+    for field_ in ("hs_norms", "c_mins", "c_maxs"):
+        assert _close(getattr(s, field_), getattr(w, field_)), field_
+    assert np.abs(s.Q - _permuted(w.Q, back)).max() <= 1e-12 * np.abs(s.Q).max()
+
+
+def test_split_frame_runs_in_n_by_n_blocks(monkeypatch):
+    mu, tau = lattice_ground_covariance(8, 0.5, 1.0), standard_symplectic_form(8)
+    mu2 = lattice_ground_covariance(8, 0.5, 1.7)
+    calls = []
+    for name in ("cholesky", "eigvalsh", "eigh", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *b, name=name, real=real:
+                            calls.append((name, a.shape)) or real(a, *b))
+    validate_mu_tau(mu, tau)
+    assert {shape for _, shape in calls} == {(8, 8)}  # no 16 x 16 factorization
+    calls.clear()
+    purity(mu, tau)
+    assert [c for c in calls if c[0] in ("solve", "eigvalsh")] == (
+        [("solve", (8, 8))] * 2 + [("eigvalsh", (8, 8))] * 2)
+    calls.clear()
+    equivalence_probe(mu, mu2, tau, truncations=[4, 8])
+    # the rung at 4 modes is the q block; the top rung is both blocks
+    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (8, 8))] * 3
+
+
+def _qp(T_qp, T_pq):
+    zero = np.zeros_like(T_qp)
+    return np.block([[zero, T_qp], [T_pq, zero]])
+
+
+def test_split_frame_refusals(monkeypatch):
+    # each refusal of the one-block route, met on a q-p split pair with the
+    # same class and message
+    mu, tau = lattice_ground_covariance(8, 0.5, 1.0), standard_symplectic_form(8)
+    indefinite = mu.copy()
+    indefinite[8:, 8:] = -np.eye(8)  # mu_qq positive definite, mu_pp not
+    # tau's 5e-13 asymmetry is 2.5e-7 in the frame of mu's 1e-6 directions
+    skew = np.diag([0.5, 1e-6] * 2), _qp(np.diag([1.0, 1e-6]), -np.diag([1.0, 1e-6 * (1 + 5e-7)]))
+    # the q block solves; the p block, singular at working precision once
+    # scaled, meets a zero pivot
+    zero = np.zeros((2, 2))
+    singular = (np.block([[np.eye(2) / 2.0, zero], [zero, _NEAR_SINGULAR_MU]]),
+                _qp(4e-27 * np.eye(2), -4e-27 * np.eye(2)))
+    # ||J_qp|| = 1 + 2e-9 but ||J_pq|| = 1 - 1e-9: a rotation keeps every
+    # entry below 1, and a third mode 1e4 times larger keeps tau's asymmetry
+    # (2e-9 at most) below 1e-12 of its largest entry
+    c = math.sqrt(0.5)
+    R = np.array([[c, -c], [c, c]])
+    T_qp, T_pq = np.diag([0.0, 0.0, 1e4]), np.diag([0.0, 0.0, -1e4])
+    T_qp[:2, :2], T_pq[:2, :2] = (1.0 + 2e-9) * R, -(1.0 - 1e-9) * R.T
+    one_block = np.diag([0.5, 0.5, 1e4] * 2), _qp(T_qp, T_pq)
+    small = np.eye(4) / 6.0, standard_symplectic_form(2)
+    for pair in ((indefinite, tau), small, skew, singular, one_block):
+        assert len(phase_space._parts(*pair)) == 2
+
+    with pytest.raises(InvalidCovarianceError, match="^mu is not positive definite$"):
+        validate_mu_tau(indefinite, tau)
+    with pytest.raises(InvalidCovarianceError,
+                       match=r"^\|J\|_mu >= 3 exceeds 1: the pair bound fails$"):
+        purity(*small)
+    with pytest.raises(InvalidCovarianceError, match="^J is not mu-antisymmetric$"):
+        one_particle(*skew)
+    validate_mu_tau(*singular)
+    with pytest.raises(ValidationError,
+                       match=r"^tau\^T mu\^\{-1\} tau overflows the float range$"):
+        purity(*singular)
+    probes = []
+    positive = phase_space._positive
+    monkeypatch.setattr(phase_space, "_positive",
+                        lambda M: probes.append(positive(M)) or probes[-1])
+    for entry in (validate_mu_tau, one_particle, purity):
+        with pytest.raises(InvalidCovarianceError,
+                           match=r"^\|J\|_mu = 1\.000000002 exceeds 1: the pair bound fails$"):
+            entry(*one_block)
+    assert probes == [True, False] * 3  # G's q block passes, its p block fails
+
+
+@pytest.mark.parametrize("where", ["both-1e-300", "upper-1e-14"])
+def test_a_near_split_pair_takes_the_one_block_route(where):
+    # mu's q-p blocks must both be exact zeros: cholesky reads one triangle,
+    # so a pair whose upper block alone is nonzero is not read as split
+    mu, tau = lattice_ground_covariance(8, 0.5, 1.0), standard_symplectic_form(8)
+    mu = mu.copy()
+    if where == "both-1e-300":
+        mu[0, 8] = mu[8, 0] = 1e-300
+    else:
+        mu[0, 8] = 1e-14 * np.abs(mu).max()
+    assert len(phase_space._parts(mu, tau)) == 1
+    assert validate_mu_tau(mu, tau).mu_norm == pytest.approx(1.0, abs=1e-12)
+    assert one_particle(mu, tau).dim == 8
+    rep = purity(mu, tau)
+    assert rep.pure and rep.variational_residual <= 1e-13
+    # a probe splits only when both frames do
+    split = lattice_ground_covariance(8, 0.5, 1.0)
+    for mu1, mu2 in ((split, 2.0 * mu), (mu, 2.0 * split)):
+        _assert_matches_blocks(equivalence_probe(mu1, mu2, tau, truncations=[4, 8]), mu1, mu2)
 
 
 NAN_MU = np.where(np.eye(4, dtype=bool), math.nan, 0.0)

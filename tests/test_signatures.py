@@ -5,7 +5,8 @@ well, so that a new option is added on purpose, with this list.  numpy's
 error state is set in one place, the float_range guard, and a float Python
 scalar is read for finiteness in one place, errors.as_finite_complex, or
 errors.as_finite for a real one; the pairing sum over sets of free slots is
-written once; these are tested here too."""
+written once, and so is the test of a pair's q-p split; these are tested
+here too."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import ccr_lab
+from ccr_lab import phase_space
 from ccr_lab.errors import ValidationError, float_range
 from ccr_lab.phase_space import purity
 
@@ -152,6 +154,19 @@ def test_the_pair_bound_is_decided_in_one_place():
         assert [name for name, text in texts.items() if gone in text] == []
     sites = {name: text.count("(1.0 + 1e-9) ** 2") for name, text in texts.items()}
     assert {name: n for name, n in sites.items() if n} == {"phase_space.py": 1}
+
+
+def test_the_qp_split_is_decided_in_one_place():
+    # phase_space._parts decides for _frame and ground_state_mu alike whether
+    # a pair runs in its q and p halves: its test of T's two diagonal blocks
+    # is the one in src/, and ground_state_mu keeps no predicate of its own
+    sites = {name: text.count("T[q, q].any() or T[p, p].any()")
+             for name, text in _source_texts().items()}
+    assert {name: n for name, n in sites.items() if n} == {"phase_space.py": 1}
+    for entry, call in ((phase_space.ground_state_mu, "_parts(A, T)"),
+                        (phase_space._frame, "_parts(mu, tau)")):
+        source = inspect.getsource(entry)
+        assert call in source and ".any()" not in source
 
 
 def test_a_real_scalar_is_read_for_finiteness_in_one_place():
