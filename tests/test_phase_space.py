@@ -81,7 +81,7 @@ def test_shape_and_symmetry_validation():
 
 
 def _quartered_asymmetry(M, image):
-    # errors.asymmetry as it reads every array: on Q = M / 4, six passes
+    # errors.asymmetry's formula with np.abs temporaries
     Q = M / 4.0
     big = float(np.abs(Q).max(initial=0.0))
     return float(np.abs(Q - image(Q)).max(initial=0.0)) / big if big else 0.0
@@ -96,8 +96,7 @@ def _edge_arrays():
     yield np.array([[2.0**1022, 1.0], [3.0, 2.0**1022]])
     yield np.array([[5 * tiny, 3 * tiny], [tiny, 0.0]])
     yield np.array([[1.0, 2.0**-1020], [2.0**-1021 + 2.0**-1073, 1.0]])  # quartering rounds
-    for gap in (2.0**-960, 2.0**-960 * (1 - 2.0**-53), 2.0**-959):
-        yield np.array([[1.0, gap], [0.0, 1.0]])
+    yield np.array([[-0.0, 1.0], [-1.0, -0.0]])  # antisymmetric: Q + Q.T is all signed zeros
     yield np.array([[1e308 + 1e308j, 1.0], [1e-320j, -1e308]])
     yield np.array([[1.0 + 2.0**-1020 * 1j, 1.0], [3.0 * tiny, 1j]])
     for exponents in ((-1080, 1023), (-1074, -950), (1000, 1023)):
@@ -109,8 +108,8 @@ def _edge_arrays():
                                    lambda q: q[np.roll(np.arange(len(q)), 1)]],
                          ids=["transpose", "antisymmetric", "flip", "gather"])
 def test_asymmetry_is_byte_equal_to_the_quartered_reading(image):
-    # a real array within 2**1022 is read in one unquartered difference; the
-    # value is the same float as the quartered formula's on every array
+    # a real array is read by its max and min, with no abs temporary; the
+    # value is the same float as with them on every array
     for M in _edge_arrays():
         assert asymmetry(M, image).hex() == _quartered_asymmetry(M, image).hex(), M
 
@@ -238,6 +237,17 @@ def test_mixed_state_doubles_dimension():
     assert one_particle(mu, tau).dim == 4
     mu_p, tau_p = random_pure_pair(rng, 2)
     assert one_particle(mu_p, tau_p).dim == 2
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_odd_dimension_with_zero_tau_is_one_block(dim):
+    # an odd pair never splits: J = 0, so the structure keeps every direction
+    mu, tau = np.eye(dim) / 2.0, np.zeros((dim, dim))
+    s = one_particle(mu, tau)
+    assert s.dim == dim and s.K.shape == (dim, dim)
+    assert s.reconstruction_residual <= 1e-11
+    assert validate_mu_tau(mu, tau).mu_norm == 0.0
+    assert purity(mu, tau).verdict == "mixed"
 
 
 def test_intertwiner_between_equal_inputs():
