@@ -164,8 +164,8 @@ class InvalidCovarianceError(ValidationError):
 
 class InternalInconsistencyError(NumericalCheckError):
     """A result misses its own defining relation on validated input: the
-    one_particle, intertwiner and purity (two tests disagree) checks of
-    phase_space, and lattice_propagator's window compression."""
+    one_particle and intertwiner checks of phase_space, and
+    lattice_propagator's window compression."""
 
 
 class SpectrumNotGappedError(ValidationError):

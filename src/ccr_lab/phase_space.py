@@ -177,11 +177,15 @@ def _frame(mu, tau, what="mu"):
     return _Frame(mu, tau, L, Linv, half, Jt, G, parts)
 
 
+def _spectrum(G, parts):
+    """The eigenvalues of G = Jt^T Jt in ascending order: the union of the
+    spectra of its diagonal blocks (see _frame)."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(G[k, k]) for k in parts]))
+
+
 def _norm(G, parts):
-    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt over
-    its diagonal blocks."""
-    top = max(float(np.linalg.eigvalsh(G[k, k])[-1]) for k in parts)
-    return math.sqrt(max(top, 0.0))
+    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
+    return math.sqrt(max(float(_spectrum(G, parts)[-1]), 0.0))
 
 
 def _positive(M):
@@ -268,7 +272,9 @@ def one_particle(mu, tau):
     probe of the frame's G, one per diagonal block of a q-p split frame
     (see _frame), puts every singular value of Jt at or above 1 - 2e-10 and
     K meets the residual bound below; every other pair takes the spectral
-    route.
+    route.  On a q-p split frame K = [Lq^T, i half_qp], and K^H K is checked
+    in real N x N blocks (see _split_residual) rather than as one complex
+    2N x 2N product.
 
     Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
     its eigenspaces above 1e-10 times the top eigenvalue carry the
@@ -279,12 +285,15 @@ def one_particle(mu, tau):
     """
     f = _frame(mu, tau)
     n, eye = len(f.Jt) // 2, np.eye(len(f.Jt))
-    target = f.mu + 0.5j * f.tau
-    tol = 1e-11 * max(1.0, np.abs(target).max())
+    split = len(f.parts) == 2
+    # each entry of a split pair's mu + (i/2) tau is one of mu's or of (i/2) tau's
+    top = (max(np.abs(f.mu).max(), np.abs(f.tau).max() / 2.0) if split
+           else np.abs(f.mu + 0.5j * f.tau).max())
+    tol = 1e-11 * max(1.0, top)
     if not f.tau[:n, :n].any() and all(_positive(f.G[k, k] - (1.0 - 4e-10) * eye[k, k])
                                        for k in f.parts):
         K = f.L.T[:n] + 1j * f.half[:n]
-        resid = float(np.abs(K.conj().T @ K - target).max())
+        resid = _split_residual(f) if split else _residual(K, f)
         if resid <= tol:
             return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
                                         reconstruction_residual=resid)
@@ -292,7 +301,7 @@ def one_particle(mu, tau):
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
     K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
-    resid = float(np.abs(K.conj().T @ K - target).max())
+    resid = _residual(K, f)
     if resid > tol:
         if w.min() < -1e-12:
             # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
@@ -306,6 +315,23 @@ def one_particle(mu, tau):
         )
     return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=int(keep.sum()),
                                 reconstruction_residual=resid)
+
+
+def _residual(K, f):
+    """max |K^H K - (mu + (i/2) tau)|."""
+    return float(np.abs(K.conj().T @ K - (f.mu + 0.5j * f.tau)).max())
+
+
+def _split_residual(f):
+    """_residual of the frame route's K = [Lq^T, i half_qp] on a q-p split
+    frame, in real N x N blocks: K^H K - (mu + (i/2) tau) has Lq Lq^T - mu_qq
+    and half_qp^T half_qp - mu_pp on its diagonal, and i (P - tau_qp / 2)
+    and -i (P^T + tau_pq / 2) off it, with P = Lq half_qp."""
+    q, p = f.parts
+    Lq, H = f.L[q, q], f.half[q, p]
+    P = Lq @ H
+    return float(max(np.abs(Lq @ Lq.T - f.mu[q, q]).max(), np.abs(P - f.tau[q, p] / 2.0).max(),
+                     np.abs(P.T + f.tau[p, q] / 2.0).max(), np.abs(H.T @ H - f.mu[p, p]).max()))
 
 
 def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
@@ -330,9 +356,12 @@ def intertwiner(s1: OneParticleStructure, s2: OneParticleStructure):
 
 @dataclass(frozen=True)
 class PurityReport:
+    """purity's reading: the spectrum of G = Jt^T Jt in ascending order, its
+    largest distance from 1 and the verdict that distance gives."""
+
     pure: bool
-    j_square_residual: float
-    variational_residual: float
+    residual: float
+    spectrum: np.ndarray = field(repr=False)
 
     @property
     def verdict(self):
@@ -340,58 +369,24 @@ class PurityReport:
 
 
 def purity(mu, tau):
-    """Two independent purity tests that must agree.
+    """Whether the quasifree state of (mu, tau) is pure, read off its
+    symplectic spectrum.
 
-    Test A: J^2 = -I within 1e-10, read in the mu-frame as Jt^2 = -I
-    (J = L^{-T} Jt L^T), where the entries have unit scale rather than
-    growing with cond(mu).  Test B: the variational characterization, which
-    reduces to the generalized eigenproblem (1/4) tau^T mu^{-1} tau v =
-    lambda mu v having all lambda equal to 1 within 1e-8; the sup over the
-    Rayleigh quotient is attained there.  _frame has decided the pair bound.
-    Disagreement raises, since both express the same purity condition.
-    On a q-p split frame (see _frame) Jt^2 and B are block diagonal, so
-    each test runs per diagonal block: one product for A, and one solve,
-    one congruence and one spectrum for B.
+    By Williamson's normal form a symplectic congruence takes mu to
+    diag(nu_k) with each symplectic eigenvalue nu_k >= 1/2 twice, and the
+    state is pure iff every nu_k = 1/2 (Manuceau and Verbeure).  In the
+    mu-frame of _frame the singular values of Jt are sigma_k = 1 / (2 nu_k),
+    so the eigenvalues of G = Jt^T Jt are the sigma_k^2, each twice: G is
+    similar to mu^{-1} T^T mu^{-1} T with T = tau / 2, and its entries have
+    unit scale whatever cond(mu).  The pair is pure iff max |lambda - 1| <=
+    1e-8 over that spectrum; _frame has decided the pair bound, lambda <=
+    (1 + 1e-9)^2.  On a q-p split frame G is block diagonal and its spectrum
+    is the union of its diagonal blocks' spectra, one N x N eigvalsh each.
     """
     f = _frame(mu, tau)
-    blocks = list(zip(f.parts, f.parts[::-1]))
-    eye = np.eye(len(f.mu) // len(f.parts))
-    r_square = max(float(np.abs(f.Jt[k, j] @ f.Jt[j, k] + eye).max()) for k, j in blocks)
-    pure_a = r_square <= 1e-10
-
-    # Test B solves with mu itself; only the Cholesky factor that reduces
-    # the generalized problem to a symmetric one is shared with the frame.
-    # B is invariant under the congruence (mu, tau, Linv) -> (D mu D, D tau D,
-    # Linv D^{-1}), so it is formed with D the diagonal of powers of two that
-    # put each mu_ii in [1, 4).  Then |mu_ij| < 4 and the pair bound keeps
-    # tau's entries below 8; entries lost below the float range can still
-    # leave a mu whose inverse is not finite, and np.linalg.solve, unseen by
-    # float_range, then returns inf or raises LinAlgError on a zero pivot.
-    e = -((np.frexp(np.diag(f.mu))[1] - 1) // 2)
-    Bs = []
-    with float_range("tau^T mu^{-1} tau"):
-        mu, tau = (np.ldexp(m, e[:, None] + e) for m in (f.mu, f.tau))
-        Linv = np.ldexp(f.Linv, -e)
-        for k, j in blocks:
-            try:
-                X = np.linalg.solve(mu[k, k], tau[k, j])
-                finite = np.isfinite(X).all()
-            except np.linalg.LinAlgError:
-                finite = False
-            if not finite:
-                raise ValidationError("tau^T mu^{-1} tau overflows the float range")
-            Bs.append(Linv[j, j] @ (0.25 * tau[k, j].T @ X) @ Linv[j, j].T)
-    lams = np.concatenate([np.linalg.eigvalsh((B + B.T) / 2.0) for B in Bs])
-    r_var = float(np.abs(lams - 1.0).max())
-    pure_b = r_var <= 1e-8
-
-    if pure_a != pure_b:
-        raise InternalInconsistencyError(
-            f"purity checks disagree: |J^2+I| = {r_square:.3e}, "
-            f"eigenvalue residual = {r_var:.3e}"
-        )
-    return PurityReport(pure=pure_a, j_square_residual=r_square,
-                        variational_residual=r_var)
+    lams = _spectrum(f.G, f.parts)
+    residual = float(np.abs(lams - 1.0).max())
+    return PurityReport(pure=residual <= 1e-8, residual=residual, spectrum=lams)
 
 
 def ground_state_mu(energy_form, tau=None):

@@ -182,22 +182,48 @@ def lattice_ground_covariance(n_sites, spacing, mass):
 
     in the ordering (q_1..q_N, p_1..p_N); the q-p blocks vanish.
     """
+    return lattice_thermal_covariance(n_sites, spacing, mass, math.inf)
+
+
+def lattice_thermal_covariance(n_sites, spacing, mass, beta):
+    """Thermal covariance of the periodic Klein-Gordon chain at inverse
+    temperature beta: lattice_ground_covariance with each mode's term
+    weighted by coth(beta omega_k / 2), so mode k's symplectic eigenvalue
+    is coth(beta omega_k / 2) / 2, the ground state's times that factor.  beta = inf gives
+    the ground state, term for term."""
     n = n_sites
     omegas = [
         lattice_dispersion(2.0 * math.pi * k / (n * spacing), mass, spacing)
         for k in range(n)
     ]
+    coth = [1.0 / math.tanh(beta * w / 2.0) for w in omegas]
     qq = np.zeros(n)
     pp = np.zeros(n)
     for d in range(n):  # d = (i - j) mod N
         cosines = [math.cos(2.0 * math.pi * k * d / n) for k in range(n)]
-        qq[d] = math.fsum(w * c for w, c in zip(omegas, cosines)) / (2.0 * n)
-        pp[d] = math.fsum(c / w for w, c in zip(omegas, cosines)) / (2.0 * n)
+        qq[d] = math.fsum(w * f * c for w, f, c in zip(omegas, coth, cosines)) / (2.0 * n)
+        pp[d] = math.fsum(c * f / w for w, f, c in zip(omegas, coth, cosines)) / (2.0 * n)
     lag = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     mu = np.zeros((2 * n, 2 * n))
     mu[:n, :n] = qq[lag]
     mu[n:, n:] = pp[lag]
     return mu
+
+
+def symplectic_spectrum(mu, tau):
+    """The eigenvalues of mu^{-1} T^T mu^{-1} T with T = tau / 2, ascending,
+    in 50 digits from the float entries taken exactly: 1 / (2 nu_k)^2, each
+    twice, for the symplectic eigenvalues nu_k >= 1/2 of mu (all 1 for a
+    pure pair).  They are read as the spectrum of the similar symmetric
+    matrix A^T A with A = mu^{-1/2} T mu^{-1/2}, mu^{-1/2} from mu's own
+    eigenvectors, so no Cholesky frame is shared with the package."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        w, V = mpmath.eigsy(mpmath.matrix(np.asarray(mu, dtype=float).tolist()))
+        R = V * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * V.T
+        A = R * mpmath.matrix((np.asarray(tau, dtype=float) / 2.0).tolist()) * R
+        return np.array(sorted(float(x) for x in mpmath.eigsy(A.T * A, eigvals_only=True)))
 
 
 def rank1_hs_norm(mu1, v):

@@ -38,12 +38,15 @@ from ccr_lab.phase_space import (
 
 from oracles import (
     ho_ground_covariance,
+    lattice_dispersion,
     lattice_ground_covariance,
+    lattice_thermal_covariance,
     qfirst_pure_pair,
     random_mixed_pair,
     random_pure_pair,
     rank1_hs_norm,
     standard_symplectic,
+    symplectic_spectrum,
     wick_moment,
 )
 
@@ -453,6 +456,36 @@ def _exact_residual(K, mu, tau):
         return float(max(abs(d) for d in D))
 
 
+@pytest.mark.parametrize("n, squeeze", [(1, 1.0), (3, 1e2), (8, 10.0)])
+def test_split_frame_route_checks_k_in_real_blocks(n, squeeze, monkeypatch):
+    # on a q-p split frame K^H K is checked in real N x N blocks, with no
+    # complex product: its residual is the complex one to roundoff.  tau's
+    # p-q block is off by 5e-13 of itself, which tau's antisymmetry check
+    # admits, so the residual's p-q block is not the q-p block's transpose
+    mu, tau = qfirst_pure_pair(np.random.default_rng(7 * n), n, squeeze, shear=False)
+    tau[n:, :n] *= 1.0 + 5e-13
+    assert len(phase_space._parts(mu, tau)) == 2
+    scale = max(1.0, np.abs(mu).max(), np.abs(tau).max() / 2.0)
+    with monkeypatch.context() as m:
+        m.setattr(phase_space, "_residual", lambda *a: pytest.fail("complex K^H K"))
+        s = one_particle(mu, tau)
+    assert s.dim == n
+    assert abs(s.reconstruction_residual - _exact_residual(s.K, mu, tau)) <= 1e-15 * scale
+    # half off by 1e-6 of itself fails the blocks' check, so the pair falls
+    # through to the spectral route, which does not read half; L off by
+    # 1e-8 fails both routes
+    frame = phase_space._frame
+    for field_, skew in (("half", 1e-6), ("L", 1e-8)):
+        monkeypatch.setattr(phase_space, "_frame", lambda *a: (
+            lambda f: f._replace(**{field_: getattr(f, field_) * (1.0 + skew)}))(frame(*a)))
+        if field_ == "L":
+            with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
+                one_particle(mu, tau)
+        else:
+            calls = _spy(monkeypatch)
+            assert one_particle(mu, tau).dim == n and calls.count("eigh") == 1
+
+
 # Pairs the spectral route refuses as "no one-particle structure reproduces
 # the pair" and the frame route admits, its K meeting the 1e-11 bound:
 # a pure pair with cond(mu) about 7.5e9, where the complex eigensolver's
@@ -482,7 +515,7 @@ def test_purity_closed_form_cases():
     assert purity(np.eye(2) / 2.0, TAU1).pure
     rep = purity(np.eye(2), TAU1)
     assert not rep.pure
-    assert rep.variational_residual == pytest.approx(0.75, abs=1e-12)
+    assert rep.residual == pytest.approx(0.75, abs=1e-12)
     assert not purity(np.eye(4), np.zeros((4, 4))).pure
 
 
@@ -496,14 +529,13 @@ def test_purity_double_check_random_pairs():
 
 
 def test_purity_reads_an_ill_conditioned_pure_pair_as_pure():
-    # cond(mu) = 2.6e8: formed as mu^{-1} tau / 2, J^2 + I carried 1.8e-10
-    # of roundoff, past test A's 1e-10, while test B read the pair as pure;
-    # in the mu-frame, Jt^2 + I keeps unit scale
+    # cond(mu) = 2.6e8: formed as mu^{-1} tau / 2, J^2 + I carries 1.8e-10
+    # of roundoff; the frame's G = Jt^T Jt keeps unit scale
     rng = np.random.default_rng(29)
     n = int(rng.integers(1, 5))
     mu, tau = qfirst_pure_pair(rng, n, float(10 ** rng.uniform(0, 3)))
     rep = purity(mu, tau)
-    assert rep.pure and rep.j_square_residual <= 1e-11
+    assert rep.pure and rep.residual <= 1e-11
 
 
 def test_purity_at_the_edges_of_the_float_range():
@@ -514,9 +546,8 @@ def test_purity_at_the_edges_of_the_float_range():
     assert purity(np.diag([1e150, 1e-150]) / 2.0, TAU1).verdict == "pure"
 
 
-# the verdict is invariant under a congruence by powers of two, which puts
-# each mu_ii in [1, 4), so a diagonal spanning more than the float range
-# keeps both entries
+# the frame reads mu in its own Cholesky factor, so a diagonal spanning
+# more than the float range keeps both entries
 @pytest.mark.parametrize(
     "mu", [np.diag([1e300, 1e-300]), np.diag([1e308, 1e-320])],
     ids=["1e300-1e-300", "1e308-1e-320"],
@@ -527,23 +558,15 @@ def test_purity_admits_a_diagonal_wider_than_the_float_range(mu):
     assert purity(mu, zero).verdict == "mixed"
 
 
-# validate_mu_tau admits the pair, but it is singular at working precision,
-# so np.linalg.solve meets a zero pivot.  It is refused with ValidationError,
-# not LinAlgError or a RuntimeWarning.
-_NEAR_SINGULAR_MU = np.array([
-    [7.1943437380553370e-19, -1.7084594178432713e-18],
-    [-1.7084594178432713e-18, 4.0571227740729871e-18],
-])
-
-
-@pytest.mark.parametrize(
-    "mu, tau", [(_NEAR_SINGULAR_MU, 4.2138477380441937e-26 * TAU1)], ids=["zero-pivot"]
-)
-def test_purity_refuses_a_covariance_whose_scaled_inverse_is_not_finite(mu, tau):
-    validate_mu_tau(mu, tau)
-    refusal = r"^tau\^T mu\^\{-1\} tau overflows the float range$"
-    with pytest.raises(ValidationError, match=refusal):
-        purity(mu, tau)
+def test_purity_reads_a_covariance_admitted_by_roundoff_as_mixed():
+    # taken exactly as floats, this mu has det -2.5e-52, so the 2 x 2 closed
+    # form sigma^2 = tau_12^2 / (4 det mu) is -1.76: no state has the pair.
+    # _frame admits it on a Cholesky pivot of roundoff size (2.8e-17), and
+    # the frame's spectrum, 0.80 twice, reads mixed
+    a, b, c = 7.1943437380553370e-19, -1.7084594178432713e-18, 4.0571227740729871e-18
+    t = 4.2138477380441937e-26
+    assert Fraction(t) ** 2 / (4 * (Fraction(a) * Fraction(c) - Fraction(b) ** 2)) < -1.7
+    assert purity(np.array([[a, b], [b, c]]), t * TAU1).verdict == "mixed"
 
 
 def test_frame_refuses_a_j_that_is_not_mu_antisymmetric():
@@ -588,20 +611,102 @@ def test_one_particle_reconstruction_check_negative_control(monkeypatch):
         one_particle(mu, tau)
 
 
-def test_purity_agreement_check_negative_control(monkeypatch):
-    # a frame's Jt off by 1e-3 of itself fails test A (|Jt^2 + I| = 2e-3)
-    # while test B, which reads mu and tau, still finds the pair pure
+@pytest.mark.parametrize("skew, verdict", [(1e-3, "mixed"), (-1e-3, "mixed"), (1e-9, "pure")])
+def test_purity_verdict_negative_control(skew, verdict, monkeypatch):
+    # a frame's Jt off by 1e-3 of itself puts its spectrum at (1 +- 1e-3)^2,
+    # 2e-3 from 1, past the 1e-8 bound; off by 1e-9 it stays inside
     mu, tau = np.eye(2) / 2.0, TAU1
     assert purity(mu, tau).pure
     frame = phase_space._frame
 
     def skewed(*args):
         f = frame(*args)
-        return f._replace(Jt=f.Jt * (1.0 + 1e-3))
+        Jt = f.Jt * (1.0 + skew)
+        return f._replace(Jt=Jt, G=Jt.T @ Jt)
 
     monkeypatch.setattr(phase_space, "_frame", skewed)
-    with pytest.raises(InternalInconsistencyError, match="purity checks disagree"):
-        purity(mu, tau)
+    rep = purity(mu, tau)
+    assert rep.verdict == verdict
+    assert rep.residual == pytest.approx(abs(2 * skew + skew * skew), rel=1e-6)
+
+
+# ------------------------------------------ purity against independent oracles
+
+def _oracle_pair(kind, n):
+    rng = np.random.default_rng(100 + n)
+    if kind == "random-pure":
+        return random_pure_pair(rng, n)
+    if kind == "random-mixed":
+        return random_mixed_pair(rng, n)
+    mu, tau = qfirst_pure_pair(rng, n, 30.0, shear=kind == "qfirst")
+    return (2.5 * mu if kind == "split-mixed" else mu), tau
+
+
+@pytest.mark.parametrize("route", ["as-given", "interleaved"])
+@pytest.mark.parametrize("kind", ["random-pure", "random-mixed", "qfirst", "split-pure",
+                                  "split-mixed"])
+def test_purity_spectrum_matches_the_symplectic_spectrum_oracle(kind, route):
+    # the oracle shares no Cholesky frame with purity; a q-p split pair takes
+    # the split route as given and the one-block route interleaved
+    for n in (1, 2, 3, 4):
+        mu, tau = _oracle_pair(kind, n)
+        if route == "interleaved":
+            order = _interleaved(n)
+            mu, tau = mu[np.ix_(order, order)], tau[np.ix_(order, order)]
+        split = kind.startswith("split") and (route == "as-given" or n == 1)
+        assert len(phase_space._parts(mu, tau)) == (2 if split else 1)
+        want = symplectic_spectrum(mu, tau)
+        rep = purity(mu, tau)
+        assert rep.spectrum.shape == (2 * n,)
+        assert np.abs(rep.spectrum - want).max() <= 1e-14 * np.linalg.cond(mu)
+        assert rep.residual == np.abs(rep.spectrum - 1.0).max()
+        assert rep.verdict == ("mixed" if "mixed" in kind else "pure")
+        assert (np.abs(want - 1.0).max() <= 1e-8) == rep.pure
+
+
+def test_purity_reads_the_thermal_chain_spectrum():
+    # at inverse temperature beta mode k's sigma is tanh(beta omega_k / 2),
+    # read by each of G's two blocks
+    n, a, m, beta = 128, 0.25, 1.0, 2.0
+    omegas = np.array([lattice_dispersion(2.0 * math.pi * k / (n * a), m, a) for k in range(n)])
+    tau = standard_symplectic_form(n)
+    rep = purity(lattice_thermal_covariance(n, a, m, beta), tau)
+    want = np.sort(np.repeat(np.tanh(beta * omegas / 2.0) ** 2, 2))
+    assert np.abs(rep.spectrum - want).max() <= 1e-13
+    assert rep.verdict == "mixed"
+    assert purity(lattice_thermal_covariance(n, a, m, 200.0), tau).verdict == "pure"
+
+
+# pure pairs with mu divided by 1 + 1e-9, on the bound ||J||_mu = 1 + 1e-9,
+# that _frame admits: the spectrum reads (1 + 1e-9)^2, 2e-9 from 1 and inside
+# the 1e-8 bound, while |Jt^2 + I| = 2e-9 lies past 1e-10, so a second test
+# of the same spectrum with a tighter bound would disagree on them
+@pytest.mark.parametrize("seed", [None, 3, 9])
+def test_purity_reads_a_pair_on_the_bound_as_pure(seed):
+    if seed is None:
+        mu, tau = np.eye(2) / 2.0, TAU1
+    else:  # q-first split pure pairs
+        rng = np.random.default_rng([seed, 31])
+        n = int(rng.integers(1, 5))
+        mu, tau = qfirst_pure_pair(rng, n, float(10 ** rng.uniform(0, 3)), shear=False)
+    mu = mu / (1.0 + 1e-9)
+    assert validate_mu_tau(mu, tau).mu_norm == pytest.approx(1.0 + 1e-9, abs=1e-12)
+    rep = purity(mu, tau)
+    assert rep.verdict == "pure" and rep.residual == pytest.approx(2e-9, abs=1e-11)
+
+
+# random pure pairs with cond(mu) from 9e6 to 1.3e8.  Their exact spectrum
+# lies within 2.5e-9 of 1 (symplectic_spectrum), but a solve with mu reads it
+# 1.1e-8 to 9.8e-8 from 1, past the bound: the frame's spectrum does not
+@pytest.mark.parametrize("seed", [615, 1886, 2897])
+def test_purity_reads_ill_conditioned_pure_pairs_as_the_oracle_does(seed):
+    rng = np.random.default_rng(seed)
+    mu, tau = random_pure_pair(rng, int(rng.integers(1, 5)))
+    want = symplectic_spectrum(mu, tau)
+    rep = purity(mu, tau)
+    assert np.abs(want - 1.0).max() <= 2.5e-9
+    assert np.abs(rep.spectrum - want).max() <= 1e-14 * np.linalg.cond(mu)
+    assert rep.verdict == "pure"
 
 
 # -------------------------------------------------------- ground_state_mu
@@ -1084,8 +1189,7 @@ def test_split_frame_agrees_with_the_whole_matrix_route(name):
 
     s, w = purity(mu, tau), purity(*whole[:2])
     assert s.verdict == w.verdict == ("mixed" if "mixed" in name else "pure")
-    assert _close(s.j_square_residual, w.j_square_residual)
-    assert _close(s.variational_residual, w.variational_residual)
+    assert _close(s.residual, w.residual) and _close(s.spectrum, w.spectrum)
 
     s = equivalence_probe(mu, mu2, tau)
     w = equivalence_probe(whole[0], whole[2], whole[1])
@@ -1106,8 +1210,8 @@ def test_split_frame_runs_in_n_by_n_blocks(monkeypatch):
     assert {shape for _, shape in calls} == {(8, 8)}  # no 16 x 16 factorization
     calls.clear()
     purity(mu, tau)
-    assert [c for c in calls if c[0] in ("solve", "eigvalsh")] == (
-        [("solve", (8, 8))] * 2 + [("eigvalsh", (8, 8))] * 2)
+    # one spectrum per diagonal block of G, and no solve
+    assert [c for c in calls if c[0] in ("solve", "eigvalsh")] == [("eigvalsh", (8, 8))] * 2
     calls.clear()
     equivalence_probe(mu, mu2, tau, truncations=[4, 8])
     # the rung at 4 modes is the q block; the top rung is both blocks
@@ -1127,11 +1231,6 @@ def test_split_frame_refusals(monkeypatch):
     indefinite[8:, 8:] = -np.eye(8)  # mu_qq positive definite, mu_pp not
     # tau's 5e-13 asymmetry is 2.5e-7 in the frame of mu's 1e-6 directions
     skew = np.diag([0.5, 1e-6] * 2), _qp(np.diag([1.0, 1e-6]), -np.diag([1.0, 1e-6 * (1 + 5e-7)]))
-    # the q block solves; the p block, singular at working precision once
-    # scaled, meets a zero pivot
-    zero = np.zeros((2, 2))
-    singular = (np.block([[np.eye(2) / 2.0, zero], [zero, _NEAR_SINGULAR_MU]]),
-                _qp(4e-27 * np.eye(2), -4e-27 * np.eye(2)))
     # ||J_qp|| = 1 + 2e-9 but ||J_pq|| = 1 - 1e-9: a rotation keeps every
     # entry below 1, and a third mode 1e4 times larger keeps tau's asymmetry
     # (2e-9 at most) below 1e-12 of its largest entry
@@ -1141,7 +1240,7 @@ def test_split_frame_refusals(monkeypatch):
     T_qp[:2, :2], T_pq[:2, :2] = (1.0 + 2e-9) * R, -(1.0 - 1e-9) * R.T
     one_block = np.diag([0.5, 0.5, 1e4] * 2), _qp(T_qp, T_pq)
     small = np.eye(4) / 6.0, standard_symplectic_form(2)
-    for pair in ((indefinite, tau), small, skew, singular, one_block):
+    for pair in ((indefinite, tau), small, skew, one_block):
         assert len(phase_space._parts(*pair)) == 2
 
     with pytest.raises(InvalidCovarianceError, match="^mu is not positive definite$"):
@@ -1151,10 +1250,6 @@ def test_split_frame_refusals(monkeypatch):
         purity(*small)
     with pytest.raises(InvalidCovarianceError, match="^J is not mu-antisymmetric$"):
         one_particle(*skew)
-    validate_mu_tau(*singular)
-    with pytest.raises(ValidationError,
-                       match=r"^tau\^T mu\^\{-1\} tau overflows the float range$"):
-        purity(*singular)
     probes = []
     positive = phase_space._positive
     monkeypatch.setattr(phase_space, "_positive",
@@ -1180,7 +1275,7 @@ def test_a_near_split_pair_takes_the_one_block_route(where):
     assert validate_mu_tau(mu, tau).mu_norm == pytest.approx(1.0, abs=1e-12)
     assert one_particle(mu, tau).dim == 8
     rep = purity(mu, tau)
-    assert rep.pure and rep.variational_residual <= 1e-13
+    assert rep.pure and rep.residual <= 1e-13
     # a probe splits only when both frames do
     split = lattice_ground_covariance(8, 0.5, 1.0)
     for mu1, mu2 in ((split, 2.0 * mu), (mu, 2.0 * split)):

@@ -169,6 +169,16 @@ def test_the_qp_split_is_decided_in_one_place():
         assert call in source and ".any()" not in source
 
 
+def test_purity_reads_one_spectrum():
+    # purity's verdict is one reading of the frame's spectrum, _spectrum,
+    # which _norm shares: phase_space solves no linear system and keeps no
+    # second purity test to agree with
+    text = _source_texts()["phase_space.py"]
+    assert "np.linalg.solve" not in text and "purity checks disagree" not in text
+    assert "_spectrum(f.G, f.parts)" in inspect.getsource(phase_space.purity)
+    assert "_spectrum(G, parts)" in inspect.getsource(phase_space._norm)
+
+
 def test_a_real_scalar_is_read_for_finiteness_in_one_place():
     # errors.as_finite is the one reader of a finite real; the other
     # math.isfinite tests SeparationPoint's sigma, a value computed from two
