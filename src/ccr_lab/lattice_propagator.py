@@ -9,11 +9,20 @@ solution satisfies it exactly on interior rows, which is what makes the
 pairing identities below hold to roundoff rather than to discretization
 order.  Every march, the Taylor start of a Cauchy solve and the wave
 operator itself are built on one leapfrog step, `_stencil`.  A march steps
-one row at a time, as each row needs the two before it, and adds a source
-only on the rows of its support box; the wave operator reads rows it does
-not write, so it steps blocks of 32 rows at once, with the single-row
-step's operations in the same order and so the same values.  A field finds
-its nonzero rows and support box in one scan, on first use.
+one row at a time, as each row needs the two before it, and takes a source
+as a block of rows and the grid index of the block's first row: the rows of
+the source's support box, a view of the field's values.  The wave operator
+reads rows it does not write, so it steps blocks of 32 rows at once, with
+the single-row step's operations in the same order and so the same values.
+A field finds its nonzero rows and support box in one scan, on first use.
+
+A causal solution is held in one grid.  The advanced solution is marched
+into it; the retarded one is marched only across the source rows, in a band
+of their number plus two, and subtracted.  Past the source the causal
+solution is minus the retarded one, and the step is linear with IEEE
+rounding symmetric in sign, so marching the grid on from there gives the
+values of the retarded march negated, the same values as subtracting a full
+retarded grid.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .errors import (
     InvalidSliceError,
     ValidationError,
     WindowTooThinError,
+    _largest_modulus,
     as_finite,
     as_finite_array,
     as_index,
@@ -110,14 +120,8 @@ class LatticeField:
 
     @cached_property
     def _support(self):
-        # which rows hold a nonzero entry, and the support box; one scan of
-        # the grid, made on first use, as the values never change
-        rows = (self.values != 0).any(axis=1)
-        n = np.flatnonzero(rows)
-        if n.size == 0:
-            return rows, None
-        cols = np.flatnonzero((self.values[n[0] : n[-1] + 1] != 0).any(axis=0))
-        return rows, (int(n[0]), int(n[-1]), int(cols[0]), int(cols[-1]))
+        # made on first use, as the values never change
+        return _scan(self.values)
 
     def support_box(self):
         """(n_min, n_max, j_min, j_max) of the nonzero entries, or None for
@@ -125,7 +129,19 @@ class LatticeField:
         return self._support[1]
 
     def norm(self):
-        return float(np.abs(self.values).max())
+        return _largest_modulus(self.values)
+
+
+def _scan(values, first=0):
+    """Which rows of `values` hold a nonzero entry, and the support box
+    (n_min, n_max, j_min, j_max) or None, in one scan; row k of `values` is
+    the grid's row first + k."""
+    rows = (values != 0).any(axis=1)
+    n = np.flatnonzero(rows)
+    if n.size == 0:
+        return rows, None
+    cols = np.flatnonzero((values[n[0] : n[-1] + 1] != 0).any(axis=0))
+    return rows, (first + int(n[0]), first + int(n[-1]), int(cols[0]), int(cols[-1]))
 
 
 def _check(kind, x):
@@ -155,12 +171,14 @@ class CauchyData:
 
     def __post_init__(self):
         _check(LatticeConfig, self.config)
-        psi, dpsi = (as_finite_array(a, "Cauchy data") for a in (self.psi, self.dpsi))
+        # copied and frozen, so a caller's later edit cannot bypass the check
+        psi, dpsi = (as_finite_array(a, "Cauchy data").copy() for a in (self.psi, self.dpsi))
         if psi.shape != (self.config.n_x,) or dpsi.shape != (self.config.n_x,):
             raise ValidationError("Cauchy arrays must have one entry per site")
         n = as_index(self.slice_index, "slice index")
         if not 0 <= n < self.config.n_steps:
             raise ValidationError("slice index outside the grid")
+        psi.flags.writeable = dpsi.flags.writeable = False
         object.__setattr__(self, "slice_index", n)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "dpsi", dpsi)
@@ -206,26 +224,35 @@ def _stencil(config, rows=None):
 
 def _march(psi, step, start, forward, source=None, stop=None):
     """Leapfrog psi in place from row `start` to row `stop` (by default the
-    grid edge ahead).  A source is a pair (values, rows): values[n] is
-    added in the step from row n for n in the range `rows`, outside which
-    the source is zero."""
+    grid edge ahead).  A source is a pair (block, first): block[k] is added
+    in the step from row first + k, and the source is zero on every other
+    row."""
     d = 1 if forward else -1
     if stop is None:
         stop = psi.shape[0] - 1 if forward else 0
-    values, rows = source if source is not None else (None, range(0))
+    block, first = source if source is not None else ((), 0)
     for n in range(start, stop, d):
-        step(psi[n], psi[n - d], psi[n + d], values[n] if n in rows else None)
+        k = n - first
+        step(psi[n], psi[n - d], psi[n + d], block[k] if 0 <= k < len(block) else None)
     return psi
 
 
-def _source_box(f: LatticeField, kinds):
-    """Support box of a source, checked to vanish on the first and last rows
-    and, on a padded grid, to keep the cones named in `kinds` off the pad."""
+def _source(f: LatticeField, kinds):
+    """The rows of a field's support box as a source for _march, checked as
+    _source_rows checks them."""
     box = _check(LatticeField, f).support_box()
+    return _source_rows(f.config, f.values, box, kinds)
+
+
+def _source_rows(cfg, values, box, kinds, first=0):
+    """Rows box[0]..box[1] of a source as (block, box[0]), a view of
+    `values`, whose row k is the grid's row first + k; None for a zero
+    source (box None).  The box is checked to vanish on the first and last
+    rows and, on a padded grid, to keep the cones named in `kinds` off the
+    pad."""
     if box is None:
         return None
     n0, n1, j0, j1 = box
-    cfg = f.config
     if n0 < 1 or n1 > cfg.n_steps - 2:
         raise ValidationError(
             "source must vanish on the first and last time rows"
@@ -237,21 +264,22 @@ def _source_box(f: LatticeField, kinds):
                 "the causal cone of the source reaches the padded boundary; "
                 "enlarge the pad or shorten the evolution"
             )
-    return box
+    return values[n0 - first : n1 - first + 1], n0
 
 
-def _solution(f: LatticeField, box, which, stop=None):
-    """Fundamental solution as an array, marched from the source's first row
-    (retarded) or last row (advanced); every row behind that one is zero.
-    With `stop` the march ends at that row, and rows past it stay zero."""
-    cfg = f.config
-    psi = dense_zeros((cfg.n_steps, cfg.n_x), "lattice grid")
-    if box is None:
+def _solution(cfg, source, which, n_rows=None, stop=None):
+    """Fundamental solution of a source (block, first) or None, as an array
+    of n_rows rows (by default the grid's), marched from the block's first
+    row (retarded) or last row (advanced); every row behind that one is
+    zero.  With `stop` the march ends at that row, and rows past it stay
+    zero."""
+    psi = dense_zeros((n_rows or cfg.n_steps, cfg.n_x), "lattice grid")
+    if source is None:
         return psi
+    block, first = source
     step, _ = _stencil(cfg)
-    start = box[0] if which == "retarded" else box[1]
+    start = first if which == "retarded" else first + len(block) - 1
     with float_range("lattice field"):
-        source = (f.values, range(box[0], box[1] + 1))
         return _march(psi, step, start, which == "retarded", source, stop)
 
 
@@ -260,26 +288,35 @@ def fundamental(f: LatticeField, which="retarded"):
     (retarded) or far future (advanced)."""
     if not (isinstance(which, str) and which in ("retarded", "advanced")):
         raise ValidationError("which must be 'retarded' or 'advanced'")
-    box = _source_box(f, (which,))
-    return _field(f.config, _solution(f, box, which))
+    source = _source(f, (which,))
+    return _field(f.config, _solution(f.config, source, which))
 
 
-def _causal(f: LatticeField, box, rows=None):
-    """Advanced minus retarded solution as an array; with rows = (lo, hi)
-    only its rows lo..hi, and the marches stop once they have filled them."""
-    lo, hi = rows or (None, None)
-    E = _solution(f, box, "advanced", lo)
-    with float_range("lattice field"):
-        if rows is None:
-            E -= _solution(f, box, "retarded")
-            return E
-        return E[lo : hi + 1] - _solution(f, box, "retarded", hi)[lo : hi + 1]
+def _causal(cfg, source, rows=None):
+    """Advanced minus retarded solution of a source (block, first) or None,
+    in one grid; with rows = (lo, hi) only its rows lo..hi, and the marches
+    stop once they have filled them."""
+    lo, hi = rows or (0, cfg.n_steps - 1)
+    E = _solution(cfg, source, "advanced", stop=lo)
+    if source is not None:
+        block, n0 = source
+        n1 = n0 + len(block) - 1
+        # the retarded solution, zero up to row n0, on rows n0 - 1..n1 + 1
+        # only: row k of this band is the grid's row n0 - 1 + k
+        ret = _solution(cfg, (block, 1), "retarded", n1 - n0 + 3, min(n1 + 1, hi) - n0 + 1)
+        step, _ = _stencil(cfg)
+        with float_range("lattice field"):
+            E[n0 + 1 : n1 + 2] -= ret[2:]
+            # past the source E is minus the retarded solution, which the
+            # march carries on exactly
+            _march(E, step, n1 + 1, True, stop=hi)
+    return E if rows is None else E[lo : hi + 1]
 
 
 def causal_E(f: LatticeField):
     """Advanced minus retarded solution of the source."""
-    box = _source_box(f, ("advanced", "retarded"))
-    return _field(f.config, _causal(f, box))
+    source = _source(f, ("advanced", "retarded"))
+    return _field(f.config, _causal(f.config, source))
 
 
 def apply_kg(field: LatticeField):
@@ -292,14 +329,16 @@ _BLOCK = 32  # rows per step in _kg: 256 KB blocks of 1024 sites stay in cache
 
 
 def _kg(config, v, start=1):
-    # apply_kg's rows from `start` on, as a writable array; rows before stay
+    # apply_kg's rows from `start` on, as a writable array; rows before are
     # zero.  The step runs on blocks of `rows` rows; the last block ends at
     # the last interior row and may overlap the one before, whose rows it
     # recomputes to the same values, as a row of out reads only v.
     end = v.shape[0] - 1
     rows = min(_BLOCK, end - start)
     step, dt2 = _stencil(config, rows)
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
+    out[:start] = 0.0
+    out[end] = 0.0
     with float_range("lattice field"):
         for lo in range(start, end, rows):
             lo = min(lo, end - rows)
@@ -330,18 +369,18 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
     cfg = f.config
     with float_range("pairing"):
         if method == "volume":
-            box = _source_box(g, ("advanced", "retarded"))
+            source = _source(g, ("advanced", "retarded"))
             support = f.support_box()
             if support is None:
                 return 0.0
             # only f's support rows are read, so neither march goes past them
             n0, n1 = support[:2]
-            Eg = _causal(g, box, (n0, n1))
+            Eg = _causal(cfg, source, (n0, n1))
             return float(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg))
-        boxes = [_source_box(h, ("advanced", "retarded")) for h in (f, g)]
+        sources = [_source(h, ("advanced", "retarded")) for h in (f, g)]
         n = _pick_slice(f, g, slice_index)
         # only rows n-1..n+1 are read, so neither march goes past them
-        uf, ug = (_causal(h, box, (n - 1, n + 1)) for h, box in zip((f, g), boxes))
+        uf, ug = (_causal(cfg, source, (n - 1, n + 1)) for source in sources)
         return float((
             uf[1] * (ug[2] - ug[0]) - ug[1] * (uf[2] - uf[0])
         ).sum() * cfg.spacing / (2.0 * cfg.dt))
@@ -414,7 +453,8 @@ def slice_compress(data: CauchyData, window):
     the returned source is the discrete wave operator applied to chi times
     the solution through `data`.  Its causal solution reproduces the
     original solution exactly up to roundoff, which is verified before
-    returning.
+    returning: the check runs from the source's rows in the window, and the
+    full grid returned is allocated only once it has passed.
     """
     cfg = _check(CauchyData, data).config
     try:
@@ -429,21 +469,25 @@ def slice_compress(data: CauchyData, window):
     if n_lo < 2 or n_hi > cfg.n_steps - 3:
         raise ValidationError("window must sit strictly inside the grid")
     psi = solve_cauchy(data)
-    steps = np.arange(cfg.n_steps)
-    u = (steps - n_lo) / float(n_hi - n_lo)
+    # chi = 1 up to row n_lo and 0 from row n_hi on, and a source row reads
+    # chi psi on its own row and the two beside it, so the source is zero
+    # outside rows n_lo..n_hi: before them it is P(psi) = 0 exactly, after
+    # them P(0).  Those rows are formed from chi psi on rows n_lo-1..n_hi+1.
+    u = (np.arange(n_lo - 1, n_hi + 2) - n_lo) / float(n_hi - n_lo)
     chi = 1.0 - _smoothstep(u)
-    # before the window chi = 1 on every stencil row, so the source there is
-    # P(psi) = 0 exactly and is left at zero rather than computed to roundoff;
-    # the windowed grid is left unnamed so it is freed before causal_E runs
-    f = _field(cfg, _kg(cfg, chi[:, None] * psi.values, start=n_lo))
-    rec = causal_E(f)
+    block = _kg(cfg, chi[:, None] * psi.values[n_lo - 1 : n_hi + 2])[1:-1]
+    box = _scan(block, n_lo)[1]
+    rec = _causal(cfg, _source_rows(cfg, block, box, ("advanced", "retarded"), n_lo))
     scale = max(psi.norm(), 1e-300)
-    diff = rec.values - psi.values
-    resid = float(np.abs(diff, out=diff).max()) / scale
-    if resid > 1e-8:
+    # the residual, taken in place in the check's own grid
+    np.subtract(rec, psi.values, out=rec)
+    resid = float(np.abs(rec, out=rec).max()) / scale
+    del rec
+    if not resid <= 1e-8:  # a NaN residual fails too
         raise InternalInconsistencyError(
             f"window compression failed to reproduce the solution "
             f"(relative error {resid:.3e})"
         )
-    return f
-
+    source = dense_zeros((cfg.n_steps, cfg.n_x), "lattice grid")
+    source[n_lo : n_hi + 1] = block
+    return _field(cfg, source)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ def test_lattice_inputs_take_numpy_integers():
     assert type(data.slice_index) is int and data.dpsi.dtype == np.float64
 
 
+def test_cauchy_data_is_a_frozen_copy():
+    # a caller's later edit cannot reach the validated data
+    psi, dpsi = np.ones(8), np.zeros(8)
+    data = CauchyData(_small(), 4, psi, dpsi)
+    psi[2], dpsi[3] = math.nan, 5.0
+    assert np.array_equal(data.psi, np.ones(8)) and not data.dpsi.any()
+    assert not data.psi.flags.writeable and not data.dpsi.flags.writeable
+    with pytest.raises(ValueError):
+        data.psi[0] = 2.0
+
+
 def test_source_must_avoid_first_and_last_rows():
     cfg = LatticeConfig(n_x=20, spacing=0.1, dt=0.05, n_steps=12, mass=0.0)
     v = np.zeros((12, 20))
@@ -392,6 +404,69 @@ def test_causal_E_solves_the_equation():
     assert np.abs(inner).max() < 1e-10 * max(1.0, causal_E(f).norm())
 
 
+def _sourced(boundary, rows):
+    # a random source on rows `rows` and columns 20..27, clear of the pad
+    cfg = LatticeConfig(n_x=48, spacing=0.5, dt=0.4, n_steps=14, mass=1.0, boundary=boundary)
+    v = np.zeros((cfg.n_steps, cfg.n_x))
+    v[rows, 20:28] = np.random.default_rng(5).normal(size=v[rows, 20:28].shape)
+    return LatticeField(cfg, v)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+@pytest.mark.parametrize("rows", [
+    np.s_[1:2], np.s_[1:4], np.s_[5:9], np.s_[10:13], np.s_[12:13], np.s_[1:13], np.s_[0:0],
+], ids=["row1", "from_row1", "middle", "to_last", "last", "all", "zero"])
+def test_causal_E_is_advanced_minus_retarded(boundary, rows):
+    # E is held in one grid, the retarded march kept to a band over the
+    # source rows, and carried on as -ret past them: the same values as the
+    # difference of the two full solutions
+    f = _sourced(boundary, rows)
+    want = fundamental(f, "advanced").values - fundamental(f, "retarded").values
+    assert np.array_equal(causal_E(f).values, want)
+
+
+@pytest.mark.parametrize("rows", [(1, 3), (3, 7), (6, 10), (11, 12)])
+def test_causal_rows_are_the_causal_solution_rows(rows):
+    # pair_E's row ranges, before, across and after the source rows 5..8
+    f = _sourced("periodic", np.s_[5:9])
+    source = lattice_propagator._source(f, ("advanced", "retarded"))
+    lo, hi = rows
+    got = lattice_propagator._causal(f.config, source, rows)
+    assert np.array_equal(got, causal_E(f).values[lo : hi + 1])
+
+
+def _traced_peak(call):
+    """Peak bytes traced while `call` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+_BIG = LatticeConfig(n_x=1024, spacing=0.1, dt=0.05, n_steps=512, mass=1.0)
+_GRID = 8 * _BIG.n_steps * _BIG.n_x
+
+
+def test_causal_E_holds_one_grid():
+    v = np.zeros((_BIG.n_steps, _BIG.n_x))
+    v[100:110, 300:310] = 1.0
+    f = LatticeField(_BIG, v)
+    assert _traced_peak(lambda: causal_E(f)) <= 1.25 * _GRID
+
+
+def test_compress_allocates_its_source_after_the_check():
+    # the solution and the check's grid; the returned grid comes after the
+    # check's is freed
+    x = np.arange(_BIG.n_x) * _BIG.spacing
+    data = CauchyData(_BIG, 256, np.cos(2 * math.pi * 3 * x / (_BIG.n_x * _BIG.spacing)),
+                      np.zeros(_BIG.n_x))
+    assert _traced_peak(lambda: slice_compress(data, (150, 160))) <= 2.5 * _GRID
+
+
 # ---------------------------------------------------------------- pairing
 
 def _two_sources(cfg):
@@ -551,6 +626,39 @@ def test_compress_reconstruction_check_fires(monkeypatch):
     monkeypatch.setattr(lattice_propagator, "_kg", perturbed)
     with pytest.raises(InternalInconsistencyError, match="failed to reproduce"):
         slice_compress(data, (12, 26))
+
+
+def test_compress_nan_residual_fails(monkeypatch):
+    # negative control: a NaN in one window row of the source makes the
+    # residual NaN, which the round-trip check refuses too
+    cfg = LatticeConfig(n_x=40, spacing=0.25, dt=0.2, n_steps=60, mass=0.8)
+    rng = np.random.default_rng(4)
+    data = CauchyData(cfg, 30, rng.normal(size=40), rng.normal(size=40))
+    kg = lattice_propagator._kg
+
+    def spoiled(config, v, start=1):
+        out = kg(config, v, start)
+        out[start + 2, 5] = math.nan
+        return out
+
+    monkeypatch.setattr(lattice_propagator, "_kg", spoiled)
+    with pytest.raises(InternalInconsistencyError, match="failed to reproduce"):
+        slice_compress(data, (12, 26))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+def test_compressed_source_is_kg_of_chi_psi_on_the_window_rows(boundary):
+    cfg = LatticeConfig(n_x=160, spacing=0.25, dt=0.2, n_steps=40, mass=0.8,
+                        boundary=boundary)
+    x = np.arange(cfg.n_x) * cfg.spacing
+    data = CauchyData(cfg, 20, smooth_bump((x - 20.0) / 2.0), np.zeros(cfg.n_x))
+    n_lo, n_hi = window = (12, 19)
+    f = slice_compress(data, window)
+    steps = np.arange(cfg.n_steps)
+    chi = 1.0 - lattice_propagator._smoothstep((steps - n_lo) / float(n_hi - n_lo))
+    full = apply_kg(LatticeField(cfg, chi[:, None] * solve_cauchy(data).values)).values
+    assert not f.values[:n_lo].any() and not f.values[n_hi + 1 :].any()
+    assert np.array_equal(f.values[n_lo : n_hi + 1], full[n_lo : n_hi + 1])
 
 
 # ------------------------------------------------------------- boundaries
