@@ -16,13 +16,14 @@ reads rows it does not write, so it steps blocks of 32 rows at once, with
 the single-row step's operations in the same order and so the same values.
 A field finds its nonzero rows and support box in one scan, on first use.
 
-A causal solution is held in one grid.  The advanced solution is marched
-into it; the retarded one is marched only across the source rows, in a band
-of their number plus two, and subtracted.  Past the source the causal
-solution is minus the retarded one, and the step is linear with IEEE
-rounding symmetric in sign, so marching the grid on from there gives the
-values of the retarded march negated, the same values as subtracting a full
-retarded grid.
+A march runs to the edge of the array it is given: a solution on grid rows
+lo..hi is an array of their number, row k of it the grid's row lo + k.  A
+causal solution is marched in one array over the rows asked for and the
+source rows with one beside them.  The advanced solution is marched into
+it; the retarded one only across the source rows, in a band, and subtracted.
+Past the source the causal solution is minus the retarded one, and the step
+is linear with IEEE rounding symmetric in sign, so marching on from there
+gives the retarded march's values negated.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ def _scan(values, first=0):
     """Which rows of `values` hold a nonzero entry, and the support box
     (n_min, n_max, j_min, j_max) or None, in one scan; row k of `values` is
     the grid's row first + k."""
-    rows = (values != 0).any(axis=1)
-    n = np.flatnonzero(rows)
+    live = (values != 0).any(axis=1)
+    n = np.flatnonzero(live)
     if n.size == 0:
-        return rows, None
+        return live, None
     cols = np.flatnonzero((values[n[0] : n[-1] + 1] != 0).any(axis=0))
-    return rows, (first + int(n[0]), first + int(n[-1]), int(cols[0]), int(cols[-1]))
+    return live, (first + int(n[0]), first + int(n[-1]), int(cols[0]), int(cols[-1]))
 
 
 def _check(kind, x):
@@ -184,11 +185,11 @@ class CauchyData:
         object.__setattr__(self, "dpsi", dpsi)
 
 
-def _stencil(config, rows=None):
+def _stencil(config, n_rows=None):
     """The leapfrog step in either time direction, written into `out`:
     out = A row + B (left + right) - back + dt^2 source, with
     A = 2 - dt^2 m^2 - 2 dt^2/a^2 and B = dt^2/a^2.  `row`, `back`, `out`
-    and `source` are single rows or, given `rows`, blocks of that many rows,
+    and `source` are single rows or, given `n_rows`, blocks of that many rows,
     each row stepped by the same operations in the same order.  `out` must
     not alias `row` or `back`; `back` and `source` may be None for zero.
     Neighbours past the ends wrap (periodic) or read zero (absorbing pad).
@@ -197,7 +198,7 @@ def _stencil(config, rows=None):
     B = dt2 / (config.spacing * config.spacing)
     A = 2.0 - dt2 * config.mass * config.mass - 2.0 * B
     wrap = config.boundary == "periodic"
-    shape = (config.n_x,) if rows is None else (rows, config.n_x)
+    shape = (config.n_x,) if n_rows is None else (n_rows, config.n_x)
     scratch = np.empty(shape)
     # column indices of a row, or of every row of a block; not `...`, which
     # makes a row's end entries 0-d arrays, whose sums cost about twice a
@@ -222,16 +223,13 @@ def _stencil(config, rows=None):
     return step, dt2
 
 
-def _march(psi, step, start, forward, source=None, stop=None):
-    """Leapfrog psi in place from row `start` to row `stop` (by default the
-    grid edge ahead).  A source is a pair (block, first): block[k] is added
-    in the step from row first + k, and the source is zero on every other
-    row."""
+def _march(psi, step, origin, forward, source=None):
+    """Leapfrog psi in place from row `origin` to its edge ahead.  A source
+    is a pair (block, first): block[k] is added in the step from row
+    first + k, and the source is zero on every other row."""
     d = 1 if forward else -1
-    if stop is None:
-        stop = psi.shape[0] - 1 if forward else 0
     block, first = source if source is not None else ((), 0)
-    for n in range(start, stop, d):
+    for n in range(origin, psi.shape[0] - 1 if forward else 0, d):
         k = n - first
         step(psi[n], psi[n - d], psi[n + d], block[k] if 0 <= k < len(block) else None)
     return psi
@@ -267,20 +265,21 @@ def _source_rows(cfg, values, box, kinds, first=0):
     return values[n0 - first : n1 - first + 1], n0
 
 
-def _solution(cfg, source, which, n_rows=None, stop=None):
-    """Fundamental solution of a source (block, first) or None, as an array
-    of n_rows rows (by default the grid's), marched from the block's first
-    row (retarded) or last row (advanced); every row behind that one is
-    zero.  With `stop` the march ends at that row, and rows past it stay
-    zero."""
-    psi = dense_zeros((n_rows or cfg.n_steps, cfg.n_x), "lattice grid")
+def _solution(cfg, source, which, rows=None):
+    """Fundamental solution of a source (block, first) or None on grid rows
+    `rows` = (lo, hi) (by default all), as an array whose row k is the grid's
+    row lo + k, marched from the block's first row (retarded) or last row
+    (advanced) to the array's edge; every row behind that one is zero, and
+    the window holds the row just behind it unless it lies wholly behind."""
+    lo, hi = rows or (0, cfg.n_steps - 1)
+    psi = dense_zeros((hi - lo + 1, cfg.n_x), "lattice grid")
     if source is None:
         return psi
     block, first = source
     step, _ = _stencil(cfg)
-    start = first if which == "retarded" else first + len(block) - 1
+    origin = first if which == "retarded" else first + len(block) - 1
     with float_range("lattice field"):
-        return _march(psi, step, start, which == "retarded", source, stop)
+        return _march(psi, step, origin - lo, which == "retarded", (block, first - lo))
 
 
 def fundamental(f: LatticeField, which="retarded"):
@@ -293,24 +292,24 @@ def fundamental(f: LatticeField, which="retarded"):
 
 
 def _causal(cfg, source, rows=None):
-    """Advanced minus retarded solution of a source (block, first) or None,
-    in one grid; with rows = (lo, hi) only its rows lo..hi, and the marches
-    stop once they have filled them."""
+    """Advanced minus retarded solution of a source (block, first) or None
+    on grid rows `rows` = (lo, hi) (by default all), marched in one array
+    over those rows and the source's with one row beside them."""
     lo, hi = rows or (0, cfg.n_steps - 1)
-    E = _solution(cfg, source, "advanced", stop=lo)
-    if source is not None:
-        block, n0 = source
-        n1 = n0 + len(block) - 1
-        # the retarded solution, zero up to row n0, on rows n0 - 1..n1 + 1
-        # only: row k of this band is the grid's row n0 - 1 + k
-        ret = _solution(cfg, (block, 1), "retarded", n1 - n0 + 3, min(n1 + 1, hi) - n0 + 1)
-        step, _ = _stencil(cfg)
-        with float_range("lattice field"):
-            E[n0 + 1 : n1 + 2] -= ret[2:]
-            # past the source E is minus the retarded solution, which the
-            # march carries on exactly
-            _march(E, step, n1 + 1, True, stop=hi)
-    return E if rows is None else E[lo : hi + 1]
+    if source is None:
+        return _solution(cfg, None, "advanced", rows)
+    block, n0 = source
+    n1 = n0 + len(block) - 1
+    a = min(lo, n0 - 1)
+    E = _solution(cfg, source, "advanced", (a, max(hi, n1 + 1)))
+    # the retarded solution, zero up to row n0, on rows n0 - 1..n1 + 1 only
+    ret = _solution(cfg, source, "retarded", (n0 - 1, n1 + 1))
+    step, _ = _stencil(cfg)
+    with float_range("lattice field"):
+        E[n0 - 1 - a : n1 + 2 - a] -= ret
+        # past the source E = -ret, which the march carries on exactly
+        _march(E, step, n1 + 1 - a, True)
+    return E[lo - a : hi - a + 1]
 
 
 def causal_E(f: LatticeField):
@@ -328,23 +327,21 @@ def apply_kg(field: LatticeField):
 _BLOCK = 32  # rows per step in _kg: 256 KB blocks of 1024 sites stay in cache
 
 
-def _kg(config, v, start=1):
-    # apply_kg's rows from `start` on, as a writable array; rows before are
-    # zero.  The step runs on blocks of `rows` rows; the last block ends at
-    # the last interior row and may overlap the one before, whose rows it
-    # recomputes to the same values, as a row of out reads only v.
+def _kg(config, v):
+    # apply_kg of v, as a writable array, in blocks of n_rows rows; the last
+    # block ends at the last interior row and may overlap the one before,
+    # whose rows it recomputes to the same values, as out reads only v.
     end = v.shape[0] - 1
-    rows = min(_BLOCK, end - start)
-    step, dt2 = _stencil(config, rows)
+    n_rows = min(_BLOCK, end - 1)
+    step, dt2 = _stencil(config, n_rows)
     out = np.empty_like(v)
-    out[:start] = 0.0
-    out[end] = 0.0
+    out[0] = out[end] = 0.0
     with float_range("lattice field"):
-        for lo in range(start, end, rows):
-            lo = min(lo, end - rows)
-            block = out[lo : lo + rows]
-            step(v[lo : lo + rows], v[lo - 1 : lo + rows - 1], block)
-            np.subtract(v[lo + 1 : lo + rows + 1], block, out=block)
+        for lo in range(1, end, n_rows):
+            lo = min(lo, end - n_rows)
+            block = out[lo : lo + n_rows]
+            step(v[lo : lo + n_rows], v[lo - 1 : lo + n_rows - 1], block)
+            np.subtract(v[lo + 1 : lo + n_rows + 1], block, out=block)
             block /= dt2
     return out
 
@@ -366,6 +363,8 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
         raise ValidationError("fields live on different grids")
     if not (isinstance(method, str) and method in ("volume", "surface")):
         raise ValidationError("method must be 'volume' or 'surface'")
+    if method == "volume" and slice_index is not None:
+        raise ValidationError("the volume form reads no slice: slice_index must be None")
     cfg = f.config
     with float_range("pairing"):
         if method == "volume":
@@ -373,13 +372,13 @@ def pair_E(f: LatticeField, g: LatticeField, method="volume", slice_index=None):
             support = f.support_box()
             if support is None:
                 return 0.0
-            # only f's support rows are read, so neither march goes past them
+            # E is held on f's support rows, the only ones read, and g's source's
             n0, n1 = support[:2]
             Eg = _causal(cfg, source, (n0, n1))
             return float(cfg.spacing * cfg.dt * np.sum(f.values[n0 : n1 + 1] * Eg))
         sources = [_source(h, ("advanced", "retarded")) for h in (f, g)]
         n = _pick_slice(f, g, slice_index)
-        # only rows n-1..n+1 are read, so neither march goes past them
+        # each E is held on rows n-1..n+1, the only ones read, and its source's
         uf, ug = (_causal(cfg, source, (n - 1, n + 1)) for source in sources)
         return float((
             uf[1] * (ug[2] - ug[0]) - ug[1] * (uf[2] - uf[0])

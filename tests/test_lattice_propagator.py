@@ -425,14 +425,36 @@ def test_causal_E_is_advanced_minus_retarded(boundary, rows):
     assert np.array_equal(causal_E(f).values, want)
 
 
-@pytest.mark.parametrize("rows", [(1, 3), (3, 7), (6, 10), (11, 12)])
+@pytest.mark.parametrize("rows", [
+    (1, 3), (3, 7), (6, 10), (11, 12), (0, 2), (0, 0), (11, 13), (13, 13), (0, 13), (4, 9),
+])
 def test_causal_rows_are_the_causal_solution_rows(rows):
-    # pair_E's row ranges, before, across and after the source rows 5..8
+    # pair_E's row ranges, before, across and after the source rows 5..8;
+    # windows on the grid's first and last rows; the whole grid; one
+    # spanning the source
     f = _sourced("periodic", np.s_[5:9])
     source = lattice_propagator._source(f, ("advanced", "retarded"))
     lo, hi = rows
     got = lattice_propagator._causal(f.config, source, rows)
     assert np.array_equal(got, causal_E(f).values[lo : hi + 1])
+    zero = lattice_propagator._causal(f.config, None, rows)
+    assert np.array_equal(zero, np.zeros((hi - lo + 1, f.config.n_x)))
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "absorbing-pad"])
+@pytest.mark.parametrize("which, windows", [
+    ("retarded", [(4, 13), (4, 8), (0, 6), (2, 3), (4, 4)]),
+    ("advanced", [(0, 9), (5, 9), (7, 13), (10, 11), (9, 9)]),
+], ids=["retarded", "advanced"])
+def test_solution_on_a_window_is_the_fundamental_rows(boundary, which, windows):
+    # source rows 5..8; a window holds the row behind its march's first
+    # step (row 4 retarded, row 9 advanced) or lies wholly behind it
+    f = _sourced(boundary, np.s_[5:9])
+    source = lattice_propagator._source(f, (which,))
+    full = fundamental(f, which).values
+    for lo, hi in windows:
+        got = lattice_propagator._solution(f.config, source, which, (lo, hi))
+        assert np.array_equal(got, full[lo : hi + 1])
 
 
 def _traced_peak(call):
@@ -456,6 +478,17 @@ def test_causal_E_holds_one_grid():
     v[100:110, 300:310] = 1.0
     f = LatticeField(_BIG, v)
     assert _traced_peak(lambda: causal_E(f)) <= 1.25 * _GRID
+
+
+@pytest.mark.parametrize("method", ["volume", "surface"])
+def test_pair_E_holds_the_rows_it_reads(method):
+    # E is held on the rows the pairing reads and the source's rows: about
+    # 0.31 grids per causal solution here, where a full grid is 1.0
+    f, g = np.zeros((2, _BIG.n_steps, _BIG.n_x))
+    f[100:110, 300:310] = g[400:410, 300:310] = 1.0
+    f, g = LatticeField(_BIG, f), LatticeField(_BIG, g)
+    for a, b in ((f, g), (g, f)):
+        assert _traced_peak(lambda: pair_E(a, b, method)) <= 0.75 * _GRID
 
 
 def test_compress_allocates_its_source_after_the_check():
@@ -514,6 +547,17 @@ def test_surface_form_agrees_and_is_slice_independent():
     ]
     for v in values:
         assert v == pytest.approx(vol, rel=1e-10)
+
+
+def test_volume_form_refuses_a_slice():
+    # the volume form reads no slice, so any slice_index is refused rather
+    # than ignored
+    cfg = LatticeConfig(n_x=100, spacing=0.1, dt=0.08, n_steps=70, mass=1.0)
+    f, g = _two_sources(cfg)
+    for s in (35, 20, "junk"):
+        with pytest.raises(ValidationError, match="reads no slice"):
+            pair_E(f, g, "volume", slice_index=s)
+    assert pair_E(f, g, "volume", slice_index=None) == pair_E(f, g, "volume")
 
 
 def test_surface_slice_through_source_rejected():
@@ -618,9 +662,9 @@ def test_compress_reconstruction_check_fires(monkeypatch):
     data = CauchyData(cfg, 30, rng.normal(size=40), rng.normal(size=40))
     kg = lattice_propagator._kg
 
-    def perturbed(config, v, start=1):
-        out = kg(config, v, start)
-        out[start + 2, 5] += 1e-6 * np.abs(out).max()
+    def perturbed(config, v):
+        out = kg(config, v)
+        out[3, 5] += 1e-6 * np.abs(out).max()
         return out
 
     monkeypatch.setattr(lattice_propagator, "_kg", perturbed)
@@ -636,9 +680,9 @@ def test_compress_nan_residual_fails(monkeypatch):
     data = CauchyData(cfg, 30, rng.normal(size=40), rng.normal(size=40))
     kg = lattice_propagator._kg
 
-    def spoiled(config, v, start=1):
-        out = kg(config, v, start)
-        out[start + 2, 5] = math.nan
+    def spoiled(config, v):
+        out = kg(config, v)
+        out[3, 5] = math.nan
         return out
 
     monkeypatch.setattr(lattice_propagator, "_kg", spoiled)

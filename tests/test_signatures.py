@@ -5,8 +5,8 @@ well, so that a new option is added on purpose, with this list.  numpy's
 error state is set in one place, the float_range guard, and a float Python
 scalar is read for finiteness in one place, errors.as_finite_complex, or
 errors.as_finite for a real one; the pairing sum over sets of free slots is
-written once, and so is the test of a pair's q-p split; these are tested
-here too."""
+written once, and so is the test of a pair's q-p split; a lattice march is
+bounded by the edge of its array; these are tested here too."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import ccr_lab
-from ccr_lab import phase_space
+from ccr_lab import lattice_propagator, phase_space
 from ccr_lab.errors import ValidationError, float_range
 from ccr_lab.phase_space import purity
 
@@ -177,6 +177,17 @@ def test_purity_reads_one_spectrum():
     assert "np.linalg.solve" not in text and "purity checks disagree" not in text
     assert "_spectrum(f.G, f.parts)" in inspect.getsource(phase_space.purity)
     assert "_spectrum(G, parts)" in inspect.getsource(phase_space._norm)
+
+
+def test_a_march_is_bounded_by_the_edge_of_its_array():
+    # the array a lattice march runs in is its range: rows lo..hi of the
+    # grid are an array of hi - lo + 1 rows, and no march, solution or
+    # wave operator takes a stop row, a row count or a start row besides
+    for entry in (lattice_propagator._march, lattice_propagator._solution,
+                  lattice_propagator._kg):
+        params = set(inspect.signature(entry).parameters)
+        assert params & {"stop", "n_rows", "start"} == set()
+    assert "rows" in inspect.signature(lattice_propagator._solution).parameters
 
 
 def test_a_real_scalar_is_read_for_finiteness_in_one_place():
