@@ -11,6 +11,7 @@ omega has covariance diag(omega/2, 1/(2*omega)) on (q, p).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .errors import (
     SpectrumNotGappedError,
     TruncationInsufficientError,
     ValidationError,
+    _largest_modulus,
     as_finite,
     as_finite_array,
     as_index,
@@ -60,23 +62,25 @@ def standard_symplectic_form(n_modes):
     return T
 
 
-def _check_square_pair(mu, tau):
-    # mu and tau are float arrays already read through as_finite_array
-    if mu.ndim != 2 or mu.shape[0] != mu.shape[1] or mu.size == 0:
-        raise ValidationError("mu must be a non-empty square matrix")
-    if tau.shape != mu.shape:
-        raise ValidationError("tau must match mu's shape")
-    if asymmetry(mu, np.transpose) > 1e-12:
+def _check_square_pair(mu, tau, parts):
+    """Raise unless mu is symmetric and tau antisymmetric, each to 1e-12 of
+    its own largest entry (errors.asymmetry).  Only the blocks that parts
+    leaves nonzero are read (see _pieces): mu's diagonal blocks against
+    their transposes and tau's blocks [k, j] against -tau[j, k]^T, each set
+    stacked (a single block as a view).  The ratio reads the entries it
+    reads on the whole matrices and is the same float."""
+    mus, taus = (P[0][None] if len(P) == 1 else np.stack(P) for P in _pieces(mu, tau, parts))
+    if asymmetry(mus, lambda q: q.swapaxes(1, 2)) > 1e-12:
         raise ValidationError("mu must be symmetric")
-    if asymmetry(tau, lambda q: -q.T) > 1e-12:
+    if asymmetry(taus, lambda q: -q[::-1].swapaxes(1, 2)) > 1e-12:
         raise ValidationError("tau must be antisymmetric")
-    return mu, tau
 
 
-def _unit_exponent(M):
-    """The even exponent 2j for which 2**(2j) max|M| lies in [1, 4): scaling
-    by it is exact, and so is scaling by its square root."""
-    e = math.frexp(float(np.abs(M).max(initial=0.0)))[1]
+def _unit_exponent(pieces):
+    """The even exponent 2j for which 2**(2j) times the largest entry of the
+    arrays pieces lies in [1, 4): scaling by it is exact, and so is scaling
+    by its square root."""
+    e = math.frexp(max(_largest_modulus(M) for M in pieces))[1]
     return -2 * ((e - 1) // 2)
 
 
@@ -102,7 +106,12 @@ def _parts(S, T):
     are both diagonal blocks of T (a q-p split pair, as in the (q, p)
     ordering of a lattice form or its ground state), else the whole matrix.
     Both blocks of S are read because cholesky reads only one triangle and
-    a symmetric input is symmetric only to 1e-12."""
+    a symmetric input is symmetric only to 1e-12.  Raises unless S is a
+    non-empty square matrix and T has its shape."""
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
+        raise ValidationError("mu must be a non-empty square matrix")
+    if T.shape != S.shape:
+        raise ValidationError("tau must match mu's shape")
     n, odd = divmod(len(S), 2)
     q, p = slice(None, n), slice(n, None)
     if odd or S[q, p].any() or S[p, q].any() or T[q, q].any() or T[p, p].any():
@@ -110,26 +119,41 @@ def _parts(S, T):
     return q, p
 
 
-def _join(pieces, keys, shape):
-    """The matrix with the blocks pieces at keys and exact zeros elsewhere;
-    a single piece is the whole matrix and is returned uncopied."""
+def _pieces(S, T, parts):
+    """The blocks of a pair (S, T) that parts leaves nonzero (see _parts):
+    S's diagonal blocks [k, k] and T's blocks [k, j], for k in parts and j
+    the other half; a pair that is not split has one block of each, the
+    whole matrix."""
+    return [S[k, k] for k in parts], [T[k, j] for k, j in zip(parts, parts[::-1])]
+
+
+def _join(pieces, rows, cols, shape):
+    """The matrix with pieces[i] at block [rows[i], cols[i]] and exact zeros
+    elsewhere; a single piece is the whole matrix and is returned uncopied.
+    A split pair's frame is held in its N x N blocks (see _frame), and only
+    a public result or a rare route joins them into a 2N x 2N matrix: J in
+    validate_mu_tau, one_particle's spectral route, equivalence_probe's Q
+    and its route for two frames that split differently, and the spectrum
+    that names ground_state_mu's refusal."""
     if len(pieces) == 1:
         return pieces[0]
     out = np.zeros(shape)
-    for key, P in zip(keys, pieces):
-        out[key] = P
+    for k, j, P in zip(rows, cols, pieces):
+        out[k, j] = P
     return out
 
 
 class _Frame(NamedTuple):
+    # each of L to G is a tuple of blocks, ordered as _pieces orders mu's
+    # (L, Linv, G) or tau's (half, Jt)
     mu: np.ndarray
     tau: np.ndarray
-    L: np.ndarray  # Cholesky factor, mu = L L^T
-    Linv: np.ndarray
-    half: np.ndarray  # L^{-1} tau / 2, the left factor of Jt and the right one of J
-    Jt: np.ndarray  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
-    G: np.ndarray  # Jt^T Jt, whose largest eigenvalue is ||J||_mu^2
-    parts: tuple  # the diagonal blocks of mu, L, Linv and G (see _parts)
+    L: tuple  # Cholesky factor, mu = L L^T
+    Linv: tuple
+    half: tuple  # L^{-1} tau / 2, the left factor of Jt and the right one of J
+    Jt: tuple  # J in the mu-orthonormal frame, L^{-1} (tau / 2) L^{-T}
+    G: tuple  # Jt^T Jt, whose largest eigenvalue is ||J||_mu^2
+    parts: tuple  # the diagonal blocks of mu (see _parts)
 
 
 def _frame(mu, tau, what="mu"):
@@ -141,51 +165,51 @@ def _frame(mu, tau, what="mu"):
     ||J||_mu <= 1 + 1e-9: a Cholesky probe of (1 + 1e-9)^2 I - G decides
     the pair bound, and G's spectrum only names a refusal.
 
-    The frame runs on the blocks of _parts.  For a q-p split pair, mu =
+    The frame is held in the blocks of _parts.  For a q-p split pair, mu =
     blockdiag(mu_qq, mu_pp) and tau has only its q-p blocks, so L, L^{-1}
     and G are block diagonal and half and Jt have only the blocks [k, j]
     with j the other half: each diagonal block gets its own Cholesky factor,
-    inverse and bound probe, and _join puts the blocks in full arrays whose
-    other blocks are exact zeros.  Any other pair is one block, the whole
-    matrix, and its arrays are the blocks themselves.
+    inverse and bound probe, and the frame keeps the N x N blocks alone,
+    never their 2N x 2N matrices.  Any other pair is one block, the whole
+    matrix.
     """
-    mu, tau = _check_square_pair(as_finite_array(mu, what), as_finite_array(tau, "tau"))
+    mu, tau = as_finite_array(mu, what), as_finite_array(tau, "tau")
     parts = _parts(mu, tau)
-    diag = [(k, k) for k in parts]
-    blocks = list(zip(parts, parts[::-1]))  # [k, j]: the nonzero blocks of half and Jt
+    _check_square_pair(mu, tau, parts)
+    mus, taus = _pieces(mu, tau, parts)
     try:
-        L = _join([np.linalg.cholesky(mu[k, k]) for k in parts], diag, mu.shape)
+        L = tuple(np.linalg.cholesky(M) for M in mus)
     except np.linalg.LinAlgError:
         raise InvalidCovarianceError(f"{what} is not positive definite") from None
     with float_range("J of mu and tau"):
-        Linv = _join([_lower_inverse(L[k, k]) for k in parts], diag, mu.shape)
-        half = _join([Linv[k, k] @ (tau[k, j] / 2.0) for k, j in blocks], blocks, mu.shape)
-        Jt = _join([half[k, j] @ Linv[j, j].T for k, j in blocks], blocks, mu.shape)
+        Linv = tuple(_lower_inverse(Lk) for Lk in L)
+        half = tuple(Lk @ (T / 2.0) for Lk, T in zip(Linv, taus))
+        Jt = tuple(H @ Lj.T for H, Lj in zip(half, Linv[::-1]))
     # an entry of Jt bounds ||J||_mu from below
-    big = max(float(np.abs(Jt[k, j]).max()) for k, j in blocks)
+    big = max(_largest_modulus(J) for J in Jt)
     if not big <= 1.0 + 1e-9:
         raise InvalidCovarianceError(f"|J|_mu >= {big:.12g} exceeds 1: the pair bound fails")
-    if max(np.abs(Jt[k, j] + Jt[j, k].T).max() for k, j in blocks) > 1e-8:
+    if max(_largest_modulus(J + Jr.T) for J, Jr in zip(Jt, Jt[::-1])) > 1e-8:
         raise InvalidCovarianceError("J is not mu-antisymmetric")
-    G = _join([Jt[j, k].T @ Jt[j, k] for k, j in blocks], diag, mu.shape)
+    G = tuple(Jr.T @ Jr for Jr in Jt[::-1])
     # a fresh identity per probe: holding one 2N x 2N identity past the probe
     # measured about 2 ms slower in equivalence_probe's one-block route at 2N = 256
-    if not all(_positive((1.0 + 1e-9) ** 2 * np.eye(len(G[k, k])) - G[k, k]) for k in parts):
-        norm = _norm(G, parts)
+    if not all(_positive((1.0 + 1e-9) ** 2 * np.eye(len(Gk)) - Gk) for Gk in G):
+        norm = _norm(G)
         if norm > 1.0 + 1e-9:
             raise InvalidCovarianceError(f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails")
     return _Frame(mu, tau, L, Linv, half, Jt, G, parts)
 
 
-def _spectrum(G, parts):
+def _spectrum(G):
     """The eigenvalues of G = Jt^T Jt in ascending order: the union of the
     spectra of its diagonal blocks (see _frame)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(G[k, k]) for k in parts]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(Gk) for Gk in G]))
 
 
-def _norm(G, parts):
+def _norm(G):
     """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
-    return math.sqrt(max(float(_spectrum(G, parts)[-1]), 0.0))
+    return math.sqrt(max(float(_spectrum(G)[-1]), 0.0))
 
 
 def _positive(M):
@@ -217,9 +241,11 @@ def validate_mu_tau(mu, tau):
     mu(x,x) mu(y,y).
     """
     f = _frame(mu, tau)
+    parts, shape = f.parts, f.mu.shape
     with float_range("J of mu and tau"):
-        J = f.Linv.T @ f.half  # mu^{-1} tau / 2
-    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G, f.parts))
+        # mu^{-1} tau / 2, the public J, as one 2N x 2N product
+        J = _join(f.Linv, parts, parts, shape).T @ _join(f.half, parts, parts[::-1], shape)
+    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G))
 
 
 @dataclass(frozen=True)
@@ -284,23 +310,34 @@ def one_particle(mu, tau):
     mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
     """
     f = _frame(mu, tau)
-    n, eye = len(f.Jt) // 2, np.eye(len(f.Jt))
-    split = len(f.parts) == 2
+    n, parts, shape = len(f.mu) // 2, f.parts, f.mu.shape
+    split = len(parts) == 2
     # each entry of a split pair's mu + (i/2) tau is one of mu's or of (i/2) tau's
-    top = (max(np.abs(f.mu).max(), np.abs(f.tau).max() / 2.0) if split
-           else np.abs(f.mu + 0.5j * f.tau).max())
+    mus, taus = _pieces(f.mu, f.tau, parts)
+    top = (max(max(map(_largest_modulus, mus)), max(map(_largest_modulus, taus)) / 2.0)
+           if split else np.abs(f.mu + 0.5j * f.tau).max())
     tol = 1e-11 * max(1.0, top)
-    if not f.tau[:n, :n].any() and all(_positive(f.G[k, k] - (1.0 - 4e-10) * eye[k, k])
-                                       for k in f.parts):
-        K = f.L.T[:n] + 1j * f.half[:n]
-        resid = _split_residual(f) if split else _residual(K, f)
+    if not f.tau[:n, :n].any() and all(_positive(Gk - (1.0 - 4e-10) * np.eye(len(Gk)))
+                                       for Gk in f.G):
+        if split:  # K = [Lq^T, i half_qp]; its real parts in the p columns are +0.0
+            K = np.zeros((n, 2 * n), complex)
+            K[:, :n] += f.L[0].T
+            K[:, n:] += 1j * f.half[0]
+            resid = _split_residual(f)
+        else:
+            K = f.L[0].T[:n] + 1j * f.half[0][:n]
+            resid = _residual(K, f)
         if resid <= tol:
             return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
                                         reconstruction_residual=resid)
-    w, U = np.linalg.eigh(eye + 0.5j * (f.Jt - f.Jt.T))  # Jt made exactly antisymmetric
+    Jt, Lt = _join(f.Jt, parts, parts[::-1], shape), _join(f.L, parts, parts, shape).T
+    # the identity is held past eigh: freed before it, one_particle measured
+    # about 0.9 ms slower on the one-block route at 2N = 256
+    eye = np.eye(len(Jt))
+    w, U = np.linalg.eigh(eye + 0.5j * (Jt - Jt.T))  # Jt made exactly antisymmetric
     keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
     C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
-    K = C.real @ f.L.T + 1j * (C.imag @ f.L.T)  # two real products, not one upcast
+    K = C.real @ Lt + 1j * (C.imag @ Lt)  # two real products, not one upcast
     resid = _residual(K, f)
     if resid > tol:
         if w.min() < -1e-12:
@@ -328,7 +365,7 @@ def _split_residual(f):
     and half_qp^T half_qp - mu_pp on its diagonal, and i (P - tau_qp / 2)
     and -i (P^T + tau_pq / 2) off it, with P = Lq half_qp."""
     q, p = f.parts
-    Lq, H = f.L[q, q], f.half[q, p]
+    Lq, H = f.L[0], f.half[0]
     P = Lq @ H
     return float(max(np.abs(Lq @ Lq.T - f.mu[q, q]).max(), np.abs(P - f.tau[q, p] / 2.0).max(),
                      np.abs(P.T + f.tau[p, q] / 2.0).max(), np.abs(H.T @ H - f.mu[p, p]).max()))
@@ -384,7 +421,7 @@ def purity(mu, tau):
     is the union of its diagonal blocks' spectra, one N x N eigvalsh each.
     """
     f = _frame(mu, tau)
-    lams = _spectrum(f.G, f.parts)
+    lams = _spectrum(f.G)
     residual = float(np.abs(lams - 1.0).max())
     return PurityReport(pure=residual <= 1e-8, residual=residual, spectrum=lams)
 
@@ -423,7 +460,10 @@ def ground_state_mu(energy_form, tau=None):
     all zero, as for lattice_energy_form.  Then R = blockdiag(Rq, Rp),
     G = [[0, C], [D, 0]] with C = Rq^T T[:N, N:] Rp and D = Rp^T T[N:, :N]
     Rq, so G^T G = blockdiag(D^T D, C^T C): each block gets its own N x N
-    eigenproblem and positivity probe, and mu's q-p blocks are exact zeros.  Mapping one
+    eigenproblem and positivity probe, and mu's q-p blocks are exact zeros.
+    The symmetry checks, the scaling and the symmetrization read the N x N
+    blocks alone.  A pair read as one block is read again once scaled and
+    symmetrized, which can zero a coupling of roundoff size.  Mapping one
     block's eigenvectors to the other's by C^T U / s instead loses about
     three digits; the tests pin the split route to the general one at 1e-12.
     """
@@ -432,26 +472,33 @@ def ground_state_mu(energy_form, tau=None):
         raise ValidationError("energy form must be square of even dimension")
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
-    A, T = _check_square_pair(A, as_finite_array(tau, "tau"))
-    e = _unit_exponent(T)
-    A, T = np.ldexp(A, _unit_exponent(A)), np.ldexp(T, e)
-    A = (A + A.T) / 2.0
-    scale = np.abs(A).max()
+    T = as_finite_array(tau, "tau")
     parts = _parts(A, T)  # q-p split: A = blockdiag(A_qq, A_pp), G^T G block diagonal too
-    eye = np.eye(len(A) // len(parts))
-    if not all(_positive(A[k, k] - 1e-12 * scale * eye) for k in parts):
-        lam = np.linalg.eigvalsh(A)[0]
+    _check_square_pair(A, T, parts)
+    As, Ts = _pieces(A, T, parts)
+    a, e = _unit_exponent(As), _unit_exponent(Ts)
+    As = [(X + X.T) / 2.0 for X in (np.ldexp(M, a) for M in As)]
+    Ts = [np.ldexp(M, e) for M in Ts]
+    if len(parts) == 1:
+        # symmetrizing, or scaling into the subnormals, can zero a coupling
+        # below 1e-12 of A's largest entry: the scaled pair may split
+        parts = _parts(As[0], Ts[0])
+        As, Ts = _pieces(As[0], Ts[0], parts)
+    scale = max(map(_largest_modulus, As))
+    eye = np.eye(len(As[0]))
+    if not all(_positive(X - 1e-12 * scale * eye) for X in As):
+        lam = np.linalg.eigvalsh(_join(As, parts, parts, A.shape))[0]
         if lam < -1e-10 * scale:
             raise InvalidCovarianceError("energy form must be positive")
         if lam <= 1e-12 * scale:
             # zero-energy direction: the frequency spectrum touches zero
             raise SpectrumNotGappedError("energy form has a null direction; no gapped ground state")
-    Rs = [np.linalg.cholesky(A[k, k]) for k in parts]
+    Rs = [np.linalg.cholesky(X) for X in As]
     spectra = []
     # G's column block k is nonzero only in row block j: the other block
     # when split, the whole of G otherwise
-    for k, j, R, Rj in zip(parts, parts[::-1], Rs, Rs[::-1]):
-        G = Rj.T @ T[j, k] @ R
+    for k, R, Rj, Tjk in zip(parts, Rs, Rs[::-1], Ts[::-1]):
+        G = Rj.T @ Tjk @ R
         _, V = np.linalg.eigh(G.T @ G)
         spectra.append((k, R, V, np.linalg.norm(G @ V, axis=0)))
     s = np.concatenate([sk for *_, sk in spectra])
@@ -461,11 +508,11 @@ def ground_state_mu(energy_form, tau=None):
             "frequency spectrum touches zero; no gapped ground state"
         )
     with float_range("ground-state covariance"):
-        mu = np.zeros_like(A)
+        mu = np.zeros(A.shape)
         for k, R, V, sk in spectra:
             X = (R @ V) / np.sqrt(2.0 * sk)
-            mu[k, k] = X @ X.T  # a symmetric product: mu is exactly symmetric
-        return np.ldexp(mu, e)
+            mu[k, k] = np.ldexp(X @ X.T, e)  # a symmetric product: mu is exactly symmetric
+        return mu
 
 
 def lattice_energy_form(n_sites, spacing, mass):
@@ -624,8 +671,12 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     L^{-1} and of B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own,
     and only the symmetry checks, scaled to each block, run per block.
     When both frames are q-p split (see _frame), mu2 - mu1, B and Q are
-    block diagonal and formed per block, and a rung's spectrum is the union
-    of the spectra of each diagonal block's leading part.
+    block diagonal: the blocks of L^{-1} the first frame holds give B's
+    blocks, Q is joined from its blocks only as the returned matrix, and a
+    rung's spectrum is the union of the spectra of each diagonal block's
+    leading part, taken once for each distinct size of that part.  When
+    only one frame splits, its L^{-1} is joined and the pair runs as one
+    block.
     """
     mu1 = as_finite_array(mu1, "mu1")
     mu2 = as_finite_array(mu2, "mu2")
@@ -651,26 +702,29 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         raise ValidationError(f"truncation {truncs[-1]} exceeds available modes {total_modes}")
     sizes = [2 * n_modes for n_modes in truncs]
     for n in sizes[:-1]:  # the largest block is checked by _frame
-        _check_square_pair(mu1[:n, :n], tau[:n, :n])
-        _check_square_pair(mu2[:n, :n], tau[:n, :n])
+        for m, t in ((mu1[:n, :n], tau[:n, :n]), (mu2[:n, :n], tau[:n, :n])):
+            _check_square_pair(m, t, _parts(m, t))
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
     f1 = _frame(m1, t, what="mu1 block")
     Linv, parts = f1.Linv, f1.parts
     del f1  # of the first frame only Linv is read: free the rest before the second
-    if _frame(m2, t, what="mu2 block").parts != parts:
-        parts = (slice(None),)
+    if _frame(m2, t, what="mu2 block").parts != parts:  # the pair runs as one block
+        Linv, parts = (_join(Linv, parts, parts, m1.shape),), (slice(None),)
     Bs, Qs = [], []
     with float_range("mu2 - mu1 in the mu1 geometry"):
-        for k in parts:
-            D = Linv[k, k] @ (m2[k, k] - m1[k, k])
-            B = D @ Linv[k, k].T
+        for k, Lk in zip(parts, Linv):
+            D = Lk @ (m2[k, k] - m1[k, k])
+            B = D @ Lk.T
             B = (B + B.T) / 2.0
             Bs.append(B)
-            Qs.append(Linv[k, k].T @ D)  # mu1^{-1} (mu2 - mu1) on the largest block
-    Q = _join(Qs, [(k, k) for k in parts], m1.shape)
+            Qs.append(Lk.T @ D)  # mu1^{-1} (mu2 - mu1) on the largest block
+    Q = _join(Qs, parts, parts, m1.shape)
+    # a rung reads each block's leading m x m part, m at most the block's
+    # size, so the spectrum of a block size met on two rungs is taken once
+    leading = functools.cache(lambda i, m: np.linalg.eigvalsh(Bs[i][:m, :m]))
     spectra = [
-        np.sort(np.concatenate([np.linalg.eigvalsh(B[:m, :m])
-                                for k, B in zip(parts, Bs) if (m := n - (k.start or 0)) > 0]))
+        np.sort(np.concatenate([leading(i, min(m, len(Bs[i])))
+                                for i, k in enumerate(parts) if (m := n - (k.start or 0)) > 0]))
         for n in sizes
     ]
     hs_norms = tuple(math.hypot(*lams) for lams in spectra)

@@ -4,7 +4,9 @@ Fock truncations, and the equivalence probe."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -51,6 +53,7 @@ from oracles import (
 )
 
 TAU1 = standard_symplectic(1)
+TAU2 = standard_symplectic(2)
 
 
 # --------------------------------------------------------- validate_mu_tau
@@ -433,19 +436,25 @@ def test_frame_route_refuses_a_qfirst_pair_above_one(mu, tau, excess):
         one_particle(mu / (1.0 + excess), tau)
 
 
+def _skew_frame(monkeypatch, field_, factor):
+    # _frame with every block of one of its per-block fields scaled by factor
+    frame = phase_space._frame
+    monkeypatch.setattr(phase_space, "_frame", lambda *a: (lambda f: f._replace(
+        **{field_: tuple(X * factor for X in getattr(f, field_))}))(frame(*a)))
+
+
 def test_frame_route_reconstruction_check_negative_control(monkeypatch):
     # a Cholesky factor off by 1e-8 of itself fails the residual bound on both
-    # routes, so the frame route falls through and the spectral route raises
-    mu, tau = _qfirst(2)
-    frame = phase_space._frame
-
-    def skewed(*args):
-        f = frame(*args)
-        return f._replace(L=f.L * (1.0 + 1e-8))
-
-    monkeypatch.setattr(phase_space, "_frame", skewed)
-    with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
-        one_particle(mu, tau)
+    # routes, so the frame route falls through and the spectral route raises;
+    # on a q-p split pair each of its two blocks is off
+    pairs = [qfirst_pure_pair(np.random.default_rng(200), 2, shear=shear)
+             for shear in (True, False)]
+    assert [len(phase_space._parts(*pair)) for pair in pairs] == [1, 2]
+    assert [one_particle(*pair).dim for pair in pairs] == [2, 2]
+    _skew_frame(monkeypatch, "L", 1.0 + 1e-8)
+    for pair in pairs:
+        with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
+            one_particle(*pair)
 
 
 def _exact_residual(K, mu, tau):
@@ -470,14 +479,13 @@ def test_split_frame_route_checks_k_in_real_blocks(n, squeeze, monkeypatch):
         m.setattr(phase_space, "_residual", lambda *a: pytest.fail("complex K^H K"))
         s = one_particle(mu, tau)
     assert s.dim == n
+    assert not s.K.real[:, n:].any() and not np.signbit(s.K.real[:, n:]).any()  # +0.0
     assert abs(s.reconstruction_residual - _exact_residual(s.K, mu, tau)) <= 1e-15 * scale
     # half off by 1e-6 of itself fails the blocks' check, so the pair falls
     # through to the spectral route, which does not read half; L off by
     # 1e-8 fails both routes
-    frame = phase_space._frame
     for field_, skew in (("half", 1e-6), ("L", 1e-8)):
-        monkeypatch.setattr(phase_space, "_frame", lambda *a: (
-            lambda f: f._replace(**{field_: getattr(f, field_) * (1.0 + skew)}))(frame(*a)))
+        _skew_frame(monkeypatch, field_, 1.0 + skew)
         if field_ == "L":
             with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
                 one_particle(mu, tau)
@@ -600,13 +608,7 @@ def test_one_particle_reconstruction_check_negative_control(monkeypatch):
     # (1 + 1e-8)^2 mu + (i/2) tau: past the 1e-11 bound, on a valid pair
     mu, tau = random_pure_pair(np.random.default_rng(23), 2)
     one_particle(mu, tau)
-    frame = phase_space._frame
-
-    def skewed(*args):
-        f = frame(*args)
-        return f._replace(L=f.L * (1.0 + 1e-8))
-
-    monkeypatch.setattr(phase_space, "_frame", skewed)
+    _skew_frame(monkeypatch, "L", 1.0 + 1e-8)
     with pytest.raises(InternalInconsistencyError, match="reconstruction residual"):
         one_particle(mu, tau)
 
@@ -614,20 +616,24 @@ def test_one_particle_reconstruction_check_negative_control(monkeypatch):
 @pytest.mark.parametrize("skew, verdict", [(1e-3, "mixed"), (-1e-3, "mixed"), (1e-9, "pure")])
 def test_purity_verdict_negative_control(skew, verdict, monkeypatch):
     # a frame's Jt off by 1e-3 of itself puts its spectrum at (1 +- 1e-3)^2,
-    # 2e-3 from 1, past the 1e-8 bound; off by 1e-9 it stays inside
-    mu, tau = np.eye(2) / 2.0, TAU1
-    assert purity(mu, tau).pure
+    # 2e-3 from 1, past the 1e-8 bound; off by 1e-9 it stays inside.  The
+    # one-mode oscillator is q-p split, and each block of Jt and G is
+    # skewed; two modes in the order (q_1, p_1, q_2, p_2) are one block
+    pairs = [(np.eye(2) / 2.0, TAU1), (np.eye(4) / 2.0, TAU2)]
+    assert [len(phase_space._parts(*pair)) for pair in pairs] == [2, 1]
+    assert all(purity(*pair).pure for pair in pairs)
     frame = phase_space._frame
 
     def skewed(*args):
         f = frame(*args)
-        Jt = f.Jt * (1.0 + skew)
-        return f._replace(Jt=Jt, G=Jt.T @ Jt)
+        Jt = tuple(J * (1.0 + skew) for J in f.Jt)
+        return f._replace(Jt=Jt, G=tuple(Jr.T @ Jr for Jr in Jt[::-1]))
 
     monkeypatch.setattr(phase_space, "_frame", skewed)
-    rep = purity(mu, tau)
-    assert rep.verdict == verdict
-    assert rep.residual == pytest.approx(abs(2 * skew + skew * skew), rel=1e-6)
+    for pair in pairs:
+        rep = purity(*pair)
+        assert rep.verdict == verdict
+        assert rep.residual == pytest.approx(abs(2 * skew + skew * skew), rel=1e-6)
 
 
 # ------------------------------------------ purity against independent oracles
@@ -1214,8 +1220,9 @@ def test_split_frame_runs_in_n_by_n_blocks(monkeypatch):
     assert [c for c in calls if c[0] in ("solve", "eigvalsh")] == [("eigvalsh", (8, 8))] * 2
     calls.clear()
     equivalence_probe(mu, mu2, tau, truncations=[4, 8])
-    # the rung at 4 modes is the q block; the top rung is both blocks
-    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (8, 8))] * 3
+    # the rung at 4 modes is the q block; the top rung is both blocks, and
+    # reads the q block's spectrum from the first rung
+    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (8, 8))] * 2
 
 
 def _qp(T_qp, T_pq):
@@ -1223,9 +1230,8 @@ def _qp(T_qp, T_pq):
     return np.block([[zero, T_qp], [T_pq, zero]])
 
 
-def test_split_frame_refusals(monkeypatch):
-    # each refusal of the one-block route, met on a q-p split pair with the
-    # same class and message
+def _refused_split_pairs():
+    # q-p split pairs that _frame refuses, one per refusal (see below)
     mu, tau = lattice_ground_covariance(8, 0.5, 1.0), standard_symplectic_form(8)
     indefinite = mu.copy()
     indefinite[8:, 8:] = -np.eye(8)  # mu_qq positive definite, mu_pp not
@@ -1240,8 +1246,16 @@ def test_split_frame_refusals(monkeypatch):
     T_qp[:2, :2], T_pq[:2, :2] = (1.0 + 2e-9) * R, -(1.0 - 1e-9) * R.T
     one_block = np.diag([0.5, 0.5, 1e4] * 2), _qp(T_qp, T_pq)
     small = np.eye(4) / 6.0, standard_symplectic_form(2)
-    for pair in ((indefinite, tau), small, skew, one_block):
+    return {"indefinite": (indefinite, tau), "small": small, "skew": skew, "one-block": one_block}
+
+
+def test_split_frame_refusals(monkeypatch):
+    # each refusal of the one-block route, met on a q-p split pair with the
+    # same class and message
+    pairs = _refused_split_pairs()
+    for pair in pairs.values():
         assert len(phase_space._parts(*pair)) == 2
+    (indefinite, tau), small, skew, one_block = pairs.values()
 
     with pytest.raises(InvalidCovarianceError, match="^mu is not positive definite$"):
         validate_mu_tau(indefinite, tau)
@@ -1282,8 +1296,108 @@ def test_a_near_split_pair_takes_the_one_block_route(where):
         _assert_matches_blocks(equivalence_probe(mu1, mu2, tau, truncations=[4, 8]), mu1, mu2)
 
 
+def _assert_block_check_is_whole(mu, tau, monkeypatch):
+    # _check_square_pair on the blocks of _parts reads the ratios that
+    # errors.asymmetry gives on the whole matrices, float for float, and
+    # gives the verdict and message they give
+    ratios, real = [], phase_space.asymmetry
+    with monkeypatch.context() as m:
+        m.setattr(phase_space, "asymmetry", lambda *a: ratios.append(real(*a)) or ratios[-1])
+        try:
+            phase_space._check_square_pair(mu, tau, phase_space._parts(mu, tau))
+            message = None
+        except ValidationError as exc:
+            message = str(exc)
+    whole = [asymmetry(mu, np.transpose), asymmetry(tau, lambda q: -q.T)]
+    refused = [r > 1e-12 for r in whole]
+    assert message == ("mu must be symmetric" if refused[0]
+                       else "tau must be antisymmetric" if refused[1] else None)
+    assert [r.hex() for r in ratios] == [r.hex() for r in whole[: 1 if refused[0] else 2]]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e308, 2.0 ** 1022, 1e-310, 5e-324])
+def test_block_check_reads_the_whole_matrix_ratio(scale, monkeypatch):
+    # q-p split pairs whose entries reach the float range's edges, with
+    # signed zeros in the zero blocks and in the blocks, and with mu and tau
+    # each exact, skewed inside the 1e-12 bound or past it
+    rng = np.random.default_rng(67)
+    n, zero = 3, np.full((3, 3), -0.0)
+    for mu_skew, tau_skew in itertools.product((0.0, 1e-13, 1e-11), repeat=2):
+        b = rng.uniform(-1.0, 1.0, size=(3, n, n))
+        if scale == 5e-324:
+            b = np.round(40.0 * b)  # integer multiples of the smallest subnormal
+        b = b * scale
+        mq, mp = (M / 2.0 + M.T / 2.0 for M in b[:2])
+        t = b[2]
+        mq[2, 2], mp[0, 1], mp[1, 0], t[0, 0], t[1, 1] = scale, -0.0, -0.0, scale, -0.0
+        mq[0, 1] *= 1.0 + mu_skew
+        t_pq = -t.T
+        t_pq[1, 0] *= 1.0 + tau_skew
+        mu, tau = np.block([[mq, zero], [zero, mp]]), np.block([[zero, t], [t_pq, zero]])
+        assert len(phase_space._parts(mu, tau)) == 2
+        _assert_block_check_is_whole(mu, tau, monkeypatch)
+
+
+def test_block_check_on_one_block_pairs_and_the_split_refusals(monkeypatch):
+    # a mu with one nonzero off-diagonal block, or a tau with a nonzero
+    # diagonal block, is one block and is read whole; the split pairs that
+    # _frame refuses pass the check as the whole matrices do
+    mu, tau = lattice_ground_covariance(4, 0.5, 1.0), standard_symplectic_form(4)
+    cases = []
+    for level in (1e-14, 1e-10):
+        coupled, inner, lopsided = mu.copy(), tau.copy(), tau.copy()
+        coupled[0, 4] = level * np.abs(mu).max()
+        inner[0, 1], inner[1, 0] = level, -level
+        lopsided[2, 1] = level
+        cases += [(coupled, tau), (mu, inner), (mu, lopsided)]
+    for pair in cases:
+        assert len(phase_space._parts(*pair)) == 1
+        _assert_block_check_is_whole(*pair, monkeypatch)
+    for pair in _refused_split_pairs().values():
+        _assert_block_check_is_whole(*pair, monkeypatch)
+
+
+def test_split_frame_holds_no_2n_by_2n_array():
+    # the traced peak of a call on the 128-site chain, in units of one
+    # 2N x 2N float array: a frame joined into 2N x 2N arrays holds five of
+    # them, one held in its N x N blocks two and a half
+    A, tau = lattice_energy_form(128, 0.5, 1.0)
+    A2, _ = lattice_energy_form(128, 0.5, 1.7)
+    mu, mu2 = ground_state_mu(A, tau), ground_state_mu(A2, tau)
+    calls = {
+        "purity": (lambda: purity(mu, tau), 3.5),
+        "one_particle": (lambda: one_particle(mu, tau), 5.0),
+        "equivalence_probe": (lambda: equivalence_probe(mu, mu2, tau, [16, 32, 64, 128]), 4.0),
+    }
+    for name, (call, bound) in calls.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / mu.nbytes <= bound, name
+
+
+@pytest.mark.parametrize("coupling", ["antisymmetric", "flushed"])
+def test_ground_state_reads_the_split_of_the_scaled_pair(coupling):
+    # an antisymmetric q-p coupling inside A's 1e-12 symmetry bound
+    # symmetrizes to zero, and one below 2^-1074 of max|A| scales to zero:
+    # the pair is one block as given and split once scaled, and its mu is
+    # the uncoupled form's, byte for byte
+    A, tau = lattice_energy_form(8, 0.5, 1.0)
+    if coupling == "flushed":
+        A = A * 1e300
+    coupled = A.copy()
+    coupled[0, 8], coupled[8, 0] = (1e-14, -1e-14) if coupling == "antisymmetric" else (1e-300,) * 2
+    assert len(phase_space._parts(coupled, tau)) == 1
+    mu = ground_state_mu(coupled, tau)
+    assert mu.tobytes() == ground_state_mu(A, tau).tobytes()
+    assert not mu[:8, 8:].any() and not mu[8:, :8].any()
+
+
 NAN_MU = np.where(np.eye(4, dtype=bool), math.nan, 0.0)
-TAU2 = standard_symplectic(2)
 
 
 def _fock(cutoff=4):

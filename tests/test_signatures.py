@@ -169,14 +169,24 @@ def test_the_qp_split_is_decided_in_one_place():
         assert call in source and ".any()" not in source
 
 
+def test_the_frame_is_held_in_its_blocks():
+    # _frame keeps a q-p split pair's frame in its N x N blocks and joins
+    # none of them into a 2N x 2N matrix, and the symmetry checks read the
+    # blocks that _parts has decided
+    assert "_join(" not in inspect.getsource(phase_space._frame)
+    for entry in (phase_space._frame, phase_space.ground_state_mu):
+        source = inspect.getsource(entry)
+        assert -1 < source.find("_parts(") < source.find("_check_square_pair(")
+
+
 def test_purity_reads_one_spectrum():
     # purity's verdict is one reading of the frame's spectrum, _spectrum,
     # which _norm shares: phase_space solves no linear system and keeps no
     # second purity test to agree with
     text = _source_texts()["phase_space.py"]
     assert "np.linalg.solve" not in text and "purity checks disagree" not in text
-    assert "_spectrum(f.G, f.parts)" in inspect.getsource(phase_space.purity)
-    assert "_spectrum(G, parts)" in inspect.getsource(phase_space._norm)
+    assert "_spectrum(f.G)" in inspect.getsource(phase_space.purity)
+    assert "_spectrum(G)" in inspect.getsource(phase_space._norm)
 
 
 def test_a_march_is_bounded_by_the_edge_of_its_array():
