@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .errors import (
 )
 
 __all__ = [
-    "OperatorJ",
+    "CovariancePair",
     "OneParticleStructure",
     "PurityReport",
     "EquivalenceReport",
@@ -62,16 +61,16 @@ def standard_symplectic_form(n_modes):
     return T
 
 
-def _check_square_pair(mu, tau, parts):
+def _check_square_pair(mu, tau, parts, what="mu"):
     """Raise unless mu is symmetric and tau antisymmetric, each to 1e-12 of
-    its own largest entry (errors.asymmetry).  Only the blocks that parts
-    leaves nonzero are read (see _pieces): mu's diagonal blocks against
-    their transposes and tau's blocks [k, j] against -tau[j, k]^T, each set
-    stacked (a single block as a view).  The ratio reads the entries it
-    reads on the whole matrices and is the same float."""
+    its own largest entry (errors.asymmetry), naming mu as what.  Only the
+    blocks that parts leaves nonzero are read (see _pieces): mu's diagonal
+    blocks against their transposes and tau's blocks [k, j] against
+    -tau[j, k]^T, each set stacked (a single block as a view).  The ratio
+    reads the entries it reads on the whole matrices and is the same float."""
     mus, taus = (P[0][None] if len(P) == 1 else np.stack(P) for P in _pieces(mu, tau, parts))
     if asymmetry(mus, lambda q: q.swapaxes(1, 2)) > 1e-12:
-        raise ValidationError("mu must be symmetric")
+        raise ValidationError(f"{what} must be symmetric")
     if asymmetry(taus, lambda q: -q[::-1].swapaxes(1, 2)) > 1e-12:
         raise ValidationError("tau must be antisymmetric")
 
@@ -100,18 +99,18 @@ def _lower_inverse(L):
     return out
 
 
-def _parts(S, T):
+def _parts(S, T, what="mu"):
     """The diagonal blocks a pair (S, T) runs on: its q and p halves when the
     dimension is even, both off-diagonal blocks of S are exact zeros and so
     are both diagonal blocks of T (a q-p split pair, as in the (q, p)
     ordering of a lattice form or its ground state), else the whole matrix.
     Both blocks of S are read because cholesky reads only one triangle and
     a symmetric input is symmetric only to 1e-12.  Raises unless S is a
-    non-empty square matrix and T has its shape."""
+    non-empty square matrix and T has its shape, naming S as what."""
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.size == 0:
-        raise ValidationError("mu must be a non-empty square matrix")
+        raise ValidationError(f"{what} must be a non-empty square matrix")
     if T.shape != S.shape:
-        raise ValidationError("tau must match mu's shape")
+        raise ValidationError(f"tau must match {what}'s shape")
     n, odd = divmod(len(S), 2)
     q, p = slice(None, n), slice(n, None)
     if odd or S[q, p].any() or S[p, q].any() or T[q, q].any() or T[p, p].any():
@@ -132,9 +131,9 @@ def _join(pieces, rows, cols, shape):
     elsewhere; a single piece is the whole matrix and is returned uncopied.
     A split pair's frame is held in its N x N blocks (see _frame), and only
     a public result or a rare route joins them into a 2N x 2N matrix: J in
-    validate_mu_tau, one_particle's spectral route, equivalence_probe's Q
-    and its route for two frames that split differently, and the spectrum
-    that names ground_state_mu's refusal."""
+    CovariancePair.J, only when it is read, one_particle's spectral route,
+    equivalence_probe's Q and its route for two frames that split
+    differently, and the spectrum that names ground_state_mu's refusal."""
     if len(pieces) == 1:
         return pieces[0]
     out = np.zeros(shape)
@@ -143,9 +142,14 @@ def _join(pieces, rows, cols, shape):
     return out
 
 
-class _Frame(NamedTuple):
-    # each of L to G is a tuple of blocks, ordered as _pieces orders mu's
-    # (L, Linv, G) or tau's (half, Jt)
+@dataclass(frozen=True)
+class CovariancePair:
+    """An admitted covariance pair (mu, tau) and its mu-orthonormal frame,
+    built only by _frame; L to G are tuples of blocks, ordered as _pieces
+    orders mu's (L, Linv, G) or tau's (half, Jt).  Each reading is computed
+    once, on first read.  mu and tau are the arrays given, not copies:
+    copying both put purity's traced peak at 5.0 2N x 2N arrays, not 3.5."""
+
     mu: np.ndarray
     tau: np.ndarray
     L: tuple  # Cholesky factor, mu = L L^T
@@ -155,10 +159,112 @@ class _Frame(NamedTuple):
     G: tuple  # Jt^T Jt, whose largest eigenvalue is ||J||_mu^2
     parts: tuple  # the diagonal blocks of mu (see _parts)
 
+    @functools.cached_property
+    def J(self):
+        """J with mu(x, J y) = tau(x, y) / 2: mu^{-1} tau / 2, one 2N x 2N product."""
+        p, shape = self.parts, self.mu.shape
+        with float_range("J of mu and tau"):
+            return _join(self.Linv, p, p, shape).T @ _join(self.half, p, p[::-1], shape)
+
+    @functools.cached_property
+    def spectrum(self):
+        """The eigenvalues of G = Jt^T Jt in ascending order: the union of the
+        spectra of its diagonal blocks (see _frame)."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(Gk) for Gk in self.G]))
+
+    @functools.cached_property
+    def mu_norm(self):
+        """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
+        return math.sqrt(max(float(self.spectrum[-1]), 0.0))
+
+    @functools.cached_property
+    def one_particle(self):
+        """One-particle structure for (mu, tau), with K^H K = L (I + i Jt) L^T.
+
+        Frame route: if tau[:N, :N] = 0, as in the (q, p) ordering, so is Jt's
+        block (L is lower triangular), and for a pure pair the first N rows of
+        I + i Jt span the range of the rank-N projector (I + i Jt) / 2.  Then
+        K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when a Cholesky
+        probe of the frame's G, one per diagonal block of a q-p split frame
+        (see _frame), puts every singular value of Jt at or above 1 - 2e-10 and
+        K meets the residual bound below; every other pair takes the spectral
+        route.  On a q-p split frame K = [Lq^T, i half_qp], and K^H K is checked
+        in real N x N blocks (see _split_residual) rather than as one complex
+        2N x 2N product.
+
+        Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
+        its eigenspaces above 1e-10 times the top eigenvalue carry the
+        representation.  Pure directions contribute one dimension per mode, mixed
+        directions two (the doubling that keeps the complex span dense).  The
+        spectrum of i Jt is +-||J||_mu at its ends.  K^H K must reproduce
+        mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
+        """
+        n, parts, shape = len(self.mu) // 2, self.parts, self.mu.shape
+        split = len(parts) == 2
+        # each entry of a split pair's mu + (i/2) tau is one of mu's or of (i/2) tau's
+        mus, taus = _pieces(self.mu, self.tau, parts)
+        top = (max(max(map(_largest_modulus, mus)), max(map(_largest_modulus, taus)) / 2.0)
+               if split else np.abs(self.mu + 0.5j * self.tau).max())
+        tol = 1e-11 * max(1.0, top)
+        if not self.tau[:n, :n].any() and all(
+                _positive(Gk - (1.0 - 4e-10) * np.eye(len(Gk))) for Gk in self.G):
+            if split:  # K = [Lq^T, i half_qp]; its real parts in the p columns are +0.0
+                K = np.zeros((n, 2 * n), complex)
+                K[:, :n] += self.L[0].T
+                K[:, n:] += 1j * self.half[0]
+                resid = _split_residual(self)
+            else:
+                K = self.L[0].T[:n] + 1j * self.half[0][:n]
+                resid = _residual(K, self)
+            if resid <= tol:
+                return OneParticleStructure(K=K, mu=self.mu, tau=self.tau, dim=n,
+                                            reconstruction_residual=resid)
+        Jt, Lt = _join(self.Jt, parts, parts[::-1], shape), _join(self.L, parts, parts, shape).T
+        # the identity is held past eigh: freed before it, one_particle measured
+        # about 0.9 ms slower on the one-block route at 2N = 256
+        eye = np.eye(len(Jt))
+        w, U = np.linalg.eigh(eye + 0.5j * (Jt - Jt.T))  # Jt made exactly antisymmetric
+        keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
+        C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
+        K = C.real @ Lt + 1j * (C.imag @ Lt)  # two real products, not one upcast
+        resid = _residual(K, self)
+        if resid > tol:
+            if w.min() < -1e-12:
+                # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
+                # has no one-particle structure, so the input is at fault
+                raise InvalidCovarianceError(
+                    f"|J|_mu = {np.abs(w - 1.0).max():.12g} exceeds 1: no one-particle structure "
+                    f"reproduces the pair (residual {resid:.3e})"
+                )
+            raise InternalInconsistencyError(
+                f"one-particle reconstruction residual {resid:.3e}"
+            )
+        return OneParticleStructure(K=K, mu=self.mu, tau=self.tau, dim=int(keep.sum()),
+                                    reconstruction_residual=resid)
+
+    @functools.cached_property
+    def purity(self):
+        """Whether the quasifree state of (mu, tau) is pure, read off its
+        symplectic spectrum.
+
+        By Williamson's normal form a symplectic congruence takes mu to
+        diag(nu_k) with each symplectic eigenvalue nu_k >= 1/2 twice, and the
+        state is pure iff every nu_k = 1/2 (Manuceau and Verbeure).  In the
+        mu-frame of _frame the singular values of Jt are sigma_k = 1 / (2 nu_k),
+        so the eigenvalues of G = Jt^T Jt are the sigma_k^2, each twice: G is
+        similar to mu^{-1} T^T mu^{-1} T with T = tau / 2, and its entries have
+        unit scale whatever cond(mu).  The pair is pure iff max |lambda - 1| <=
+        1e-8 over that spectrum; _frame has decided the pair bound, lambda <=
+        (1 + 1e-9)^2.  On a q-p split frame G is block diagonal and its spectrum
+        is the union of its diagonal blocks' spectra, one N x N eigvalsh each.
+        """
+        residual = float(np.abs(self.spectrum - 1.0).max())
+        return PurityReport(pure=residual <= 1e-8, residual=residual, spectrum=self.spectrum)
+
 
 def _frame(mu, tau, what="mu"):
     """Admit a covariance pair, the one admission of this module: read the
-    pair once and build its mu-orthonormal frame.
+    pair once and build its mu-orthonormal frame, a CovariancePair.
 
     Raises unless mu is symmetric positive definite, tau antisymmetric, every
     entry of Jt at most 1 + 1e-9, J mu-antisymmetric (Jt antisymmetric) and
@@ -174,8 +280,8 @@ def _frame(mu, tau, what="mu"):
     matrix.
     """
     mu, tau = as_finite_array(mu, what), as_finite_array(tau, "tau")
-    parts = _parts(mu, tau)
-    _check_square_pair(mu, tau, parts)
+    parts = _parts(mu, tau, what)
+    _check_square_pair(mu, tau, parts, what)
     mus, taus = _pieces(mu, tau, parts)
     try:
         L = tuple(np.linalg.cholesky(M) for M in mus)
@@ -194,22 +300,11 @@ def _frame(mu, tau, what="mu"):
     G = tuple(Jr.T @ Jr for Jr in Jt[::-1])
     # a fresh identity per probe: holding one 2N x 2N identity past the probe
     # measured about 2 ms slower in equivalence_probe's one-block route at 2N = 256
-    if not all(_positive((1.0 + 1e-9) ** 2 * np.eye(len(Gk)) - Gk) for Gk in G):
-        norm = _norm(G)
-        if norm > 1.0 + 1e-9:
-            raise InvalidCovarianceError(f"|J|_mu = {norm:.12g} exceeds 1: the pair bound fails")
-    return _Frame(mu, tau, L, Linv, half, Jt, G, parts)
-
-
-def _spectrum(G):
-    """The eigenvalues of G = Jt^T Jt in ascending order: the union of the
-    spectra of its diagonal blocks (see _frame)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(Gk) for Gk in G]))
-
-
-def _norm(G):
-    """||J||_mu = ||Jt||_2, from the largest eigenvalue of G = Jt^T Jt."""
-    return math.sqrt(max(float(_spectrum(G)[-1]), 0.0))
+    bounded = all(_positive((1.0 + 1e-9) ** 2 * np.eye(len(Gk)) - Gk) for Gk in G)
+    f = CovariancePair(mu, tau, L, Linv, half, Jt, G, parts)
+    if not bounded and f.mu_norm > 1.0 + 1e-9:
+        raise InvalidCovarianceError(f"|J|_mu = {f.mu_norm:.12g} exceeds 1: the pair bound fails")
+    return f
 
 
 def _positive(M):
@@ -221,18 +316,8 @@ def _positive(M):
     return True
 
 
-@dataclass(frozen=True)
-class OperatorJ:
-    """Map J with mu(x, J y) = tau(x, y) / 2, plus its mu-operator norm."""
-
-    J: np.ndarray
-    mu: np.ndarray
-    tau: np.ndarray
-    mu_norm: float
-
-
 def validate_mu_tau(mu, tau):
-    """Admit a covariance pair and return its J operator.
+    """Admit a covariance pair and return the admitted pair, a CovariancePair.
 
     Checks mu symmetric positive definite, tau antisymmetric (each to 1e-12
     of its own largest entry, see errors.asymmetry), the mu-antisymmetry of
@@ -240,12 +325,7 @@ def validate_mu_tau(mu, tau):
     matrix form of the requirement that |tau(x,y)|^2 / 4 never exceeds
     mu(x,x) mu(y,y).
     """
-    f = _frame(mu, tau)
-    parts, shape = f.parts, f.mu.shape
-    with float_range("J of mu and tau"):
-        # mu^{-1} tau / 2, the public J, as one 2N x 2N product
-        J = _join(f.Linv, parts, parts, shape).T @ _join(f.half, parts, parts[::-1], shape)
-    return OperatorJ(J=J, mu=f.mu, tau=f.tau, mu_norm=_norm(f.G))
+    return _frame(mu, tau)
 
 
 @dataclass(frozen=True)
@@ -289,69 +369,8 @@ class OneParticleStructure:
 
 
 def one_particle(mu, tau):
-    """One-particle structure for (mu, tau), with K^H K = L (I + i Jt) L^T.
-
-    Frame route: if tau[:N, :N] = 0, as in the (q, p) ordering, so is Jt's
-    block (L is lower triangular), and for a pure pair the first N rows of
-    I + i Jt span the range of the rank-N projector (I + i Jt) / 2.  Then
-    K = L^T[:N] + i (L^{-1} tau / 2)[:N], dim N.  It is taken when a Cholesky
-    probe of the frame's G, one per diagonal block of a q-p split frame
-    (see _frame), puts every singular value of Jt at or above 1 - 2e-10 and
-    K meets the residual bound below; every other pair takes the spectral
-    route.  On a q-p split frame K = [Lq^T, i half_qp], and K^H K is checked
-    in real N x N blocks (see _split_residual) rather than as one complex
-    2N x 2N product.
-
-    Spectral route: the hermitian matrix I + i Jt has spectrum in [0, 2];
-    its eigenspaces above 1e-10 times the top eigenvalue carry the
-    representation.  Pure directions contribute one dimension per mode, mixed
-    directions two (the doubling that keeps the complex span dense).  The
-    spectrum of i Jt is +-||J||_mu at its ends.  K^H K must reproduce
-    mu + (i/2) tau within 1e-11 relative to max(1, largest entry).
-    """
-    f = _frame(mu, tau)
-    n, parts, shape = len(f.mu) // 2, f.parts, f.mu.shape
-    split = len(parts) == 2
-    # each entry of a split pair's mu + (i/2) tau is one of mu's or of (i/2) tau's
-    mus, taus = _pieces(f.mu, f.tau, parts)
-    top = (max(max(map(_largest_modulus, mus)), max(map(_largest_modulus, taus)) / 2.0)
-           if split else np.abs(f.mu + 0.5j * f.tau).max())
-    tol = 1e-11 * max(1.0, top)
-    if not f.tau[:n, :n].any() and all(_positive(Gk - (1.0 - 4e-10) * np.eye(len(Gk)))
-                                       for Gk in f.G):
-        if split:  # K = [Lq^T, i half_qp]; its real parts in the p columns are +0.0
-            K = np.zeros((n, 2 * n), complex)
-            K[:, :n] += f.L[0].T
-            K[:, n:] += 1j * f.half[0]
-            resid = _split_residual(f)
-        else:
-            K = f.L[0].T[:n] + 1j * f.half[0][:n]
-            resid = _residual(K, f)
-        if resid <= tol:
-            return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=n,
-                                        reconstruction_residual=resid)
-    Jt, Lt = _join(f.Jt, parts, parts[::-1], shape), _join(f.L, parts, parts, shape).T
-    # the identity is held past eigh: freed before it, one_particle measured
-    # about 0.9 ms slower on the one-block route at 2N = 256
-    eye = np.eye(len(Jt))
-    w, U = np.linalg.eigh(eye + 0.5j * (Jt - Jt.T))  # Jt made exactly antisymmetric
-    keep = w > 1e-10 * max(1.0, w.max(initial=0.0))
-    C = np.sqrt(w[keep])[:, None] * U[:, keep].conj().T
-    K = C.real @ Lt + 1j * (C.imag @ Lt)  # two real products, not one upcast
-    resid = _residual(K, f)
-    if resid > tol:
-        if w.min() < -1e-12:
-            # inside the bound's 1e-9 slack but with ||J||_mu > 1: the pair
-            # has no one-particle structure, so the input is at fault
-            raise InvalidCovarianceError(
-                f"|J|_mu = {np.abs(w - 1.0).max():.12g} exceeds 1: no one-particle structure "
-                f"reproduces the pair (residual {resid:.3e})"
-            )
-        raise InternalInconsistencyError(
-            f"one-particle reconstruction residual {resid:.3e}"
-        )
-    return OneParticleStructure(K=K, mu=f.mu, tau=f.tau, dim=int(keep.sum()),
-                                reconstruction_residual=resid)
+    """CovariancePair.one_particle of the admitted pair (mu, tau)."""
+    return _frame(mu, tau).one_particle
 
 
 def _residual(K, f):
@@ -406,24 +425,8 @@ class PurityReport:
 
 
 def purity(mu, tau):
-    """Whether the quasifree state of (mu, tau) is pure, read off its
-    symplectic spectrum.
-
-    By Williamson's normal form a symplectic congruence takes mu to
-    diag(nu_k) with each symplectic eigenvalue nu_k >= 1/2 twice, and the
-    state is pure iff every nu_k = 1/2 (Manuceau and Verbeure).  In the
-    mu-frame of _frame the singular values of Jt are sigma_k = 1 / (2 nu_k),
-    so the eigenvalues of G = Jt^T Jt are the sigma_k^2, each twice: G is
-    similar to mu^{-1} T^T mu^{-1} T with T = tau / 2, and its entries have
-    unit scale whatever cond(mu).  The pair is pure iff max |lambda - 1| <=
-    1e-8 over that spectrum; _frame has decided the pair bound, lambda <=
-    (1 + 1e-9)^2.  On a q-p split frame G is block diagonal and its spectrum
-    is the union of its diagonal blocks' spectra, one N x N eigvalsh each.
-    """
-    f = _frame(mu, tau)
-    lams = _spectrum(f.G)
-    residual = float(np.abs(lams - 1.0).max())
-    return PurityReport(pure=residual <= 1e-8, residual=residual, spectrum=lams)
+    """CovariancePair.purity of the admitted pair (mu, tau)."""
+    return _frame(mu, tau).purity
 
 
 def ground_state_mu(energy_form, tau=None):
@@ -473,8 +476,8 @@ def ground_state_mu(energy_form, tau=None):
     if tau is None:
         tau = standard_symplectic_form(A.shape[0] // 2)
     T = as_finite_array(tau, "tau")
-    parts = _parts(A, T)  # q-p split: A = blockdiag(A_qq, A_pp), G^T G block diagonal too
-    _check_square_pair(A, T, parts)
+    parts = _parts(A, T, "energy form")  # q-p split: A = blockdiag(A_qq, A_pp), G^T G too
+    _check_square_pair(A, T, parts, "energy form")
     As, Ts = _pieces(A, T, parts)
     a, e = _unit_exponent(As), _unit_exponent(Ts)
     As = [(X + X.T) / 2.0 for X in (np.ldexp(M, a) for M in As)]
@@ -665,8 +668,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
     In finite dimension every Q is Hilbert-Schmidt, so only the growth trend
     is reported: hs growing at least like N^0.4 reads divergent, essentially
     flat (or at most 1e-12 throughout) reads bounded, anything else
-    inconclusive.  tau defaults to the standard block form.  Both
-    covariances must pass validate_mu_tau's checks on the largest block,
+    inconclusive.  tau defaults to the standard block form.  _frame admits
+    both covariances, as validate_mu_tau does, on the largest block,
     factored once: L is lower triangular, so each leading block of
     L^{-1} and of B = L^{-1} (mu2 - mu1) L^{-T} is the smaller block's own,
     and only the symmetry checks, scaled to each block, run per block.
@@ -702,8 +705,8 @@ def equivalence_probe(mu1, mu2, tau=None, truncations=None):
         raise ValidationError(f"truncation {truncs[-1]} exceeds available modes {total_modes}")
     sizes = [2 * n_modes for n_modes in truncs]
     for n in sizes[:-1]:  # the largest block is checked by _frame
-        for m, t in ((mu1[:n, :n], tau[:n, :n]), (mu2[:n, :n], tau[:n, :n])):
-            _check_square_pair(m, t, _parts(m, t))
+        for what, m in (("mu1 block", mu1[:n, :n]), ("mu2 block", mu2[:n, :n])):
+            _check_square_pair(m, tau[:n, :n], _parts(m, tau[:n, :n], what), what)
     m1, m2, t = (m[: sizes[-1], : sizes[-1]] for m in (mu1, mu2, tau))
     f1 = _frame(m1, t, what="mu1 block")
     Linv, parts = f1.Linv, f1.parts

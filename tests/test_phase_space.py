@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -439,8 +440,8 @@ def test_frame_route_refuses_a_qfirst_pair_above_one(mu, tau, excess):
 def _skew_frame(monkeypatch, field_, factor):
     # _frame with every block of one of its per-block fields scaled by factor
     frame = phase_space._frame
-    monkeypatch.setattr(phase_space, "_frame", lambda *a: (lambda f: f._replace(
-        **{field_: tuple(X * factor for X in getattr(f, field_))}))(frame(*a)))
+    monkeypatch.setattr(phase_space, "_frame", lambda *a: (lambda f: dataclasses.replace(
+        f, **{field_: tuple(X * factor for X in getattr(f, field_))}))(frame(*a)))
 
 
 def test_frame_route_reconstruction_check_negative_control(monkeypatch):
@@ -627,7 +628,7 @@ def test_purity_verdict_negative_control(skew, verdict, monkeypatch):
     def skewed(*args):
         f = frame(*args)
         Jt = tuple(J * (1.0 + skew) for J in f.Jt)
-        return f._replace(Jt=Jt, G=tuple(Jr.T @ Jr for Jr in Jt[::-1]))
+        return dataclasses.replace(f, Jt=Jt, G=tuple(Jr.T @ Jr for Jr in Jt[::-1]))
 
     monkeypatch.setattr(phase_space, "_frame", skewed)
     for pair in pairs:
@@ -1225,6 +1226,78 @@ def test_split_frame_runs_in_n_by_n_blocks(monkeypatch):
     assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (8, 8))] * 2
 
 
+# ------------------------------------------------------ the admitted pair
+
+def _named_pair(name):
+    # a pair of _split_pairs, or the chain in the interleaved order, one block
+    if name != "interleaved":
+        return _split_pairs()[name][:2]
+    mu, tau, _ = _split_pairs()["chain"]
+    order = _interleaved(len(mu) // 2)
+    return _permuted(mu, order), _permuted(tau, order)
+
+
+@pytest.mark.parametrize("name", ["chain", "qfirst-pure", "qfirst-mixed", "interleaved"])
+def test_a_pair_is_admitted_once_however_many_readings(name, monkeypatch):
+    # validate_mu_tau admits the pair and joins nothing; reading J joins its
+    # blocks, and reading every reading twice admits nothing again and
+    # eigensolves each block of G once
+    mu, tau = _named_pair(name)
+    calls, solved = [], []
+    frame, join, eigvalsh = phase_space._frame, phase_space._join, np.linalg.eigvalsh
+    monkeypatch.setattr(phase_space, "_frame", lambda *a: calls.append("_frame") or frame(*a))
+    monkeypatch.setattr(phase_space, "_join", lambda *a: calls.append("_join") or join(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+    pair = validate_mu_tau(mu, tau)
+    assert calls == ["_frame"] and solved == []
+    assert len(pair.parts) == (1 if name == "interleaved" else 2)
+    for _ in range(2):
+        pair.J, pair.mu_norm, pair.spectrum, pair.one_particle, pair.purity
+    assert calls.count("_frame") == 1 and "_join" in calls
+    assert [id(G) for G in solved] == [id(G) for G in pair.G]
+
+
+@pytest.mark.parametrize("name", ["chain", "qfirst-pure", "qfirst-mixed", "interleaved"])
+def test_pair_readers_equal_the_module_functions(name):
+    mu, tau = _named_pair(name)
+    pair = validate_mu_tau(mu, tau)
+    got, want = pair.one_particle, one_particle(mu, tau)
+    assert got.K.tobytes() == want.K.tobytes() and got.dim == want.dim
+    assert np.float64(got.reconstruction_residual).tobytes() == np.float64(
+        want.reconstruction_residual).tobytes()
+    got, want = pair.purity, purity(mu, tau)
+    assert got.spectrum.tobytes() == want.spectrum.tobytes() and got.verdict == want.verdict
+    assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+def _asymmetric(M, at):
+    # M with its entry at (i, j) moved by 1e-6 of max|M| and (j, i) not
+    M = M.copy()
+    M[at] += 1e-6 * np.abs(M).max()
+    return M
+
+
+_FORM, _FORM_TAU = lattice_energy_form(4, 0.5, 1.0)
+_MU = lattice_ground_covariance(4, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ground_state_mu(_asymmetric(_FORM, (0, 1)), _FORM_TAU),
+     "energy form must be symmetric"),
+    (lambda: ground_state_mu(np.zeros((0, 0))), "energy form must be a non-empty square matrix"),
+    (lambda: ground_state_mu(_FORM, _FORM_TAU[:4, :4]), "tau must match energy form's shape"),
+    (lambda: equivalence_probe(_MU, _asymmetric(_MU, (0, 1))), "mu2 block must be symmetric"),
+    (lambda: equivalence_probe(_asymmetric(_MU, (0, 1)), _MU, truncations=[1, 4]),
+     "mu1 block must be symmetric"),
+    (lambda: equivalence_probe(_MU, _asymmetric(_MU, (0, 1)), truncations=[1, 4]),
+     "mu2 block must be symmetric"),
+], ids=["form-asymmetric", "form-empty", "form-tau-shape", "mu2-asymmetric",
+        "mu1-rung-asymmetric", "mu2-rung-asymmetric"])
+def test_refusals_name_the_argument_at_fault(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def _qp(T_qp, T_pq):
     zero = np.zeros_like(T_qp)
     return np.block([[zero, T_qp], [T_pq, zero]])
@@ -1665,11 +1738,16 @@ def _ladder_report(rep):
     return rep.truncations, rep.hs_norms, rep.c_mins, rep.c_maxs
 
 
+def _readings(pair):
+    # every reading of an admitted pair; one_particle, which may refuse, last
+    return pair.J, pair.mu_norm, pair.spectrum, pair.purity, pair.one_particle
+
+
 _PS_CALLS = {
     "standard_symplectic_form": lambda d: standard_symplectic_form(d(_sizes)),
     "lattice_energy_form": lambda d: lattice_energy_form(d(_sizes), d(_reals), d(_reals)),
     "validate_mu_tau": lambda d: validate_mu_tau(*_spoiled_pair(d)),
-    "OperatorJ": lambda d: validate_mu_tau(*_spoiled_pair(d)).J,
+    "CovariancePair": lambda d: _readings(validate_mu_tau(*_spoiled_pair(d))),
     "one_particle": lambda d: one_particle(*_spoiled_pair(d)),
     "OneParticleStructure": lambda d: _built(d).inner(_vector(d), _vector(d)),
     "intertwiner": lambda d: intertwiner(_structure(d), _structure(d)),
@@ -1691,7 +1769,7 @@ def _assert_finite(out):
             _assert_finite(v)
     elif isinstance(out, dict):
         _assert_finite(list(out.values()))
-    elif not isinstance(out, str):
+    elif not isinstance(out, (str, slice)):  # a pair's parts are slices
         assert np.isfinite(out).all(), out
 
 

@@ -163,8 +163,8 @@ def test_the_qp_split_is_decided_in_one_place():
     sites = {name: text.count("T[q, q].any() or T[p, p].any()")
              for name, text in _source_texts().items()}
     assert {name: n for name, n in sites.items() if n} == {"phase_space.py": 1}
-    for entry, call in ((phase_space.ground_state_mu, "_parts(A, T)"),
-                        (phase_space._frame, "_parts(mu, tau)")):
+    for entry, call in ((phase_space.ground_state_mu, '_parts(A, T, "energy form")'),
+                        (phase_space._frame, "_parts(mu, tau, what)")):
         source = inspect.getsource(entry)
         assert call in source and ".any()" not in source
 
@@ -180,13 +180,18 @@ def test_the_frame_is_held_in_its_blocks():
 
 
 def test_purity_reads_one_spectrum():
-    # purity's verdict is one reading of the frame's spectrum, _spectrum,
-    # which _norm shares: phase_space solves no linear system and keeps no
-    # second purity test to agree with
+    # purity's verdict is one reading of the pair's spectrum,
+    # CovariancePair.spectrum, phase_space's one eigvalsh of G, which mu_norm
+    # shares: phase_space solves no linear system and keeps no second purity
+    # test to agree with
     text = _source_texts()["phase_space.py"]
     assert "np.linalg.solve" not in text and "purity checks disagree" not in text
-    assert "_spectrum(f.G)" in inspect.getsource(phase_space.purity)
-    assert "_spectrum(G)" in inspect.getsource(phase_space._norm)
+    pair = phase_space.CovariancePair
+    assert text.count("eigvalsh(Gk)") == 1
+    assert "eigvalsh(Gk) for Gk in self.G" in inspect.getsource(pair.spectrum.func)
+    for reader in (pair.purity, pair.mu_norm):
+        assert "self.spectrum" in inspect.getsource(reader.func)
+    assert "_frame(mu, tau).purity" in inspect.getsource(phase_space.purity)
 
 
 def test_a_march_is_bounded_by_the_edge_of_its_array():
